@@ -1,8 +1,10 @@
 """Positional analysis of large graphs.
 
-Epsilon-equitable partitions by iterative refinement (serial and sharded
-parallel), partition similarity scoring across time-evolving snapshots, and
-co-evolution analysis of same-position vertex pairs.
+Epsilon-equitable partitions by active-list iterative refinement
+(``fast_eep``; ``run_refinement`` adds run counters and ``parallel_eep`` is
+an alias kept under its historical name), partition similarity scoring
+across time-evolving snapshots, and co-evolution analysis of same-position
+vertex pairs.
 """
 
 from .graphs import (
@@ -21,35 +23,24 @@ from .graphs import (
     save_edge_list,
 )
 from .partition import (
-    ActiveList,
     IterationLimitError,
     Partition,
     degree_partition,
-    degree_to_cell,
-    degree_vector,
     epsilon_spread,
     equitable_oracle,
     fast_eep,
     read_partition_file,
-    split,
     write_partition_file,
 )
 from .engine import (
-    EmissionIntegrityError,
     EngineConfig,
-    MapEmission,
     RefinementStats,
-    ShardPlan,
-    map_degrees,
     parallel_eep,
-    plan_shards,
-    reduce_split,
     run_refinement,
 )
 from .similarity import (
     SimilarityScore,
     UniverseMismatchError,
-    intersection_cardinality_cellpairs,
     partition_intersection,
     partitions_equal,
     restrict_partition,
@@ -59,7 +50,6 @@ from .centrality import (
     CONVENTIONS,
     CentralityVector,
     betweenness_centrality,
-    betweenness_centrality_exact,
     compute_measures,
     degree_centrality,
     shapley_centrality,

@@ -8,9 +8,7 @@ is the closed-form value of the coalition game v(S) = |S union N(S)|.
 from __future__ import annotations
 
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -71,59 +69,21 @@ def _brandes_source(graph: Graph, s: int):
     return order, preds, sigma
 
 
-def betweenness_centrality(graph: Graph, *, workers: int = 1) -> CentralityVector:
-    """Exact unweighted betweenness via per-source dependency accumulation.
-
-    Sources are distributed over workers in fixed contiguous chunks and the
-    chunk partials are reduced in source order.
-    """
+def betweenness_centrality(graph: Graph) -> CentralityVector:
+    """Exact unweighted betweenness via per-source dependency accumulation."""
     n = graph.n
-
-    def accumulate(sources: range) -> np.ndarray:
-        out = np.zeros(n)
-        delta = np.zeros(n)
-        for s in sources:
-            order, preds, sigma = _brandes_source(graph, s)
-            delta[:] = 0.0
-            for w in reversed(order):
-                coeff = (1.0 + delta[w]) / sigma[w]
-                for v in preds[w]:
-                    delta[v] += sigma[v] * coeff
-            delta[s] = 0.0
-            out += delta
-        return out
-
-    if workers <= 1 or n < 2:
-        totals = accumulate(range(n))
-    else:
-        step = (n + workers - 1) // workers
-        chunks = [range(lo, min(lo + step, n)) for lo in range(0, n, step)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            totals = np.zeros(n)
-            for partial in pool.map(accumulate, chunks):
-                totals += partial
-    return CentralityVector("betweenness", totals / 2.0)  # unordered pairs
-
-
-def betweenness_centrality_exact(graph: Graph) -> list[Fraction]:
-    """Betweenness with exact rational arithmetic, for verification.
-
-    Same convention as betweenness_centrality; path-count ratios are kept as
-    Fractions so results can be compared for strict equality.
-    """
-    n = graph.n
-    totals = [Fraction(0)] * n
+    totals = np.zeros(n)
+    delta = np.zeros(n)
     for s in range(n):
         order, preds, sigma = _brandes_source(graph, s)
-        delta = [Fraction(0)] * n
+        delta[:] = 0.0
         for w in reversed(order):
-            coeff = (1 + delta[w]) / sigma[w]
+            coeff = (1.0 + delta[w]) / sigma[w]
             for v in preds[w]:
                 delta[v] += sigma[v] * coeff
-        for w in order:
-            if w != s:
-                totals[w] += delta[w]
-    return [t / 2 for t in totals]
+        delta[s] = 0.0
+        totals += delta
+    return CentralityVector("betweenness", totals / 2.0)  # unordered pairs
 
 
 def triangle_counts(graph: Graph) -> CentralityVector:
@@ -177,15 +137,12 @@ _MEASURES = {
 }
 
 
-def compute_measures(graph: Graph, measures, *, workers: int = 1) -> dict[str, CentralityVector]:
+def compute_measures(graph: Graph, measures) -> dict[str, CentralityVector]:
     """Compute a named subset of the four measures."""
     out: dict[str, CentralityVector] = {}
     for name in measures:
         if name not in _MEASURES:
             raise ValueError(f"unknown measure {name!r}; "
                              f"choose from {sorted(_MEASURES)}")
-        if name == "betweenness":
-            out[name] = betweenness_centrality(graph, workers=workers)
-        else:
-            out[name] = _MEASURES[name](graph)
+        out[name] = _MEASURES[name](graph)
     return out

@@ -24,13 +24,13 @@ from . import __version__
 from .centrality import CONVENTIONS, compute_measures
 from .coevolution import (DEFAULT_BIN_EDGES, DEFAULT_PAIR_CAP, coevolution_report,
                           overlap_matrix, same_position_pairs)
-from .engine import EmissionIntegrityError, EngineConfig, run_refinement
+from .engine import EngineConfig, run_refinement
 from .graphs import (GeneratorConfig, ParseError, SnapshotSpec,
                      VertexLabelMap, build_snapshots, generate_power_law,
                      load_edge_list, load_temporal_edge_list,
                      reciprocal_projection, save_edge_list)
 from .partition import (IterationLimitError, degree_partition, equitable_oracle,
-                        read_partition_file, write_partition_file)
+                        fast_eep, read_partition_file, write_partition_file)
 from .similarity import UniverseMismatchError, similarity_score
 
 EXIT_PARSE = 3
@@ -48,8 +48,7 @@ def _cli_errors(fn):
         except OSError as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(EXIT_PARSE)
-        except (UniverseMismatchError, EmissionIntegrityError,
-                IterationLimitError) as exc:
+        except (UniverseMismatchError, IterationLimitError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(EXIT_INTEGRITY)
     return wrapper
@@ -113,12 +112,34 @@ def _parse_cutoff(token: str) -> int:
     return int(dt.timestamp())
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok.strip()]
+def _list_option(convert, valid, requirement: str):
+    """Click callback parsing a comma-separated option value into a list.
+
+    A token that does not convert, an empty list, or a list failing ``valid``
+    is a usage error, raised while the command line is parsed and so before
+    any input is read.
+    """
+    def callback(ctx, param, text):
+        try:
+            values = [convert(tok) for tok in text.split(",") if tok.strip()]
+        except ValueError:
+            values = None
+        if not values or not valid(values):
+            raise click.BadParameter(f"{text!r}: expected {requirement}")
+        return values
+    return callback
 
 
-def _float_list(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+_EPSILONS = _list_option(int, lambda xs: min(xs) >= 0,
+                         "comma-separated non-negative integers")
+_SIZES = _list_option(int, lambda xs: min(xs) >= 2,
+                      "comma-separated integers >= 2")
+_GAMMAS = _list_option(float, lambda xs: min(xs) > 1,
+                       "comma-separated numbers > 1")
+_BIN_EDGES = _list_option(float, lambda xs: all(a < b for a, b in zip(xs, xs[1:])),
+                          "strictly ascending comma-separated numbers")
+_MEASURE_NAMES = _list_option(str.strip, lambda xs: set(xs) <= CONVENTIONS.keys(),
+                              f"comma-separated names from {', '.join(CONVENTIONS)}")
 
 
 @click.group()
@@ -134,8 +155,6 @@ def main():
               show_default=True, help="Degree-spread tolerance.")
 @click.option("--method", type=click.Choice(["eep", "ep-oracle", "degree"]),
               default="eep", show_default=True)
-@click.option("--workers", type=click.IntRange(min=1), default=1,
-              show_default=True)
 @click.option("--output", "-o", required=True,
               type=click.Path(dir_okay=False, writable=True))
 @click.option("--labels-out", type=click.Path(dir_okay=False),
@@ -145,19 +164,18 @@ def main():
 @click.option("--progress-interval", type=click.IntRange(min=0), default=0,
               help="Log a key=value progress line every N iterations.")
 @_cli_errors
-def partition(input_path, epsilon, method, workers, output, labels_out,
-              manifest_out, progress_interval):
+def partition(input_path, epsilon, method, output, labels_out, manifest_out,
+              progress_interval):
     """Partition a graph into positions and write a partition file."""
     t0 = time.perf_counter()
     options = dict(input=input_path, epsilon=epsilon, method=method,
-                   workers=workers, output=output)
+                   output=output)
     manifest = _start_manifest("partition", options, {"input": input_path})
 
     with open(input_path, "r", encoding="utf-8") as fh:
         graph, labels = load_edge_list(fh)
     if method == "eep":
-        cfg = EngineConfig(workers=workers, progress_interval=progress_interval,
-                           collect_work=True)
+        cfg = EngineConfig(progress_interval=progress_interval, collect_work=True)
         part, stats = run_refinement(graph, epsilon, cfg)
         manifest.extra.update(iterations=stats.iterations, cells=stats.cells,
                               map_work=stats.map_work,
@@ -230,33 +248,26 @@ def similarity(partition1, partition2, labels, fmt, manifest_out):
 @main.command()
 @click.argument("input_path", metavar="EDGELIST",
                 type=click.Path(exists=True, dir_okay=False))
-@click.option("--measures", default="degree,betweenness,triangles,shapley",
-              show_default=True, help="Comma-separated measure names.")
-@click.option("--workers", type=click.IntRange(min=1), default=1,
-              show_default=True)
+@click.option("--measures", "names", default="degree,betweenness,triangles,shapley",
+              show_default=True, callback=_MEASURE_NAMES,
+              help="Comma-separated measure names.")
 @click.option("--format", "fmt", type=click.Choice(["csv", "jsonl"]),
               default="csv", show_default=True)
 @click.option("--output", "-o", type=click.Path(dir_okay=False), default="-",
               show_default=True)
 @click.option("--manifest-out", type=click.Path(dir_okay=False))
 @_cli_errors
-def centrality(input_path, measures, workers, fmt, output, manifest_out):
+def centrality(input_path, names, fmt, output, manifest_out):
     """Emit per-vertex centrality scores, one record per vertex."""
     t0 = time.perf_counter()
-    names = [tok.strip() for tok in measures.split(",") if tok.strip()]
     manifest = _start_manifest(
-        "centrality", dict(input=input_path, measures=names, workers=workers,
-                           output=output),
+        "centrality", dict(input=input_path, measures=names, output=output),
         {"input": input_path})
-    manifest.extra["conventions"] = {m: CONVENTIONS[m] for m in names
-                                     if m in CONVENTIONS}
+    manifest.extra["conventions"] = {m: CONVENTIONS[m] for m in names}
 
     with open(input_path, "r", encoding="utf-8") as fh:
         graph, labels = load_edge_list(fh)
-    try:
-        vectors = compute_measures(graph, names, workers=workers)
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from None
+    vectors = compute_measures(graph, names)
 
     sink = sys.stdout if output == "-" else open(output, "w", encoding="utf-8")
     try:
@@ -337,27 +348,26 @@ def snapshots(log_path, cutoffs, directed, reciprocal, output_base, manifest_out
               default="eep", show_default=True)
 @click.option("--epsilon", "-e", type=click.IntRange(min=0), default=1,
               show_default=True)
-@click.option("--measures", default="degree,betweenness,triangles,shapley",
-              show_default=True)
+@click.option("--measures", "names", default="degree,betweenness,triangles,shapley",
+              show_default=True, callback=_MEASURE_NAMES)
 @click.option("--bin-edges", default=",".join(str(int(e)) for e in DEFAULT_BIN_EDGES),
-              show_default=True, help="Ascending bin edges; last bin overflows.")
+              show_default=True, callback=_BIN_EDGES,
+              help="Ascending bin edges; last bin overflows.")
 @click.option("--cap", type=click.IntRange(min=1), default=DEFAULT_PAIR_CAP,
               show_default=True, help="Same-position pair sample budget.")
 @click.option("--full-pairs", is_flag=True, help="Force exact pair enumeration.")
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--workers", type=click.IntRange(min=1), default=1,
-              show_default=True)
 @click.option("--overlap", is_flag=True,
               help="Score every snapshot pair under several methods instead "
                    "of building histograms.")
 @click.option("--eps-list", default="0,1,2,3,4,5,6,7,8", show_default=True,
-              help="Epsilon grid for --overlap.")
+              callback=_EPSILONS, help="Epsilon grid for --overlap.")
 @click.option("--output-base", "-o", required=True)
 @click.option("--manifest-out", type=click.Path(dir_okay=False))
 @_cli_errors
-def coevolve(log_path, cutoffs, directed, reciprocal, method, epsilon, measures,
-             bin_edges, cap, full_pairs, seed, workers, overlap, eps_list,
-             output_base, manifest_out):
+def coevolve(log_path, cutoffs, directed, reciprocal, method, epsilon, names,
+             bin_edges, cap, full_pairs, seed, overlap, eps_list, output_base,
+             manifest_out):
     """Analyze how same-position vertex pairs evolve between snapshots."""
     t0 = time.perf_counter()
     cuts = [_parse_cutoff(tok) for tok in cutoffs.split(",") if tok.strip()]
@@ -365,9 +375,9 @@ def coevolve(log_path, cutoffs, directed, reciprocal, method, epsilon, measures,
         raise click.UsageError("--reciprocal requires --directed events")
     options = dict(log=log_path, cutoffs=cuts, directed=directed,
                    reciprocal=reciprocal, method=method, epsilon=epsilon,
-                   measures=measures, bin_edges=bin_edges, cap=cap,
-                   full_pairs=full_pairs, seed=seed, workers=workers,
-                   overlap=overlap, eps_list=eps_list)
+                   measures=names, bin_edges=bin_edges, cap=cap,
+                   full_pairs=full_pairs, seed=seed, overlap=overlap,
+                   eps_list=eps_list)
     manifest = _start_manifest("coevolve", options, {"log": log_path}, seed=seed)
 
     with open(log_path, "r", encoding="utf-8") as fh:
@@ -377,9 +387,8 @@ def coevolve(log_path, cutoffs, directed, reciprocal, method, epsilon, measures,
     graphs, labels = build_snapshots(log, SnapshotSpec(tuple(cuts)))
 
     if overlap:
-        matrix = overlap_matrix(graphs, epsilons=_int_list(eps_list),
-                                include_equitable=True, include_degree=True,
-                                workers=workers)
+        matrix = overlap_matrix(graphs, epsilons=eps_list,
+                                include_equitable=True, include_degree=True)
         json_path = f"{output_base}.overlap.json"
         Path(json_path).write_text(
             json.dumps(matrix.to_json_dict(), indent=2, sort_keys=True) + "\n",
@@ -400,25 +409,22 @@ def coevolve(log_path, cutoffs, directed, reciprocal, method, epsilon, measures,
         raise click.UsageError("histogram mode takes exactly two cutoffs")
     early, late = graphs
     if method == "eep":
-        cfg = EngineConfig(workers=workers)
-        part, _ = run_refinement(early, epsilon, cfg)
+        part = fast_eep(early, epsilon)
     elif method == "ep-oracle":
         part = equitable_oracle(early)
     else:
         part = degree_partition(early)
 
-    names = [tok.strip() for tok in measures.split(",") if tok.strip()]
     common = range(early.n)
     pairs = same_position_pairs(part, common,
                                 cap=None if full_pairs else cap, seed=seed)
-    scores_early = compute_measures(early, names, workers=workers)
-    scores_late = compute_measures(late, names, workers=workers)
-    edges = [float(x) for x in _float_list(bin_edges)]
+    scores_early = compute_measures(early, names)
+    scores_late = compute_measures(late, names)
     population = sum(len(c) * (len(c) - 1) // 2 for c in part.cells)
     report = coevolution_report(
         pairs,
         {m: (scores_early[m].scores, scores_late[m].scores) for m in names},
-        bin_edges=edges,
+        bin_edges=bin_edges,
         sampling={"population_pairs": population, "cap": None if full_pairs else cap,
                   "sampled": len(pairs) < population, "seed": seed},
         metadata={"method": method, "epsilon": epsilon,
@@ -474,11 +480,10 @@ def gen(n, gamma, seed, output, manifest_out):
 
 
 @main.command()
-@click.option("--sizes", required=True, help="Comma-separated vertex counts.")
-@click.option("--gammas", default="2.9", show_default=True)
-@click.option("--eps", default="5", show_default=True)
-@click.option("--workers", type=click.IntRange(min=1), default=1,
-              show_default=True)
+@click.option("--sizes", required=True, callback=_SIZES,
+              help="Comma-separated vertex counts.")
+@click.option("--gammas", default="2.9", show_default=True, callback=_GAMMAS)
+@click.option("--eps", default="5", show_default=True, callback=_EPSILONS)
 @click.option("--repeats", type=click.IntRange(min=1), default=1,
               show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
@@ -486,31 +491,27 @@ def gen(n, gamma, seed, output, manifest_out):
               type=click.Path(dir_okay=False, writable=True))
 @click.option("--manifest-out", type=click.Path(dir_okay=False))
 @_cli_errors
-def bench(sizes, gammas, eps, workers, repeats, seed, output, manifest_out):
+def bench(sizes, gammas, eps, repeats, seed, output, manifest_out):
     """Time the refinement over a (size, gamma, epsilon) grid."""
     t0 = time.perf_counter()
-    size_list = _int_list(sizes)
-    gamma_list = _float_list(gammas)
-    eps_list = _int_list(eps)
     manifest = RunManifest(command="bench",
-                           options=dict(sizes=size_list, gammas=gamma_list,
-                                        eps=eps_list, workers=workers,
+                           options=dict(sizes=sizes, gammas=gammas, eps=eps,
                                         repeats=repeats, seed=seed,
                                         output=output),
                            input_hashes={}, seed=seed,
                            started_at=datetime.now(timezone.utc).isoformat())
     with open(output, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["n", "gamma", "epsilon", "workers", "repeat",
-                         "elapsed_s", "iterations", "cells", "map_work"])
-        for n in size_list:
-            for gamma in gamma_list:
+        writer.writerow(["n", "gamma", "epsilon", "repeat", "elapsed_s",
+                         "iterations", "cells", "map_work"])
+        for n in sizes:
+            for gamma in gammas:
                 graph = generate_power_law(GeneratorConfig(n, gamma, seed=seed))
-                for epsilon in eps_list:
+                for epsilon in eps:
                     for rep in range(repeats):
-                        cfg = EngineConfig(workers=workers, collect_work=True)
+                        cfg = EngineConfig(collect_work=True)
                         _, stats = run_refinement(graph, epsilon, cfg)
-                        writer.writerow([n, gamma, epsilon, workers, rep,
+                        writer.writerow([n, gamma, epsilon, rep,
                                          f"{stats.elapsed_s:.6f}",
                                          stats.iterations, stats.cells,
                                          stats.map_work])

@@ -16,7 +16,6 @@ import numpy as np
 
 from .graphs import Graph
 from .partition import Partition, degree_partition, equitable_oracle, fast_eep
-from .engine import EngineConfig, parallel_eep
 from .similarity import restrict_partition, similarity_score
 
 DEFAULT_BIN_EDGES = tuple(float(x) for x in range(11))  # [0,1) .. [9,10) + overflow
@@ -237,7 +236,8 @@ def overlap_matrix(snapshots: Sequence[Graph], *, epsilons: Sequence[int] = (),
 
     The later partition is restricted to the earlier snapshot's vertex set
     before scoring, so N is the earlier vertex count. Snapshots must share a
-    label map, i.e. vertex ids are nested dense prefixes.
+    label map, i.e. vertex ids are nested dense prefixes. ``workers`` is
+    accepted for compatibility and has no effect.
     """
     for earlier, later in zip(snapshots, snapshots[1:]):
         if earlier.n > later.n:
@@ -253,10 +253,7 @@ def overlap_matrix(snapshots: Sequence[Graph], *, epsilons: Sequence[int] = (),
 
     def partition_for(method: str, graph: Graph) -> Partition:
         if method.startswith("eep:"):
-            eps = int(method.split(":", 1)[1])
-            if workers > 1:
-                return parallel_eep(graph, eps, EngineConfig(workers=workers))
-            return fast_eep(graph, eps)
+            return fast_eep(graph, int(method.split(":", 1)[1]))
         if method == "ep":
             return equitable_oracle(graph)
         return degree_partition(graph)

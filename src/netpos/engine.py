@@ -1,77 +1,36 @@
-"""Deterministic sharded execution of the refinement iteration.
+"""Configured refinement runs that report counters alongside the partition.
 
-Each iteration is one bulk-synchronous step: worker p computes the degree of
-its contiguous vertex shard toward the broadcast active cell (the map phase,
-each worker filling only its own slice of the emission buffer), then a single
-coordinator runs the split and active-list update (the reduce phase). The
-result is a pure function of (graph, epsilon) for every worker count.
+``run_refinement`` drives the single active-list refinement of
+``netpos.partition`` (the loop behind ``fast_eep``) and returns its run
+counters: iterations, cells, elapsed time and, when asked, the summed volume
+of the active cells, which is the number of adjacency entries the scatter
+gathered. The result is a pure function of (graph, epsilon).
 """
 
 from __future__ import annotations
 
 import logging
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, NamedTuple
+from dataclasses import dataclass
 
-import numpy as np
-
-from .graphs import ID_DTYPE, Graph
-from .partition import (ActiveList, IterationLimitError, Partition, _check_epsilon,
-                        _partition_from_arrays, _refine, serial_degree_computer,
-                        split)
+from .graphs import Graph
+from .partition import Partition, _check_epsilon, _partition_from_arrays, _refine
 
 log = logging.getLogger(__name__)
 
 
-class EmissionIntegrityError(RuntimeError):
-    """Map emissions do not cover every vertex exactly once (a sharding bug)."""
-
-
-class MapEmission(NamedTuple):
-    vertex: int
-    degree: int
-
-
-@dataclass(frozen=True)
-class ShardPlan:
-    """Contiguous, nearly equal vertex-id ranges, one per worker."""
-
-    n: int
-    ranges: tuple[tuple[int, int], ...]
-
-    @property
-    def workers(self) -> int:
-        return len(self.ranges)
-
-
-def plan_shards(n: int, p: int) -> ShardPlan:
-    """Partition [0, n) into p contiguous ranges with sizes differing by <= 1."""
-    if p < 1:
-        raise ValueError("worker count must be >= 1")
-    if n < 0:
-        raise ValueError("vertex count must be >= 0")
-    base, extra = divmod(n, p)
-    ranges = []
-    lo = 0
-    for i in range(p):
-        size = base + (1 if i < extra else 0)
-        ranges.append((lo, lo + size))
-        lo += size
-    return ShardPlan(n, tuple(ranges))
-
-
 @dataclass
 class EngineConfig:
-    """Execution knobs for the parallel refinement engine."""
+    """Knobs of a refinement run.
+
+    ``workers`` is accepted for compatibility and has no effect: refinement
+    runs in one thread. It must still be >= 1.
+    """
 
     workers: int = 1
     iteration_cap: int | None = None
     progress_interval: int = 0    # log a key=value line every k iterations; 0 = off
-    validate_emissions: bool = False
-    collect_work: bool = False    # track sum(min(deg(u), |c_a|)) per iteration
-    keep_iteration_log: bool = False
+    collect_work: bool = False    # sum the active-cell volumes into map_work
 
     def __post_init__(self):
         if self.workers < 1:
@@ -79,153 +38,30 @@ class EngineConfig:
 
 
 @dataclass
-class IterationRecord:
-    iteration: int
-    active: int
-    cells: int
-    active_cell_size: int
-    map_work: int
-    elapsed_ms: float
-
-
-@dataclass
 class RefinementStats:
     iterations: int = 0
     cells: int = 0
     elapsed_s: float = 0.0
-    map_work: int = 0
-    records: list[IterationRecord] = field(default_factory=list)
-
-
-def map_degrees(shard, graph: Graph, active_cell) -> list[MapEmission]:
-    """Map phase for one shard: emit (vertex, degree-to-active-cell) per vertex."""
-    if isinstance(shard, range):
-        lo, hi = shard.start, shard.stop
-    else:
-        lo, hi = shard
-    lo, hi = int(lo), int(hi)
-    if not (0 <= lo <= hi <= graph.n):
-        raise ValueError(f"shard [{lo}, {hi}) outside [0, {graph.n})")
-    ca = np.asarray(sorted(active_cell) if isinstance(active_cell, (set, frozenset))
-                    else active_cell, dtype=ID_DTYPE)
-    mask = np.zeros(graph.n, dtype=np.int8)
-    if ca.size:
-        mask[ca] = 1
-    base = graph.indptr[lo]
-    segment = mask[graph.indices[base:graph.indptr[hi]]]
-    cs = np.empty(segment.size + 1, dtype=ID_DTYPE)
-    cs[0] = 0
-    np.cumsum(segment, dtype=ID_DTYPE, out=cs[1:])
-    offsets = graph.indptr[lo:hi + 1] - base
-    degs = cs[offsets[1:]] - cs[offsets[:-1]]
-    return [MapEmission(v, int(d)) for v, d in zip(range(lo, hi), degs)]
-
-
-def reduce_split(partition: Partition, emissions: Iterable[MapEmission],
-                 active: ActiveList, epsilon) -> tuple[Partition, ActiveList]:
-    """Reduce phase: assemble f from emissions, split, and update the active list.
-
-    ``active`` is the list as it stands after the current cell's index was
-    popped. Emissions must cover every vertex of the partition exactly once;
-    anything else signals a sharding bug and raises EmissionIntegrityError.
-    """
-    eps = _check_epsilon(epsilon)
-    universe = partition.universe
-    f: dict[int, int] = {}
-    for emission in emissions:
-        v = int(emission.vertex)
-        if v not in universe:
-            raise EmissionIntegrityError(f"emission for unknown vertex {v}")
-        if v in f:
-            raise EmissionIntegrityError(f"duplicate emission for vertex {v}")
-        f[v] = int(emission.degree)
-    missing = universe - f.keys()
-    if missing:
-        raise EmissionIntegrityError(f"missing emission for vertex {min(missing)}")
-    new_partition, split_map = split(partition, f, eps)
-    return new_partition, active.updated(split_map)
-
-
-def _sharded_degree_computer(graph: Graph, plan: ShardPlan,
-                             pool: ThreadPoolExecutor,
-                             validate: bool) -> Callable[[np.ndarray], np.ndarray]:
-    """Vectorized map phase over a worker pool.
-
-    The mask is broadcast by reference; each worker writes only its own slice
-    of the shared emission buffer f. A barrier (joining all futures) separates
-    the map phase from the reduce.
-    """
-    n = graph.n
-    indptr = graph.indptr
-    indices = graph.indices
-    mask = np.zeros(n, dtype=np.int8)
-    f = np.empty(n, dtype=ID_DTYPE)
-    spans = [(lo, hi) for lo, hi in plan.ranges if hi > lo]
-
-    def shard_job(span: tuple[int, int]) -> None:
-        lo, hi = span
-        base = indptr[lo]
-        segment = mask[indices[base:indptr[hi]]]
-        cs = np.empty(segment.size + 1, dtype=ID_DTYPE)
-        cs[0] = 0
-        np.cumsum(segment, dtype=ID_DTYPE, out=cs[1:])
-        offsets = indptr[lo:hi + 1] - base
-        f[lo:hi] = cs[offsets[1:]] - cs[offsets[:-1]]
-
-    def compute(active_cell: np.ndarray) -> np.ndarray:
-        mask[active_cell] = 1
-        if validate:
-            f.fill(-1)
-        futures = [pool.submit(shard_job, span) for span in spans]
-        for fut in futures:
-            fut.result()
-        mask[active_cell] = 0
-        if validate and bool((f < 0).any()):
-            missing = int(np.flatnonzero(f < 0)[0])
-            raise EmissionIntegrityError(f"missing emission for vertex {missing}")
-        return f
-
-    return compute
+    map_work: int = 0    # summed active-cell volume; 0 unless collect_work
 
 
 def run_refinement(graph: Graph, epsilon,
                    config: EngineConfig | None = None) -> tuple[Partition, RefinementStats]:
-    """Run the sharded refinement to a fixpoint, returning partition and stats."""
+    """Refine to a fixpoint, returning the partition and the run's counters."""
     eps = _check_epsilon(epsilon)
     cfg = config or EngineConfig()
     stats = RefinementStats()
-    degrees = graph.degrees if cfg.collect_work else None
     t0 = time.perf_counter()
 
-    def on_iteration(i: int, ca: np.ndarray, n_cells: int, n_active: int) -> None:
-        stats.iterations = i
-        stats.cells = n_cells
-        work = 0
-        if degrees is not None:
-            work = int(np.minimum(degrees, ca.size).sum())
-            stats.map_work += work
-        if cfg.keep_iteration_log:
-            stats.records.append(IterationRecord(
-                i, n_active, n_cells, int(ca.size), work,
-                (time.perf_counter() - t0) * 1000.0))
+    def on_iteration(i: int, volume: int, n_cells: int, n_active: int) -> None:
+        if cfg.collect_work:
+            stats.map_work += volume
         if cfg.progress_interval and i % cfg.progress_interval == 0:
             log.info("iter=%d active=%d cells=%d elapsed_ms=%.1f",
                      i, n_active, n_cells, (time.perf_counter() - t0) * 1000.0)
 
-    if cfg.workers == 1:
-        cells, iterations = _refine(graph, eps, serial_degree_computer(graph),
-                                    iteration_cap=cfg.iteration_cap,
-                                    on_iteration=on_iteration)
-    else:
-        plan = plan_shards(graph.n, cfg.workers)
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            compute = _sharded_degree_computer(graph, plan, pool,
-                                               cfg.validate_emissions)
-            cells, iterations = _refine(graph, eps, compute,
-                                        iteration_cap=cfg.iteration_cap,
-                                        on_iteration=on_iteration)
-
-    stats.iterations = iterations
+    cells, stats.iterations = _refine(graph, eps, iteration_cap=cfg.iteration_cap,
+                                      on_iteration=on_iteration)
     stats.cells = len(cells)
     stats.elapsed_s = time.perf_counter() - t0
     return _partition_from_arrays(cells), stats
@@ -233,9 +69,10 @@ def run_refinement(graph: Graph, epsilon,
 
 def parallel_eep(graph: Graph, epsilon,
                  config: EngineConfig | None = None) -> Partition:
-    """Sharded-parallel epsilon-equitable partition.
+    """Alias of run_refinement that returns only the partition.
 
-    Cell-identical to fast_eep(graph, epsilon) for every worker count.
+    Kept under its historical name; cell-identical to fast_eep(graph, epsilon)
+    for every config, since ``EngineConfig.workers`` has no effect.
     """
     partition, _ = run_refinement(graph, epsilon, config)
     return partition

@@ -1,4 +1,4 @@
-"""Partition model, degree operations, SPLIT, and epsilon-equitable refinement.
+"""Partition model, epsilon-equitable refinement, and reference partitioners.
 
 The refinement loop starts from the unit partition and repeatedly takes the
 lowest-indexed pending cell as the active cell, computes every vertex's degree
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import IO, Callable, Iterable, Mapping, Sequence
+from typing import IO, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -120,113 +120,6 @@ class Partition:
         return out
 
 
-class ActiveList:
-    """Ordered queue of cell indices pending refinement; pops the minimum index."""
-
-    __slots__ = ("_items",)
-
-    def __init__(self, indices: Iterable[int] = ()):
-        items = [int(i) for i in indices]
-        if len(set(items)) != len(items):
-            raise ValueError("active list may not contain duplicate indices")
-        self._items = items
-
-    def pop_min(self) -> int:
-        if not self._items:
-            raise IndexError("pop from empty active list")
-        pos = min(range(len(self._items)), key=self._items.__getitem__)
-        return self._items.pop(pos)
-
-    def updated(self, split_map: Mapping[int, Sequence[int]]) -> "ActiveList":
-        """Apply the post-split update rule.
-
-        Entries whose cell fragmented are replaced in place by all fragment
-        indices (ascending); unsplit entries are renumbered; fragments of
-        cells not on the list are appended in ascending index order.
-        """
-        fragmented = {old for old, news in split_map.items() if len(news) > 1}
-        out: list[int] = []
-        for idx in self._items:
-            news = split_map[idx]
-            if len(news) > 1:
-                out.extend(int(i) for i in news)
-            else:
-                out.append(int(news[0]))
-        present = set(self._items)
-        tail = sorted(int(i) for old in fragmented if old not in present
-                      for i in split_map[old])
-        return ActiveList(out + tail)
-
-    @property
-    def indices(self) -> tuple[int, ...]:
-        return tuple(self._items)
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def __bool__(self) -> bool:
-        return bool(self._items)
-
-    def __iter__(self):
-        return iter(self._items)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, ActiveList):
-            return self._items == other._items
-        return NotImplemented
-
-    def __repr__(self):
-        return f"ActiveList({self._items!r})"
-
-
-def degree_to_cell(graph: Graph, u: int, cell) -> int:
-    """Number of neighbors of u inside the given vertex set.
-
-    Intersects adjacency(u) with the cell, iterating the smaller side against
-    a binary search of the larger.
-    """
-    if not 0 <= u < graph.n:
-        raise ValueError(f"vertex {u} outside [0, {graph.n})")
-    adj = graph.neighbors(u)
-    if isinstance(cell, (set, frozenset)):
-        members = np.fromiter(cell, dtype=ID_DTYPE, count=len(cell))
-    else:
-        members = np.asarray(cell, dtype=ID_DTYPE)
-    if members.size and (members.min() < 0 or members.max() >= graph.n):
-        raise ValueError("cell contains ids outside the graph")
-    if members.size == 0 or adj.size == 0:
-        return 0
-    members = np.unique(members)
-    if members.size <= adj.size:
-        small, large = members, adj
-    else:
-        small, large = adj, members
-    pos = np.searchsorted(large, small)
-    pos[pos == large.size] = large.size - 1
-    return int(np.count_nonzero(large[pos] == small))
-
-
-def degree_vector(graph: Graph, u: int, partition: Partition) -> np.ndarray:
-    """Per-cell neighbor counts of u, ordered like the partition's cells."""
-    memb = partition.membership
-    counts = np.zeros(len(partition), dtype=ID_DTYPE)
-    for w in graph.neighbors(u):
-        counts[memb[int(w)]] += 1
-    return counts
-
-
-def _degree_values(f, members: np.ndarray) -> np.ndarray:
-    if isinstance(f, Mapping):
-        try:
-            return np.array([f[int(v)] for v in members], dtype=ID_DTYPE)
-        except KeyError as exc:
-            raise ValueError(f"degree function undefined for vertex {exc.args[0]}") from None
-    arr = np.asarray(f)
-    if members.size and members.max() >= arr.shape[0]:
-        raise ValueError("degree function undefined for some vertices")
-    return arr[members].astype(ID_DTYPE, copy=False)
-
-
 def _fragment_cell(members: np.ndarray, fvals: np.ndarray,
                    eps: int) -> list[np.ndarray] | None:
     """Greedy epsilon-grouping of one cell, or None if it stays whole.
@@ -251,80 +144,48 @@ def _fragment_cell(members: np.ndarray, fvals: np.ndarray,
     return [np.sort(members[order[a:b]]) for a, b in zip(bounds, bounds[1:])]
 
 
-def split(partition: Partition, f, epsilon) -> tuple[Partition, dict[int, tuple[int, ...]]]:
-    """Split every cell by the degree function under the epsilon rule.
-
-    Returns the refined partition (fragments replace their source cell in
-    ascending-f order) and a map from each old cell index to its new indices;
-    an old cell fragmented iff its entry has more than one index.
-
-    ``f`` may be an array indexed by vertex id or a mapping; values must be
-    non-negative integers defined for every vertex of the partition.
-    """
-    eps = _check_epsilon(epsilon)
-    new_cells: list[tuple[int, ...]] = []
-    split_map: dict[int, tuple[int, ...]] = {}
-    for old, cell in enumerate(partition.cells):
-        members = np.asarray(cell, dtype=ID_DTYPE)
-        fvals = _degree_values(f, members)
-        if fvals.size and fvals.min() < 0:
-            raise ValueError("degree function values must be non-negative")
-        start = len(new_cells)
-        parts = _fragment_cell(members, fvals, eps) if members.size > 1 else None
-        if parts is None:
-            new_cells.append(cell)
-        else:
-            for part in parts:
-                new_cells.append(tuple(int(v) for v in part))
-        split_map[old] = tuple(range(start, len(new_cells)))
-    return Partition(tuple(new_cells)), split_map
-
-
-def serial_degree_computer(graph: Graph) -> Callable[[np.ndarray], np.ndarray]:
-    """Closure computing f(u) = deg(u, active cell) for every vertex at once.
+def _active_cell_degrees(graph: Graph,
+                         active_cell: np.ndarray) -> tuple[np.ndarray, int]:
+    """f(u) = deg(u, active cell) for every vertex, and the cell's volume.
 
     Scatters from the active cell side: gather the adjacency rows of its
     members in one shot and count hits per vertex, so an iteration costs work
-    proportional to the active cell's volume rather than the whole edge set.
-    The values match degree_to_cell exactly.
+    proportional to the active cell's volume (the number of adjacency entries
+    gathered, returned as the second value) rather than the whole edge set.
     """
-    n = graph.n
     indptr = graph.indptr
-    indices = graph.indices
-
-    def compute(active_cell: np.ndarray) -> np.ndarray:
-        starts = indptr[active_cell]
-        lens = indptr[active_cell + 1] - starts
-        nonempty = lens > 0
-        if not nonempty.any():
-            return np.zeros(n, dtype=ID_DTYPE)
-        starts = starts[nonempty]
-        lens = lens[nonempty]
-        bounds = np.cumsum(lens)
-        # flat index array covering [starts_i, starts_i + lens_i) for all i
-        jumps = np.ones(int(bounds[-1]), dtype=ID_DTYPE)
-        jumps[0] = starts[0]
-        if starts.size > 1:
-            jumps[bounds[:-1]] = starts[1:] - (starts[:-1] + lens[:-1]) + 1
-        flat = np.cumsum(jumps)
-        return np.bincount(indices[flat], minlength=n).astype(ID_DTYPE, copy=False)
-
-    return compute
+    starts = indptr[active_cell]
+    lens = indptr[active_cell + 1] - starts
+    nonempty = lens > 0
+    if not nonempty.any():
+        return np.zeros(graph.n, dtype=ID_DTYPE), 0
+    starts = starts[nonempty]
+    lens = lens[nonempty]
+    bounds = np.cumsum(lens)
+    volume = int(bounds[-1])
+    # flat index array covering [starts_i, starts_i + lens_i) for all i
+    jumps = np.ones(volume, dtype=ID_DTYPE)
+    jumps[0] = starts[0]
+    if starts.size > 1:
+        jumps[bounds[:-1]] = starts[1:] - (starts[:-1] + lens[:-1]) + 1
+    flat = np.cumsum(jumps)
+    f = np.bincount(graph.indices[flat], minlength=graph.n)
+    return f.astype(ID_DTYPE, copy=False), volume
 
 
-def _refine(graph: Graph, eps: int,
-            compute_f: Callable[[np.ndarray], np.ndarray], *,
+def _refine(graph: Graph, eps: int, *,
             iteration_cap: int | None = None,
             on_iteration=None) -> tuple[list[np.ndarray], int]:
-    """Active-list refinement loop shared by the serial and parallel fronts.
+    """Active-list refinement loop behind fast_eep and run_refinement.
 
     Cells carry stable ids internally so membership never needs rewriting when
     positions shift; the active list stores ids and pops the one at the lowest
     current position, which matches the positional minimum-index rule exactly.
 
     Returns the final cells (ascending-id arrays, in partition order) and the
-    iteration count. ``on_iteration(i, active_cell, n_cells, n_active)`` fires
-    after each iteration's split has been applied.
+    iteration count. ``on_iteration(i, volume, n_cells, n_active)`` fires
+    after each iteration's split has been applied; ``volume`` is the active
+    cell's volume, the number of adjacency entries the scatter gathered.
     """
     n = graph.n
     if n == 0:
@@ -346,8 +207,7 @@ def _refine(graph: Graph, eps: int,
         iterations += 1
         positions = id_to_pos[np.fromiter(active, dtype=ID_DTYPE, count=len(active))]
         aid = active.pop(int(np.argmin(positions)))
-        ca = cells[int(id_to_pos[aid])]  # snapshot; stays valid through the split
-        f = compute_f(ca)
+        f, volume = _active_cell_degrees(graph, cells[int(id_to_pos[aid])])
 
         # vectorized pre-filter: a cell splits iff its exact f spread exceeds
         # eps, where untouched members (f = 0) only enter through the minimum
@@ -430,7 +290,7 @@ def _refine(graph: Graph, eps: int,
             active = new_active
 
         if on_iteration is not None:
-            on_iteration(iterations, ca, len(cells), len(active))
+            on_iteration(iterations, volume, len(cells), len(active))
 
     return cells, iterations
 
@@ -447,7 +307,7 @@ def fast_eep(graph: Graph, epsilon) -> Partition:
     epsilon = 0 yields the coarsest equitable partition.
     """
     eps = _check_epsilon(epsilon)
-    cells, _ = _refine(graph, eps, serial_degree_computer(graph))
+    cells, _ = _refine(graph, eps)
     return _partition_from_arrays(cells)
 
 

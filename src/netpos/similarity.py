@@ -11,9 +11,8 @@ the harmonic mean; both forms are evaluated and must agree to 1e-12.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .partition import Partition
 
@@ -55,52 +54,6 @@ def partition_intersection(p1: Partition, p2: Partition) -> Partition:
     cells = sorted((tuple(sorted(g)) for g in groups.values()),
                    key=lambda c: c[0])
     return Partition(tuple(cells))
-
-
-def _cells_intersect(a: Sequence[int], b: Sequence[int]) -> bool:
-    # sorted-merge, early exit on the first common element
-    i = j = 0
-    la, lb = len(a), len(b)
-    while i < la and j < lb:
-        x, y = a[i], b[j]
-        if x == y:
-            return True
-        if x < y:
-            i += 1
-        else:
-            j += 1
-    return False
-
-
-def intersection_cardinality_cellpairs(p1: Partition, p2: Partition, *,
-                                       workers: int = 1) -> int:
-    """|p1 ^ p2| by enumerating all K x L cell pairs and counting overlaps.
-
-    This is the cross-product formulation: each overlapping pair contributes a
-    single 1 and a summing reducer adds them up. The enumeration fans out over
-    contiguous chunks of the pair space when workers > 1; the result does not
-    depend on the chunking.
-    """
-    _common_universe(p1, p2)
-    cells1 = p1.cells
-    cells2 = p2.cells
-
-    def count_rows(rows: range) -> int:
-        total = 0
-        for i in rows:
-            a = cells1[i]
-            for b in cells2:
-                if _cells_intersect(a, b):
-                    total += 1
-        return total
-
-    if workers <= 1 or len(cells1) < 2:
-        return count_rows(range(len(cells1)))
-    step = (len(cells1) + workers - 1) // workers
-    chunks = [range(lo, min(lo + step, len(cells1)))
-              for lo in range(0, len(cells1), step)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return sum(pool.map(count_rows, chunks))
 
 
 @dataclass(frozen=True)

@@ -15,14 +15,14 @@ from scipy.stats import spearmanr
 
 from netpos import (EdgeEvent, EngineConfig, GeneratorConfig, Partition,
                     SnapshotSpec, TemporalEdgeLog, build_snapshots,
-                    betweenness_centrality_exact, epsilon_spread,
-                    equitable_oracle, fast_eep, generate_power_law,
-                    intersection_cardinality_cellpairs, parallel_eep,
-                    partition_intersection, reciprocal_projection,
-                    shapley_centrality, similarity_score, triangle_counts)
+                    epsilon_spread, equitable_oracle, fast_eep,
+                    generate_power_law, parallel_eep, partition_intersection,
+                    reciprocal_projection, shapley_centrality,
+                    similarity_score, triangle_counts)
 from netpos.coevolution import overlap_matrix
 
 from helpers import er_graph, pa_snapshots
+from oracles import betweenness_centrality_exact, intersection_cardinality_cellpairs
 
 
 def _report(log, name, ok, detail):

@@ -5,11 +5,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from netpos import (Graph, betweenness_centrality, betweenness_centrality_exact,
-                    degree_centrality, shapley_centrality, triangle_counts)
+from netpos import (Graph, betweenness_centrality, degree_centrality,
+                    shapley_centrality, triangle_counts)
 from netpos.centrality import compute_measures
 
 from helpers import complete_graph, er_graph, path_graph, star_graph
+from oracles import betweenness_centrality_exact
 
 STAR = star_graph(3)
 
@@ -121,14 +122,6 @@ def test_betweenness_float_close_to_exact():
         got = betweenness_centrality(g).scores
         want = np.array([float(x) for x in betweenness_centrality_exact(g)])
         assert np.allclose(got, want, atol=1e-9)
-
-
-def test_betweenness_workers_consistent():
-    g = er_graph(30, 0.2, 3)
-    base = betweenness_centrality(g).scores
-    for workers in (2, 4):
-        assert np.allclose(betweenness_centrality(g, workers=workers).scores,
-                           base, atol=1e-9)
 
 
 def test_betweenness_disconnected():

@@ -191,3 +191,22 @@ def test_reciprocal_needs_directed(runner, tmp_path):
     result = runner.invoke(main, ["snapshots", log, "--cutoffs", "20",
                                   "--reciprocal", "-o", str(tmp_path / "s")])
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize("args", [
+    ["coevolve", "LOG", "--cutoffs", "20,50", "--overlap", "--eps-list", "0,-1"],
+    ["coevolve", "LOG", "--cutoffs", "20,50", "--overlap", "--eps-list", "x"],
+    ["coevolve", "LOG", "--cutoffs", "20,50", "--bin-edges", "3,1"],
+    ["coevolve", "LOG", "--cutoffs", "20,50", "--measures", "foo"],
+    ["bench", "--sizes", "1"],
+], ids=["negative-eps", "non-int-eps", "descending-bins", "unknown-measure",
+        "size-below-2"])
+def test_bad_list_option_usage_error(runner, tmp_path, args):
+    # the log does not parse, so exit 2 rather than 3 shows the option was
+    # rejected before any input was read
+    log = _write(tmp_path, "bad.log", "broken\n")
+    out = tmp_path / "out"
+    result = runner.invoke(main, [log if a == "LOG" else a for a in args]
+                           + ["-o", str(out)])
+    assert result.exit_code == 2, result.output
+    assert not list(tmp_path.glob("out*"))

@@ -3,137 +3,18 @@ import logging
 import numpy as np
 import pytest
 
-from netpos import (ActiveList, EmissionIntegrityError, EngineConfig,
-                    GeneratorConfig, IterationLimitError, MapEmission,
-                    Partition, degree_to_cell, fast_eep, generate_power_law,
-                    map_degrees, parallel_eep, plan_shards, reduce_split,
-                    run_refinement, split)
-from netpos.partition import serial_degree_computer
+from netpos import (EngineConfig, GeneratorConfig, IterationLimitError,
+                    Partition, compute_measures, fast_eep, generate_power_law,
+                    overlap_matrix, parallel_eep, run_refinement)
+from netpos.partition import _active_cell_degrees
 
-from helpers import er_graph, path_graph
+from helpers import er_graph, pa_snapshots, path_graph
+from oracles import ActiveList, degree_to_cell, split
 
 P4 = path_graph(4)
 
 
-# --- shard planning -----------------------------------------------------------
-
-
-def test_plan_shards_balanced():
-    plan = plan_shards(10, 3)
-    sizes = sorted(hi - lo for lo, hi in plan.ranges)
-    assert sizes == [3, 3, 4]
-    assert plan.ranges[0][0] == 0 and plan.ranges[-1][1] == 10
-
-
-def test_plan_shards_more_workers_than_vertices():
-    plan = plan_shards(5, 8)
-    sizes = [hi - lo for lo, hi in plan.ranges]
-    assert sizes.count(1) == 5 and sizes.count(0) == 3
-
-
-def test_plan_shards_single_worker():
-    assert plan_shards(8, 1).ranges == ((0, 8),)
-
-
-def test_plan_shards_contiguous_cover():
-    for n, p in ((0, 1), (1, 4), (17, 4), (100, 7)):
-        plan = plan_shards(n, p)
-        lo = 0
-        for a, b in plan.ranges:
-            assert a == lo and b >= a
-            lo = b
-        assert lo == n
-
-
-def test_plan_shards_rejects_bad_worker_count():
-    with pytest.raises(ValueError):
-        plan_shards(4, 0)
-
-
-# --- map phase ------------------------------------------------------------------
-
-
-def test_map_degrees_p4_example():
-    out = map_degrees((1, 2), P4, {0, 3})
-    assert out == [MapEmission(1, 1)]
-
-
-def test_map_degrees_empty_cell_zero():
-    out = map_degrees((0, 4), P4, set())
-    assert [e.degree for e in out] == [0, 0, 0, 0]
-
-
-def test_map_degrees_full_universe_gives_degrees():
-    out = map_degrees((0, 4), P4, range(4))
-    assert [e.degree for e in out] == [1, 2, 2, 1]
-
-
-def test_map_degrees_matches_serial_degree_to_cell():
-    rng = np.random.default_rng(0)
-    g = er_graph(40, 0.2, 1)
-    for _ in range(20):
-        cell = rng.choice(g.n, size=rng.integers(1, g.n), replace=False)
-        plan = plan_shards(g.n, 4)
-        collected = {}
-        for span in plan.ranges:
-            for em in map_degrees(span, g, cell):
-                collected[em.vertex] = em.degree
-        assert len(collected) == g.n
-        for v in range(g.n):
-            assert collected[v] == degree_to_cell(g, v, cell)
-
-
-# --- reduce phase ------------------------------------------------------------------
-
-
-def _one_serial_iteration(graph, eps):
-    """First refinement iteration done by hand with the public pieces."""
-    part = Partition.unit(graph.n)
-    active = ActiveList([0])
-    idx = active.pop_min()
-    ca = part.cells[idx]
-    f = {v: degree_to_cell(graph, v, ca) for v in range(graph.n)}
-    new_part, smap = split(part, f, eps)
-    return new_part, active.updated(smap)
-
-
-def test_reduce_split_equals_serial_iteration():
-    for eps in (0, 1):
-        part = Partition.unit(P4.n)
-        active = ActiveList([0])
-        idx = active.pop_min()
-        ca = part.cells[idx]
-        emissions = map_degrees((0, P4.n), P4, ca)
-        got_part, got_active = reduce_split(part, emissions, active, eps)
-        want_part, want_active = _one_serial_iteration(P4, eps)
-        assert got_part == want_part
-        assert got_active == want_active
-
-
-def test_reduce_split_missing_vertex_is_integrity_error():
-    part = Partition.unit(4)
-    emissions = [MapEmission(v, 0) for v in range(3)]
-    with pytest.raises(EmissionIntegrityError, match="missing"):
-        reduce_split(part, emissions, ActiveList(), 0)
-
-
-def test_reduce_split_duplicate_vertex_is_integrity_error():
-    part = Partition.unit(3)
-    emissions = [MapEmission(0, 1), MapEmission(0, 1), MapEmission(1, 0),
-                 MapEmission(2, 0)]
-    with pytest.raises(EmissionIntegrityError, match="duplicate"):
-        reduce_split(part, emissions, ActiveList(), 0)
-
-
-def test_reduce_split_on_discrete_partition_terminates_loop():
-    part = Partition.discrete(range(3))
-    emissions = [MapEmission(v, 1) for v in range(3)]
-    new_part, new_active = reduce_split(part, emissions, ActiveList(), 0)
-    assert new_part == part
-    assert len(new_active) == 0
-
-
-# --- parallel_eep ---------------------------------------------------------------
+# --- parallel_eep, the alias of run_refinement ------------------------------------
 
 
 def test_parallel_single_worker_equals_serial():
@@ -155,10 +36,7 @@ def test_parallel_matches_serial_across_worker_counts():
         assert parallel_eep(g, 5, EngineConfig(workers=p)).cells == want
 
 
-def test_parallel_validate_emissions_mode():
-    g = er_graph(50, 0.2, 2)
-    cfg = EngineConfig(workers=3, validate_emissions=True)
-    assert parallel_eep(g, 1, cfg).cells == fast_eep(g, 1).cells
+# --- run_refinement -----------------------------------------------------------------
 
 
 def test_iteration_cap_raises_with_diagnostics():
@@ -171,15 +49,12 @@ def test_iteration_cap_raises_with_diagnostics():
 
 def test_stats_and_work_metric():
     g = er_graph(60, 0.15, 4)
-    part, stats = run_refinement(g, 1, EngineConfig(workers=2, collect_work=True,
-                                                    keep_iteration_log=True))
-    assert stats.iterations == len(stats.records)
+    part, stats = run_refinement(g, 1, EngineConfig(collect_work=True))
     assert stats.cells == len(part)
-    # per-iteration map work is sum(min(deg(u), |c_a|)) over all vertices
-    first = stats.records[0]
-    degs = g.degrees
-    assert first.map_work == int(np.minimum(degs, g.n).sum())
-    assert stats.map_work == sum(r.map_work for r in stats.records)
+    # the first active cell is the unit cell, whose volume is all 2m entries
+    assert stats.map_work >= 2 * g.m > 0
+    _, quiet = run_refinement(g, 1)
+    assert quiet.map_work == 0 and quiet.iterations == stats.iterations
 
 
 def test_progress_log_is_key_value(caplog):
@@ -193,36 +68,52 @@ def test_progress_log_is_key_value(caplog):
 
 
 def test_public_map_reduce_loop_matches_fast_eep():
-    # drive the whole refinement through the public pieces only
+    # an independent refinement loop built from the per-vertex reference pieces
     for seed in range(6):
         g = er_graph(30, 0.2, seed)
         for eps in (0, 1, 2):
             part = Partition.unit(g.n)
             active = ActiveList([0])
-            plan = plan_shards(g.n, 3)
-            steps = 0
+            steps = volume = 0
             while active and not part.is_discrete():
-                idx = active.pop_min()
-                ca = part.cells[idx]
-                emissions = []
-                for span in plan.ranges:
-                    emissions.extend(map_degrees(span, g, ca))
-                part, active = reduce_split(part, emissions, active, eps)
+                ca = part.cells[active.pop_min()]
+                f = [degree_to_cell(g, v, ca) for v in range(g.n)]
+                part, split_map = split(part, f, eps)
+                active = active.updated(split_map)
                 steps += 1
+                volume += int(g.degrees[list(ca)].sum())
                 assert steps < 16 * g.n
-            assert part == fast_eep(g, eps), (seed, eps)
+            got, stats = run_refinement(g, eps, EngineConfig(collect_work=True))
+            assert part == got == fast_eep(g, eps), (seed, eps)
+            assert (stats.iterations, stats.map_work) == (steps, volume), (seed, eps)
 
 
-def test_sharded_computer_matches_scatter_computer():
+def test_scatter_matches_degree_to_cell():
+    f, volume = _active_cell_degrees(P4, np.array([0, 3]))
+    assert f.tolist() == [0, 1, 1, 0] and volume == 2
+    f, volume = _active_cell_degrees(P4, np.arange(4))
+    assert f.tolist() == [1, 2, 2, 1] and volume == 6
+    f, volume = _active_cell_degrees(P4, np.array([], dtype=np.int64))
+    assert f.tolist() == [0, 0, 0, 0] and volume == 0
     g = er_graph(100, 0.1, 12)
-    compute = serial_degree_computer(g)
     rng = np.random.default_rng(3)
     for _ in range(10):
-        cell = rng.choice(g.n, size=rng.integers(1, g.n), replace=False)
-        cell = np.sort(cell)
-        serial_f = compute(cell)
-        emitted = {}
-        for span in plan_shards(g.n, 5).ranges:
-            for em in map_degrees(span, g, cell):
-                emitted[em.vertex] = em.degree
-        assert [emitted[v] for v in range(g.n)] == serial_f.tolist()
+        cell = np.sort(rng.choice(g.n, size=rng.integers(1, g.n), replace=False))
+        f, volume = _active_cell_degrees(g, cell)
+        assert f.tolist() == [degree_to_cell(g, v, cell) for v in range(g.n)]
+        assert volume == int(g.degrees[cell].sum())
+
+
+def test_perfbench_call_shapes():
+    # the library calls perfbench/tracing.py makes for its traced run
+    early, late = pa_snapshots(40, 60, 0)
+    part, stats = run_refinement(early, 1, EngineConfig(workers=1, collect_work=True))
+    assert stats.iterations >= 1 and stats.cells == len(part)
+    part, stats = run_refinement(early, 1, EngineConfig(workers=1))
+    assert stats.cells == len(part)
+    matrix = overlap_matrix([early, late], epsilons=range(9),
+                            include_equitable=True, include_degree=True, workers=1)
+    assert matrix.methods == tuple(f"eep:{e}" for e in range(9)) + ("ep", "degree")
+    assert set(matrix.values) == {(0, 1)}
+    for name in ("degree", "betweenness", "triangles", "shapley"):
+        assert len(compute_measures(early, [name])[name].scores) == early.n

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netpos import (ActiveList, Graph, Partition, degree_partition,
-                    degree_to_cell, degree_vector, epsilon_spread,
-                    equitable_oracle, fast_eep, read_partition_file, split,
+from netpos import (Graph, Partition, degree_partition, epsilon_spread,
+                    equitable_oracle, fast_eep, read_partition_file,
                     write_partition_file)
 
 from helpers import complete_graph, er_graph, path_graph, star_graph
+from oracles import ActiveList, degree_to_cell, degree_vector, split
 
 P4 = path_graph(4)          # 0-1-2-3
 STAR = star_graph(3)        # center 0, leaves 1..3
