@@ -88,13 +88,38 @@ def test_public_map_reduce_loop_matches_fast_eep():
             assert (stats.iterations, stats.map_work) == (steps, volume), (seed, eps)
 
 
-def test_scatter_matches_degree_to_cell():
+# --- the active-cell scatter, which replaced the per-shard map phase --------------
+
+
+def test_map_degrees_p4_example():
     f, volume = _active_cell_degrees(P4, np.array([0, 3]))
-    assert f.tolist() == [0, 1, 1, 0] and volume == 2
-    f, volume = _active_cell_degrees(P4, np.arange(4))
-    assert f.tolist() == [1, 2, 2, 1] and volume == 6
+    assert f[1:3].tolist() == [1, 1] and f.tolist() == [0, 1, 1, 0]
+    assert volume == 2
+
+
+def test_map_degrees_empty_cell_zero():
     f, volume = _active_cell_degrees(P4, np.array([], dtype=np.int64))
     assert f.tolist() == [0, 0, 0, 0] and volume == 0
+
+
+def test_map_degrees_full_universe_gives_degrees():
+    f, volume = _active_cell_degrees(P4, np.arange(4))
+    assert f.tolist() == [1, 2, 2, 1] and volume == 6
+
+
+def test_map_degrees_matches_serial_degree_to_cell():
+    rng = np.random.default_rng(0)
+    g = er_graph(40, 0.2, 1)
+    for _ in range(20):
+        cell = np.sort(rng.choice(g.n, size=rng.integers(1, g.n), replace=False))
+        f, _ = _active_cell_degrees(g, cell)
+        assert len(f) == g.n
+        for v in range(g.n):
+            assert f[v] == degree_to_cell(g, v, cell)
+
+
+def test_sharded_computer_matches_scatter_computer():
+    # the per-vertex oracle stands where the sharded computer used to
     g = er_graph(100, 0.1, 12)
     rng = np.random.default_rng(3)
     for _ in range(10):
