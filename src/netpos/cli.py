@@ -178,6 +178,7 @@ def partition(input_path, epsilon, method, output, labels_out, manifest_out,
         cfg = EngineConfig(progress_interval=progress_interval, collect_work=True)
         part, stats = run_refinement(graph, epsilon, cfg)
         manifest.extra.update(iterations=stats.iterations, cells=stats.cells,
+                              splits=stats.splits, fragments=stats.fragments,
                               map_work=stats.map_work,
                               refine_elapsed_s=stats.elapsed_s)
     elif method == "ep-oracle":
@@ -503,7 +504,7 @@ def bench(sizes, gammas, eps, repeats, seed, output, manifest_out):
     with open(output, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["n", "gamma", "epsilon", "repeat", "elapsed_s",
-                         "iterations", "cells", "map_work"])
+                         "iterations", "cells", "splits", "fragments", "map_work"])
         for n in sizes:
             for gamma in gammas:
                 graph = generate_power_law(GeneratorConfig(n, gamma, seed=seed))
@@ -514,6 +515,7 @@ def bench(sizes, gammas, eps, repeats, seed, output, manifest_out):
                         writer.writerow([n, gamma, epsilon, rep,
                                          f"{stats.elapsed_s:.6f}",
                                          stats.iterations, stats.cells,
+                                         stats.splits, stats.fragments,
                                          stats.map_work])
                         click.echo(f"n={n} gamma={gamma} eps={epsilon} "
                                    f"rep={rep} t={stats.elapsed_s:.3f}s "

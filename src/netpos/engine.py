@@ -1,10 +1,10 @@
 """Configured refinement runs that report counters alongside the partition.
 
-``run_refinement`` drives the single active-list refinement of
-``netpos.partition`` (the loop behind ``fast_eep``) and returns its run
-counters: iterations, cells, elapsed time and, when asked, the summed volume
-of the active cells, which is the number of adjacency entries the scatter
-gathered. The result is a pure function of (graph, epsilon).
+``run_refinement`` drives the refinement loop of ``netpos.partition`` (the
+loop behind ``fast_eep``) and returns its run counters: iterations, cells,
+splits, fragments, elapsed time and, when asked, the summed volume of the
+active cells, which is the number of adjacency entries the scatter gathered.
+The result is a pure function of (graph, epsilon).
 """
 
 from __future__ import annotations
@@ -43,6 +43,8 @@ class RefinementStats:
     cells: int = 0
     elapsed_s: float = 0.0
     map_work: int = 0    # summed active-cell volume; 0 unless collect_work
+    splits: int = 0      # cells split
+    fragments: int = 0   # cells the splits created; cells == 1 + fragments - splits
 
 
 def run_refinement(graph: Graph, epsilon,
@@ -60,8 +62,8 @@ def run_refinement(graph: Graph, epsilon,
             log.info("iter=%d active=%d cells=%d elapsed_ms=%.1f",
                      i, n_active, n_cells, (time.perf_counter() - t0) * 1000.0)
 
-    cells, stats.iterations = _refine(graph, eps, iteration_cap=cfg.iteration_cap,
-                                      on_iteration=on_iteration)
+    cells, stats.iterations, stats.splits, stats.fragments = _refine(
+        graph, eps, iteration_cap=cfg.iteration_cap, on_iteration=on_iteration)
     stats.cells = len(cells)
     stats.elapsed_s = time.perf_counter() - t0
     return _partition_from_arrays(cells), stats

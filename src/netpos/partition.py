@@ -1,15 +1,22 @@
 """Partition model, epsilon-equitable refinement, and reference partitioners.
 
 The refinement loop starts from the unit partition and repeatedly takes the
-lowest-indexed pending cell as the active cell, computes every vertex's degree
-toward it, and splits cells wherever member degrees spread more than epsilon
-apart. With epsilon = 0 this is exactly equitable (McKay-style) refinement and
-converges to the coarsest equitable partition.
+lowest-indexed pending cell as the active cell, counts the degree toward it of
+every vertex it touches, and splits cells wherever member degrees spread more
+than epsilon apart. With epsilon = 0 this is exactly equitable (McKay-style)
+refinement and converges to the coarsest equitable partition.
+
+The loop keeps its cells in the classic partition-refinement layout (Paige &
+Tarjan 1987): one permutation of the vertices in which every cell is a
+contiguous range named by its start offset, with pending cells on a min-heap
+of start offsets. A split moves only the vertices that leave the cell's
+start, so an iteration costs work proportional to the active cell's volume.
 """
 
 from __future__ import annotations
 
 import functools
+import heapq
 from dataclasses import dataclass
 from typing import IO, Iterable, Mapping, Sequence
 
@@ -120,18 +127,12 @@ class Partition:
         return out
 
 
-def _fragment_cell(members: np.ndarray, fvals: np.ndarray,
-                   eps: int) -> list[np.ndarray] | None:
-    """Greedy epsilon-grouping of one cell, or None if it stays whole.
+def _group_bounds(fs: np.ndarray, eps: int) -> list[int]:
+    """Greedy epsilon-grouping of ascending degree values, as offsets into ``fs``.
 
-    Members are sorted by (f, id); a vertex joins the current group iff its f
-    is within eps of the group's first (minimum-f) member. Fragments come out
-    in ascending-f order with members re-sorted by id.
+    A value joins the current group iff it is within eps of the group's first
+    (minimum) value, so the groups depend only on the multiset of values.
     """
-    if int(fvals.max()) - int(fvals.min()) <= eps:
-        return None
-    order = np.argsort(fvals, kind="stable")  # members ascending => (f, id) key
-    fs = fvals[order]
     bounds = [0]
     start = 0
     while True:
@@ -141,162 +142,172 @@ def _fragment_cell(members: np.ndarray, fvals: np.ndarray,
         bounds.append(nxt)
         start = nxt
     bounds.append(fs.size)
+    return bounds
+
+
+def _fragment_cell(members: np.ndarray, fvals: np.ndarray,
+                   eps: int) -> list[np.ndarray] | None:
+    """Greedy epsilon-grouping of one cell, or None if it stays whole.
+
+    Members are sorted by f and grouped by :func:`_group_bounds`. Fragments
+    come out in ascending-f order with members sorted by id.
+    """
+    if int(fvals.max()) - int(fvals.min()) <= eps:
+        return None
+    order = np.argsort(fvals, kind="stable")
+    bounds = _group_bounds(fvals[order], eps)
     return [np.sort(members[order[a:b]]) for a, b in zip(bounds, bounds[1:])]
 
 
-def _active_cell_degrees(graph: Graph,
-                         active_cell: np.ndarray) -> tuple[np.ndarray, int]:
-    """f(u) = deg(u, active cell) for every vertex, and the cell's volume.
+def _run_offsets(values: np.ndarray) -> np.ndarray:
+    """Start offset of each run of equal values in a sorted array, then its size."""
+    size = values.size
+    edge = np.empty(size + 1, dtype=bool)
+    edge[0] = edge[size] = True
+    np.not_equal(values[1:], values[:-1], out=edge[1:size])
+    return edge.nonzero()[0]
 
-    Scatters from the active cell side: gather the adjacency rows of its
-    members in one shot and count hits per vertex, so an iteration costs work
-    proportional to the active cell's volume (the number of adjacency entries
-    gathered, returned as the second value) rather than the whole edge set.
+
+def _active_cell_degrees(graph: Graph, active_cell: np.ndarray
+                         ) -> tuple[np.ndarray, np.ndarray, int]:
+    """Vertices adjacent to the active cell, their degrees toward it, and its volume.
+
+    Scatters from the active cell side: gathers the adjacency rows of its
+    members in one shot, sorts the gathered ids and takes run lengths. Returns
+    the touched vertices (ascending), f(u) = deg(u, active cell) >= 1 for each,
+    and the cell's volume (the number of adjacency entries gathered), so an
+    iteration costs work proportional to that volume, never to n.
     """
     indptr = graph.indptr
     starts = indptr[active_cell]
     lens = indptr[active_cell + 1] - starts
-    nonempty = lens > 0
-    if not nonempty.any():
-        return np.zeros(graph.n, dtype=ID_DTYPE), 0
-    starts = starts[nonempty]
-    lens = lens[nonempty]
-    bounds = np.cumsum(lens)
-    volume = int(bounds[-1])
-    # flat index array covering [starts_i, starts_i + lens_i) for all i
-    jumps = np.ones(volume, dtype=ID_DTYPE)
-    jumps[0] = starts[0]
-    if starts.size > 1:
-        jumps[bounds[:-1]] = starts[1:] - (starts[:-1] + lens[:-1]) + 1
-    flat = np.cumsum(jumps)
-    f = np.bincount(graph.indices[flat], minlength=graph.n)
-    return f.astype(ID_DTYPE, copy=False), volume
+    ends = lens.cumsum()
+    volume = int(ends[-1]) if ends.size else 0
+    if volume == 0:
+        empty = np.empty(0, dtype=ID_DTYPE)
+        return empty, empty, 0
+    # flat index of every entry of the rows [starts_i, starts_i + lens_i)
+    flat = np.repeat(starts - ends + lens, lens)
+    flat += np.arange(volume, dtype=ID_DTYPE)
+    hits = graph.indices[flat]
+    hits.sort()
+    runs = _run_offsets(hits)
+    return hits[runs[:-1]], runs[1:] - runs[:-1], volume
 
 
-def _refine(graph: Graph, eps: int, *,
-            iteration_cap: int | None = None,
-            on_iteration=None) -> tuple[list[np.ndarray], int]:
-    """Active-list refinement loop behind fast_eep and run_refinement.
+def _refine(graph: Graph, eps: int, *, iteration_cap: int | None = None,
+            on_iteration=None) -> tuple[list[np.ndarray], int, int, int]:
+    """Refinement loop behind fast_eep and run_refinement.
 
-    Cells carry stable ids internally so membership never needs rewriting when
-    positions shift; the active list stores ids and pops the one at the lowest
-    current position, which matches the positional minimum-index rule exactly.
+    The cells live in one permutation ``perm`` of the vertices: each cell is
+    the contiguous range ``perm[s:cell_end[s]]`` and is named by its start
+    offset ``s``, so partition order is start-offset order. ``cell_of[v]`` is
+    the start of v's cell and ``pos[v]`` its offset in ``perm``; members of a
+    cell are unordered until the output is built.
 
-    Returns the final cells (ascending-id arrays, in partition order) and the
-    iteration count. ``on_iteration(i, volume, n_cells, n_active)`` fires
-    after each iteration's split has been applied; ``volume`` is the active
-    cell's volume, the number of adjacency entries the scatter gathered.
+    Each iteration pops the pending cell with the least start (a min-heap plus
+    a pending flag), counts the degrees toward it of the vertices it touches,
+    and splits every cell whose members' degrees spread more than eps, where
+    untouched members count as f = 0. A split keeps the lowest-f fragment at
+    the cell's start and moves the other members to the tail of its range in
+    ascending-f order, so only moved vertices are rewritten; every fragment
+    becomes pending. Nothing in an iteration costs O(n) or O(number of cells).
+
+    Returns the final cells (ascending-id arrays, in partition order), the
+    iteration count, the number of cell splits and the number of fragments
+    they created. ``on_iteration(i, volume, n_cells, n_active)`` fires after
+    each iteration's splits; ``volume`` is the active cell's volume, the number
+    of adjacency entries the scatter gathered, and ``n_active`` the number of
+    pending cells.
     """
     n = graph.n
     if n == 0:
-        return [], 0
-    cells: list[np.ndarray] = [np.arange(n, dtype=ID_DTYPE)]
-    ids = np.zeros(1, dtype=ID_DTYPE)          # stable id at each position
-    id_to_pos = np.zeros(1, dtype=ID_DTYPE)    # current position of each id
-    sizes_by_id = np.zeros(256, dtype=ID_DTYPE)
-    sizes_by_id[0] = n
-    next_id = 1
-    membership = np.zeros(n, dtype=ID_DTYPE)   # vertex -> stable cell id
-    active: list[int] = [0]
+        return [], 0, 0, 0
+    perm = np.arange(n, dtype=ID_DTYPE)
+    pos = np.arange(n, dtype=ID_DTYPE)
+    cell_of = np.zeros(n, dtype=ID_DTYPE)
+    cell_end = np.zeros(n, dtype=ID_DTYPE)   # nonzero exactly at cell starts
+    cell_end[0] = n
+    pending = np.zeros(n, dtype=bool)
+    pending[0] = True
+    heap = [0]
+    n_cells = 1
+    iterations = splits = fragments = 0
     cap = iteration_cap if iteration_cap is not None else 16 * n + 64
-    iterations = 0
 
-    while active and len(cells) < n:
+    def make_pending(start: int) -> None:
+        if not pending[start]:
+            pending[start] = True
+            heapq.heappush(heap, start)
+
+    while heap and n_cells < n:
         if iterations >= cap:
-            raise IterationLimitError(iterations, len(active), len(cells))
+            raise IterationLimitError(iterations, len(heap), n_cells)
         iterations += 1
-        positions = id_to_pos[np.fromiter(active, dtype=ID_DTYPE, count=len(active))]
-        aid = active.pop(int(np.argmin(positions)))
-        f, volume = _active_cell_degrees(graph, cells[int(id_to_pos[aid])])
+        active = heapq.heappop(heap)
+        pending[active] = False
+        touched, f, volume = _active_cell_degrees(
+            graph, perm[active:cell_end[active]])
 
-        # vectorized pre-filter: a cell splits iff its exact f spread exceeds
-        # eps, where untouched members (f = 0) only enter through the minimum
-        splitters: list[tuple[int, int]] = []  # (position, stable id)
-        touched = np.flatnonzero(f)
-        if touched.size:
-            tid = membership[touched]
-            order = np.argsort(tid, kind="stable")
-            tid_sorted = tid[order]
-            ft = f[touched[order]]
-            group_starts = np.flatnonzero(
-                np.concatenate(([True], tid_sorted[1:] != tid_sorted[:-1])))
-            group_ids = tid_sorted[group_starts]
-            gmax = np.maximum.reduceat(ft, group_starts)
-            gmin = np.minimum.reduceat(ft, group_starts)
-            gcount = np.diff(np.concatenate((group_starts, [tid_sorted.size])))
-            covered = gcount == sizes_by_id[group_ids]
-            true_min = np.where(covered, gmin, 0)
-            split_ids = group_ids[(gmax - true_min) > eps]
-            if split_ids.size:
-                pos = id_to_pos[split_ids]
-                rank = np.argsort(pos)
-                splitters = list(zip(pos[rank].tolist(), split_ids[rank].tolist()))
-
-        if splitters:
-            frag_parts: list[list[np.ndarray]] = []
-            frag_ids: list[np.ndarray] = []
-            for position, _ in splitters:
-                members = cells[position]
-                parts = _fragment_cell(members, f[members], eps)
-                assert parts is not None  # pre-filter computed the exact spread
-                new_ids = np.arange(next_id, next_id + len(parts), dtype=ID_DTYPE)
-                next_id += len(parts)
-                if next_id > sizes_by_id.size:
-                    grown = np.zeros(max(2 * sizes_by_id.size, next_id),
-                                     dtype=ID_DTYPE)
-                    grown[:sizes_by_id.size] = sizes_by_id
-                    sizes_by_id = grown
-                for part, pid in zip(parts, new_ids):
-                    membership[part] = pid
-                    sizes_by_id[pid] = part.size
-                frag_parts.append(parts)
-                frag_ids.append(new_ids)
-
-            new_cells: list[np.ndarray] = []
-            id_pieces: list[np.ndarray] = []
-            prev = 0
-            for (position, _), parts, new_ids in zip(splitters, frag_parts, frag_ids):
-                new_cells.extend(cells[prev:position])
-                id_pieces.append(ids[prev:position])
-                new_cells.extend(parts)
-                id_pieces.append(new_ids)
-                prev = position + 1
-            new_cells.extend(cells[prev:])
-            id_pieces.append(ids[prev:])
-            cells = new_cells
-            ids = np.concatenate(id_pieces)
-            id_to_pos = np.empty(next_id, dtype=ID_DTYPE)  # stale ids never read
-            id_to_pos[ids] = np.arange(len(cells), dtype=ID_DTYPE)
-
-            # active update: fragmented entries are replaced in place by their
-            # fragments (ascending position); fragments of cells not on the
-            # list are appended in ascending position order
-            replacement = {cid: new_ids
-                           for (_, cid), new_ids in zip(splitters, frag_ids)}
-            new_active: list[int] = []
-            for entry in active:
-                hit = replacement.get(entry)
-                if hit is None:
-                    new_active.append(entry)
+        # no cell can spread more than the largest degree toward the active cell
+        fmax = int(f.max()) if volume else 0
+        if fmax > eps:
+            # group the touched vertices by cell, ascending f within each cell
+            cells = cell_of[touched]
+            order = (cells * (fmax + 1) + f).argsort()
+            cells, f, touched = cells[order], f[order], touched[order]
+            runs = _run_offsets(cells)
+            first, stop = runs[:-1], runs[1:]
+            starts = cells[first]
+            covered = stop - first == cell_end[starts] - starts
+            # a cell splits iff its exact f spread exceeds eps, where untouched
+            # members (f = 0) only enter through the minimum
+            low = f[first] * covered
+            for g in (f[stop - 1] - low > eps).nonzero()[0].tolist():
+                start, a, b = int(starts[g]), int(first[g]), int(stop[g])
+                end = int(cell_end[start])
+                if covered[g]:
+                    tail = start      # regroup the whole range in place
                 else:
-                    new_active.extend(int(x) for x in hit)
-            present = set(active)
-            appended: list[tuple[int, int]] = []
-            for (_, cid), new_ids in zip(splitters, frag_ids):
-                if cid not in present:
-                    appended.extend((int(id_to_pos[x]), int(x)) for x in new_ids)
-            appended.sort()
-            new_active.extend(x for _, x in appended)
-            active = new_active
+                    # the f <= eps group keeps the untouched members and start
+                    a += int(np.searchsorted(f[a:b], eps, side="right"))
+                    tail = end - (b - a)
+                    cell_end[start] = tail
+                    make_pending(start)
+                # swap the movers into [tail, end); members there that stay
+                # fill the holes the movers leave
+                movers = touched[a:b]
+                at = pos[movers]
+                holes = at[at < tail]
+                if holes.size:
+                    staying = np.ones(end - tail, dtype=bool)
+                    staying[at[at >= tail] - tail] = False
+                    displaced = perm[tail:end][staying]
+                    perm[holes] = displaced
+                    pos[displaced] = holes
+                perm[tail:end] = movers
+                pos[movers] = np.arange(tail, end, dtype=ID_DTYPE)
+                bounds = _group_bounds(f[a:b], eps)
+                for lo, hi in zip(bounds, bounds[1:]):
+                    if tail + lo != start:
+                        cell_of[movers[lo:hi]] = tail + lo
+                    cell_end[tail + lo] = tail + hi
+                    make_pending(tail + lo)
+                new = len(bounds) - 1 if covered[g] else len(bounds)
+                splits += 1
+                fragments += new
+                n_cells += new - 1
 
         if on_iteration is not None:
-            on_iteration(iterations, volume, len(cells), len(active))
+            on_iteration(iterations, volume, n_cells, len(heap))
 
-    return cells, iterations
+    starts = np.flatnonzero(cell_end)
+    grouped = perm[np.lexsort((perm, cell_of[perm]))]
+    return np.split(grouped, starts[1:]), iterations, splits, fragments
 
 
 def _partition_from_arrays(cells: list[np.ndarray]) -> Partition:
-    return Partition(tuple(tuple(int(v) for v in cell) for cell in cells))
+    return Partition(tuple(tuple(cell.tolist()) for cell in cells))
 
 
 def fast_eep(graph: Graph, epsilon) -> Partition:
@@ -307,7 +318,7 @@ def fast_eep(graph: Graph, epsilon) -> Partition:
     epsilon = 0 yields the coarsest equitable partition.
     """
     eps = _check_epsilon(epsilon)
-    cells, _ = _refine(graph, eps)
+    cells = _refine(graph, eps)[0]
     return _partition_from_arrays(cells)
 
 
@@ -348,23 +359,31 @@ def degree_partition(graph: Graph) -> Partition:
 def epsilon_spread(graph: Graph, partition: Partition) -> int:
     """Largest within-cell spread of member degrees toward any cell.
 
-    A partition is epsilon-equitable iff this is <= epsilon; direct O(n*K)
-    check used to verify refinement output.
+    A partition is epsilon-equitable iff this is <= epsilon. Counts each
+    (vertex, neighbour cell) pair from the adjacency entries, then takes
+    max - min per (own cell, neighbour cell) group; a member with no entry
+    for a neighbour cell has degree 0 toward it. Costs O(m log m) time and
+    O(m) memory, whatever the number of cells.
     """
     n = graph.n
     if n == 0 or len(partition) == 0:
         return 0
     memb = partition.membership_array(n)
     k = len(partition)
-    sig = np.zeros((n, k), dtype=ID_DTYPE)
+    if graph.indices.size == 0:
+        return 0
     rows = np.repeat(np.arange(n, dtype=ID_DTYPE), graph.degrees)
-    np.add.at(sig, (rows, memb[graph.indices]), 1)
-    worst = 0
-    for cell in partition.cells:
-        block = sig[list(cell)]
-        spread = int((block.max(axis=0) - block.min(axis=0)).max())
-        worst = max(worst, spread)
-    return worst
+    keys, counts = np.unique(rows * k + memb[graph.indices], return_counts=True)
+    vertex, target = np.divmod(keys, k)
+    group = memb[vertex] * k + target
+    order = np.argsort(group, kind="stable")
+    group, counts = group[order], counts[order]
+    first = _run_offsets(group)
+    high = np.maximum.reduceat(counts, first[:-1])
+    low = np.minimum.reduceat(counts, first[:-1])
+    cell_size = np.bincount(memb, minlength=k)
+    low[np.diff(first) < cell_size[group[first[:-1]] // k]] = 0
+    return int((high - low).max())
 
 
 def write_partition_file(stream: IO[str], partition: Partition, *,

@@ -2,8 +2,9 @@
 
 Each helper is the direct, per-vertex or per-cell-pair form of a quantity the
 library computes in bulk: the active list and SPLIT step of the refinement
-loop, degrees toward a cell, the cross-product intersection count, and exact
-rational betweenness. Tests compare the library against them.
+loop, degrees toward a cell, the dense degree matrix behind the epsilon
+spread, the cross-product intersection count, and exact rational
+betweenness. Tests compare the library against them.
 """
 
 from __future__ import annotations
@@ -189,3 +190,23 @@ def betweenness_centrality_exact(graph: Graph) -> list[Fraction]:
             if w != s:
                 totals[w] += delta[w]
     return [t / 2 for t in totals]
+
+
+def epsilon_spread_dense(graph: Graph, partition: Partition) -> int:
+    """Largest within-cell degree spread from the dense n x K degree matrix.
+
+    The direct form of netpos.epsilon_spread: row v of the matrix holds the
+    degree of v toward every cell. O(n*K) memory, so small graphs only.
+    """
+    n = graph.n
+    if n == 0 or len(partition) == 0:
+        return 0
+    memb = partition.membership_array(n)
+    sig = np.zeros((n, len(partition)), dtype=ID_DTYPE)
+    rows = np.repeat(np.arange(n, dtype=ID_DTYPE), graph.degrees)
+    np.add.at(sig, (rows, memb[graph.indices]), 1)
+    worst = 0
+    for cell in partition.cells:
+        block = sig[list(cell)]
+        worst = max(worst, int((block.max(axis=0) - block.min(axis=0)).max()))
+    return worst

@@ -34,6 +34,7 @@ def test_partition_p4(runner, tmp_path):
     manifest = json.loads(Path(out + ".manifest.json").read_text())
     assert manifest["command"] == "partition"
     assert manifest["extra"]["iterations"] >= 1
+    assert (manifest["extra"]["splits"], manifest["extra"]["fragments"]) == (1, 2)
     assert manifest["input_hashes"]["input"].startswith("sha256:")
 
 
@@ -184,6 +185,8 @@ def test_bench_csv_shape_and_determinism(runner, tmp_path):
     for r1, r2 in zip(rows1, rows2):
         assert r1["iterations"] == r2["iterations"]
         assert r1["cells"] == r2["cells"]
+        assert r1["splits"] == r2["splits"] and r1["fragments"] == r2["fragments"]
+        assert int(r1["cells"]) == 1 + int(r1["fragments"]) - int(r1["splits"])
 
 
 def test_reciprocal_needs_directed(runner, tmp_path):

@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netpos import (Graph, Partition, degree_partition, epsilon_spread,
-                    equitable_oracle, fast_eep, read_partition_file,
+from netpos import (GeneratorConfig, Graph, Partition, degree_partition,
+                    epsilon_spread, equitable_oracle, fast_eep,
+                    generate_power_law, read_partition_file,
                     write_partition_file)
 
 from helpers import complete_graph, er_graph, path_graph, star_graph
-from oracles import ActiveList, degree_to_cell, degree_vector, split
+from oracles import (ActiveList, degree_to_cell, degree_vector,
+                     epsilon_spread_dense, split)
 
 P4 = path_graph(4)          # 0-1-2-3
 STAR = star_graph(3)        # center 0, leaves 1..3
@@ -241,6 +243,37 @@ def test_fast_eep_satisfies_spread_bound():
         g = er_graph(40, 0.2, seed)
         for eps in (0, 1, 2, 5):
             assert epsilon_spread(g, fast_eep(g, eps)) <= eps
+
+
+def test_epsilon_spread_matches_dense_matrix():
+    # the graph family of acceptance criterion 2: n up to 512, ER and power law
+    rng = np.random.default_rng(200)
+    for trial in range(60):
+        if trial % 2 == 0:
+            n = int(rng.integers(4, 513))
+            g = er_graph(n, float(rng.uniform(0.01, 0.15)), seed=1000 + trial)
+        else:
+            n = int(rng.integers(8, 513))
+            g = generate_power_law(GeneratorConfig(n, float(rng.uniform(1.7, 2.9)),
+                                                   seed=1000 + trial))
+        labels = rng.integers(0, rng.integers(1, 12), size=g.n)
+        arbitrary = Partition.from_cells(
+            np.flatnonzero(labels == lab) for lab in np.unique(labels))
+        for part in (arbitrary, fast_eep(g, 0), fast_eep(g, 2), fast_eep(g, 8)):
+            assert epsilon_spread(g, part) == epsilon_spread_dense(g, part), trial
+
+
+def test_epsilon_spread_edge_cases():
+    assert epsilon_spread(Graph.from_edges(5, []), Partition.unit(5)) == 0
+    assert epsilon_spread(STAR, Partition.unit(4)) == 2
+    assert epsilon_spread(STAR, Partition.from_cells([[0], [1, 2, 3]])) == 0
+    assert epsilon_spread(P4, Partition.from_cells([[0, 1], [2, 3]])) == 1
+
+
+def test_fast_eep_spread_bound_at_scale():
+    g = generate_power_law(GeneratorConfig(30_000, 2.5, seed=30))
+    for eps in (0, 1, 2, 5):
+        assert epsilon_spread(g, fast_eep(g, eps)) <= eps
 
 
 def test_fast_eep_deterministic():
