@@ -1,10 +1,11 @@
 """Positional analysis of large graphs.
 
-Epsilon-equitable partitions by active-list iterative refinement
-(``fast_eep``; ``run_refinement`` adds run counters and ``parallel_eep`` is
-an alias kept under its historical name), partition similarity scoring
-across time-evolving snapshots, and co-evolution analysis of same-position
-vertex pairs.
+Epsilon-equitable partitions by iterative refinement on a permutation-array
+cell store (``fast_eep``; ``run_refinement`` adds run counters and
+``parallel_eep`` is an alias kept under its historical name), partition
+similarity scoring across time-evolving snapshots, and co-evolution analysis
+of same-position vertex pairs. A ``Partition`` is a pair of arrays: the
+vertex ids ascending and each id's cell index.
 """
 
 from .graphs import (

@@ -19,6 +19,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 import click
+import numpy as np
 
 from . import __version__
 from .centrality import CONVENTIONS, compute_measures
@@ -421,7 +422,8 @@ def coevolve(log_path, cutoffs, directed, reciprocal, method, epsilon, names,
                                 cap=None if full_pairs else cap, seed=seed)
     scores_early = compute_measures(early, names)
     scores_late = compute_measures(late, names)
-    population = sum(len(c) * (len(c) - 1) // 2 for c in part.cells)
+    sizes = np.bincount(part.membership)
+    population = int((sizes * (sizes - 1) // 2).sum())
     report = coevolution_report(
         pairs,
         {m: (scores_early[m].scores, scores_late[m].scores) for m in names},

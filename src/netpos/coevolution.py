@@ -8,15 +8,16 @@ scores moved in lockstep between the snapshots.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .graphs import Graph
+from .graphs import ID_DTYPE, Graph
 from .partition import Partition, degree_partition, equitable_oracle, fast_eep
-from .similarity import restrict_partition, similarity_score
+from .similarity import _masked, restrict_partition, similarity_score
 
 DEFAULT_BIN_EDGES = tuple(float(x) for x in range(11))  # [0,1) .. [9,10) + overflow
 DEFAULT_PAIR_CAP = 1_000_000
@@ -62,20 +63,14 @@ def same_position_pairs(partition: Partition, common: Iterable[int] | None = Non
     ``cap`` distinct pairs is drawn without replacement, deterministically for
     a given seed.
     """
-    keep = None if common is None else {int(v) for v in common}
-    groups: list[list[int]] = []
-    for cell in partition.cells:
-        members = [v for v in cell if keep is None or v in keep]
-        if len(members) > 1:
-            groups.append(members)
+    if common is not None:
+        keep = np.fromiter(common, dtype=ID_DTYPE)
+        partition = _masked(partition, np.isin(partition.universe, keep))
+    groups = [cell for cell in partition.cells if len(cell) > 1]
     population = sum(_pair_count(len(g)) for g in groups)
     if cap is None or population <= cap:
-        out: list[tuple[int, int]] = []
-        for members in groups:
-            for i in range(len(members)):
-                for j in range(i + 1, len(members)):
-                    out.append((members[i], members[j]))
-        return out
+        return [pair for members in groups
+                for pair in itertools.combinations(members, 2)]
 
     rng = np.random.default_rng(seed)
     chosen: set[int] = set()
@@ -236,14 +231,15 @@ def overlap_matrix(snapshots: Sequence[Graph], *, epsilons: Sequence[int] = (),
 
     The later partition is restricted to the earlier snapshot's vertex set
     before scoring, so N is the earlier vertex count. Snapshots must share a
-    label map, i.e. vertex ids are nested dense prefixes. ``workers`` is
-    accepted for compatibility and has no effect.
+    label map, i.e. vertex ids are nested dense prefixes. A repeated epsilon
+    is scored once, in first-seen order. ``workers`` is accepted for
+    compatibility and has no effect.
     """
     for earlier, later in zip(snapshots, snapshots[1:]):
         if earlier.n > later.n:
             raise ValueError("snapshots must be ordered by growing vertex set")
 
-    methods: list[str] = [f"eep:{int(e)}" for e in epsilons]
+    methods = [f"eep:{e}" for e in dict.fromkeys(int(e) for e in epsilons)]
     if include_equitable:
         methods.append("ep")
     if include_degree:

@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass
 
 from .graphs import Graph
-from .partition import Partition, _check_epsilon, _partition_from_arrays, _refine
+from .partition import Partition, _check_epsilon, _refine
 
 log = logging.getLogger(__name__)
 
@@ -62,11 +62,11 @@ def run_refinement(graph: Graph, epsilon,
             log.info("iter=%d active=%d cells=%d elapsed_ms=%.1f",
                      i, n_active, n_cells, (time.perf_counter() - t0) * 1000.0)
 
-    cells, stats.iterations, stats.splits, stats.fragments = _refine(
+    partition, stats.iterations, stats.splits, stats.fragments = _refine(
         graph, eps, iteration_cap=cfg.iteration_cap, on_iteration=on_iteration)
-    stats.cells = len(cells)
+    stats.cells = len(partition)
     stats.elapsed_s = time.perf_counter() - t0
-    return _partition_from_arrays(cells), stats
+    return partition, stats
 
 
 def parallel_eep(graph: Graph, epsilon,

@@ -2,7 +2,7 @@
 
 Vertices carry dense integer ids internally; external string labels live in a
 :class:`VertexLabelMap`. Graphs are undirected, simple, and immutable once
-built, which makes them safe to share read-only across worker threads.
+built.
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import functools
 import heapq
-from dataclasses import dataclass
+import itertools
 from typing import IO, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -45,86 +45,101 @@ def _check_epsilon(epsilon) -> int:
     return eps
 
 
-@dataclass(frozen=True)
 class Partition:
-    """Ordered disjoint cover of a vertex set; each cell holds ascending ids.
+    """Ordered disjoint cover of a vertex set, stored as two read-only arrays.
 
-    Cell order is significant (refinement indexes cells by position); use
-    :meth:`canonical` before comparing partitions structurally.
+    ``universe`` holds the vertex ids ascending and ``membership`` the cell
+    index of each, with cells numbered in partition order; ``len(p)`` is the
+    cell count. Cell order is significant (refinement numbers cells by
+    position); use :meth:`canonical` before comparing partitions structurally.
+    ``cells`` is a tuple-of-tuples view with ascending members, built once on
+    first use, for file output and for callers that read cells.
     """
 
-    cells: tuple[tuple[int, ...], ...]
+    def __init__(self, cells: Iterable[Iterable[int]] = ()):
+        """Validate and normalize cells (sorted members, disjoint, nonempty)."""
+        cells = [tuple(cell) for cell in cells]
+        if not all(cells):
+            raise ValueError("partition cells must be nonempty")
+        flat = np.fromiter(itertools.chain.from_iterable(cells), dtype=ID_DTYPE)
+        order = np.argsort(flat, kind="stable")
+        universe = flat[order]
+        repeated = universe[1:][universe[1:] == universe[:-1]]
+        if repeated.size:
+            raise ValueError(f"vertex {repeated[0]} appears more than once")
+        sizes = [len(cell) for cell in cells]
+        labels = np.repeat(np.arange(len(cells), dtype=ID_DTYPE), sizes)
+        self._store(universe, labels[order], len(cells))
+
+    def _store(self, universe: np.ndarray, membership: np.ndarray, k: int) -> None:
+        universe.flags.writeable = membership.flags.writeable = False
+        self.universe, self.membership, self._k = universe, membership, k
+
+    @classmethod
+    def _from_labels(cls, universe: np.ndarray, labels: np.ndarray) -> "Partition":
+        """Group ascending, distinct ``universe`` ids by label, cells in label order."""
+        keys, membership = np.unique(labels, return_inverse=True)
+        part = cls.__new__(cls)
+        part._store(universe, membership.astype(ID_DTYPE, copy=False), keys.size)
+        return part
 
     @classmethod
     def from_cells(cls, cells: Iterable[Iterable[int]]) -> "Partition":
-        """Validate and normalize cells (sorted members, disjoint, nonempty)."""
-        norm: list[tuple[int, ...]] = []
-        seen: set[int] = set()
-        for cell in cells:
-            members = tuple(sorted(int(v) for v in cell))
-            if not members:
-                raise ValueError("partition cells must be nonempty")
-            for v in members:
-                if v in seen:
-                    raise ValueError(f"vertex {v} appears in more than one cell")
-                seen.add(v)
-            norm.append(members)
-        return cls(tuple(norm))
+        """Same as ``Partition(cells)``."""
+        return cls(cells)
 
     @classmethod
     def unit(cls, n: int) -> "Partition":
         """Single-cell partition of [0, n); refinement's starting point."""
-        if n == 0:
-            return cls(())
-        return cls((tuple(range(n)),))
+        return cls.from_membership(np.zeros(n, dtype=ID_DTYPE))
 
     @classmethod
     def discrete(cls, vertices: Iterable[int]) -> "Partition":
-        return cls(tuple((int(v),) for v in sorted(vertices)))
+        return cls((v,) for v in sorted(vertices))
 
     @classmethod
     def from_membership(cls, membership: Sequence[int]) -> "Partition":
         """Group vertex ids [0, len) by their membership value, ascending."""
         memb = np.asarray(membership, dtype=ID_DTYPE)
-        order = np.argsort(memb, kind="stable")
-        cells: list[tuple[int, ...]] = []
-        sorted_memb = memb[order]
-        boundaries = np.flatnonzero(np.diff(sorted_memb)) + 1
-        for chunk in np.split(order, boundaries):
-            cells.append(tuple(int(v) for v in np.sort(chunk)))
-        return cls(tuple(cells))
+        return cls._from_labels(np.arange(memb.size, dtype=ID_DTYPE), memb)
 
     def __len__(self) -> int:
         """Number of cells (the |pi| of the similarity score)."""
-        return len(self.cells)
+        return self._k
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Partition):
+            return NotImplemented
+        return (np.array_equal(self.universe, other.universe)
+                and np.array_equal(self.membership, other.membership))
+
+    def __repr__(self) -> str:
+        return f"Partition({self.cells!r})"
 
     @functools.cached_property
-    def universe(self) -> frozenset[int]:
-        return frozenset(v for cell in self.cells for v in cell)
-
-    @functools.cached_property
-    def membership(self) -> dict[int, int]:
-        return {v: i for i, cell in enumerate(self.cells) for v in cell}
+    def cells(self) -> tuple[tuple[int, ...], ...]:
+        members = self.universe[np.argsort(self.membership, kind="stable")].tolist()
+        ends = np.bincount(self.membership, minlength=self._k).cumsum().tolist()
+        return tuple(tuple(members[a:b]) for a, b in zip([0] + ends, ends))
 
     @property
     def n_vertices(self) -> int:
-        return sum(len(cell) for cell in self.cells)
+        return self.universe.size
 
     def is_discrete(self) -> bool:
-        return all(len(cell) == 1 for cell in self.cells)
+        return self._k == self.universe.size
 
     def canonical(self) -> "Partition":
-        """Cells reordered by minimum member id; member order is already canonical."""
-        return Partition(tuple(sorted(self.cells, key=lambda c: c[0])))
+        """Cells renumbered by minimum member id; member order is already canonical."""
+        _, first = np.unique(self.membership, return_index=True)
+        return Partition._from_labels(self.universe, first[self.membership])
 
     def membership_array(self, n: int) -> np.ndarray:
-        """Membership as a dense array; requires universe == [0, n)."""
-        if self.universe != frozenset(range(n)):
+        """The membership array, checking that the universe is [0, n)."""
+        u = self.universe
+        if u.size != n or (n and (u[0] != 0 or u[-1] != n - 1)):
             raise ValueError("partition universe is not the dense range [0, n)")
-        out = np.empty(n, dtype=ID_DTYPE)
-        for i, cell in enumerate(self.cells):
-            out[list(cell)] = i
-        return out
+        return self.membership
 
 
 def _group_bounds(fs: np.ndarray, eps: int) -> list[int]:
@@ -143,20 +158,6 @@ def _group_bounds(fs: np.ndarray, eps: int) -> list[int]:
         start = nxt
     bounds.append(fs.size)
     return bounds
-
-
-def _fragment_cell(members: np.ndarray, fvals: np.ndarray,
-                   eps: int) -> list[np.ndarray] | None:
-    """Greedy epsilon-grouping of one cell, or None if it stays whole.
-
-    Members are sorted by f and grouped by :func:`_group_bounds`. Fragments
-    come out in ascending-f order with members sorted by id.
-    """
-    if int(fvals.max()) - int(fvals.min()) <= eps:
-        return None
-    order = np.argsort(fvals, kind="stable")
-    bounds = _group_bounds(fvals[order], eps)
-    return [np.sort(members[order[a:b]]) for a, b in zip(bounds, bounds[1:])]
 
 
 def _run_offsets(values: np.ndarray) -> np.ndarray:
@@ -196,14 +197,14 @@ def _active_cell_degrees(graph: Graph, active_cell: np.ndarray
 
 
 def _refine(graph: Graph, eps: int, *, iteration_cap: int | None = None,
-            on_iteration=None) -> tuple[list[np.ndarray], int, int, int]:
+            on_iteration=None) -> tuple[Partition, int, int, int]:
     """Refinement loop behind fast_eep and run_refinement.
 
     The cells live in one permutation ``perm`` of the vertices: each cell is
     the contiguous range ``perm[s:cell_end[s]]`` and is named by its start
     offset ``s``, so partition order is start-offset order. ``cell_of[v]`` is
     the start of v's cell and ``pos[v]`` its offset in ``perm``; members of a
-    cell are unordered until the output is built.
+    cell are unordered in ``perm``.
 
     Each iteration pops the pending cell with the least start (a min-heap plus
     a pending flag), counts the degrees toward it of the vertices it touches,
@@ -213,7 +214,8 @@ def _refine(graph: Graph, eps: int, *, iteration_cap: int | None = None,
     ascending-f order, so only moved vertices are rewritten; every fragment
     becomes pending. Nothing in an iteration costs O(n) or O(number of cells).
 
-    Returns the final cells (ascending-id arrays, in partition order), the
+    Returns the partition, whose membership is each vertex's ``cell_of``
+    ranked among the cell starts (so cells keep partition order), the
     iteration count, the number of cell splits and the number of fragments
     they created. ``on_iteration(i, volume, n_cells, n_active)`` fires after
     each iteration's splits; ``volume`` is the active cell's volume, the number
@@ -222,7 +224,7 @@ def _refine(graph: Graph, eps: int, *, iteration_cap: int | None = None,
     """
     n = graph.n
     if n == 0:
-        return [], 0, 0, 0
+        return Partition.unit(0), 0, 0, 0
     perm = np.arange(n, dtype=ID_DTYPE)
     pos = np.arange(n, dtype=ID_DTYPE)
     cell_of = np.zeros(n, dtype=ID_DTYPE)
@@ -301,13 +303,7 @@ def _refine(graph: Graph, eps: int, *, iteration_cap: int | None = None,
         if on_iteration is not None:
             on_iteration(iterations, volume, n_cells, len(heap))
 
-    starts = np.flatnonzero(cell_end)
-    grouped = perm[np.lexsort((perm, cell_of[perm]))]
-    return np.split(grouped, starts[1:]), iterations, splits, fragments
-
-
-def _partition_from_arrays(cells: list[np.ndarray]) -> Partition:
-    return Partition(tuple(tuple(cell.tolist()) for cell in cells))
+    return Partition.from_membership(cell_of), iterations, splits, fragments
 
 
 def fast_eep(graph: Graph, epsilon) -> Partition:
@@ -317,9 +313,7 @@ def fast_eep(graph: Graph, epsilon) -> Partition:
     other cell differ by at most epsilon. Pure function of (graph, epsilon);
     epsilon = 0 yields the coarsest equitable partition.
     """
-    eps = _check_epsilon(epsilon)
-    cells = _refine(graph, eps)[0]
-    return _partition_from_arrays(cells)
+    return _refine(graph, _check_epsilon(epsilon))[0]
 
 
 def equitable_oracle(graph: Graph) -> Partition:
@@ -350,10 +344,7 @@ def equitable_oracle(graph: Graph) -> Partition:
 
 def degree_partition(graph: Graph) -> Partition:
     """Cells of equal-degree vertices, ordered by ascending degree."""
-    if graph.n == 0:
-        return Partition(())
-    _, inv = np.unique(graph.degrees, return_inverse=True)
-    return Partition.from_membership(inv)
+    return Partition.from_membership(graph.degrees)
 
 
 def epsilon_spread(graph: Graph, partition: Partition) -> int:
@@ -366,10 +357,7 @@ def epsilon_spread(graph: Graph, partition: Partition) -> int:
     O(m) memory, whatever the number of cells.
     """
     n = graph.n
-    if n == 0 or len(partition) == 0:
-        return 0
-    memb = partition.membership_array(n)
-    k = len(partition)
+    memb, k = partition.membership_array(n), len(partition)
     if graph.indices.size == 0:
         return 0
     rows = np.repeat(np.arange(n, dtype=ID_DTYPE), graph.degrees)
@@ -405,6 +393,7 @@ def read_partition_file(stream: IO[str]) -> tuple[Partition, dict[str, str]]:
     """Parse a partition file; returns the partition and its header metadata."""
     meta: dict[str, str] = {}
     cells: list[tuple[int, ...]] = []
+    seen: set[int] = set()
     for line_no, raw in enumerate(stream, 1):
         line = raw.rstrip("\n")
         if not line.strip():
@@ -427,5 +416,10 @@ def read_partition_file(stream: IO[str]) -> tuple[Partition, dict[str, str]]:
             raise ParseError(f"cell index {idx} out of sequence", line_no)
         if not members:
             raise ParseError("empty cell", line_no)
+        fresh = set(members)
+        if len(fresh) < len(members) or not seen.isdisjoint(fresh):
+            repeated = min(v for v in fresh if v in seen or members.count(v) > 1)
+            raise ParseError(f"vertex {repeated} appears more than once", line_no)
+        seen |= fresh
         cells.append(members)
     return Partition.from_cells(cells), meta

@@ -14,6 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
+import numpy as np
+
+from .graphs import ID_DTYPE
 from .partition import Partition
 
 _FORM_AGREEMENT = 1e-12
@@ -23,37 +26,35 @@ class UniverseMismatchError(ValueError):
     """The two partitions do not cover the same vertex set."""
 
 
-def _common_universe(p1: Partition, p2: Partition) -> frozenset[int]:
+def _common_universe(p1: Partition, p2: Partition) -> None:
     u1, u2 = p1.universe, p2.universe
-    if u1 != u2:
-        only1 = len(u1 - u2)
-        only2 = len(u2 - u1)
+    if not np.array_equal(u1, u2):
+        only1 = np.setdiff1d(u1, u2, assume_unique=True).size
+        only2 = np.setdiff1d(u2, u1, assume_unique=True).size
         raise UniverseMismatchError(
             f"partitions cover different vertex sets "
             f"({only1} vertices only in the first, {only2} only in the second)")
-    return u1
+
+
+def _meet_labels(p1: Partition, p2: Partition) -> np.ndarray:
+    """One label per (cell-in-p1, cell-in-p2) pair, aligned with the universe."""
+    _common_universe(p1, p2)
+    return p1.membership * len(p2) + p2.membership
 
 
 def partitions_equal(p1: Partition, p2: Partition) -> bool:
     """True iff the partitions agree up to cell order and member order."""
     _common_universe(p1, p2)
-    return frozenset(p1.cells) == frozenset(p2.cells)
+    return p1.canonical() == p2.canonical()
 
 
 def partition_intersection(p1: Partition, p2: Partition) -> Partition:
     """Cell-wise intersection, empties discarded, canonicalized.
 
-    Computed in O(N) by grouping each vertex on its (cell-in-p1, cell-in-p2)
-    index pair rather than crossing cells.
+    Computed in O(N log N) by grouping each vertex on its (cell-in-p1,
+    cell-in-p2) index pair rather than crossing cells.
     """
-    universe = _common_universe(p1, p2)
-    m1, m2 = p1.membership, p2.membership
-    groups: dict[tuple[int, int], list[int]] = {}
-    for v in universe:
-        groups.setdefault((m1[v], m2[v]), []).append(v)
-    cells = sorted((tuple(sorted(g)) for g in groups.values()),
-                   key=lambda c: c[0])
-    return Partition(tuple(cells))
+    return Partition._from_labels(p1.universe, _meet_labels(p1, p2)).canonical()
 
 
 @dataclass(frozen=True)
@@ -76,15 +77,15 @@ def similarity_score(p1: Partition, p2: Partition) -> SimilarityScore:
     discrete input forces a discrete intersection and the score extends
     continuously to 0.
     """
-    universe = _common_universe(p1, p2)
-    n = len(universe)
+    inter = np.unique(_meet_labels(p1, p2)).size
+    n = p1.n_vertices
     k1, k2 = len(p1), len(p2)
-    if partitions_equal(p1, p2):
+    # the meet has as many cells as both inputs only when they are equal
+    if inter == k1 == k2:
         return SimilarityScore(1.0, k1, k2, k1, n, 1.0, 1.0)
     if k1 == n or k2 == n:
         return SimilarityScore(0.0, k1, k2, n, n, 0.0, 0.0)
 
-    inter = len(partition_intersection(p1, p2))
     direct = 0.5 * ((n - inter) / (n - k1) + (n - inter) / (n - k2))
     c_inter = 1.0 - inter / n
     c1 = 1.0 - k1 / n
@@ -97,18 +98,18 @@ def similarity_score(p1: Partition, p2: Partition) -> SimilarityScore:
 
 
 def restrict_partition(partition: Partition, keep: Iterable[int]) -> Partition:
-    """Intersect every cell with ``keep`` and drop the empties.
+    """Intersect every cell with ``keep`` and drop the empties, keeping cell order.
 
     Used to drop vertices absent from an earlier snapshot before scoring.
     """
-    keep_set = {int(v) for v in keep}
-    extra = keep_set - partition.universe
-    if extra:
+    keep_ids = np.fromiter(keep, dtype=ID_DTYPE)
+    outside = keep_ids[~np.isin(keep_ids, partition.universe)]
+    if outside.size:
         raise ValueError(f"keep set contains vertices outside the partition "
-                         f"universe, e.g. {min(extra)}")
-    cells = []
-    for cell in partition.cells:
-        kept = tuple(v for v in cell if v in keep_set)
-        if kept:
-            cells.append(kept)
-    return Partition(tuple(cells))
+                         f"universe, e.g. {outside.min()}")
+    return _masked(partition, np.isin(partition.universe, keep_ids))
+
+
+def _masked(partition: Partition, mask: np.ndarray) -> Partition:
+    """The vertices under ``mask``, in their cells, empties dropped, order kept."""
+    return Partition._from_labels(partition.universe[mask], partition.membership[mask])

@@ -3,8 +3,9 @@
 Each helper is the direct, per-vertex or per-cell-pair form of a quantity the
 library computes in bulk: the active list and SPLIT step of the refinement
 loop, degrees toward a cell, the dense degree matrix behind the epsilon
-spread, the cross-product intersection count, and exact rational
-betweenness. Tests compare the library against them.
+spread, partition equality, intersection and restriction over cell tuples,
+the cross-product intersection count, and exact rational betweenness. Tests
+compare the library against them.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ import numpy as np
 from netpos import Graph, Partition
 from netpos.centrality import _brandes_source
 from netpos.graphs import ID_DTYPE
-from netpos.partition import _check_epsilon, _fragment_cell
-from netpos.similarity import _common_universe
+from netpos.partition import _check_epsilon, _group_bounds
+from netpos.similarity import UniverseMismatchError, _common_universe
 
 
 class ActiveList:
@@ -117,6 +118,21 @@ def _degree_values(f, members: np.ndarray) -> np.ndarray:
     return arr[members].astype(ID_DTYPE, copy=False)
 
 
+def _fragment_cell(members: np.ndarray, fvals: np.ndarray,
+                   eps: int) -> list[np.ndarray] | None:
+    """Greedy epsilon-grouping of one cell, or None if it stays whole.
+
+    The per-cell form of the refinement loop's split: members are sorted by f
+    and grouped by :func:`netpos.partition._group_bounds`. Fragments
+    come out in ascending-f order with members sorted by id.
+    """
+    if int(fvals.max()) - int(fvals.min()) <= eps:
+        return None
+    order = np.argsort(fvals, kind="stable")
+    bounds = _group_bounds(fvals[order], eps)
+    return [np.sort(members[order[a:b]]) for a, b in zip(bounds, bounds[1:])]
+
+
 def split(partition: Partition, f, epsilon) -> tuple[Partition, dict[int, tuple[int, ...]]]:
     """Split every cell by the degree function under the epsilon rule.
 
@@ -169,6 +185,62 @@ def intersection_cardinality_cellpairs(p1: Partition, p2: Partition) -> int:
     """
     _common_universe(p1, p2)
     return sum(1 for a in p1.cells for b in p2.cells if _cells_intersect(a, b))
+
+
+def _universe(partition: Partition) -> frozenset[int]:
+    return frozenset(v for cell in partition.cells for v in cell)
+
+
+def common_universe_ref(p1: Partition, p2: Partition) -> frozenset[int]:
+    """The shared vertex set of two partitions, compared as Python sets."""
+    u1, u2 = _universe(p1), _universe(p2)
+    if u1 != u2:
+        raise UniverseMismatchError(
+            f"partitions cover different vertex sets "
+            f"({len(u1 - u2)} vertices only in the first, "
+            f"{len(u2 - u1)} only in the second)")
+    return u1
+
+
+def partitions_equal_ref(p1: Partition, p2: Partition) -> bool:
+    """Equality up to cell order, as sets of member tuples."""
+    common_universe_ref(p1, p2)
+    return frozenset(p1.cells) == frozenset(p2.cells)
+
+
+def partition_intersection_ref(p1: Partition, p2: Partition) -> Partition:
+    """Cell-wise intersection by grouping vertices on a dict of cell-index pairs."""
+    universe = common_universe_ref(p1, p2)
+    m1 = {v: i for i, cell in enumerate(p1.cells) for v in cell}
+    m2 = {v: i for i, cell in enumerate(p2.cells) for v in cell}
+    groups: dict[tuple[int, int], list[int]] = {}
+    for v in universe:
+        groups.setdefault((m1[v], m2[v]), []).append(v)
+    return Partition(sorted((tuple(sorted(g)) for g in groups.values()),
+                            key=lambda c: c[0]))
+
+
+def restrict_partition_ref(partition: Partition, keep: Iterable[int]) -> Partition:
+    """Filter every cell by a Python set, dropping the empties."""
+    keep_set = {int(v) for v in keep}
+    extra = keep_set - _universe(partition)
+    if extra:
+        raise ValueError(f"keep set contains vertices outside the partition "
+                         f"universe, e.g. {min(extra)}")
+    cells = (tuple(v for v in cell if v in keep_set) for cell in partition.cells)
+    return Partition(cell for cell in cells if cell)
+
+
+def similarity_value_ref(p1: Partition, p2: Partition) -> float:
+    """The two-fraction similarity value from the reference equality and meet."""
+    n = len(common_universe_ref(p1, p2))
+    k1, k2 = len(p1), len(p2)
+    if partitions_equal_ref(p1, p2):
+        return 1.0
+    if k1 == n or k2 == n:
+        return 0.0
+    inter = len(partition_intersection_ref(p1, p2))
+    return 0.5 * ((n - inter) / (n - k1) + (n - inter) / (n - k2))
 
 
 def betweenness_centrality_exact(graph: Graph) -> list[Fraction]:

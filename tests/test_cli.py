@@ -91,6 +91,16 @@ def test_similarity_universe_mismatch_exit(runner, tmp_path):
     assert result.exit_code == 4
 
 
+@pytest.mark.parametrize("text", ["0\t0 1\n1\t1 2\n", "0\t0 1 1 2\n"],
+                         ids=["across-cells", "within-cell"])
+def test_similarity_repeated_vertex_parse_error(runner, tmp_path, text):
+    good = _write(tmp_path, "a.part", "0\t0 1 2\n")
+    bad = _write(tmp_path, "b.part", text)
+    result = runner.invoke(main, ["similarity", good, bad])
+    assert result.exit_code == 3
+    assert "vertex 1 appears more than once" in result.output
+
+
 def test_centrality_csv(runner, tmp_path):
     edges = _write(tmp_path, "p4.edges", P4_EDGES)
     out = str(tmp_path / "scores.csv")
@@ -171,6 +181,18 @@ def test_coevolve_overlap(runner, tmp_path):
     assert rows[0] == ["earlier", "later", "eep:0", "eep:1", "eep:2", "ep",
                        "degree"]
     assert len(rows) == 2
+
+
+def test_coevolve_overlap_repeated_epsilon(runner, tmp_path):
+    log = _write(tmp_path, "log.txt",
+                 "a b 10\nb c 10\nc d 15\nd e 40\na c 40\nb e 45\nc e 45\n")
+    base = str(tmp_path / "ov")
+    result = runner.invoke(main, ["coevolve", log, "--cutoffs", "20,50",
+                                  "--overlap", "--eps-list", "0,0,1", "-o", base])
+    assert result.exit_code == 0, result.output
+    methods = ["eep:0", "eep:1", "ep", "degree"]
+    assert next(csv.reader(open(base + ".overlap.csv"))) == ["earlier", "later"] + methods
+    assert json.loads(Path(base + ".overlap.json").read_text())["methods"] == methods
 
 
 def test_bench_csv_shape_and_determinism(runner, tmp_path):

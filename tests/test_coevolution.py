@@ -178,6 +178,19 @@ def test_overlap_matrix_all_pairs():
     assert set(matrix.values) == {(0, 1), (0, 2), (1, 2)}
 
 
+def test_overlap_scores_a_repeated_epsilon_once(monkeypatch):
+    import netpos.coevolution as coevolution
+    g1, g2 = pa_snapshots(40, 60, seed=2)
+    calls = []
+    refine = coevolution.fast_eep
+    monkeypatch.setattr(coevolution, "fast_eep",
+                        lambda graph, eps: calls.append(eps) or refine(graph, eps))
+    matrix = overlap_matrix([g1, g2], epsilons=[2, 0, 2, 0, 1])
+    assert matrix.methods == ("eep:2", "eep:0", "eep:1")
+    assert list(matrix.values[(0, 1)]) == ["eep:2", "eep:0", "eep:1"]
+    assert calls == [2, 2, 0, 0, 1, 1]  # one refinement per snapshot and epsilon
+
+
 def test_overlap_requires_growing_snapshots():
     g1, g2 = pa_snapshots(40, 60, seed=2)
     with pytest.raises(ValueError):

@@ -7,7 +7,8 @@ import pytest
 
 from netpos import (EngineConfig, GeneratorConfig, IterationLimitError,
                     Partition, compute_measures, fast_eep, generate_power_law,
-                    overlap_matrix, parallel_eep, run_refinement)
+                    overlap_matrix, parallel_eep, run_refinement,
+                    same_position_pairs)
 from netpos.partition import _active_cell_degrees
 
 from helpers import er_graph, pa_snapshots, path_graph
@@ -230,3 +231,15 @@ def test_perfbench_call_shapes():
     assert set(matrix.values) == {(0, 1)}
     for name in ("degree", "betweenness", "triangles", "shapley"):
         assert len(compute_measures(early, [name])[name].scores) == early.n
+    # the Partition calls of the benchmark's checks and self-test
+    part = fast_eep(early, 0)
+    assert len(part.cells) >= 3
+    merged = Partition((tuple(sorted(part.cells[0] + part.cells[1])),) + part.cells[2:])
+    assert len(merged) == len(part) - 1 and merged.n_vertices == early.n
+    memb = part.membership_array(early.n)
+    assert memb.shape == (early.n,) and memb.tolist() == [
+        next(i for i, c in enumerate(part.cells) if v in c) for v in range(early.n)]
+    assert part.canonical() == Partition(part.cells[::-1]).canonical()
+    assert not merged.canonical() == part.canonical()
+    population = sum(len(c) * (len(c) - 1) // 2 for c in part.cells)
+    assert population == len(same_position_pairs(part, range(early.n)))

@@ -24,7 +24,7 @@ STAR = star_graph(3)        # center 0, leaves 1..3
 def test_partition_from_cells_normalizes():
     p = Partition.from_cells([[3, 1], [2], [0]])
     assert p.cells == ((1, 3), (2,), (0,))
-    assert p.membership == {1: 0, 3: 0, 2: 1, 0: 2}
+    assert p.membership.tolist() == [2, 0, 1, 0]
     assert len(p) == 3 and p.n_vertices == 4
 
 
@@ -336,3 +336,8 @@ def test_partition_file_rejects_garbage():
         read_partition_file(io.StringIO("0\t1 2\n2\t3\n"))  # index gap
     with pytest.raises(ParseError):
         read_partition_file(io.StringIO("nope\n"))
+    for text, line in (("0\t0 1\n1\t1 2\n", 2),   # repeated across cells
+                       ("0\t3\n1\t0 1 1 2\n", 2)):  # repeated within a cell
+        with pytest.raises(ParseError, match="vertex 1 appears more than once") as err:
+            read_partition_file(io.StringIO(text))
+        assert err.value.line_no == line

@@ -6,7 +6,9 @@ from hypothesis import strategies as st
 from netpos import (Partition, UniverseMismatchError, partition_intersection,
                     partitions_equal, restrict_partition, similarity_score)
 
-from oracles import intersection_cardinality_cellpairs
+from oracles import (intersection_cardinality_cellpairs, partition_intersection_ref,
+                     partitions_equal_ref, restrict_partition_ref,
+                     similarity_value_ref)
 
 # the appendix worked examples, used throughout
 PI1 = Partition.from_cells([[1, 2, 3], [4, 5], [6, 7, 8]])
@@ -186,3 +188,54 @@ def test_restrict_to_empty():
 def test_restrict_rejects_foreign_vertices():
     with pytest.raises(ValueError):
         restrict_partition(PI1, {999})
+
+
+# --- membership arrays against the cell-tuple references ---------------------------
+
+
+def _reference_cases(rng):
+    """Random partitions of dense, gapped and single-vertex universes, plus the
+    empty, unit and discrete partitions of each."""
+    for universe in (list(range(12)), list(range(1, 9)), [3, 7, 40, 41, 90], [5]):
+        yield Partition.from_cells([universe]), Partition.discrete(universe)
+        for _ in range(40):
+            yield (random_partition(rng, universe, max_cells=4),
+                   random_partition(rng, universe, max_cells=len(universe)))
+    yield Partition(()), Partition(())
+
+
+def test_array_forms_match_cell_tuple_references():
+    rng = np.random.default_rng(11)
+    for p1, p2 in _reference_cases(rng):
+        for a, b in ((p1, p2), (p2, p1), (p1, p1)):
+            assert partitions_equal(a, b) == partitions_equal_ref(a, b)
+            assert partition_intersection(a, b) == partition_intersection_ref(a, b)
+            score = similarity_score(a, b)
+            assert score.value == pytest.approx(similarity_value_ref(a, b), abs=1e-12)
+            assert score.cells_intersection == len(partition_intersection_ref(a, b)) \
+                or score.value == 1.0
+        universe = p1.universe.tolist()
+        for keep in (set(), set(universe),
+                     {v for v in universe if rng.random() < 0.5}):
+            assert restrict_partition(p1, keep) == restrict_partition_ref(p1, keep)
+            assert restrict_partition(p1, np.array(sorted(keep), dtype=np.int64)) == \
+                restrict_partition_ref(p1, keep)
+
+
+def test_array_forms_match_references_on_universe_mismatch():
+    pairs = [(Partition.from_cells([[1, 2], [3]]), Partition.from_cells([[1, 2, 4]])),
+             (Partition.from_cells([[1, 2]]), Partition(())),
+             (Partition.from_cells([[0, 1]]), Partition.from_cells([[1], [2]]))]
+    for a, b in pairs:
+        with pytest.raises(UniverseMismatchError) as want:
+            partition_intersection_ref(a, b)
+        for fn in (partitions_equal, partition_intersection, similarity_score,
+                   partitions_equal_ref):
+            with pytest.raises(UniverseMismatchError) as got:
+                fn(a, b)
+            assert str(got.value) == str(want.value)
+    for keep in ({0}, {1, 9}, range(5)):
+        with pytest.raises(ValueError, match="outside the partition universe"):
+            restrict_partition(PI1, keep)
+        with pytest.raises(ValueError, match="outside the partition universe"):
+            restrict_partition_ref(PI1, keep)
