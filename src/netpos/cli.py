@@ -13,6 +13,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import resource
 import sys
 import time
 from datetime import datetime, timezone
@@ -72,6 +73,7 @@ class RunManifest:
     version: str = __version__
     started_at: str = ""
     elapsed_s: float = 0.0
+    peak_rss_mb: float = 0.0
     outputs: dict = dataclasses.field(default_factory=dict)
     extra: dict = dataclasses.field(default_factory=dict)
 
@@ -92,6 +94,8 @@ def _start_manifest(command: str, options: dict, inputs: dict,
 def _finish_manifest(manifest: RunManifest, t0: float, manifest_out,
                      default_path) -> None:
     manifest.elapsed_s = time.perf_counter() - t0
+    # this process's own high-water mark; Linux reports ru_maxrss in KiB
+    manifest.peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     path = manifest_out or default_path
     if path:
         manifest.write(path)

@@ -316,12 +316,32 @@ def fast_eep(graph: Graph, epsilon) -> Partition:
     return _refine(graph, _check_epsilon(epsilon))[0]
 
 
-def equitable_oracle(graph: Graph) -> Partition:
-    """Coarsest equitable partition by whole-partition signature refinement.
+def _mix64(x: np.ndarray) -> np.ndarray:
+    """SplitMix64 finaliser: a fixed pseudo-random uint64 weight per uint64 key."""
+    x = x ^ (x >> np.uint64(30))
+    x *= np.uint64(0xBF58476D1CE4E5B9)
+    x ^= x >> np.uint64(27)
+    x *= np.uint64(0x94D049BB133111EB)
+    return x ^ (x >> np.uint64(31))
 
-    Independent of the active-list algorithm: every round splits every cell by
-    its members' full degree vectors until nothing changes. Canonical output
-    (cells ordered by minimum member).
+
+def equitable_oracle(graph: Graph) -> Partition:
+    """Coarsest equitable partition by sparse whole-graph colour refinement.
+
+    1-WL colour refinement from one uniform colour, whose stable colouring is
+    the coarsest equitable partition (Berkholz, Bonsma & Grohe 2017). Each
+    round counts the (vertex, neighbour colour) pairs with one sort, gives
+    every vertex the signature (own colour, sorted (colour, count) list) and
+    relabels vertices by signature; it stops when the colour count stops
+    growing. A round costs O(m log m) time and O(n + m) memory; the number of
+    rounds is at most the number of cells, and n/2 on a path.
+
+    Signatures are ranked exactly: vertices are grouped by (own colour, sum of
+    pseudo-random 64-bit token weights, list length), and every vertex's list
+    is then compared with the first member of its group; a mismatch (a hash
+    collision) raises RuntimeError instead of merging two signatures.
+    Independent of the active-cell refinement loop. Canonical output (cells
+    ordered by minimum member).
     """
     n = graph.n
     if n == 0:
@@ -330,15 +350,40 @@ def equitable_oracle(graph: Graph) -> Partition:
     k = 1
     rows = np.repeat(np.arange(n, dtype=ID_DTYPE), graph.degrees)
     while True:
-        sig = np.zeros((n, k), dtype=ID_DTYPE)
-        np.add.at(sig, (rows, memb[graph.indices]), 1)
-        _, new = np.unique(np.column_stack([memb, sig]), axis=0,
-                           return_inverse=True)
-        new_k = int(new.max()) + 1
+        keys, counts = np.unique(rows * k + memb[graph.indices],
+                                 return_counts=True)
+        owner, colour = np.divmod(keys, k)
+        # the (colour, count) lists, each a run of ``owner``, ascending colour
+        runs = _run_offsets(owner)
+        start, length = runs[:-1], np.diff(runs)
+        token = colour * (n + 1) + counts
+        weight = _mix64(token.astype(np.uint64))
+        digest = np.zeros(n, dtype=np.uint64)
+        lens = np.zeros(n, dtype=ID_DTYPE)
+        if keys.size:
+            digest[owner[start]] = np.add.reduceat(weight, start)
+            lens[owner[start]] = length
+        order = np.lexsort((lens, digest, memb))
+        edge = np.empty(n, dtype=bool)
+        edge[0] = True
+        edge[1:] = ((memb[order[1:]] != memb[order[:-1]])
+                    | (digest[order[1:]] != digest[order[:-1]])
+                    | (lens[order[1:]] != lens[order[:-1]]))
+        group = np.cumsum(edge) - 1
+        new = np.empty(n, dtype=ID_DTYPE)
+        new[order] = group
+        # exactness: each list must equal that of its group's first vertex
+        first = order[edge.nonzero()[0]][new]
+        offset = np.zeros(n, dtype=ID_DTYPE)
+        offset[owner[start]] = start
+        partner = offset[first[owner]] + np.arange(keys.size) - offset[owner]
+        if not np.array_equal(token[partner], token):
+            raise RuntimeError("equitable_oracle: two distinct signatures share "
+                               "a 64-bit hash; refusing to merge them")
+        new_k = int(group[-1]) + 1
         if new_k == k:
             break
-        memb = new.astype(ID_DTYPE)
-        k = new_k
+        memb, k = new, new_k
     return Partition.from_membership(memb).canonical()
 
 

@@ -2,9 +2,10 @@
 
 Each helper is the direct, per-vertex or per-cell-pair form of a quantity the
 library computes in bulk: the active list and SPLIT step of the refinement
-loop, degrees toward a cell, the dense degree matrix behind the epsilon
-spread, partition equality, intersection and restriction over cell tuples,
-the cross-product intersection count, and exact rational betweenness. Tests
+loop, degrees toward a cell, the dense signature matrix behind the coarsest
+equitable partition, the dense degree matrix behind the epsilon spread,
+partition equality, intersection and restriction over cell tuples, the
+cross-product intersection count, and exact rational betweenness. Tests
 compare the library against them.
 """
 
@@ -262,6 +263,33 @@ def betweenness_centrality_exact(graph: Graph) -> list[Fraction]:
             if w != s:
                 totals[w] += delta[w]
     return [t / 2 for t in totals]
+
+
+def equitable_oracle_dense(graph: Graph) -> Partition:
+    """Coarsest equitable partition from dense n x k degree signatures.
+
+    The direct form of netpos.equitable_oracle: every round row v of an n x k
+    matrix holds v's own colour and its degree toward every colour, and
+    vertices are relabelled by distinct rows until the colour count stops
+    growing. O(n*k) memory per round, so small graphs only.
+    """
+    n = graph.n
+    if n == 0:
+        return Partition(())
+    memb = np.zeros(n, dtype=ID_DTYPE)
+    k = 1
+    rows = np.repeat(np.arange(n, dtype=ID_DTYPE), graph.degrees)
+    while True:
+        sig = np.zeros((n, k), dtype=ID_DTYPE)
+        np.add.at(sig, (rows, memb[graph.indices]), 1)
+        _, new = np.unique(np.column_stack([memb, sig]), axis=0,
+                           return_inverse=True)
+        new_k = int(new.max()) + 1
+        if new_k == k:
+            break
+        memb = new.astype(ID_DTYPE)
+        k = new_k
+    return Partition.from_membership(memb).canonical()
 
 
 def epsilon_spread_dense(graph: Graph, partition: Partition) -> int:

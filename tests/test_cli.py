@@ -6,6 +6,7 @@ import pytest
 from click.testing import CliRunner
 
 from netpos.cli import main
+from netpos.partition import read_partition_file
 
 P4_EDGES = "a b\nb c\nc d\n"
 
@@ -36,6 +37,24 @@ def test_partition_p4(runner, tmp_path):
     assert manifest["extra"]["iterations"] >= 1
     assert (manifest["extra"]["splits"], manifest["extra"]["fragments"]) == (1, 2)
     assert manifest["input_hashes"]["input"].startswith("sha256:")
+    assert manifest["peak_rss_mb"] > 0
+
+
+def test_partition_ep_oracle_matches_eps0_at_scale(runner, tmp_path):
+    edges = str(tmp_path / "g.edges")
+    result = runner.invoke(main, ["gen", "-n", "20000", "--gamma", "2.5",
+                                  "--seed", "7", "-o", edges])
+    assert result.exit_code == 0, result.output
+    parts = []
+    for name, args in (("oracle", ["--method", "ep-oracle"]), ("eep", ["-e", "0"])):
+        out = str(tmp_path / f"{name}.part")
+        result = runner.invoke(main, ["partition", edges, *args, "-o", out])
+        assert result.exit_code == 0, result.output
+        with open(out, encoding="utf-8") as fh:
+            parts.append(read_partition_file(fh)[0].canonical())
+        manifest = json.loads(Path(out + ".manifest.json").read_text())
+        assert manifest["peak_rss_mb"] > 0
+    assert parts[0] == parts[1] and len(parts[0]) > 1000
 
 
 def test_partition_degree_method_star(runner, tmp_path):

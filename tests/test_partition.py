@@ -5,14 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netpos import (GeneratorConfig, Graph, Partition, degree_partition,
+import netpos.partition
+from netpos import (EdgeEvent, GeneratorConfig, Graph, Partition, SnapshotSpec,
+                    TemporalEdgeLog, build_snapshots, degree_partition,
                     epsilon_spread, equitable_oracle, fast_eep,
                     generate_power_law, read_partition_file,
-                    write_partition_file)
+                    reciprocal_projection, write_partition_file)
 
 from helpers import complete_graph, er_graph, path_graph, star_graph
 from oracles import (ActiveList, degree_to_cell, degree_vector,
-                     epsilon_spread_dense, split)
+                     epsilon_spread_dense, equitable_oracle_dense, split)
 
 P4 = path_graph(4)          # 0-1-2-3
 STAR = star_graph(3)        # center 0, leaves 1..3
@@ -304,6 +306,66 @@ def test_equitable_oracle_output_is_equitable():
     for seed in range(8):
         g = er_graph(30, 0.2, seed)
         assert epsilon_spread(g, equitable_oracle(g)) == 0
+
+
+def _criterion_1_graphs():
+    # the graph family of acceptance criterion 1: n up to 256, ER and power law
+    rng = np.random.default_rng(100)
+    for trial in range(200):
+        if trial % 2 == 0:
+            n = int(rng.integers(4, 257))
+            yield er_graph(n, float(rng.uniform(0.02, 0.3)), seed=trial)
+        else:
+            n = int(rng.integers(8, 257))
+            yield generate_power_law(GeneratorConfig(n, float(rng.uniform(1.7, 2.9)),
+                                                     seed=trial))
+
+
+def _snapshot_graphs():
+    # a directed log over a power-law graph, 70% of edges answered later
+    rng = np.random.default_rng(5)
+    g = generate_power_law(GeneratorConfig(1500, 2.5, seed=5))
+    events = []
+    for u, v in g.edges():
+        t = int(rng.integers(0, 1000))
+        events.append(EdgeEvent(f"v{u}", f"v{v}", t))
+        if rng.random() < 0.7:
+            events.append(EdgeEvent(f"v{v}", f"v{u}", t + int(rng.integers(0, 300))))
+    log = reciprocal_projection(TemporalEdgeLog(tuple(events)))
+    return build_snapshots(log, SnapshotSpec((400, 700, 1300)))[0]
+
+
+def test_equitable_oracle_matches_dense():
+    graphs = list(_criterion_1_graphs())
+    graphs += [generate_power_law(GeneratorConfig(2000, gamma, seed=7))
+               for gamma in (2.1, 2.5)]
+    graphs += _snapshot_graphs()
+    # edge cases: no vertex, one vertex, no edge, isolated vertices
+    graphs += [Graph.from_edges(0, []), Graph.from_edges(1, []),
+               Graph.from_edges(5, []), Graph.from_edges(6, [(0, 1), (1, 2)]),
+               er_graph(120, 0.01, 3)]
+    assert len(graphs) == 210 and graphs[-1].degrees.min() == 0
+    for i, g in enumerate(graphs):
+        assert equitable_oracle(g) == equitable_oracle_dense(g), i
+    assert equitable_oracle(Graph.from_edges(0, [])) == Partition(())
+    assert equitable_oracle(Graph.from_edges(1, [])) == Partition.unit(1)
+    assert equitable_oracle(Graph.from_edges(5, [])) == Partition.unit(5)
+    assert (equitable_oracle(Graph.from_edges(6, [(0, 1), (1, 2)])).cells
+            == ((0, 2), (1,), (3, 4, 5)))
+
+
+def test_equitable_oracle_refuses_hash_collision(monkeypatch):
+    # with every token weighing 0, the P4 end and middle signatures collide
+    monkeypatch.setattr(netpos.partition, "_mix64", np.zeros_like)
+    with pytest.raises(RuntimeError, match="hash"):
+        equitable_oracle(P4)
+
+
+def test_equitable_oracle_at_scale():
+    g = generate_power_law(GeneratorConfig(50_000, 2.5, seed=7))
+    oracle = equitable_oracle(g)
+    assert oracle == fast_eep(g, 0).canonical()
+    assert epsilon_spread(g, oracle) == 0
 
 
 def test_degree_partition_examples():
