@@ -1,8 +1,7 @@
 """Positional analysis of large graphs.
 
 Epsilon-equitable partitions by iterative refinement on a permutation-array
-cell store (``fast_eep``; ``run_refinement`` adds run counters and
-``parallel_eep`` is an alias kept under its historical name), partition
+cell store (``fast_eep``; ``run_refinement`` adds run counters), partition
 similarity scoring across time-evolving snapshots, and co-evolution analysis
 of same-position vertex pairs. A ``Partition`` is a pair of arrays: the
 vertex ids ascending and each id's cell index.
@@ -24,20 +23,17 @@ from .graphs import (
     save_edge_list,
 )
 from .partition import (
+    EngineConfig,
     IterationLimitError,
     Partition,
+    RefinementStats,
     degree_partition,
     epsilon_spread,
     equitable_oracle,
     fast_eep,
     read_partition_file,
-    write_partition_file,
-)
-from .engine import (
-    EngineConfig,
-    RefinementStats,
-    parallel_eep,
     run_refinement,
+    write_partition_file,
 )
 from .similarity import (
     SimilarityScore,
@@ -61,11 +57,9 @@ from .coevolution import (
     DEFAULT_PAIR_CAP,
     CoevolutionReport,
     OverlapMatrix,
-    PairDifferenceRecord,
     coevolution_report,
     overlap_matrix,
     pair_difference_histogram,
-    pair_difference_records,
     pair_difference_values,
     same_position_pairs,
 )

@@ -26,13 +26,13 @@ from . import __version__
 from .centrality import CONVENTIONS, compute_measures
 from .coevolution import (DEFAULT_BIN_EDGES, DEFAULT_PAIR_CAP, coevolution_report,
                           overlap_matrix, same_position_pairs)
-from .engine import EngineConfig, run_refinement
 from .graphs import (GeneratorConfig, ParseError, SnapshotSpec,
                      VertexLabelMap, build_snapshots, generate_power_law,
                      load_edge_list, load_temporal_edge_list,
                      reciprocal_projection, save_edge_list)
-from .partition import (IterationLimitError, degree_partition, equitable_oracle,
-                        fast_eep, read_partition_file, write_partition_file)
+from .partition import (EngineConfig, IterationLimitError, degree_partition,
+                        equitable_oracle, read_partition_file, run_refinement,
+                        write_partition_file)
 from .similarity import UniverseMismatchError, similarity_score
 
 EXIT_PARSE = 3
@@ -44,10 +44,7 @@ def _cli_errors(fn):
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except ParseError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(EXIT_PARSE)
-        except OSError as exc:
+        except (ParseError, OSError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(EXIT_PARSE)
         except (UniverseMismatchError, IterationLimitError) as exc:
@@ -64,6 +61,11 @@ def _sha256_file(path) -> str:
     return "sha256:" + h.hexdigest()
 
 
+def _write_json(path, payload) -> None:
+    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
+                          encoding="utf-8")
+
+
 @dataclasses.dataclass
 class RunManifest:
     command: str
@@ -77,15 +79,10 @@ class RunManifest:
     outputs: dict = dataclasses.field(default_factory=dict)
     extra: dict = dataclasses.field(default_factory=dict)
 
-    def write(self, path) -> None:
-        Path(path).write_text(json.dumps(dataclasses.asdict(self), indent=2,
-                                         sort_keys=True) + "\n",
-                              encoding="utf-8")
 
-
-def _start_manifest(command: str, options: dict, inputs: dict,
+def _start_manifest(command: str, options: dict, inputs: dict | None = None,
                     seed: int | None = None) -> RunManifest:
-    hashes = {name: _sha256_file(p) for name, p in inputs.items()}
+    hashes = {name: _sha256_file(p) for name, p in (inputs or {}).items()}
     return RunManifest(command=command, options=options, input_hashes=hashes,
                        seed=seed,
                        started_at=datetime.now(timezone.utc).isoformat())
@@ -98,20 +95,17 @@ def _finish_manifest(manifest: RunManifest, t0: float, manifest_out,
     manifest.peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     path = manifest_out or default_path
     if path:
-        manifest.write(path)
+        _write_json(path, dataclasses.asdict(manifest))
 
 
 def _parse_cutoff(token: str) -> int:
+    """A unix timestamp or an ISO-8601 date (UTC unless zoned); else ValueError."""
     token = token.strip()
     try:
         return int(token)
     except ValueError:
         pass
-    try:
-        dt = datetime.fromisoformat(token)
-    except ValueError:
-        raise click.BadParameter(f"cutoff {token!r} is neither a unix "
-                                 f"timestamp nor an ISO-8601 date") from None
+    dt = datetime.fromisoformat(token)
     if dt.tzinfo is None:
         dt = dt.replace(tzinfo=timezone.utc)
     return int(dt.timestamp())
@@ -135,16 +129,47 @@ def _list_option(convert, valid, requirement: str):
     return callback
 
 
+def _ascending(xs) -> bool:
+    return all(a < b for a, b in zip(xs, xs[1:]))
+
+
 _EPSILONS = _list_option(int, lambda xs: min(xs) >= 0,
                          "comma-separated non-negative integers")
 _SIZES = _list_option(int, lambda xs: min(xs) >= 2,
                       "comma-separated integers >= 2")
 _GAMMAS = _list_option(float, lambda xs: min(xs) > 1,
                        "comma-separated numbers > 1")
-_BIN_EDGES = _list_option(float, lambda xs: all(a < b for a, b in zip(xs, xs[1:])),
+_BIN_EDGES = _list_option(float, _ascending,
                           "strictly ascending comma-separated numbers")
+_CUTOFFS = _list_option(_parse_cutoff, _ascending,
+                        "strictly ascending comma-separated unix timestamps "
+                        "or ISO-8601 dates")
 _MEASURE_NAMES = _list_option(str.strip, lambda xs: set(xs) <= CONVENTIONS.keys(),
                               f"comma-separated names from {', '.join(CONVENTIONS)}")
+
+
+def _partition(graph, method: str, epsilon: int, progress_interval: int = 0):
+    """Partition ``graph`` by ``method``; returns it with its manifest counters."""
+    if method == "eep":
+        cfg = EngineConfig(progress_interval=progress_interval, collect_work=True)
+        part, stats = run_refinement(graph, epsilon, cfg)
+        return part, dict(iterations=stats.iterations, cells=stats.cells,
+                          splits=stats.splits, fragments=stats.fragments,
+                          map_work=stats.map_work,
+                          refine_elapsed_s=stats.elapsed_s)
+    part = equitable_oracle(graph) if method == "ep-oracle" else degree_partition(graph)
+    return part, dict(cells=len(part))
+
+
+def _load_snapshots(log_path, cuts, directed: bool, reciprocal: bool):
+    """Read a temporal edge log and cut it into nested snapshots and their labels."""
+    if reciprocal and not directed:
+        raise click.UsageError("--reciprocal requires --directed events")
+    with open(log_path, "r", encoding="utf-8") as fh:
+        log = load_temporal_edge_list(fh, directed=directed)
+    if reciprocal:
+        log = reciprocal_projection(log)
+    return build_snapshots(log, SnapshotSpec(tuple(cuts)))
 
 
 @click.group()
@@ -179,19 +204,7 @@ def partition(input_path, epsilon, method, output, labels_out, manifest_out,
 
     with open(input_path, "r", encoding="utf-8") as fh:
         graph, labels = load_edge_list(fh)
-    if method == "eep":
-        cfg = EngineConfig(progress_interval=progress_interval, collect_work=True)
-        part, stats = run_refinement(graph, epsilon, cfg)
-        manifest.extra.update(iterations=stats.iterations, cells=stats.cells,
-                              splits=stats.splits, fragments=stats.fragments,
-                              map_work=stats.map_work,
-                              refine_elapsed_s=stats.elapsed_s)
-    elif method == "ep-oracle":
-        part = equitable_oracle(graph)
-        manifest.extra.update(cells=len(part))
-    else:
-        part = degree_partition(graph)
-        manifest.extra.update(cells=len(part))
+    part, manifest.extra = _partition(graph, method, epsilon, progress_interval)
 
     header = {"n": graph.n, "epsilon": epsilon, "algorithm": method,
               "graph_hash": graph.content_hash()}
@@ -241,6 +254,7 @@ def similarity(partition1, partition2, labels, fmt, manifest_out):
         "headers": {"partition1": meta1, "partition2": meta2},
     }
     manifest.extra = {"value": score.value}
+    _finish_manifest(manifest, t0, manifest_out, None)
     if fmt == "json":
         payload["manifest"] = dataclasses.asdict(manifest)
         click.echo(json.dumps(payload, indent=2, sort_keys=True))
@@ -248,7 +262,6 @@ def similarity(partition1, partition2, labels, fmt, manifest_out):
         for key in ("value", "cells_1", "cells_2", "cells_intersection",
                     "universe_size", "direct_form", "harmonic_form"):
             click.echo(f"{key}={payload[key]}")
-    _finish_manifest(manifest, t0, manifest_out, None)
 
 
 @main.command()
@@ -300,7 +313,7 @@ def centrality(input_path, names, fmt, output, manifest_out):
 @main.command()
 @click.argument("log_path", metavar="TEMPORAL_EDGELIST",
                 type=click.Path(exists=True, dir_okay=False))
-@click.option("--cutoffs", required=True,
+@click.option("--cutoffs", required=True, callback=_CUTOFFS,
               help="Comma-separated unix timestamps or ISO-8601 dates.")
 @click.option("--directed/--undirected", default=False,
               help="Treat log events as directed links.")
@@ -313,19 +326,11 @@ def centrality(input_path, names, fmt, output, manifest_out):
 def snapshots(log_path, cutoffs, directed, reciprocal, output_base, manifest_out):
     """Build nested cumulative graph snapshots from a timestamped edge log."""
     t0 = time.perf_counter()
-    cuts = [_parse_cutoff(tok) for tok in cutoffs.split(",") if tok.strip()]
-    if reciprocal and not directed:
-        raise click.UsageError("--reciprocal requires --directed events")
     manifest = _start_manifest(
-        "snapshots", dict(log=log_path, cutoffs=cuts, directed=directed,
+        "snapshots", dict(log=log_path, cutoffs=cutoffs, directed=directed,
                           reciprocal=reciprocal, output_base=output_base),
         {"log": log_path})
-
-    with open(log_path, "r", encoding="utf-8") as fh:
-        log = load_temporal_edge_list(fh, directed=directed)
-    if reciprocal:
-        log = reciprocal_projection(log)
-    graphs, labels = build_snapshots(log, SnapshotSpec(tuple(cuts)))
+    graphs, labels = _load_snapshots(log_path, cutoffs, directed, reciprocal)
 
     outputs = {}
     for i, graph in enumerate(graphs):
@@ -333,7 +338,7 @@ def snapshots(log_path, cutoffs, directed, reciprocal, output_base, manifest_out
         with open(path, "w", encoding="utf-8") as fh:
             save_edge_list(graph, labels, fh)
         outputs[f"snapshot_{i}"] = path
-        click.echo(f"snapshot {i}: cutoff={cuts[i]} n={graph.n} m={graph.m}")
+        click.echo(f"snapshot {i}: cutoff={cutoffs[i]} n={graph.n} m={graph.m}")
     labels_path = f"{output_base}.labels"
     labels.save(labels_path)
     outputs["labels"] = labels_path
@@ -346,7 +351,7 @@ def snapshots(log_path, cutoffs, directed, reciprocal, output_base, manifest_out
 @main.command()
 @click.argument("log_path", metavar="TEMPORAL_EDGELIST",
                 type=click.Path(exists=True, dir_okay=False))
-@click.option("--cutoffs", required=True,
+@click.option("--cutoffs", required=True, callback=_CUTOFFS,
               help="Two (histogram mode) or more (--overlap) cutoffs.")
 @click.option("--directed/--undirected", default=False)
 @click.option("--reciprocal", is_flag=True)
@@ -376,29 +381,21 @@ def coevolve(log_path, cutoffs, directed, reciprocal, method, epsilon, names,
              manifest_out):
     """Analyze how same-position vertex pairs evolve between snapshots."""
     t0 = time.perf_counter()
-    cuts = [_parse_cutoff(tok) for tok in cutoffs.split(",") if tok.strip()]
-    if reciprocal and not directed:
-        raise click.UsageError("--reciprocal requires --directed events")
-    options = dict(log=log_path, cutoffs=cuts, directed=directed,
+    if not overlap and len(cutoffs) != 2:
+        raise click.UsageError("histogram mode takes exactly two cutoffs")
+    options = dict(log=log_path, cutoffs=cutoffs, directed=directed,
                    reciprocal=reciprocal, method=method, epsilon=epsilon,
                    measures=names, bin_edges=bin_edges, cap=cap,
                    full_pairs=full_pairs, seed=seed, overlap=overlap,
                    eps_list=eps_list)
     manifest = _start_manifest("coevolve", options, {"log": log_path}, seed=seed)
-
-    with open(log_path, "r", encoding="utf-8") as fh:
-        log = load_temporal_edge_list(fh, directed=directed)
-    if reciprocal:
-        log = reciprocal_projection(log)
-    graphs, labels = build_snapshots(log, SnapshotSpec(tuple(cuts)))
+    graphs, _ = _load_snapshots(log_path, cutoffs, directed, reciprocal)
 
     if overlap:
         matrix = overlap_matrix(graphs, epsilons=eps_list,
                                 include_equitable=True, include_degree=True)
         json_path = f"{output_base}.overlap.json"
-        Path(json_path).write_text(
-            json.dumps(matrix.to_json_dict(), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8")
+        _write_json(json_path, matrix.to_json_dict())
         csv_path = f"{output_base}.overlap.csv"
         with open(csv_path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
@@ -411,15 +408,8 @@ def coevolve(log_path, cutoffs, directed, reciprocal, method, epsilon, names,
         click.echo(f"overlap matrix over {len(graphs)} snapshots -> {csv_path}")
         return
 
-    if len(cuts) != 2:
-        raise click.UsageError("histogram mode takes exactly two cutoffs")
     early, late = graphs
-    if method == "eep":
-        part = fast_eep(early, epsilon)
-    elif method == "ep-oracle":
-        part = equitable_oracle(early)
-    else:
-        part = degree_partition(early)
+    part, _ = _partition(early, method, epsilon)
 
     common = range(early.n)
     pairs = same_position_pairs(part, common,
@@ -435,13 +425,11 @@ def coevolve(log_path, cutoffs, directed, reciprocal, method, epsilon, names,
         sampling={"population_pairs": population, "cap": None if full_pairs else cap,
                   "sampled": len(pairs) < population, "seed": seed},
         metadata={"method": method, "epsilon": epsilon,
-                  "cutoffs": cuts, "positions": len(part),
+                  "cutoffs": cutoffs, "positions": len(part),
                   "conventions": {m: CONVENTIONS[m] for m in names}})
 
     json_path = f"{output_base}.report.json"
-    Path(json_path).write_text(json.dumps(report.to_json_dict(), indent=2,
-                                          sort_keys=True) + "\n",
-                               encoding="utf-8")
+    _write_json(json_path, report.to_json_dict())
     csv_path = f"{output_base}.report.csv"
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
@@ -468,11 +456,8 @@ def gen(n, gamma, seed, output, manifest_out):
     t0 = time.perf_counter()
     if gamma <= 1:
         raise click.UsageError("gamma must be > 1")
-    manifest = RunManifest(command="gen",
-                           options=dict(n=n, gamma=gamma, seed=seed,
-                                        output=output),
-                           input_hashes={}, seed=seed,
-                           started_at=datetime.now(timezone.utc).isoformat())
+    manifest = _start_manifest("gen", dict(n=n, gamma=gamma, seed=seed,
+                                           output=output), seed=seed)
     graph = generate_power_law(GeneratorConfig(n=n, gamma=gamma, seed=seed))
     labels = VertexLabelMap(str(v) for v in range(graph.n))
     with open(output, "w", encoding="utf-8") as fh:
@@ -501,12 +486,9 @@ def gen(n, gamma, seed, output, manifest_out):
 def bench(sizes, gammas, eps, repeats, seed, output, manifest_out):
     """Time the refinement over a (size, gamma, epsilon) grid."""
     t0 = time.perf_counter()
-    manifest = RunManifest(command="bench",
-                           options=dict(sizes=sizes, gammas=gammas, eps=eps,
-                                        repeats=repeats, seed=seed,
-                                        output=output),
-                           input_hashes={}, seed=seed,
-                           started_at=datetime.now(timezone.utc).isoformat())
+    manifest = _start_manifest("bench", dict(sizes=sizes, gammas=gammas, eps=eps,
+                                             repeats=repeats, seed=seed,
+                                             output=output), seed=seed)
     with open(output, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["n", "gamma", "epsilon", "repeat", "elapsed_s",

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -21,13 +21,6 @@ from .similarity import _masked, restrict_partition, similarity_score
 
 DEFAULT_BIN_EDGES = tuple(float(x) for x in range(11))  # [0,1) .. [9,10) + overflow
 DEFAULT_PAIR_CAP = 1_000_000
-
-
-class PairDifferenceRecord(NamedTuple):
-    a: int
-    b: int
-    measure: str
-    value: float
 
 
 def _pair_count(size: int) -> int:
@@ -90,48 +83,25 @@ def same_position_pairs(partition: Partition, common: Iterable[int] | None = Non
     return out
 
 
-def _score_of(scores, v: int) -> float:
-    if isinstance(scores, Mapping):
-        if v not in scores:
-            raise ValueError(f"vertex {v} has no score")
-        return float(scores[v])
-    arr = np.asarray(scores)
-    if v >= arr.shape[0]:
-        raise ValueError(f"vertex {v} has no score")
-    return float(arr[v])
-
-
 def pair_difference_values(pairs: Sequence[tuple[int, int]], scores_t,
                            scores_later) -> np.ndarray:
-    """|(a_t - b_t) - (a_t' - b_t')| for every pair; symmetric in (a, b)."""
+    """|(a_t - b_t) - (a_t' - b_t')| for every pair; symmetric in (a, b).
+
+    Both score sets are arrays indexed by vertex id.
+    """
     if not pairs:
         return np.empty(0)
-    if not isinstance(scores_t, Mapping) and not isinstance(scores_later, Mapping):
-        st = np.asarray(scores_t, dtype=float)
-        sl = np.asarray(scores_later, dtype=float)
-        arr = np.asarray(pairs, dtype=np.int64)
-        top = int(arr.max())
-        if top >= st.shape[0] or top >= sl.shape[0]:
-            shortest = min(st.shape[0], sl.shape[0])
-            bad = int(arr[arr >= shortest].min())
-            raise ValueError(f"vertex {bad} has no score")
-        before = st[arr[:, 0]] - st[arr[:, 1]]
-        after = sl[arr[:, 0]] - sl[arr[:, 1]]
-        return np.abs(before - after)
-    values = np.empty(len(pairs))
-    for idx, (a, b) in enumerate(pairs):
-        before = _score_of(scores_t, a) - _score_of(scores_t, b)
-        after = _score_of(scores_later, a) - _score_of(scores_later, b)
-        values[idx] = abs(before - after)
-    return values
-
-
-def pair_difference_records(pairs: Sequence[tuple[int, int]], scores_t,
-                            scores_later, measure: str):
-    """Yield one PairDifferenceRecord per pair for the given measure."""
-    values = pair_difference_values(pairs, scores_t, scores_later)
-    for (a, b), value in zip(pairs, values):
-        yield PairDifferenceRecord(a, b, measure, float(value))
+    st = np.asarray(scores_t, dtype=float)
+    sl = np.asarray(scores_later, dtype=float)
+    arr = np.asarray(pairs, dtype=np.int64)
+    top = int(arr.max())
+    if top >= st.shape[0] or top >= sl.shape[0]:
+        shortest = min(st.shape[0], sl.shape[0])
+        bad = int(arr[arr >= shortest].min())
+        raise ValueError(f"vertex {bad} has no score")
+    before = st[arr[:, 0]] - st[arr[:, 1]]
+    after = sl[arr[:, 0]] - sl[arr[:, 1]]
+    return np.abs(before - after)
 
 
 def bin_values(values: np.ndarray, edges: Sequence[float]) -> np.ndarray:

@@ -292,7 +292,7 @@ def _parse_timestamp_token(token: str, line_no: int) -> int:
     except ValueError:
         try:
             ts = int(float(token))
-        except ValueError:
+        except (ValueError, OverflowError):
             raise ParseError(f"bad timestamp {token!r}", line_no) from None
     if ts < 0:
         raise ParseError(f"negative timestamp {token!r}", line_no)

@@ -11,6 +11,8 @@ Tarjan 1987): one permutation of the vertices in which every cell is a
 contiguous range named by its start offset, with pending cells on a min-heap
 of start offsets. A split moves only the vertices that leave the cell's
 start, so an iteration costs work proportional to the active cell's volume.
+``run_refinement`` runs the loop and returns its counters alongside the
+partition; ``fast_eep`` returns the partition alone.
 """
 
 from __future__ import annotations
@@ -18,11 +20,16 @@ from __future__ import annotations
 import functools
 import heapq
 import itertools
+import logging
+import time
+from dataclasses import dataclass
 from typing import IO, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .graphs import ID_DTYPE, Graph, ParseError
+
+log = logging.getLogger(__name__)
 
 
 class IterationLimitError(RuntimeError):
@@ -196,9 +203,37 @@ def _active_cell_degrees(graph: Graph, active_cell: np.ndarray
     return hits[runs[:-1]], runs[1:] - runs[:-1], volume
 
 
-def _refine(graph: Graph, eps: int, *, iteration_cap: int | None = None,
-            on_iteration=None) -> tuple[Partition, int, int, int]:
-    """Refinement loop behind fast_eep and run_refinement.
+@dataclass
+class EngineConfig:
+    """Knobs of a refinement run.
+
+    ``workers`` is accepted for compatibility and has no effect: refinement
+    runs in one thread. It must still be >= 1.
+    """
+
+    workers: int = 1
+    iteration_cap: int | None = None
+    progress_interval: int = 0    # log a key=value line every k iterations; 0 = off
+    collect_work: bool = False    # report the summed active-cell volumes as map_work
+
+    def __post_init__(self):
+        if self.workers < 1:
+            raise ValueError("workers must be >= 1")
+
+
+@dataclass
+class RefinementStats:
+    iterations: int = 0
+    cells: int = 0
+    elapsed_s: float = 0.0
+    map_work: int = 0    # summed active-cell volume; 0 unless collect_work
+    splits: int = 0      # cells split
+    fragments: int = 0   # cells the splits created; cells == 1 + fragments - splits
+
+
+def run_refinement(graph: Graph, epsilon,
+                   config: EngineConfig | None = None) -> tuple[Partition, RefinementStats]:
+    """Refine to a fixpoint, returning the partition and the run's counters.
 
     The cells live in one permutation ``perm`` of the vertices: each cell is
     the contiguous range ``perm[s:cell_end[s]]`` and is named by its start
@@ -214,17 +249,20 @@ def _refine(graph: Graph, eps: int, *, iteration_cap: int | None = None,
     ascending-f order, so only moved vertices are rewritten; every fragment
     becomes pending. Nothing in an iteration costs O(n) or O(number of cells).
 
-    Returns the partition, whose membership is each vertex's ``cell_of``
-    ranked among the cell starts (so cells keep partition order), the
-    iteration count, the number of cell splits and the number of fragments
-    they created. ``on_iteration(i, volume, n_cells, n_active)`` fires after
-    each iteration's splits; ``volume`` is the active cell's volume, the number
-    of adjacency entries the scatter gathered, and ``n_active`` the number of
-    pending cells.
+    The partition's membership is each vertex's ``cell_of`` ranked among the
+    cell starts, so cells keep partition order. The counters are the
+    iteration count, the number of cell splits, the number of fragments they
+    created, the cell count, the elapsed time and, under ``collect_work``, the
+    summed volume of the active cells, which is the number of adjacency
+    entries the scatter gathered. The result is a pure function of
+    (graph, epsilon).
     """
+    eps = _check_epsilon(epsilon)
+    cfg = config or EngineConfig()
+    t0 = time.perf_counter()
     n = graph.n
     if n == 0:
-        return Partition.unit(0), 0, 0, 0
+        return Partition.unit(0), RefinementStats()
     perm = np.arange(n, dtype=ID_DTYPE)
     pos = np.arange(n, dtype=ID_DTYPE)
     cell_of = np.zeros(n, dtype=ID_DTYPE)
@@ -234,8 +272,8 @@ def _refine(graph: Graph, eps: int, *, iteration_cap: int | None = None,
     pending[0] = True
     heap = [0]
     n_cells = 1
-    iterations = splits = fragments = 0
-    cap = iteration_cap if iteration_cap is not None else 16 * n + 64
+    iterations = splits = fragments = map_work = 0
+    cap = cfg.iteration_cap if cfg.iteration_cap is not None else 16 * n + 64
 
     def make_pending(start: int) -> None:
         if not pending[start]:
@@ -250,6 +288,7 @@ def _refine(graph: Graph, eps: int, *, iteration_cap: int | None = None,
         pending[active] = False
         touched, f, volume = _active_cell_degrees(
             graph, perm[active:cell_end[active]])
+        map_work += volume
 
         # no cell can spread more than the largest degree toward the active cell
         fmax = int(f.max()) if volume else 0
@@ -300,10 +339,16 @@ def _refine(graph: Graph, eps: int, *, iteration_cap: int | None = None,
                 fragments += new
                 n_cells += new - 1
 
-        if on_iteration is not None:
-            on_iteration(iterations, volume, n_cells, len(heap))
+        if cfg.progress_interval and iterations % cfg.progress_interval == 0:
+            log.info("iter=%d active=%d cells=%d elapsed_ms=%.1f", iterations,
+                     len(heap), n_cells, (time.perf_counter() - t0) * 1000.0)
 
-    return Partition.from_membership(cell_of), iterations, splits, fragments
+    partition = Partition.from_membership(cell_of)
+    return partition, RefinementStats(
+        iterations=iterations, cells=len(partition),
+        elapsed_s=time.perf_counter() - t0,
+        map_work=map_work if cfg.collect_work else 0,
+        splits=splits, fragments=fragments)
 
 
 def fast_eep(graph: Graph, epsilon) -> Partition:
@@ -313,7 +358,7 @@ def fast_eep(graph: Graph, epsilon) -> Partition:
     other cell differ by at most epsilon. Pure function of (graph, epsilon);
     epsilon = 0 yields the coarsest equitable partition.
     """
-    return _refine(graph, _check_epsilon(epsilon))[0]
+    return run_refinement(graph, epsilon)[0]
 
 
 def _mix64(x: np.ndarray) -> np.ndarray:

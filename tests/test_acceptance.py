@@ -16,8 +16,8 @@ from scipy.stats import spearmanr
 from netpos import (EdgeEvent, EngineConfig, GeneratorConfig, Partition,
                     SnapshotSpec, TemporalEdgeLog, build_snapshots,
                     epsilon_spread, equitable_oracle, fast_eep,
-                    generate_power_law, parallel_eep, partition_intersection,
-                    reciprocal_projection, shapley_centrality,
+                    generate_power_law, partition_intersection,
+                    reciprocal_projection, run_refinement, shapley_centrality,
                     similarity_score, triangle_counts)
 from netpos.coevolution import overlap_matrix
 
@@ -94,7 +94,7 @@ def test_criterion_3_serial_parallel_determinism(acceptance_log):
     for seed, (n, gamma, eps) in enumerate(cases):
         g = generate_power_law(GeneratorConfig(n, gamma, seed=seed))
         want = fast_eep(g, eps).cells
-        if all(parallel_eep(g, eps, EngineConfig(workers=p)).cells == want
+        if all(run_refinement(g, eps, EngineConfig(workers=p))[0].cells == want
                for p in (1, 2, 4, 8)):
             ok += 1
     _report(acceptance_log, "criterion 3 (parallel == serial for p in 1,2,4,8)",
@@ -241,7 +241,7 @@ def test_criterion_7_scalability_trend(acceptance_log):
         times = []
         for _ in range(3):
             t1 = time.perf_counter()
-            parallel_eep(g, 5, EngineConfig(workers=8))
+            run_refinement(g, 5, EngineConfig(workers=8))
             times.append(time.perf_counter() - t1)
         medians[n] = statistics.median(times)
     r1 = medians[100_000] / medians[50_000]

@@ -101,6 +101,8 @@ def test_similarity_worked_example(runner, tmp_path):
     payload = json.loads(result.output)
     assert payload["value"] == pytest.approx(0.675, abs=1e-12)
     assert payload["cells_intersection"] == 5
+    assert payload["manifest"]["elapsed_s"] > 0
+    assert payload["manifest"]["peak_rss_mb"] > 0
 
 
 def test_similarity_universe_mismatch_exit(runner, tmp_path):
@@ -243,8 +245,12 @@ def test_reciprocal_needs_directed(runner, tmp_path):
     ["coevolve", "LOG", "--cutoffs", "20,50", "--bin-edges", "3,1"],
     ["coevolve", "LOG", "--cutoffs", "20,50", "--measures", "foo"],
     ["bench", "--sizes", "1"],
+    ["snapshots", "LOG", "--cutoffs", "50,20"],
+    ["coevolve", "LOG", "--cutoffs", ","],
+    ["coevolve", "LOG", "--cutoffs", "20,50,80"],
 ], ids=["negative-eps", "non-int-eps", "descending-bins", "unknown-measure",
-        "size-below-2"])
+        "size-below-2", "descending-cutoffs", "empty-cutoffs",
+        "three-cutoffs-histogram"])
 def test_bad_list_option_usage_error(runner, tmp_path, args):
     # the log does not parse, so exit 2 rather than 3 shows the option was
     # rejected before any input was read

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from netpos import (Partition, coevolution_report, overlap_matrix,
-                    pair_difference_histogram, pair_difference_records,
-                    pair_difference_values, same_position_pairs)
+                    pair_difference_histogram, pair_difference_values,
+                    same_position_pairs)
 from netpos.coevolution import _unrank_pair, bin_values
 
 from helpers import pa_snapshots
@@ -83,7 +83,7 @@ def test_pair_difference_missing_score_names_vertex():
     with pytest.raises(ValueError, match="vertex 9"):
         pair_difference_values([(0, 9)], [1.0] * 5, [1.0] * 10)
     with pytest.raises(ValueError, match="vertex 2"):
-        pair_difference_values([(0, 2)], {0: 1.0, 2: 0.5}, {0: 1.0})
+        pair_difference_values([(0, 2)], [1.0, 0.0, 0.5], [1.0])
 
 
 def test_zero_evolution_identity():
@@ -130,12 +130,6 @@ def test_single_measure_histogram_wrapper():
                                        measure="deg")
     assert report.counts["deg"] == (1, 1, 0)  # values 4 and 0
     assert report.total_pairs == 2
-
-
-def test_pair_difference_records_tagging():
-    records = list(pair_difference_records([(0, 1)], [5., 3.], [9., 3.], "deg"))
-    assert records == [(0, 1, "deg", 4.0)]
-    assert records[0].measure == "deg"
 
 
 def test_report_csv_rows_shape():

@@ -1,14 +1,17 @@
 import functools
 import hashlib
 import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from netpos import (EngineConfig, GeneratorConfig, IterationLimitError,
                     Partition, compute_measures, fast_eep, generate_power_law,
-                    overlap_matrix, parallel_eep, run_refinement,
-                    same_position_pairs)
+                    overlap_matrix, run_refinement, same_position_pairs)
 from netpos.partition import _active_cell_degrees
 
 from helpers import er_graph, pa_snapshots, path_graph
@@ -17,18 +20,18 @@ from oracles import ActiveList, degree_to_cell, split
 P4 = path_graph(4)
 
 
-# --- parallel_eep, the alias of run_refinement ------------------------------------
+# --- EngineConfig.workers, which has no effect on the cells -----------------------
 
 
 def test_parallel_single_worker_equals_serial():
     g = er_graph(80, 0.1, 5)
     for eps in (0, 2):
-        assert parallel_eep(g, eps, EngineConfig(workers=1)).cells == \
+        assert run_refinement(g, eps, EngineConfig(workers=1))[0].cells == \
             fast_eep(g, eps).cells
 
 
 def test_parallel_p4():
-    assert parallel_eep(P4, 0, EngineConfig(workers=4)).canonical().cells == \
+    assert run_refinement(P4, 0, EngineConfig(workers=4))[0].canonical().cells == \
         ((0, 3), (1, 2))
 
 
@@ -36,7 +39,7 @@ def test_parallel_matches_serial_across_worker_counts():
     g = generate_power_law(GeneratorConfig(10_000, 2.5, seed=7))
     want = fast_eep(g, 5).cells
     for p in (1, 2, 4, 8):
-        assert parallel_eep(g, 5, EngineConfig(workers=p)).cells == want
+        assert run_refinement(g, 5, EngineConfig(workers=p))[0].cells == want
 
 
 # --- run_refinement -----------------------------------------------------------------
@@ -70,7 +73,7 @@ def test_split_counters():
 
 def test_progress_log_is_key_value(caplog):
     g = er_graph(40, 0.2, 6)
-    with caplog.at_level(logging.INFO, logger="netpos.engine"):
+    with caplog.at_level(logging.INFO, logger="netpos.partition"):
         run_refinement(g, 0, EngineConfig(workers=1, progress_interval=1))
     assert caplog.records
     msg = caplog.records[0].getMessage()
@@ -243,3 +246,14 @@ def test_perfbench_call_shapes():
     assert not merged.canonical() == part.canonical()
     population = sum(len(c) * (len(c) - 1) // 2 for c in part.cells)
     assert population == len(same_position_pairs(part, range(early.n)))
+
+
+def test_perfbench_tracing_imports():
+    # the benchmark's traced replay imports its netpos names in a process of its
+    # own, so a library cut that breaks it shows here and not only in a bench run
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    result = subprocess.run([sys.executable, "-B", "-c", "import tracing"],
+                            cwd=root / "perfbench", env=env, capture_output=True,
+                            text=True, timeout=120)
+    assert result.returncode == 0, result.stderr

@@ -6,7 +6,7 @@ import pytest
 
 from netpos import (EdgeEvent, GeneratorConfig, Graph, ParseError, SnapshotSpec,
                     TemporalEdgeLog, VertexLabelMap, build_snapshots,
-                    generate_power_law, load_edge_list,
+                    generate_power_law, load_edge_list, load_temporal_edge_list,
                     reciprocal_projection, save_edge_list)
 
 from helpers import er_graph
@@ -46,8 +46,11 @@ def test_load_malformed_line_reports_number():
         load_edge_list(["a b", "oops"])
     with pytest.raises(ParseError, match="line 1"):
         load_edge_list(["a b c d"])
-    with pytest.raises(ParseError, match="timestamp"):
-        load_edge_list(["a b notatime"])
+    for token in ("notatime", "inf", "1e400"):
+        with pytest.raises(ParseError, match="line 1: bad timestamp"):
+            load_edge_list([f"a b {token}"])
+    with pytest.raises(ParseError, match="line 2: bad timestamp"):
+        load_temporal_edge_list(["a b 1", "a c 1e400"])
 
 
 def test_handshake_and_symmetry_on_random_graphs():
