@@ -8,7 +8,6 @@ vertex ids ascending and each id's cell index.
 """
 
 from .graphs import (
-    EdgeEvent,
     GeneratorConfig,
     Graph,
     ParseError,

@@ -381,14 +381,17 @@ def coevolve(log_path, cutoffs, directed, reciprocal, method, epsilon, names,
              manifest_out):
     """Analyze how same-position vertex pairs evolve between snapshots."""
     t0 = time.perf_counter()
-    if not overlap and len(cutoffs) != 2:
-        raise click.UsageError("histogram mode takes exactly two cutoffs")
+    if len(cutoffs) != 2 and not (overlap and len(cutoffs) > 2):
+        raise click.UsageError("histogram mode takes exactly two cutoffs, "
+                               "--overlap two or more")
+    # the manifest records only the options that shape this mode's output
     options = dict(log=log_path, cutoffs=cutoffs, directed=directed,
-                   reciprocal=reciprocal, method=method, epsilon=epsilon,
-                   measures=names, bin_edges=bin_edges, cap=cap,
-                   full_pairs=full_pairs, seed=seed, overlap=overlap,
-                   eps_list=eps_list)
-    manifest = _start_manifest("coevolve", options, {"log": log_path}, seed=seed)
+                   reciprocal=reciprocal, overlap=overlap)
+    options.update(dict(eps_list=eps_list) if overlap else dict(
+        method=method, epsilon=epsilon, measures=names, bin_edges=bin_edges,
+        cap=cap, full_pairs=full_pairs, seed=seed))
+    manifest = _start_manifest("coevolve", options, {"log": log_path},
+                               seed=None if overlap else seed)
     graphs, _ = _load_snapshots(log_path, cutoffs, directed, reciprocal)
 
     if overlap:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import IO, Iterable, Iterator, NamedTuple
+from typing import IO, Iterable
 
 import numpy as np
 
@@ -65,23 +65,15 @@ class Graph:
         loop_mask = arr[:, 0] == arr[:, 1]
         loops = int(loop_mask.sum())
         arr = arr[~loop_mask]
-        if arr.shape[0]:
-            lo = np.minimum(arr[:, 0], arr[:, 1])
-            hi = np.maximum(arr[:, 0], arr[:, 1])
-            pairs = np.unique(np.column_stack([lo, hi]), axis=0)
-        else:
-            pairs = arr
-        dups = int(arr.shape[0] - pairs.shape[0])
-
-        if pairs.shape[0]:
-            heads = np.concatenate([pairs[:, 0], pairs[:, 1]])
-            tails = np.concatenate([pairs[:, 1], pairs[:, 0]])
-            order = np.lexsort((tails, heads))
-            indices = tails[order]
-            counts = np.bincount(heads, minlength=n)
-        else:
-            indices = np.empty(0, dtype=ID_DTYPE)
-            counts = np.zeros(n, dtype=ID_DTYPE)
+        # dedupe on the 1-D key lo * n + hi: sorted keys are sorted (lo, hi)
+        # pairs; sort-based, as numpy's hashing np.unique is many times slower
+        keys = np.sort(arr.min(axis=1) * n + arr.max(axis=1))
+        keys = keys[np.diff(keys, prepend=-1) != 0]
+        dups = int(arr.shape[0] - keys.size)
+        lo, hi = np.divmod(keys, n)
+        # every edge in both directions, keyed and sorted by (head, tail)
+        heads, indices = np.divmod(np.sort(np.concatenate([keys, hi * n + lo])), n)
+        counts = np.bincount(heads, minlength=n)
         indptr = np.concatenate([[0], np.cumsum(counts)]).astype(ID_DTYPE)
         return cls(n, indptr, indices, self_loops_dropped=loops,
                    duplicates_collapsed=dups)
@@ -96,13 +88,6 @@ class Graph:
     @property
     def degrees(self) -> np.ndarray:
         return np.diff(self.indptr)
-
-    def edges(self) -> Iterator[tuple[int, int]]:
-        """Yield each undirected edge once, as (u, v) with u < v."""
-        for u in range(self.n):
-            for w in self.neighbors(u):
-                if w > u:
-                    yield u, int(w)
 
     def content_hash(self) -> str:
         h = hashlib.sha256()
@@ -158,19 +143,8 @@ class VertexLabelMap:
     __slots__ = ("_ids", "_labels")
 
     def __init__(self, labels: Iterable[str] = ()):
-        self._labels: list[str] = []
-        self._ids: dict[str, int] = {}
-        for label in labels:
-            self.intern(label)
-
-    def intern(self, label: str) -> int:
-        """Return the id for label, assigning the next dense id if new."""
-        vid = self._ids.get(label)
-        if vid is None:
-            vid = len(self._labels)
-            self._ids[label] = vid
-            self._labels.append(label)
-        return vid
+        self._labels: list[str] = list(dict.fromkeys(labels))
+        self._ids = dict(zip(self._labels, range(len(self._labels))))
 
     def id_of(self, label: str) -> int:
         return self._ids[label]
@@ -215,9 +189,7 @@ class VertexLabelMap:
             entries[vid] = parts[1]
         if sorted(entries) != list(range(len(entries))):
             raise ParseError("label map ids are not dense")
-        out = cls()
-        for vid in range(len(entries)):
-            out.intern(entries[vid])
+        out = cls(entries[vid] for vid in range(len(entries)))
         if len(out) != len(entries):
             raise ParseError("label map has duplicate labels")
         return out
@@ -228,34 +200,37 @@ class VertexLabelMap:
             return cls.read(fh)
 
 
-class EdgeEvent(NamedTuple):
-    source: str
-    target: str
-    timestamp: int
+@dataclass(frozen=True, eq=False)
+class TemporalEdgeLog:
+    """Timestamped edge events as three read-only int64 columns.
+
+    Row i is the event ``labels[source[i]] -> labels[target[i]]`` at unix time
+    ``timestamp[i]``; ``directed`` says whether a row's direction carries
+    meaning.
+    """
+
+    source: np.ndarray
+    target: np.ndarray
+    timestamp: np.ndarray
+    labels: tuple[str, ...]
     directed: bool = True
 
-
-@dataclass(frozen=True)
-class TemporalEdgeLog:
-    """Timestamped (possibly directed) edge events feeding snapshot construction."""
-
-    events: tuple[EdgeEvent, ...]
-
     def __post_init__(self):
-        for ev in self.events:
-            if ev.timestamp < 0:
-                raise ValueError(f"negative timestamp in event {ev}")
+        for name in ("source", "target", "timestamp"):
+            column = np.array(getattr(self, name), dtype=ID_DTYPE)
+            column.setflags(write=False)
+            object.__setattr__(self, name, column)
+        object.__setattr__(self, "labels", tuple(self.labels))
+        if not self.source.shape == self.target.shape == self.timestamp.shape:
+            raise ValueError("source, target and timestamp differ in length")
+        ends = np.concatenate([self.source, self.target])
+        if np.any((ends < 0) | (ends >= len(self.labels))):
+            raise ValueError("label id outside the label table")
+        if np.any(self.timestamp < 0):
+            raise ValueError("negative timestamp")
 
     def __len__(self) -> int:
-        return len(self.events)
-
-    def __iter__(self):
-        return iter(self.events)
-
-    def ordered(self) -> tuple[EdgeEvent, ...]:
-        """Events in canonical (timestamp, source, target) order."""
-        return tuple(sorted(self.events,
-                            key=lambda e: (e.timestamp, e.source, e.target)))
+        return int(self.source.size)
 
 
 @dataclass(frozen=True)
@@ -286,17 +261,47 @@ class GeneratorConfig:
             raise ValueError("gamma must be > 1")
 
 
-def _parse_timestamp_token(token: str, line_no: int) -> int:
-    try:
-        ts = int(token)
-    except ValueError:
-        try:
-            ts = int(float(token))
-        except (ValueError, OverflowError):
-            raise ParseError(f"bad timestamp {token!r}", line_no) from None
-    if ts < 0:
-        raise ParseError(f"negative timestamp {token!r}", line_no)
-    return ts
+def _scan(stream: IO[str] | Iterable[str], fields: tuple[int, ...]):
+    """Read '<label> <label> [<timestamp>]' lines, interning labels as they come.
+
+    Blank lines and '#' comments are skipped; a line whose field count is not
+    in ``fields``, or whose timestamp is not integer unix seconds in
+    [0, 2**63), raises a ParseError naming it. Returns the label -> id dict
+    (ids in order of first appearance, source before target), the (source,
+    target) ids as an (events, 2) array, and the timestamps.
+    """
+    ids: dict[str, int] = {}
+    intern = ids.setdefault
+    ends: list[int] = []
+    times: list[int] = []
+    for line_no, raw in enumerate(stream, 1):
+        tokens = raw.split()
+        if not tokens or tokens[0].startswith("#"):
+            continue
+        if len(tokens) not in fields:
+            expected = " or ".join(map(str, fields))
+            raise ParseError(f"expected {expected} fields, got {len(tokens)}", line_no)
+        if len(tokens) == 3:
+            try:
+                ts = int(tokens[2])
+            except ValueError:
+                ts = -1
+            if not 0 <= ts < 2**63:
+                raise ParseError(f"bad timestamp {tokens[2]!r}", line_no)
+            times.append(ts)
+        ends += intern(tokens[0], len(ids)), intern(tokens[1], len(ids))
+    return ids, np.array(ends, dtype=ID_DTYPE).reshape(-1, 2), times
+
+
+def _label_ranks(labels: tuple[str, ...], ids: np.ndarray) -> np.ndarray:
+    """Ranks of the labels of ``ids`` in Python ``str`` order, indexed by id.
+
+    Only the entries at ``ids`` are meaningful; the rest are 0.
+    """
+    ids = np.flatnonzero(np.bincount(ids, minlength=len(labels))).tolist()
+    ranks = np.zeros(len(labels), dtype=ID_DTYPE)
+    ranks[sorted(ids, key=labels.__getitem__)] = np.arange(len(ids))
+    return ranks
 
 
 def load_edge_list(stream: IO[str] | Iterable[str]) -> tuple[Graph, VertexLabelMap]:
@@ -306,41 +311,24 @@ def load_edge_list(stream: IO[str] | Iterable[str]) -> tuple[Graph, VertexLabelM
     used. Duplicate edges collapse; self-loops are dropped and counted on the
     returned graph.
     """
-    labels = VertexLabelMap()
-    pairs: list[tuple[int, int]] = []
-    for line_no, raw in enumerate(stream, 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens = line.split()
-        if len(tokens) not in (2, 3):
-            raise ParseError(f"expected 2 or 3 fields, got {len(tokens)}", line_no)
-        if len(tokens) == 3:
-            _parse_timestamp_token(tokens[2], line_no)
-        pairs.append((labels.intern(tokens[0]), labels.intern(tokens[1])))
-    return Graph.from_edges(len(labels), pairs), labels
+    ids, edges, _ = _scan(stream, (2, 3))
+    return Graph.from_edges(len(ids), edges), VertexLabelMap(ids)
 
 
 def save_edge_list(graph: Graph, labels: VertexLabelMap, stream: IO[str]) -> None:
+    """Write each edge once, as 'u w' with u < w, rows ascending."""
     stream.write(f"# vertices={graph.n} edges={graph.m}\n")
-    for u, v in graph.edges():
-        stream.write(f"{labels.label_of(u)} {labels.label_of(v)}\n")
+    rows = np.repeat(np.arange(graph.n, dtype=ID_DTYPE), graph.degrees)
+    upper = graph.indices > rows
+    names = np.array(labels.labels, dtype=object)
+    stream.write("".join(names[rows[upper]] + " " + names[graph.indices[upper]] + "\n"))
 
 
 def load_temporal_edge_list(stream: IO[str] | Iterable[str], *,
                             directed: bool = True) -> TemporalEdgeLog:
     """Read '<label> <label> <unix-timestamp>' lines into a TemporalEdgeLog."""
-    events: list[EdgeEvent] = []
-    for line_no, raw in enumerate(stream, 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens = line.split()
-        if len(tokens) != 3:
-            raise ParseError(f"expected 3 fields, got {len(tokens)}", line_no)
-        ts = _parse_timestamp_token(tokens[2], line_no)
-        events.append(EdgeEvent(tokens[0], tokens[1], ts, directed))
-    return TemporalEdgeLog(tuple(events))
+    ids, edges, times = _scan(stream, (3,))
+    return TemporalEdgeLog(edges[:, 0], edges[:, 1], times, tuple(ids), directed)
 
 
 def reciprocal_projection(log: TemporalEdgeLog) -> TemporalEdgeLog:
@@ -348,26 +336,35 @@ def reciprocal_projection(log: TemporalEdgeLog) -> TemporalEdgeLog:
 
     An undirected event (a, b) appears iff both a->b and b->a occur; its
     timestamp is the moment the later of the two directions first appeared.
-    Output order is canonical, so the result is invariant to input order.
+    Each pair is oriented with its lower label (in ``str`` order) as source,
+    and rows are in canonical (timestamp, source, target) order, so the
+    result is invariant to input order. The label table is kept.
     """
-    if any(not ev.directed for ev in log.events):
-        raise ValueError("reciprocal_projection requires directed events")
-    first_seen: dict[tuple[str, str], int] = {}
-    for ev in log.events:
-        if ev.source == ev.target:
-            continue
-        key = (ev.source, ev.target)
-        prev = first_seen.get(key)
-        if prev is None or ev.timestamp < prev:
-            first_seen[key] = ev.timestamp
-    out: list[EdgeEvent] = []
-    for (a, b), t_ab in first_seen.items():
-        if a < b:
-            t_ba = first_seen.get((b, a))
-            if t_ba is not None:
-                out.append(EdgeEvent(a, b, max(t_ab, t_ba), directed=False))
-    out.sort(key=lambda e: (e.timestamp, e.source, e.target))
-    return TemporalEdgeLog(tuple(out))
+    if not log.directed:
+        raise ValueError("reciprocal_projection requires a directed log")
+    k = len(log.labels)
+    links = log.source != log.target
+    keys = log.source[links] * k + log.target[links]
+    times = log.timestamp[links]
+    order = np.lexsort((times, keys))
+    keys, times = keys[order], times[order]
+    # each direction once, at its earliest time
+    first = np.ones(keys.size, dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    keys, times = keys[first], times[first]
+    src, tgt = np.divmod(keys, max(k, 1))
+    reverse = tgt * k + src
+    at = np.minimum(np.searchsorted(keys, reverse), keys.size - 1)
+    both = keys[at] == reverse
+    src, tgt = src[both], tgt[both]
+    times = np.maximum(times[both], times[at[both]])
+    # a pair linked both ways has both directions here, so src holds every end
+    ranks = _label_ranks(log.labels, src)
+    keep = ranks[src] < ranks[tgt]
+    src, tgt, times = src[keep], tgt[keep], times[keep]
+    order = np.lexsort((ranks[tgt], ranks[src], times))
+    return TemporalEdgeLog(src[order], tgt[order], times[order], log.labels,
+                           directed=False)
 
 
 def build_snapshots(log: TemporalEdgeLog,
@@ -376,35 +373,31 @@ def build_snapshots(log: TemporalEdgeLog,
 
     Snapshot i holds exactly the edges whose first event is at or before
     cutoff i; a vertex belongs to a snapshot iff it is incident to a retained
-    edge. Ids are assigned in order of first appearance in canonical event
-    order, so each snapshot's vertex set is the dense prefix [0, n_i).
+    edge. Ids are assigned in order of first appearance in canonical
+    (timestamp, source, target) event order, source before target, so each
+    snapshot's vertex set is the dense prefix [0, n_i). Self-loops and events
+    after the last cutoff are ignored.
     """
-    labels = VertexLabelMap()
-    edge_list: list[tuple[int, int]] = []
-    seen_pairs: set[tuple[int, int]] = set()
-    cutoffs = spec.cutoffs
-    checkpoints: list[tuple[int, int]] = []
-
-    ci = 0
-    for ev in log.ordered():
-        while ci < len(cutoffs) and ev.timestamp > cutoffs[ci]:
-            checkpoints.append((len(labels), len(edge_list)))
-            ci += 1
-        if ci == len(cutoffs):
-            break
-        if ev.source == ev.target:
-            continue
-        u = labels.intern(ev.source)
-        v = labels.intern(ev.target)
-        pair = (u, v) if u < v else (v, u)
-        if pair not in seen_pairs:
-            seen_pairs.add(pair)
-            edge_list.append(pair)
-    while ci < len(cutoffs):
-        checkpoints.append((len(labels), len(edge_list)))
-        ci += 1
-
-    graphs = [Graph.from_edges(n_i, edge_list[:k_i]) for n_i, k_i in checkpoints]
+    kept = (log.source != log.target) & (log.timestamp <= spec.cutoffs[-1])
+    src, tgt, times = log.source[kept], log.target[kept], log.timestamp[kept]
+    ranks = _label_ranks(log.labels, np.concatenate([src, tgt]))
+    order = np.lexsort((ranks[tgt], ranks[src], times))
+    ends = np.column_stack([src[order], tgt[order]])
+    times = times[order]
+    seen, first = np.unique(ends.ravel(), return_index=True)
+    by_appearance = np.argsort(first)
+    new_id = np.empty(len(log.labels), dtype=ID_DTYPE)
+    new_id[seen[by_appearance]] = np.arange(seen.size)
+    pairs = np.sort(new_id[ends], axis=1)
+    _, first_pair = np.unique(pairs[:, 0] * seen.size + pairs[:, 1],
+                              return_index=True)
+    first_pair.sort()
+    events_in = np.searchsorted(times, spec.cutoffs, side="right")
+    n_in = np.searchsorted(first[by_appearance], 2 * events_in)
+    m_in = np.searchsorted(first_pair, events_in)
+    graphs = [Graph.from_edges(int(n_i), pairs[first_pair[:m_i]])
+              for n_i, m_i in zip(n_in, m_in)]
+    labels = VertexLabelMap(map(log.labels.__getitem__, seen[by_appearance].tolist()))
     return graphs, labels
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from netpos import Graph
+from netpos import Graph, TemporalEdgeLog
 
 
 def er_graph(n: int, p: float, seed: int) -> Graph:
@@ -42,3 +42,15 @@ def pa_snapshots(n1: int, n2: int, seed: int, m_links: int = 2) -> tuple[Graph, 
             targets.extend((t, v))
     early = [(u, w) for u, w in edges if u < n1 and w < n1]
     return Graph.from_edges(n1, early), Graph.from_edges(n2, edges)
+
+
+def log_rows(log: TemporalEdgeLog) -> list[tuple[str, str, int]]:
+    """The rows of a temporal log as (source label, target label, timestamp)."""
+    return [(log.labels[s], log.labels[t], ts) for s, t, ts in
+            zip(log.source.tolist(), log.target.tolist(), log.timestamp.tolist())]
+
+
+def edge_set(graph: Graph) -> set[tuple[int, int]]:
+    """Each undirected edge of the graph once, as (u, w) with u < w."""
+    rows = np.repeat(np.arange(graph.n), graph.degrees)
+    return {(u, w) for u, w in zip(rows.tolist(), graph.indices.tolist()) if u < w}

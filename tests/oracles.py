@@ -5,8 +5,9 @@ library computes in bulk: the active list and SPLIT step of the refinement
 loop, degrees toward a cell, the dense signature matrix behind the coarsest
 equitable partition, the dense degree matrix behind the epsilon spread,
 partition equality, intersection and restriction over cell tuples, the
-cross-product intersection count, and exact rational betweenness. Tests
-compare the library against them.
+cross-product intersection count, exact rational betweenness, and the
+string-keyed per-event reciprocal projection and snapshot construction.
+Tests compare the library against them.
 """
 
 from __future__ import annotations
@@ -310,3 +311,55 @@ def epsilon_spread_dense(graph: Graph, partition: Partition) -> int:
         block = sig[list(cell)]
         worst = max(worst, int((block.max(axis=0) - block.min(axis=0)).max()))
     return worst
+
+
+def _canonical(events):
+    return sorted(events, key=lambda e: (e[2], e[0], e[1]))
+
+
+def reciprocal_reference(events) -> list[tuple[str, str, int]]:
+    """Reciprocated links of directed (source, target, timestamp) events.
+
+    The string-keyed form of ``reciprocal_projection``: (a, b, t) with a < b
+    for each pair linked both ways, t the later of the two directions' first
+    times, in canonical (timestamp, source, target) order.
+    """
+    first_seen: dict[tuple[str, str], int] = {}
+    for source, target, ts in events:
+        if source != target:
+            first_seen[(source, target)] = min(ts, first_seen.get((source, target), ts))
+    return _canonical((a, b, max(t_ab, first_seen[(b, a)]))
+                      for (a, b), t_ab in first_seen.items()
+                      if a < b and (b, a) in first_seen)
+
+
+def snapshots_reference(events, cutoffs) -> tuple[list[Graph], tuple[str, ...]]:
+    """Nested snapshots of (source, target, timestamp) events, one per cutoff.
+
+    The string-keyed per-event form of ``build_snapshots``: events are walked
+    in canonical order, labels get ids on first appearance (source before
+    target), and each cutoff keeps the pairs first seen at or before it.
+    Returns the graphs and the label tuple.
+    """
+    ids: dict[str, int] = {}
+    edge_list: list[tuple[int, int]] = []
+    seen_pairs: set[tuple[int, int]] = set()
+    checkpoints: list[tuple[int, int]] = []
+    ci = 0
+    for source, target, ts in _canonical(events):
+        while ci < len(cutoffs) and ts > cutoffs[ci]:
+            checkpoints.append((len(ids), len(edge_list)))
+            ci += 1
+        if ci == len(cutoffs):
+            break
+        if source == target:
+            continue
+        u = ids.setdefault(source, len(ids))
+        v = ids.setdefault(target, len(ids))
+        pair = (min(u, v), max(u, v))
+        if pair not in seen_pairs:
+            seen_pairs.add(pair)
+            edge_list.append(pair)
+    checkpoints += [(len(ids), len(edge_list))] * (len(cutoffs) - ci)
+    return ([Graph.from_edges(n_i, edge_list[:k_i]) for n_i, k_i in checkpoints],
+            tuple(ids))

@@ -13,15 +13,15 @@ from fractions import Fraction
 import numpy as np
 from scipy.stats import spearmanr
 
-from netpos import (EdgeEvent, EngineConfig, GeneratorConfig, Partition,
-                    SnapshotSpec, TemporalEdgeLog, build_snapshots,
-                    epsilon_spread, equitable_oracle, fast_eep,
-                    generate_power_law, partition_intersection,
-                    reciprocal_projection, run_refinement, shapley_centrality,
-                    similarity_score, triangle_counts)
+from netpos import (EngineConfig, GeneratorConfig, Partition, SnapshotSpec,
+                    build_snapshots, epsilon_spread, equitable_oracle, fast_eep,
+                    generate_power_law, load_temporal_edge_list,
+                    partition_intersection, reciprocal_projection,
+                    run_refinement, shapley_centrality, similarity_score,
+                    triangle_counts)
 from netpos.coevolution import overlap_matrix
 
-from helpers import er_graph, pa_snapshots
+from helpers import edge_set, er_graph, log_rows, pa_snapshots
 from oracles import betweenness_centrality_exact, intersection_cardinality_cellpairs
 
 
@@ -256,36 +256,36 @@ def test_criterion_7_scalability_trend(acceptance_log):
 
 def test_criterion_8_snapshot_pipeline(acceptance_log):
     # ground-truth log: directed events with known reciprocation times
-    events = [
-        EdgeEvent("a", "b", 10), EdgeEvent("b", "a", 30),   # edge ab @30
-        EdgeEvent("c", "b", 15), EdgeEvent("b", "c", 20),   # edge bc @20
-        EdgeEvent("d", "a", 40),                            # never reciprocated
-        EdgeEvent("e", "d", 50), EdgeEvent("d", "e", 70),   # edge de @70
-        EdgeEvent("a", "b", 90),                            # duplicate, ignored
+    lines = [
+        "a b 10", "b a 30",   # edge ab @30
+        "c b 15", "b c 20",   # edge bc @20
+        "d a 40",             # never reciprocated
+        "e d 50", "d e 70",   # edge de @70
+        "a b 90",             # duplicate, ignored
     ]
-    log = reciprocal_projection(TemporalEdgeLog(tuple(events)))
-    got = {(e.source, e.target): e.timestamp for e in log}
+    log = reciprocal_projection(load_temporal_edge_list(lines))
+    got = {(s, t): ts for s, t, ts in log_rows(log)}
     projection_ok = got == {("a", "b"): 30, ("b", "c"): 20, ("d", "e"): 70}
 
     graphs, labels = build_snapshots(log, SnapshotSpec((25, 35, 100)))
     shapes = [(g.n, g.m) for g in graphs]
     shapes_ok = shapes == [(2, 1), (3, 2), (5, 3)]
-    nested_ok = all(set(a.edges()) <= set(b.edges())
+    nested_ok = all(edge_set(a) <= edge_set(b)
                     for a, b in zip(graphs, graphs[1:]))
 
     # randomized cross-check against a brute-force pairing oracle
     rng = np.random.default_rng(800)
     oracle_ok = True
     for _ in range(50):
-        evs = tuple(EdgeEvent(f"u{rng.integers(10)}", f"u{rng.integers(10)}",
-                              int(rng.integers(0, 60))) for _ in range(80))
-        out = {(e.source, e.target): e.timestamp
-               for e in reciprocal_projection(TemporalEdgeLog(evs))}
+        evs = [(f"u{rng.integers(10)}", f"u{rng.integers(10)}", int(rng.integers(0, 60)))
+               for _ in range(80)]
+        log = load_temporal_edge_list([f"{s} {t} {ts}" for s, t, ts in evs])
+        out = {(s, t): ts for s, t, ts in log_rows(reciprocal_projection(log))}
         want = {}
-        names = sorted({e.source for e in evs} | {e.target for e in evs})
+        names = sorted({s for s, _, _ in evs} | {t for _, t, _ in evs})
         for a, b in itertools.combinations(names, 2):
-            fwd = [e.timestamp for e in evs if (e.source, e.target) == (a, b)]
-            rev = [e.timestamp for e in evs if (e.source, e.target) == (b, a)]
+            fwd = [ts for s, t, ts in evs if (s, t) == (a, b)]
+            rev = [ts for s, t, ts in evs if (s, t) == (b, a)]
             if fwd and rev:
                 want[(a, b)] = max(min(fwd), min(rev))
         if out != want:

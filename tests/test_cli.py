@@ -204,6 +204,36 @@ def test_coevolve_overlap(runner, tmp_path):
     assert len(rows) == 2
 
 
+COEVOLVE_SHARED = {"log", "cutoffs", "directed", "reciprocal", "overlap"}
+HISTOGRAM_ONLY = {"method", "epsilon", "measures", "bin_edges", "cap", "full_pairs",
+                  "seed"}
+
+
+def test_coevolve_overlap_manifest_options(runner, tmp_path):
+    log = _write(tmp_path, "log.txt",
+                 "a b 10\nb c 10\nc d 15\nd e 40\na c 40\nb e 45\nc e 45\n")
+    base = str(tmp_path / "ov")
+    result = runner.invoke(main, ["coevolve", log, "--cutoffs", "20,50", "--overlap",
+                                  "--method", "degree", "-e", "7", "--cap", "3",
+                                  "-o", base])
+    assert result.exit_code == 0, result.output
+    manifest = json.loads(Path(base + ".manifest.json").read_text())
+    assert set(manifest["options"]) == COEVOLVE_SHARED | {"eps_list"}
+    assert manifest["seed"] is None
+
+
+def test_coevolve_histogram_manifest_options(runner, tmp_path):
+    log = _write(tmp_path, "log.txt",
+                 "a b 10\nb c 10\nc d 10\nd e 40\na c 40\nb e 40\n")
+    base = str(tmp_path / "coe")
+    result = runner.invoke(main, ["coevolve", log, "--cutoffs", "20,50", "--seed", "4",
+                                  "--eps-list", "1,2", "-o", base])
+    assert result.exit_code == 0, result.output
+    manifest = json.loads(Path(base + ".manifest.json").read_text())
+    assert set(manifest["options"]) == COEVOLVE_SHARED | HISTOGRAM_ONLY
+    assert manifest["options"]["seed"] == manifest["seed"] == 4
+
+
 def test_coevolve_overlap_repeated_epsilon(runner, tmp_path):
     log = _write(tmp_path, "log.txt",
                  "a b 10\nb c 10\nc d 15\nd e 40\na c 40\nb e 45\nc e 45\n")
@@ -248,9 +278,10 @@ def test_reciprocal_needs_directed(runner, tmp_path):
     ["snapshots", "LOG", "--cutoffs", "50,20"],
     ["coevolve", "LOG", "--cutoffs", ","],
     ["coevolve", "LOG", "--cutoffs", "20,50,80"],
+    ["coevolve", "LOG", "--cutoffs", "20", "--overlap"],
 ], ids=["negative-eps", "non-int-eps", "descending-bins", "unknown-measure",
         "size-below-2", "descending-cutoffs", "empty-cutoffs",
-        "three-cutoffs-histogram"])
+        "three-cutoffs-histogram", "one-cutoff-overlap"])
 def test_bad_list_option_usage_error(runner, tmp_path, args):
     # the log does not parse, so exit 2 rather than 3 shows the option was
     # rejected before any input was read

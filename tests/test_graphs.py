@@ -4,12 +4,13 @@ import itertools
 import numpy as np
 import pytest
 
-from netpos import (EdgeEvent, GeneratorConfig, Graph, ParseError, SnapshotSpec,
-                    TemporalEdgeLog, VertexLabelMap, build_snapshots,
-                    generate_power_law, load_edge_list, load_temporal_edge_list,
+from netpos import (GeneratorConfig, Graph, ParseError, SnapshotSpec,
+                    VertexLabelMap, build_snapshots, generate_power_law,
+                    load_edge_list, load_temporal_edge_list,
                     reciprocal_projection, save_edge_list)
 
-from helpers import er_graph
+from helpers import edge_set, er_graph, log_rows
+from oracles import reciprocal_reference, snapshots_reference
 
 
 def test_load_path_graph():
@@ -46,7 +47,7 @@ def test_load_malformed_line_reports_number():
         load_edge_list(["a b", "oops"])
     with pytest.raises(ParseError, match="line 1"):
         load_edge_list(["a b c d"])
-    for token in ("notatime", "inf", "1e400"):
+    for token in ("notatime", "inf", "1e400", "10.9", "1.5e1", "-1", str(2**63)):
         with pytest.raises(ParseError, match="line 1: bad timestamp"):
             load_edge_list([f"a b {token}"])
     with pytest.raises(ParseError, match="line 2: bad timestamp"):
@@ -93,8 +94,7 @@ def test_graph_hash_distinguishes_graphs():
 
 
 def test_build_snapshots_cutoff_filter():
-    log = TemporalEdgeLog((EdgeEvent("a", "b", 10, False),
-                           EdgeEvent("b", "c", 20, False)))
+    log = load_temporal_edge_list(["a b 10", "b c 20"], directed=False)
     graphs, labels = build_snapshots(log, SnapshotSpec((15, 25)))
     g1, g2 = graphs
     assert g1.n == 2 and g1.m == 1
@@ -103,22 +103,21 @@ def test_build_snapshots_cutoff_filter():
 
 
 def test_build_snapshots_empty_prefix():
-    log = TemporalEdgeLog((EdgeEvent("a", "b", 10, False),))
+    log = load_temporal_edge_list(["a b 10"], directed=False)
     graphs, _ = build_snapshots(log, SnapshotSpec((5,)))
     assert graphs[0].n == 0 and graphs[0].m == 0
 
 
 def test_snapshots_are_nested():
     rng = np.random.default_rng(4)
-    events = tuple(EdgeEvent(f"v{rng.integers(30)}", f"v{rng.integers(30)}",
-                             int(rng.integers(0, 1000)), False)
-                   for _ in range(200))
-    log = TemporalEdgeLog(events)
+    lines = [f"v{rng.integers(30)} v{rng.integers(30)} {rng.integers(0, 1000)}"
+             for _ in range(200)]
+    log = load_temporal_edge_list(lines, directed=False)
     graphs, _ = build_snapshots(log, SnapshotSpec((100, 400, 700, 1000)))
     for early, late in zip(graphs, graphs[1:]):
         assert early.n <= late.n
-        early_edges = set(early.edges())
-        late_edges = set(late.edges())
+        early_edges = edge_set(early)
+        late_edges = edge_set(late)
         assert early_edges <= late_edges
     # every snapshot vertex touches a retained edge (no isolated padding)
     for g in graphs:
@@ -127,13 +126,38 @@ def test_snapshots_are_nested():
 
 
 def test_snapshot_vertices_are_dense_prefix():
-    log = TemporalEdgeLog((EdgeEvent("x", "y", 1, False),
-                           EdgeEvent("p", "q", 50, False),
-                           EdgeEvent("x", "q", 99, False)))
+    log = load_temporal_edge_list(["x y 1", "p q 50", "x q 99"], directed=False)
     graphs, labels = build_snapshots(log, SnapshotSpec((10, 100)))
     assert graphs[0].n == 2
     assert graphs[1].n == 4
     assert labels.label_of(0) == "x" and labels.label_of(3) == "q"
+
+
+def test_build_snapshots_matches_reference():
+    # ties, self-loops, repeated and unreciprocated links, labels whose str
+    # order differs from their order of appearance (a trailing NUL included,
+    # which numpy 'U' arrays drop), and cutoffs before and after every event
+    # or (odd trials) a few that cut the log short
+    rng = np.random.default_rng(21)
+    names = ["b", "a10", "x\x00", "a2", "Z", "\u00e9", "x", "10", "9"]
+    for trial in range(300):
+        pool = names[:int(rng.integers(1, len(names) + 1))]
+        rows = [(pool[int(rng.integers(len(pool)))], pool[int(rng.integers(len(pool)))],
+                 int(rng.integers(0, 11))) for _ in range(int(rng.integers(0, 25)))]
+        cutoffs = (tuple(range(-1, 12)) if trial % 2 == 0 else
+                   tuple(sorted(rng.choice(13, int(rng.integers(1, 4)),
+                                           replace=False).tolist())))
+        lines = [f"{s} {t} {ts}" for s, t, ts in rows]
+        for directed in (True, False):
+            log = load_temporal_edge_list(lines, directed=directed)
+            want = rows
+            if directed:
+                log, want = reciprocal_projection(log), reciprocal_reference(rows)
+                assert log_rows(log) == want
+            graphs, labels = build_snapshots(log, SnapshotSpec(cutoffs))
+            want_graphs, want_labels = snapshots_reference(want, cutoffs)
+            assert labels.labels == want_labels
+            assert graphs == want_graphs
 
 
 def test_snapshot_spec_validation():
@@ -147,32 +171,29 @@ def test_snapshot_spec_validation():
 
 
 def test_reciprocal_basic_rule():
-    log = TemporalEdgeLog((EdgeEvent("a", "b", 10), EdgeEvent("b", "a", 30)))
-    out = reciprocal_projection(log)
+    out = reciprocal_projection(load_temporal_edge_list(["a b 10", "b a 30"]))
     assert len(out) == 1
-    ev = out.events[0]
-    assert (ev.source, ev.target, ev.timestamp, ev.directed) == ("a", "b", 30, False)
+    assert log_rows(out)[0] + (out.directed,) == ("a", "b", 30, False)
 
 
 def test_reciprocal_unreciprocated_dropped():
-    log = TemporalEdgeLog((EdgeEvent("a", "b", 10),))
+    log = load_temporal_edge_list(["a b 10"])
     assert len(reciprocal_projection(log)) == 0
 
 
 def test_reciprocal_duplicate_events_collapse():
-    log = TemporalEdgeLog((EdgeEvent("a", "b", 10), EdgeEvent("b", "a", 30),
-                           EdgeEvent("a", "b", 50)))
+    log = load_temporal_edge_list(["a b 10", "b a 30", "a b 50"])
     out = reciprocal_projection(log)
-    assert [(e.source, e.target, e.timestamp) for e in out] == [("a", "b", 30)]
+    assert log_rows(out) == [("a", "b", 30)]
 
 
 def _reciprocal_oracle(events):
     """Brute force: for each unordered pair scan all events for both directions."""
     pairs = {}
-    names = sorted({e.source for e in events} | {e.target for e in events})
+    names = sorted({s for s, _, _ in events} | {t for _, t, _ in events})
     for a, b in itertools.combinations(names, 2):
-        fwd = [e.timestamp for e in events if (e.source, e.target) == (a, b)]
-        rev = [e.timestamp for e in events if (e.source, e.target) == (b, a)]
+        fwd = [ts for s, t, ts in events if (s, t) == (a, b)]
+        rev = [ts for s, t, ts in events if (s, t) == (b, a)]
         if fwd and rev:
             pairs[(a, b)] = max(min(fwd), min(rev))
     return pairs
@@ -181,27 +202,26 @@ def _reciprocal_oracle(events):
 def test_reciprocal_matches_bruteforce_oracle():
     rng = np.random.default_rng(11)
     for _ in range(30):
-        events = tuple(EdgeEvent(f"u{rng.integers(8)}", f"u{rng.integers(8)}",
-                                 int(rng.integers(0, 50)))
-                       for _ in range(60))
-        out = reciprocal_projection(TemporalEdgeLog(events))
-        got = {(e.source, e.target): e.timestamp for e in out}
-        want = _reciprocal_oracle([e for e in events if e.source != e.target])
+        events = [(f"u{rng.integers(8)}", f"u{rng.integers(8)}", int(rng.integers(0, 50)))
+                  for _ in range(60)]
+        log = load_temporal_edge_list([f"{s} {t} {ts}" for s, t, ts in events])
+        got = {(s, t): ts for s, t, ts in log_rows(reciprocal_projection(log))}
+        want = _reciprocal_oracle([e for e in events if e[0] != e[1]])
         assert got == want
 
 
 def test_reciprocal_invariant_to_event_order():
     rng = np.random.default_rng(2)
-    events = [EdgeEvent(f"u{rng.integers(6)}", f"u{rng.integers(6)}",
-                        int(rng.integers(0, 40))) for _ in range(40)]
-    base = reciprocal_projection(TemporalEdgeLog(tuple(events))).events
+    lines = [f"u{rng.integers(6)} u{rng.integers(6)} {rng.integers(0, 40)}"
+             for _ in range(40)]
+    base = log_rows(reciprocal_projection(load_temporal_edge_list(lines)))
     for _ in range(5):
-        rng.shuffle(events)
-        assert reciprocal_projection(TemporalEdgeLog(tuple(events))).events == base
+        rng.shuffle(lines)
+        assert log_rows(reciprocal_projection(load_temporal_edge_list(lines))) == base
 
 
 def test_reciprocal_requires_directed():
-    log = TemporalEdgeLog((EdgeEvent("a", "b", 1, False),))
+    log = load_temporal_edge_list(["a b 1"], directed=False)
     with pytest.raises(ValueError):
         reciprocal_projection(log)
 

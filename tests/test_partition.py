@@ -6,13 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import netpos.partition
-from netpos import (EdgeEvent, GeneratorConfig, Graph, Partition, SnapshotSpec,
-                    TemporalEdgeLog, build_snapshots, degree_partition,
-                    epsilon_spread, equitable_oracle, fast_eep,
-                    generate_power_law, read_partition_file,
+from netpos import (GeneratorConfig, Graph, Partition, SnapshotSpec,
+                    build_snapshots, degree_partition, epsilon_spread,
+                    equitable_oracle, fast_eep, generate_power_law,
+                    load_temporal_edge_list, read_partition_file,
                     reciprocal_projection, write_partition_file)
 
-from helpers import complete_graph, er_graph, path_graph, star_graph
+from helpers import complete_graph, edge_set, er_graph, path_graph, star_graph
 from oracles import (ActiveList, degree_to_cell, degree_vector,
                      epsilon_spread_dense, equitable_oracle_dense, split)
 
@@ -325,13 +325,13 @@ def _snapshot_graphs():
     # a directed log over a power-law graph, 70% of edges answered later
     rng = np.random.default_rng(5)
     g = generate_power_law(GeneratorConfig(1500, 2.5, seed=5))
-    events = []
-    for u, v in g.edges():
+    lines = []
+    for u, v in sorted(edge_set(g)):
         t = int(rng.integers(0, 1000))
-        events.append(EdgeEvent(f"v{u}", f"v{v}", t))
+        lines.append(f"v{u} v{v} {t}")
         if rng.random() < 0.7:
-            events.append(EdgeEvent(f"v{v}", f"v{u}", t + int(rng.integers(0, 300))))
-    log = reciprocal_projection(TemporalEdgeLog(tuple(events)))
+            lines.append(f"v{v} v{u} {t + int(rng.integers(0, 300))}")
+    log = reciprocal_projection(load_temporal_edge_list(lines))
     return build_snapshots(log, SnapshotSpec((400, 700, 1300)))[0]
 
 
