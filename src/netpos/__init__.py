@@ -26,6 +26,7 @@ from .partition import (
     IterationLimitError,
     Partition,
     RefinementStats,
+    SignatureCollisionError,
     degree_partition,
     epsilon_spread,
     equitable_oracle,

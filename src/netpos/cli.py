@@ -30,9 +30,9 @@ from .graphs import (GeneratorConfig, ParseError, SnapshotSpec,
                      VertexLabelMap, build_snapshots, generate_power_law,
                      load_edge_list, load_temporal_edge_list,
                      reciprocal_projection, save_edge_list)
-from .partition import (EngineConfig, IterationLimitError, degree_partition,
-                        equitable_oracle, read_partition_file, run_refinement,
-                        write_partition_file)
+from .partition import (EngineConfig, IterationLimitError, SignatureCollisionError,
+                        degree_partition, equitable_oracle, read_partition_file,
+                        run_refinement, write_partition_file)
 from .similarity import UniverseMismatchError, similarity_score
 
 EXIT_PARSE = 3
@@ -47,7 +47,8 @@ def _cli_errors(fn):
         except (ParseError, OSError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(EXIT_PARSE)
-        except (UniverseMismatchError, IterationLimitError) as exc:
+        except (UniverseMismatchError, IterationLimitError,
+                SignatureCollisionError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(EXIT_INTEGRITY)
     return wrapper

@@ -9,8 +9,9 @@ refinement and converges to the coarsest equitable partition.
 The loop keeps its cells in the classic partition-refinement layout (Paige &
 Tarjan 1987): one permutation of the vertices in which every cell is a
 contiguous range named by its start offset, with pending cells on a min-heap
-of start offsets. A split moves only the vertices that leave the cell's
-start, so an iteration costs work proportional to the active cell's volume.
+of start offsets; at epsilon = 0 each iteration is a round that pops every
+pending cell. A split moves only the vertices that leave the cell's start, so
+an iteration costs work proportional to its active cells' volume.
 ``run_refinement`` runs the loop and returns its counters alongside the
 partition; ``fast_eep`` returns the partition alone.
 """
@@ -43,6 +44,10 @@ class IterationLimitError(RuntimeError):
         self.iterations = iterations
         self.active = active
         self.cells = cells
+
+
+class SignatureCollisionError(RuntimeError):
+    """Two distinct degree signatures share a 64-bit hash; refinement refuses them."""
 
 
 def _check_epsilon(epsilon) -> int:
@@ -176,6 +181,14 @@ def _run_offsets(values: np.ndarray) -> np.ndarray:
     return edge.nonzero()[0]
 
 
+def _ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """Concatenated index ranges [starts_i, starts_i + lens_i), in order."""
+    ends = lens.cumsum()
+    flat = np.repeat(starts - ends + lens, lens)
+    flat += np.arange(flat.size, dtype=ID_DTYPE)
+    return flat
+
+
 def _active_cell_degrees(graph: Graph, active_cell: np.ndarray
                          ) -> tuple[np.ndarray, np.ndarray, int]:
     """Vertices adjacent to the active cell, their degrees toward it, and its volume.
@@ -186,21 +199,11 @@ def _active_cell_degrees(graph: Graph, active_cell: np.ndarray
     and the cell's volume (the number of adjacency entries gathered), so an
     iteration costs work proportional to that volume, never to n.
     """
-    indptr = graph.indptr
-    starts = indptr[active_cell]
-    lens = indptr[active_cell + 1] - starts
-    ends = lens.cumsum()
-    volume = int(ends[-1]) if ends.size else 0
-    if volume == 0:
-        empty = np.empty(0, dtype=ID_DTYPE)
-        return empty, empty, 0
-    # flat index of every entry of the rows [starts_i, starts_i + lens_i)
-    flat = np.repeat(starts - ends + lens, lens)
-    flat += np.arange(volume, dtype=ID_DTYPE)
-    hits = graph.indices[flat]
+    starts = graph.indptr[active_cell]
+    hits = graph.indices[_ranges(starts, graph.indptr[active_cell + 1] - starts)]
     hits.sort()
     runs = _run_offsets(hits)
-    return hits[runs[:-1]], runs[1:] - runs[:-1], volume
+    return hits[runs[:-1]], runs[1:] - runs[:-1], hits.size
 
 
 @dataclass
@@ -249,6 +252,10 @@ def run_refinement(graph: Graph, epsilon,
     ascending-f order, so only moved vertices are rewritten; every fragment
     becomes pending. Nothing in an iteration costs O(n) or O(number of cells).
 
+    At eps = 0 ``_refine_rounds`` refines instead, in rounds, and numbers the
+    cells by least member (canonical order), so the result equals
+    ``equitable_oracle``'s.
+
     The partition's membership is each vertex's ``cell_of`` ranked among the
     cell starts, so cells keep partition order. The counters are the
     iteration count, the number of cell splits, the number of fragments they
@@ -263,6 +270,8 @@ def run_refinement(graph: Graph, epsilon,
     n = graph.n
     if n == 0:
         return Partition.unit(0), RefinementStats()
+    if eps == 0:
+        return _refine_rounds(graph, cfg, t0)
     perm = np.arange(n, dtype=ID_DTYPE)
     pos = np.arange(n, dtype=ID_DTYPE)
     cell_of = np.zeros(n, dtype=ID_DTYPE)
@@ -351,6 +360,129 @@ def run_refinement(graph: Graph, epsilon,
         splits=splits, fragments=fragments)
 
 
+def _refine_rounds(graph: Graph, cfg: EngineConfig,
+                   t0: float) -> tuple[Partition, RefinementStats]:
+    """``run_refinement`` at eps = 0, where each iteration is a round.
+
+    A round takes every pending cell as a splitter, counts the (touched vertex,
+    splitter) pairs with one sort and splits each touched cell by its members'
+    (splitter, count) lists, untouched members forming one more class (Cardon
+    & Crochemore 1982). Every fragment but the largest of its cell (the lower
+    start on a tie) becomes pending: Hopcroft's rule, exact at eps = 0 only,
+    as deg(v, largest) = deg(v, cell) - deg(v, rest of the cell).
+    """
+    n = graph.n
+    perm, pos = np.arange(n, dtype=ID_DTYPE), np.arange(n, dtype=ID_DTYPE)
+    cell_of, cell_end = np.zeros(n, dtype=ID_DTYPE), np.zeros(n, dtype=ID_DTYPE)
+    cell_end[0] = n   # cell_end is nonzero exactly at cell starts
+    mover = np.zeros(n, dtype=bool)         # marks movers; all False between rounds
+    pending = np.zeros(1, dtype=ID_DTYPE)   # the unit cell, at start 0
+    n_cells = 1
+    rounds = splits = fragments = map_work = 0
+    cap = cfg.iteration_cap if cfg.iteration_cap is not None else 16 * n + 64
+    while pending.size and n_cells < n:
+        if rounds >= cap:
+            raise IterationLimitError(rounds, pending.size, n_cells)
+        rounds += 1
+        touched, label, volume = _splitter_classes(graph, perm, cell_of, cell_end,
+                                                   pending)
+        map_work += volume
+        pending, split, made = _split_cells(perm, pos, cell_of, cell_end, mover,
+                                            touched, label)
+        splits += split
+        fragments += made
+        n_cells += made - split
+        if cfg.progress_interval and rounds % cfg.progress_interval == 0:
+            log.info("iter=%d active=%d cells=%d elapsed_ms=%.1f", rounds,
+                     pending.size, n_cells, (time.perf_counter() - t0) * 1000.0)
+    starts = cell_end.nonzero()[0]   # relabel every cell by its least member
+    cell_end[starts] = np.minimum.reduceat(perm, starts)
+    partition = Partition.from_membership(cell_end[cell_of])
+    return partition, RefinementStats(
+        rounds, len(partition), time.perf_counter() - t0,
+        map_work if cfg.collect_work else 0, splits, fragments)
+
+
+def _splitter_classes(graph: Graph, perm, cell_of, cell_end, pending
+                      ) -> tuple[np.ndarray, np.ndarray, int]:
+    """Vertices the pending cells touch, their classes, and the cells' volume.
+
+    A class is a (cell, sorted (splitter, count) list) signature; the class
+    ids come from ``_signature_classes``.
+    """
+    n, indptr = graph.n, graph.indptr
+    members = perm[_ranges(pending, cell_end[pending] - pending)]
+    rows = indptr[members]
+    lens = indptr[members + 1] - rows
+    # one key per adjacency entry of a splitter: touched vertex * n + splitter
+    key = graph.indices[_ranges(rows, lens)]
+    key *= n
+    key += np.repeat(cell_of[members], lens)
+    del members, rows, lens
+    key.sort()
+    runs = _run_offsets(key)
+    touched, token = np.divmod(key[runs[:-1]], n)
+    volume = key.size
+    del key
+    token *= n + 1
+    token += runs[1:] - runs[:-1]   # (splitter, count), one per pair
+    del runs
+    bounds = _run_offsets(touched)
+    touched = touched[bounds[:-1]]
+    return touched, _signature_classes(cell_of[touched], token, bounds), volume
+
+
+def _split_cells(perm, pos, cell_of, cell_end, mover, touched, label
+                 ) -> tuple[np.ndarray, int, int]:
+    """Split every touched cell that holds two classes, untouched members being one.
+
+    The movers of all split cells go to the tails of their ranges in one
+    vectorised swap. Returns the new pending cells, the number of cells split
+    and the number of fragments made.
+    """
+    own = cell_of[touched]
+    order = (own * label.size + label).argsort()   # by cell, then class
+    touched, own, label = touched[order], own[order], label[order]
+    edge = np.diff(label, prepend=-1) != 0         # where each class starts
+    # a touched cell (a run of ``own``) splits if it holds two classes
+    runs = _run_offsets(own)
+    first, count = runs[:-1], runs[1:] - runs[:-1]
+    starts = own[first]
+    untouched = cell_end[starts] - starts - count
+    split = np.add.reduceat(edge, first) + (untouched > 0) > 1
+    keep = np.repeat(split, count)
+    movers, edge = touched[keep], edge[keep]
+    starts, count, untouched = starts[split], count[split], untouched[split]
+    tail = starts + untouched
+    slots = _ranges(tail, count)
+    # swap the movers into [tail, end) of their cells; members there that
+    # stay fill the holes the movers leave, cell by cell in both lists
+    at = pos[movers]
+    holes = at[at < np.repeat(tail, count)]
+    mover[movers] = True
+    held = perm[slots]
+    displaced = held[~mover[held]]
+    mover[movers] = False
+    perm[holes] = displaced
+    pos[displaced] = holes
+    perm[slots] = movers
+    pos[movers] = slots
+    # each class of movers becomes a fragment at its first slot
+    heads = edge.nonzero()[0]
+    head, size = slots[heads], np.diff(heads, append=movers.size)
+    cell_of[movers] = np.repeat(head, size)
+    cell_end[head] = head + size
+    kept = untouched > 0
+    cell_end[starts[kept]] = tail[kept]
+    # all fragments in start order; each cell's first largest stays idle
+    head = np.sort(np.concatenate((starts[kept], head)))
+    size = cell_end[head] - head
+    lead = np.searchsorted(head, starts)   # each cell's first fragment
+    big = np.maximum.reduceat(size, lead).repeat(np.diff(lead, append=size.size))
+    big = np.flatnonzero(size == big)
+    return np.delete(head, big[np.searchsorted(big, lead)]), starts.size, head.size
+
+
 def fast_eep(graph: Graph, epsilon) -> Partition:
     """Epsilon-equitable partition by iterative refinement from the unit partition.
 
@@ -367,7 +499,40 @@ def _mix64(x: np.ndarray) -> np.ndarray:
     x *= np.uint64(0xBF58476D1CE4E5B9)
     x ^= x >> np.uint64(27)
     x *= np.uint64(0x94D049BB133111EB)
-    return x ^ (x >> np.uint64(31))
+    x ^= x >> np.uint64(31)
+    return x
+
+
+def _signature_classes(own: np.ndarray, token: np.ndarray,
+                       bounds: np.ndarray) -> np.ndarray:
+    """Dense class ids that group items by (own key, token list), in digest order.
+
+    Item i's list is ``token[bounds[i]:bounds[i + 1]]``, possibly empty.
+    Items are ranked by one 64-bit digest: the sum of the tokens' SplitMix64
+    weights plus an odd multiple of the own key plus the list length. Each is
+    checked against the first item of its digest run, so a hash collision
+    raises SignatureCollisionError instead of merging two signatures.
+    """
+    lens = bounds[1:] - bounds[:-1]
+    weight = np.zeros(token.size + 1, dtype=np.uint64)   # prefix sums of weights
+    np.cumsum(_mix64(token.view(np.uint64)), out=weight[1:])
+    digest = weight[bounds[1:]] - weight[bounds[:-1]]
+    digest += own.view(np.uint64) * np.uint64(0x9E3779B97F4A7C15) + lens.view(np.uint64)
+    del weight
+    order = digest.argsort()
+    runs = _run_offsets(digest[order])
+    label = np.empty_like(order)
+    label[order] = np.arange(runs.size - 1).repeat(runs[1:] - runs[:-1])
+    leader = order[runs[:-1]][label]
+    del digest, order, runs
+    # each token's partner: the token at the same offset in the leader's list
+    partner = np.repeat(bounds[leader] - bounds[:-1], lens)
+    partner += np.arange(token.size)
+    if not (np.array_equal(own[leader], own) and np.array_equal(lens[leader], lens)
+            and np.array_equal(token[partner], token)):
+        raise SignatureCollisionError("two distinct degree signatures share a "
+                                      "64-bit hash; refusing to merge them")
+    return label
 
 
 def equitable_oracle(graph: Graph) -> Partition:
@@ -377,16 +542,12 @@ def equitable_oracle(graph: Graph) -> Partition:
     the coarsest equitable partition (Berkholz, Bonsma & Grohe 2017). Each
     round counts the (vertex, neighbour colour) pairs with one sort, gives
     every vertex the signature (own colour, sorted (colour, count) list) and
-    relabels vertices by signature; it stops when the colour count stops
-    growing. A round costs O(m log m) time and O(n + m) memory; the number of
-    rounds is at most the number of cells, and n/2 on a path.
-
-    Signatures are ranked exactly: vertices are grouped by (own colour, sum of
-    pseudo-random 64-bit token weights, list length), and every vertex's list
-    is then compared with the first member of its group; a mismatch (a hash
-    collision) raises RuntimeError instead of merging two signatures.
-    Independent of the active-cell refinement loop. Canonical output (cells
-    ordered by minimum member).
+    relabels vertices by signature (``_signature_classes``, which refuses a
+    hash collision); it stops when the colour count stops growing. A round
+    costs O(m log m) time and O(n + m) memory; the number of rounds is at most
+    the number of cells, and n/2 on a path. Independent of the pending-cell
+    refinement loops: every round recounts the whole graph. Canonical output
+    (cells ordered by minimum member).
     """
     n = graph.n
     if n == 0:
@@ -394,41 +555,17 @@ def equitable_oracle(graph: Graph) -> Partition:
     memb = np.zeros(n, dtype=ID_DTYPE)
     k = 1
     rows = np.repeat(np.arange(n, dtype=ID_DTYPE), graph.degrees)
+    bounds = np.zeros(n + 1, dtype=ID_DTYPE)
     while True:
         keys, counts = np.unique(rows * k + memb[graph.indices],
                                  return_counts=True)
-        owner, colour = np.divmod(keys, k)
         # the (colour, count) lists, each a run of ``owner``, ascending colour
-        runs = _run_offsets(owner)
-        start, length = runs[:-1], np.diff(runs)
-        token = colour * (n + 1) + counts
-        weight = _mix64(token.astype(np.uint64))
-        digest = np.zeros(n, dtype=np.uint64)
-        lens = np.zeros(n, dtype=ID_DTYPE)
-        if keys.size:
-            digest[owner[start]] = np.add.reduceat(weight, start)
-            lens[owner[start]] = length
-        order = np.lexsort((lens, digest, memb))
-        edge = np.empty(n, dtype=bool)
-        edge[0] = True
-        edge[1:] = ((memb[order[1:]] != memb[order[:-1]])
-                    | (digest[order[1:]] != digest[order[:-1]])
-                    | (lens[order[1:]] != lens[order[:-1]]))
-        group = np.cumsum(edge) - 1
-        new = np.empty(n, dtype=ID_DTYPE)
-        new[order] = group
-        # exactness: each list must equal that of its group's first vertex
-        first = order[edge.nonzero()[0]][new]
-        offset = np.zeros(n, dtype=ID_DTYPE)
-        offset[owner[start]] = start
-        partner = offset[first[owner]] + np.arange(keys.size) - offset[owner]
-        if not np.array_equal(token[partner], token):
-            raise RuntimeError("equitable_oracle: two distinct signatures share "
-                               "a 64-bit hash; refusing to merge them")
-        new_k = int(group[-1]) + 1
-        if new_k == k:
+        owner, colour = np.divmod(keys, k)
+        np.cumsum(np.bincount(owner, minlength=n), out=bounds[1:])
+        new = _signature_classes(memb, colour * (n + 1) + counts, bounds)
+        if new.max() + 1 == k:
             break
-        memb, k = new, new_k
+        memb, k = new, int(new.max()) + 1
     return Partition.from_membership(memb).canonical()
 
 

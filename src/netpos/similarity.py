@@ -77,7 +77,9 @@ def similarity_score(p1: Partition, p2: Partition) -> SimilarityScore:
     discrete input forces a discrete intersection and the score extends
     continuously to 0.
     """
-    inter = np.unique(_meet_labels(p1, p2)).size
+    # sort-and-count: numpy's hashing np.unique is several times slower here
+    labels = np.sort(_meet_labels(p1, p2))
+    inter = int(np.count_nonzero(labels[1:] != labels[:-1])) + (labels.size > 0)
     n = p1.n_vertices
     k1, k2 = len(p1), len(p2)
     # the meet has as many cells as both inputs only when they are equal

@@ -254,6 +254,36 @@ def test_criterion_7_scalability_trend(acceptance_log):
                 f"total {elapsed:.0f}s")
 
 
+def test_criterion_7_eps0_doubling(acceptance_log):
+    # criterion 7 runs eps = 5 only; eps = 0 is the refinement that does the most
+    # work, so its volume must grow near-linearly per doubling of n. Volume is
+    # deterministic and gated at 2.2; wall time is gated like criterion 7
+    # (subquadratic, < 4 per doubling) and its geometric-mean ratio is reported
+    # against the 2.3 target, which shared-host timing noise makes too close
+    # to gate.
+    t0 = time.perf_counter()
+    sizes = (25_000, 50_000, 100_000, 200_000)
+    work, best = {}, {}
+    for n in sizes:
+        g = generate_power_law(GeneratorConfig(n, 2.5, seed=7))
+        times = []
+        for _ in range(3):
+            t1 = time.perf_counter()
+            _, stats = run_refinement(g, 0, EngineConfig(collect_work=True))
+            times.append(time.perf_counter() - t1)
+        work[n], best[n] = stats.map_work, min(times)
+    work_ratios = [work[b] / work[a] for a, b in zip(sizes, sizes[1:])]
+    time_ratios = [best[b] / best[a] for a, b in zip(sizes, sizes[1:])]
+    mean_ratio = (best[sizes[-1]] / best[sizes[0]]) ** (1 / 3)
+    ok = max(work_ratios) <= 2.2 and max(time_ratios) < 4.0
+    _report(acceptance_log, "criterion 7b (eps=0 doubling, gamma=2.5)", ok,
+            f"map_work ratios {'/'.join(f'{r:.2f}' for r in work_ratios)} <= 2.2, "
+            f"best-of-3 times {'/'.join(f'{best[n]:.3f}' for n in sizes)}s, "
+            f"ratios {'/'.join(f'{r:.2f}' for r in time_ratios)} < 4, "
+            f"geometric mean {mean_ratio:.2f} (target 2.3), "
+            f"total {time.perf_counter() - t0:.0f}s")
+
+
 def test_criterion_8_snapshot_pipeline(acceptance_log):
     # ground-truth log: directed events with known reciprocation times
     lines = [

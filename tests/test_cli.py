@@ -2,9 +2,11 @@ import csv
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import netpos.partition
 from netpos.cli import main
 from netpos.partition import read_partition_file
 
@@ -55,6 +57,18 @@ def test_partition_ep_oracle_matches_eps0_at_scale(runner, tmp_path):
         manifest = json.loads(Path(out + ".manifest.json").read_text())
         assert manifest["peak_rss_mb"] > 0
     assert parts[0] == parts[1] and len(parts[0]) > 1000
+
+
+def test_partition_signature_collision_exit(runner, tmp_path, monkeypatch):
+    # with every token weighing 0, the P4 end and middle signatures collide
+    monkeypatch.setattr(netpos.partition, "_mix64", np.zeros_like)
+    edges = _write(tmp_path, "p4.edges", P4_EDGES)
+    out = str(tmp_path / "p4.part")
+    result = runner.invoke(main, ["partition", edges, "-e", "0", "-o", out])
+    assert result.exit_code == 4
+    assert result.stderr.startswith("error: two distinct degree signatures share "
+                                    "a 64-bit hash")
+    assert not Path(out).exists()
 
 
 def test_partition_degree_method_star(runner, tmp_path):

@@ -47,10 +47,20 @@ def test_parallel_matches_serial_across_worker_counts():
 
 def test_iteration_cap_raises_with_diagnostics():
     g = er_graph(64, 0.3, 9)
-    with pytest.raises(IterationLimitError) as err:
-        run_refinement(g, 0, EngineConfig(workers=1, iteration_cap=2))
-    assert err.value.iterations == 2
-    assert err.value.cells >= 1
+    # at eps = 0 the cap counts rounds, and this graph settles in two
+    for eps, cap in ((1, 2), (0, 1)):
+        with pytest.raises(IterationLimitError) as err:
+            run_refinement(g, eps, EngineConfig(workers=1, iteration_cap=cap))
+        assert err.value.iterations == cap
+        assert err.value.cells >= 1
+
+
+def test_path_settles_one_layer_per_round():
+    # each eps = 0 round splits off the next pair of mirror vertices {i, n-1-i}
+    n = 20_000
+    part, stats = run_refinement(path_graph(n), 0)
+    assert part.cells == tuple((i, n - 1 - i) for i in range(n // 2))
+    assert stats.iterations == n // 2
 
 
 def test_stats_and_work_metric():
@@ -98,53 +108,80 @@ def test_public_map_reduce_loop_matches_fast_eep():
                 volume += int(g.degrees[list(ca)].sum())
                 assert steps < 16 * g.n
             got, stats = run_refinement(g, eps, EngineConfig(collect_work=True))
-            assert part == got == fast_eep(g, eps), (seed, eps)
+            assert got == fast_eep(g, eps), (seed, eps)
+            if eps == 0:   # rounds: the same cells, in canonical order
+                assert part.canonical() == got, seed
+                continue
+            assert part == got, (seed, eps)
             assert (stats.iterations, stats.map_work) == (steps, volume), (seed, eps)
 
 
 # --- refinement order, pinned -------------------------------------------------------
-# (graph, eps, iterations, map_work, cells, SHA-256 of the cells in partition order),
-# recorded from the earlier list-based loop (stable cell ids, an active list popped
-# at its lowest position); the permutation-array loop must reproduce every value.
+# (graph, eps, iterations, map_work, cells, SHA-256 of the cells in partition order,
+# SHA-256 of the cells in canonical order). The eps > 0 rows were recorded from the
+# earlier list-based loop (stable cell ids, an active list popped at its lowest
+# position) and every loop since must reproduce them. The canonical digests were
+# recorded from the one-cell-per-iteration loop before eps = 0 moved to rounds;
+# the rounds re-recorded only the eps = 0 order digest (now the canonical one),
+# iterations (now rounds) and map_work.
 PINNED = [
-    ("power_law-2000-2.1", 0, 1709, 167781, 977,
-     "e95ba0ad8d166b119b5ef40df23cf20f7cdd31bf086b3ef42d5e2973064c2725"),
+    ("power_law-2000-2.1", 0, 6, 14225, 977,
+     "c841c695730c28809bc5492548b421f06c8440c0275608f40059c661007390cf",
+     "c841c695730c28809bc5492548b421f06c8440c0275608f40059c661007390cf"),
     ("power_law-2000-2.1", 1, 104, 14979, 94,
-     "bab897e559ff9a14ac912ffd11eee85c8881fafd49dd6849f2a0e6661695e4f3"),
+     "bab897e559ff9a14ac912ffd11eee85c8881fafd49dd6849f2a0e6661695e4f3",
+     "e94ad3fb22108400e179a0550e8fcbfcd4b8bc0fa5d550123291f71203d3906d"),
     ("power_law-2000-2.1", 2, 54, 14113, 50,
-     "5cb83f8a8234076544dec58bbf38f1dcf4ab7d1437d1dfd9d85e62a5e53ed75d"),
+     "5cb83f8a8234076544dec58bbf38f1dcf4ab7d1437d1dfd9d85e62a5e53ed75d",
+     "118f94bc5f1c9d3b27953ffeba40f620142c5b3d9ac8f5941a4944506b4ed795"),
     ("power_law-2000-2.1", 5, 24, 11224, 23,
-     "fd4a24633190257100dd13bd8ada579f4dd6bfb73e5c0931fb627262744be8d6"),
-    ("power_law-2000-2.5", 0, 1109, 64642, 623,
-     "e43ec51e0916561eb4affad63e73576051bdd880953d8220bb68a61d2512b653"),
+     "fd4a24633190257100dd13bd8ada579f4dd6bfb73e5c0931fb627262744be8d6",
+     "e5aac0acc4cc58f4e3df7f1d5bff026aa09c0e74f79f9da4afd7e7cb3108af53"),
+    ("power_law-2000-2.5", 0, 6, 8453, 623,
+     "8ab676555b8f6d49f036df5f059960a77ded029b7918277474ad5d40ae143a7b",
+     "8ab676555b8f6d49f036df5f059960a77ded029b7918277474ad5d40ae143a7b"),
     ("power_law-2000-2.5", 1, 57, 8854, 51,
-     "1d751e80958c152e0e0167d55a8ef55e54f100ed25eeeda547821d25660da9ff"),
+     "1d751e80958c152e0e0167d55a8ef55e54f100ed25eeeda547821d25660da9ff",
+     "1c816846e6cda36037847f20a4635fa79cdd6e35a38f4e97a22e33e36444ba32"),
     ("power_law-2000-2.5", 2, 24, 7113, 22,
-     "1b5edd787204fab258e6eace7e26eccfdce84828fdbf67efb5211121efeaa8f0"),
+     "1b5edd787204fab258e6eace7e26eccfdce84828fdbf67efb5211121efeaa8f0",
+     "35bc0a9c8ca5d861c288caeee67d06bcfba3ff126313caf328ec29d669876315"),
     ("power_law-2000-2.5", 5, 10, 6772, 9,
-     "8fa911f158b5f2ded1f6ad1638914e22dd71f39e3ccdd8f68e13ff4c261bbe2d"),
-    ("power_law-5000-2.1", 0, 4350, 912026, 2440,
-     "fd3b270730b536d5cc80461c5627ecf65e0a57bf44fe7b1cb45a6d7f19b1e3e0"),
+     "8fa911f158b5f2ded1f6ad1638914e22dd71f39e3ccdd8f68e13ff4c261bbe2d",
+     "474b85884340252e3cc049b503b0dab4ad2fcebc10ebdd01e25715c735c2e98d"),
+    ("power_law-5000-2.1", 0, 7, 40229, 2440,
+     "94a11b8e7a17f7cc2e9563a8bcce27ceddad055298b52e5a74c0472a00a33c0c",
+     "94a11b8e7a17f7cc2e9563a8bcce27ceddad055298b52e5a74c0472a00a33c0c"),
     ("power_law-5000-2.1", 1, 185, 55626, 170,
-     "58f96e85436d987d4e43673349dbc20df64228112203220f238e091082938f0e"),
+     "58f96e85436d987d4e43673349dbc20df64228112203220f238e091082938f0e",
+     "d34c0174d6b53cc82579d4ce09beeae052a6a2c7c1d75ea5bf5572014c6fa04c"),
     ("power_law-5000-2.1", 2, 85, 37975, 82,
-     "226fc0c0a63daf5ccb7836ce8a164ac04311ae0283b262aa091232757753e2a4"),
+     "226fc0c0a63daf5ccb7836ce8a164ac04311ae0283b262aa091232757753e2a4",
+     "3ab39b69eaf862500981bfb037397070ddae22a525942e594cce53e98314b721"),
     ("power_law-5000-2.1", 5, 37, 30964, 36,
-     "56f4855d4d9b7070b465954e68b0a314d68769561322d465c29496d25345b612"),
-    ("power_law-5000-2.5", 0, 2873, 403412, 1611,
-     "309e9edb340bfa4e0fa3cf3b4737c81057bc17d497b06959aeed8485fb3f2880"),
+     "56f4855d4d9b7070b465954e68b0a314d68769561322d465c29496d25345b612",
+     "e8b0558c975c0bf9bcf4ac3765ddc5f4b9791ca7b0901735fb8fde01189af10f"),
+    ("power_law-5000-2.5", 0, 7, 22669, 1611,
+     "42feabd4cc7fd409bb9194a1e9c8a33e1e93771abbd7a9cace8f09d621a451fa",
+     "42feabd4cc7fd409bb9194a1e9c8a33e1e93771abbd7a9cace8f09d621a451fa"),
     ("power_law-5000-2.5", 1, 99, 34490, 88,
-     "bab443c3e8f1706a2f03aed3ff7cce8a07cbf07a9b2049d568c36df617747d5a"),
+     "bab443c3e8f1706a2f03aed3ff7cce8a07cbf07a9b2049d568c36df617747d5a",
+     "936fb8c151a365582bb8e78d82e1ae7573144246444ccf52f7aa92ca2570b51b"),
     ("power_law-5000-2.5", 2, 36, 23466, 34,
-     "1c8064f10afe09c051b2ccd64a015c60df279323448e59813ca3cdb9fe731796"),
+     "1c8064f10afe09c051b2ccd64a015c60df279323448e59813ca3cdb9fe731796",
+     "fdcebadf471a6f09cfa374a0e72292503831d35ec9146e4b4ac35f57a930bc50"),
     ("power_law-5000-2.5", 5, 17, 24534, 15,
-     "a66f256d9fd80391e0d8298327c36b6c43b8d3e0e79fe93ab7dca8cf7703144e"),
-    ("er-400-0.004", 0, 492, 6219, 293,
-     "8e2f05c83af7fa5c5e2fd3cd4f033eb6c8a0fae8ba4eff2d1e6518b615b30f32"),
+     "a66f256d9fd80391e0d8298327c36b6c43b8d3e0e79fe93ab7dca8cf7703144e",
+     "a6a4960869607dd6b379d1d091d4ab1d93c9fa34b7fc784315e4aeddf48a0e36"),
+    ("er-400-0.004", 0, 6, 2337, 293,
+     "8d73284a45be33e2e755bb7b3a056e23018f7d8095d27215aac988be6d700b19",
+     "8d73284a45be33e2e755bb7b3a056e23018f7d8095d27215aac988be6d700b19"),
     ("er-400-0.004", 1, 27, 2449, 20,
-     "216e48344307a0745bf74f6b595f9e5b83e7c58752067c1ea25a1da712f5ec6e"),
+     "216e48344307a0745bf74f6b595f9e5b83e7c58752067c1ea25a1da712f5ec6e",
+     "e1e5d323ac8ac87dc999e5e463091d7eb41f0b51fb3adf5a4c3d68c3cd102415"),
     ("er-400-0.004", 2, 9, 1680, 7,
-     "745974ffdd1e130a909e5c9f1ed6eccee248bc91bf621afda0402d855cd5f829"),
+     "745974ffdd1e130a909e5c9f1ed6eccee248bc91bf621afda0402d855cd5f829",
+     "333b0bb63ca13202637a6250e3233f2d195e0e78dea2b42b164b9ddec3f924a5"),
 ]
 
 
@@ -158,13 +195,19 @@ def _pinned_graph(name):
     return g
 
 
-@pytest.mark.parametrize("name, eps, iterations, map_work, cells, digest", PINNED,
-                         ids=[f"{name}-eps{eps}" for name, eps, *_ in PINNED])
-def test_refinement_order_pinned(name, eps, iterations, map_work, cells, digest):
+def _cells_digest(part):
+    text = "\n".join(" ".join(map(str, cell)) for cell in part.cells)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name, eps, iterations, map_work, cells, digest, canonical",
+                         PINNED, ids=[f"{name}-eps{eps}" for name, eps, *_ in PINNED])
+def test_refinement_order_pinned(name, eps, iterations, map_work, cells, digest,
+                                 canonical):
     part, stats = run_refinement(_pinned_graph(name), eps,
                                  EngineConfig(collect_work=True))
-    text = "\n".join(" ".join(map(str, cell)) for cell in part.cells)
-    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert _cells_digest(part.canonical()) == canonical
+    assert _cells_digest(part) == digest
     assert (stats.iterations, stats.map_work, stats.cells) == \
         (iterations, map_work, cells)
     assert stats.cells == len(part) == 1 + stats.fragments - stats.splits

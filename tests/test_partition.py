@@ -6,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import netpos.partition
-from netpos import (GeneratorConfig, Graph, Partition, SnapshotSpec,
-                    build_snapshots, degree_partition, epsilon_spread,
-                    equitable_oracle, fast_eep, generate_power_law,
-                    load_temporal_edge_list, read_partition_file,
-                    reciprocal_projection, write_partition_file)
+from netpos import (GeneratorConfig, Graph, Partition, SignatureCollisionError,
+                    SnapshotSpec, build_snapshots, degree_partition,
+                    epsilon_spread, equitable_oracle, fast_eep,
+                    generate_power_law, load_temporal_edge_list,
+                    read_partition_file, reciprocal_projection,
+                    write_partition_file)
 
 from helpers import complete_graph, edge_set, er_graph, path_graph, star_graph
 from oracles import (ActiveList, degree_to_cell, degree_vector,
@@ -278,6 +279,14 @@ def test_fast_eep_spread_bound_at_scale():
         assert epsilon_spread(g, fast_eep(g, eps)) <= eps
 
 
+def test_fast_eep_at_paper_scale():
+    # eps = 0 returns the oracle's cells in the oracle's (canonical) order
+    g = generate_power_law(GeneratorConfig(200_000, 2.5, seed=7))
+    assert fast_eep(g, 0) == equitable_oracle(g)
+    for eps in (0, 1, 2, 5):
+        assert epsilon_spread(g, fast_eep(g, eps)) <= eps
+
+
 def test_fast_eep_deterministic():
     g = er_graph(60, 0.1, 3)
     assert fast_eep(g, 2).cells == fast_eep(g, 2).cells
@@ -357,8 +366,10 @@ def test_equitable_oracle_matches_dense():
 def test_equitable_oracle_refuses_hash_collision(monkeypatch):
     # with every token weighing 0, the P4 end and middle signatures collide
     monkeypatch.setattr(netpos.partition, "_mix64", np.zeros_like)
-    with pytest.raises(RuntimeError, match="hash"):
-        equitable_oracle(P4)
+    for refine in (equitable_oracle, lambda g: fast_eep(g, 0)):
+        with pytest.raises(SignatureCollisionError, match="hash"):
+            refine(P4)
+    assert issubclass(SignatureCollisionError, RuntimeError)
 
 
 def test_equitable_oracle_at_scale():
