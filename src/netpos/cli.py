@@ -24,8 +24,8 @@ import numpy as np
 
 from . import __version__
 from .centrality import CONVENTIONS, compute_measures
-from .coevolution import (DEFAULT_BIN_EDGES, DEFAULT_PAIR_CAP, coevolution_report,
-                          overlap_matrix, same_position_pairs)
+from .coevolution import (DEFAULT_BIN_EDGES, DEFAULT_PAIR_CAP, MAX_FULL_PAIRS,
+                          coevolution_report, overlap_matrix, same_position_pairs)
 from .graphs import (GeneratorConfig, ParseError, SnapshotSpec,
                      VertexLabelMap, build_snapshots, generate_power_law,
                      load_edge_list, load_temporal_edge_list,
@@ -414,14 +414,15 @@ def coevolve(log_path, cutoffs, directed, reciprocal, method, epsilon, names,
 
     early, late = graphs
     part, _ = _partition(early, method, epsilon)
-
-    common = range(early.n)
-    pairs = same_position_pairs(part, common,
-                                cap=None if full_pairs else cap, seed=seed)
-    scores_early = compute_measures(early, names)
-    scores_late = compute_measures(late, names)
     sizes = np.bincount(part.membership)
     population = int((sizes * (sizes - 1) // 2).sum())
+    if full_pairs and population > MAX_FULL_PAIRS:
+        click.echo(f"error: --full-pairs would list {population} same-position pairs, "
+                   f"above the limit of {MAX_FULL_PAIRS}; sample them with --cap", err=True)
+        sys.exit(EXIT_INTEGRITY)
+    pairs = same_position_pairs(part, cap=None if full_pairs else cap, seed=seed)
+    scores_early = compute_measures(early, names)
+    scores_late = compute_measures(late, names)
     report = coevolution_report(
         pairs,
         {m: (scores_early[m].scores, scores_late[m].scores) for m in names},
@@ -479,7 +480,7 @@ def gen(n, gamma, seed, output, manifest_out):
 @click.option("--sizes", required=True, callback=_SIZES,
               help="Comma-separated vertex counts.")
 @click.option("--gammas", default="2.9", show_default=True, callback=_GAMMAS)
-@click.option("--eps", default="5", show_default=True, callback=_EPSILONS)
+@click.option("--eps", default="0,5", show_default=True, callback=_EPSILONS)
 @click.option("--repeats", type=click.IntRange(min=1), default=1,
               show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)

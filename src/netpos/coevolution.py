@@ -21,6 +21,9 @@ from .similarity import _masked, restrict_partition, similarity_score
 
 DEFAULT_BIN_EDGES = tuple(float(x) for x in range(11))  # [0,1) .. [9,10) + overflow
 DEFAULT_PAIR_CAP = 1_000_000
+# the most pairs `coevolve --full-pairs` lists: a pair peaks at about 130 B
+# once listed and binned, so the run stays near 1.3 GB
+MAX_FULL_PAIRS = 10_000_000
 
 
 def _pair_count(size: int) -> int:

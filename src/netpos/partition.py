@@ -1,19 +1,20 @@
 """Partition model, epsilon-equitable refinement, and reference partitioners.
 
-The refinement loop starts from the unit partition and repeatedly takes the
-lowest-indexed pending cell as the active cell, counts the degree toward it of
-every vertex it touches, and splits cells wherever member degrees spread more
-than epsilon apart. With epsilon = 0 this is exactly equitable (McKay-style)
+Refinement starts from the unit partition and repeats one step: it counts the
+degree toward the splitter cells of every vertex they touch (the map phase)
+and splits every cell whose members' degrees spread more than epsilon apart
+(the reduce phase). With epsilon = 0 this is exactly equitable (McKay-style)
 refinement and converges to the coarsest equitable partition.
 
-The loop keeps its cells in the classic partition-refinement layout (Paige &
-Tarjan 1987): one permutation of the vertices in which every cell is a
-contiguous range named by its start offset, with pending cells on a min-heap
-of start offsets; at epsilon = 0 each iteration is a round that pops every
-pending cell. A split moves only the vertices that leave the cell's start, so
-an iteration costs work proportional to its active cells' volume.
-``run_refinement`` runs the loop and returns its counters alongside the
-partition; ``fast_eep`` returns the partition alone.
+One loop, ``run_refinement``, serves every epsilon on one cell store in the
+classic partition-refinement layout (Paige & Tarjan 1987): one permutation of
+the vertices in which every cell is a contiguous range named by its start
+offset. ``_split_cells`` is the only code that moves vertices, and it moves
+only those that leave their cell's start, so an iteration costs work
+proportional to its splitters' volume. The loop branches on epsilon = 0 in
+four places: which cells are splitters (every pending cell, or the least
+one), how touched vertices are classed, which fragments become pending, and
+how the cells are numbered. ``fast_eep`` returns the partition alone.
 """
 
 from __future__ import annotations
@@ -154,24 +155,6 @@ class Partition:
         return self.membership
 
 
-def _group_bounds(fs: np.ndarray, eps: int) -> list[int]:
-    """Greedy epsilon-grouping of ascending degree values, as offsets into ``fs``.
-
-    A value joins the current group iff it is within eps of the group's first
-    (minimum) value, so the groups depend only on the multiset of values.
-    """
-    bounds = [0]
-    start = 0
-    while True:
-        nxt = int(np.searchsorted(fs, fs[start] + eps, side="right"))
-        if nxt >= fs.size:
-            break
-        bounds.append(nxt)
-        start = nxt
-    bounds.append(fs.size)
-    return bounds
-
-
 def _run_offsets(values: np.ndarray) -> np.ndarray:
     """Start offset of each run of equal values in a sorted array, then its size."""
     size = values.size
@@ -240,166 +223,82 @@ def run_refinement(graph: Graph, epsilon,
 
     The cells live in one permutation ``perm`` of the vertices: each cell is
     the contiguous range ``perm[s:cell_end[s]]`` and is named by its start
-    offset ``s``, so partition order is start-offset order. ``cell_of[v]`` is
-    the start of v's cell and ``pos[v]`` its offset in ``perm``; members of a
-    cell are unordered in ``perm``.
+    offset ``s``. ``cell_of[v]`` is the start of v's cell and ``pos[v]`` its
+    offset in ``perm``; members of a cell are unordered in ``perm``.
 
-    Each iteration pops the pending cell with the least start (a min-heap plus
-    a pending flag), counts the degrees toward it of the vertices it touches,
-    and splits every cell whose members' degrees spread more than eps, where
-    untouched members count as f = 0. A split keeps the lowest-f fragment at
-    the cell's start and moves the other members to the tail of its range in
-    ascending-f order, so only moved vertices are rewritten; every fragment
-    becomes pending. Nothing in an iteration costs O(n) or O(number of cells).
+    One loop serves every epsilon. An iteration takes its splitters, classes
+    the vertices they touch, and hands the classes to ``_split_cells``, the
+    only code that moves vertices; it branches on eps = 0 at four points:
 
-    At eps = 0 ``_refine_rounds`` refines instead, in rounds, and numbers the
-    cells by least member (canonical order), so the result equals
-    ``equitable_oracle``'s.
+    1. Splitters: at eps = 0 every pending cell, so an iteration is a round;
+       at eps > 0 the pending cell with the least start, off a min-heap.
+    2. Classes: at eps = 0 the (cell, sorted (splitter, count) list)
+       signatures of ``_splitter_classes``; at eps > 0 the greedy eps-groups
+       of ``_epsilon_classes`` over the degrees toward the active cell.
+    3. New pending cells: at eps = 0 every fragment but the largest of its
+       cell (``_all_but_largest``, Hopcroft's rule); at eps > 0 every fragment.
+    4. Numbering: at eps = 0 cells are numbered by least member (canonical
+       order, equal to ``equitable_oracle``'s); at eps > 0 by start offset,
+       which a split fixes by keeping its lowest-f fragment at the cell's
+       start and the others after it in ascending-f order.
 
-    The partition's membership is each vertex's ``cell_of`` ranked among the
-    cell starts, so cells keep partition order. The counters are the
-    iteration count, the number of cell splits, the number of fragments they
-    created, the cell count, the elapsed time and, under ``collect_work``, the
-    summed volume of the active cells, which is the number of adjacency
-    entries the scatter gathered. The result is a pure function of
+    Nothing in an iteration costs O(n) or O(number of cells). The counters
+    are the iteration count, the number of cell splits, the number of
+    fragments they created, the cell count, the elapsed time and, under
+    ``collect_work``, the summed volume of the splitters, which is the number
+    of adjacency entries gathered. The result is a pure function of
     (graph, epsilon).
     """
     eps = _check_epsilon(epsilon)
     cfg = config or EngineConfig()
     t0 = time.perf_counter()
     n = graph.n
-    if n == 0:
-        return Partition.unit(0), RefinementStats()
-    if eps == 0:
-        return _refine_rounds(graph, cfg, t0)
-    perm = np.arange(n, dtype=ID_DTYPE)
-    pos = np.arange(n, dtype=ID_DTYPE)
-    cell_of = np.zeros(n, dtype=ID_DTYPE)
-    cell_end = np.zeros(n, dtype=ID_DTYPE)   # nonzero exactly at cell starts
-    cell_end[0] = n
-    pending = np.zeros(n, dtype=bool)
-    pending[0] = True
-    heap = [0]
+    perm, pos = np.arange(n, dtype=ID_DTYPE), np.arange(n, dtype=ID_DTYPE)
+    cell_of, cell_end = np.zeros(n, dtype=ID_DTYPE), np.zeros(n, dtype=ID_DTYPE)
+    cell_end[:1] = n   # cell_end is nonzero exactly at cell starts
+    mover = np.zeros(n, dtype=bool)   # marks movers; all False between iterations
+    # pending starts: an array at eps = 0, else a min-heap with a queued flag
+    pending = np.zeros(1, dtype=ID_DTYPE) if eps == 0 else [0]
+    queued = np.zeros(n, dtype=bool)   # the unit cell is popped before any push
     n_cells = 1
     iterations = splits = fragments = map_work = 0
     cap = cfg.iteration_cap if cfg.iteration_cap is not None else 16 * n + 64
-
-    def make_pending(start: int) -> None:
-        if not pending[start]:
-            pending[start] = True
-            heapq.heappush(heap, start)
-
-    while heap and n_cells < n:
+    while len(pending) and n_cells < n:
         if iterations >= cap:
-            raise IterationLimitError(iterations, len(heap), n_cells)
+            raise IterationLimitError(iterations, len(pending), n_cells)
         iterations += 1
-        active = heapq.heappop(heap)
-        pending[active] = False
-        touched, f, volume = _active_cell_degrees(
-            graph, perm[active:cell_end[active]])
+        if eps == 0:
+            touched, label, volume = _splitter_classes(graph, perm, cell_of,
+                                                       cell_end, pending)
+            pending = pending[:0]
+        else:
+            active = heapq.heappop(pending)
+            queued[active] = False
+            touched, label, volume = _epsilon_classes(
+                graph, perm[active:cell_end[active]], cell_of, cell_end, eps)
         map_work += volume
-
-        # no cell can spread more than the largest degree toward the active cell
-        fmax = int(f.max()) if volume else 0
-        if fmax > eps:
-            # group the touched vertices by cell, ascending f within each cell
-            cells = cell_of[touched]
-            order = (cells * (fmax + 1) + f).argsort()
-            cells, f, touched = cells[order], f[order], touched[order]
-            runs = _run_offsets(cells)
-            first, stop = runs[:-1], runs[1:]
-            starts = cells[first]
-            covered = stop - first == cell_end[starts] - starts
-            # a cell splits iff its exact f spread exceeds eps, where untouched
-            # members (f = 0) only enter through the minimum
-            low = f[first] * covered
-            for g in (f[stop - 1] - low > eps).nonzero()[0].tolist():
-                start, a, b = int(starts[g]), int(first[g]), int(stop[g])
-                end = int(cell_end[start])
-                if covered[g]:
-                    tail = start      # regroup the whole range in place
-                else:
-                    # the f <= eps group keeps the untouched members and start
-                    a += int(np.searchsorted(f[a:b], eps, side="right"))
-                    tail = end - (b - a)
-                    cell_end[start] = tail
-                    make_pending(start)
-                # swap the movers into [tail, end); members there that stay
-                # fill the holes the movers leave
-                movers = touched[a:b]
-                at = pos[movers]
-                holes = at[at < tail]
-                if holes.size:
-                    staying = np.ones(end - tail, dtype=bool)
-                    staying[at[at >= tail] - tail] = False
-                    displaced = perm[tail:end][staying]
-                    perm[holes] = displaced
-                    pos[displaced] = holes
-                perm[tail:end] = movers
-                pos[movers] = np.arange(tail, end, dtype=ID_DTYPE)
-                bounds = _group_bounds(f[a:b], eps)
-                for lo, hi in zip(bounds, bounds[1:]):
-                    if tail + lo != start:
-                        cell_of[movers[lo:hi]] = tail + lo
-                    cell_end[tail + lo] = tail + hi
-                    make_pending(tail + lo)
-                new = len(bounds) - 1 if covered[g] else len(bounds)
-                splits += 1
-                fragments += new
-                n_cells += new - 1
-
+        if touched.size:
+            starts, heads = _split_cells(perm, pos, cell_of, cell_end, mover,
+                                         touched, label)
+            splits += starts.size
+            fragments += heads.size
+            n_cells += heads.size - starts.size
+            if eps == 0:
+                pending = _all_but_largest(cell_end, starts, heads)
+            else:
+                for head in heads[~queued[heads]].tolist():
+                    heapq.heappush(pending, head)
+                queued[heads] = True
         if cfg.progress_interval and iterations % cfg.progress_interval == 0:
             log.info("iter=%d active=%d cells=%d elapsed_ms=%.1f", iterations,
-                     len(heap), n_cells, (time.perf_counter() - t0) * 1000.0)
-
+                     len(pending), n_cells, (time.perf_counter() - t0) * 1000.0)
+    if eps == 0:   # number every cell by its least member
+        starts = cell_end.nonzero()[0]
+        cell_end[starts] = np.minimum.reduceat(perm, starts)
+        cell_of = cell_end[cell_of]
     partition = Partition.from_membership(cell_of)
     return partition, RefinementStats(
-        iterations=iterations, cells=len(partition),
-        elapsed_s=time.perf_counter() - t0,
-        map_work=map_work if cfg.collect_work else 0,
-        splits=splits, fragments=fragments)
-
-
-def _refine_rounds(graph: Graph, cfg: EngineConfig,
-                   t0: float) -> tuple[Partition, RefinementStats]:
-    """``run_refinement`` at eps = 0, where each iteration is a round.
-
-    A round takes every pending cell as a splitter, counts the (touched vertex,
-    splitter) pairs with one sort and splits each touched cell by its members'
-    (splitter, count) lists, untouched members forming one more class (Cardon
-    & Crochemore 1982). Every fragment but the largest of its cell (the lower
-    start on a tie) becomes pending: Hopcroft's rule, exact at eps = 0 only,
-    as deg(v, largest) = deg(v, cell) - deg(v, rest of the cell).
-    """
-    n = graph.n
-    perm, pos = np.arange(n, dtype=ID_DTYPE), np.arange(n, dtype=ID_DTYPE)
-    cell_of, cell_end = np.zeros(n, dtype=ID_DTYPE), np.zeros(n, dtype=ID_DTYPE)
-    cell_end[0] = n   # cell_end is nonzero exactly at cell starts
-    mover = np.zeros(n, dtype=bool)         # marks movers; all False between rounds
-    pending = np.zeros(1, dtype=ID_DTYPE)   # the unit cell, at start 0
-    n_cells = 1
-    rounds = splits = fragments = map_work = 0
-    cap = cfg.iteration_cap if cfg.iteration_cap is not None else 16 * n + 64
-    while pending.size and n_cells < n:
-        if rounds >= cap:
-            raise IterationLimitError(rounds, pending.size, n_cells)
-        rounds += 1
-        touched, label, volume = _splitter_classes(graph, perm, cell_of, cell_end,
-                                                   pending)
-        map_work += volume
-        pending, split, made = _split_cells(perm, pos, cell_of, cell_end, mover,
-                                            touched, label)
-        splits += split
-        fragments += made
-        n_cells += made - split
-        if cfg.progress_interval and rounds % cfg.progress_interval == 0:
-            log.info("iter=%d active=%d cells=%d elapsed_ms=%.1f", rounds,
-                     pending.size, n_cells, (time.perf_counter() - t0) * 1000.0)
-    starts = cell_end.nonzero()[0]   # relabel every cell by its least member
-    cell_end[starts] = np.minimum.reduceat(perm, starts)
-    partition = Partition.from_membership(cell_end[cell_of])
-    return partition, RefinementStats(
-        rounds, len(partition), time.perf_counter() - t0,
+        iterations, len(partition), time.perf_counter() - t0,
         map_work if cfg.collect_work else 0, splits, fragments)
 
 
@@ -407,8 +306,10 @@ def _splitter_classes(graph: Graph, perm, cell_of, cell_end, pending
                       ) -> tuple[np.ndarray, np.ndarray, int]:
     """Vertices the pending cells touch, their classes, and the cells' volume.
 
-    A class is a (cell, sorted (splitter, count) list) signature; the class
-    ids come from ``_signature_classes``.
+    A round counts the (touched vertex, splitter) pairs with one sort; a class
+    is a (cell, sorted (splitter, count) list) signature (Cardon & Crochemore
+    1982), with ids from ``_signature_classes``. Untouched members of a
+    touched cell form one more class in ``_split_cells``.
     """
     n, indptr = graph.n, graph.indptr
     members = perm[_ranges(pending, cell_end[pending] - pending)]
@@ -429,20 +330,68 @@ def _splitter_classes(graph: Graph, perm, cell_of, cell_end, pending
     del runs
     bounds = _run_offsets(touched)
     touched = touched[bounds[:-1]]
-    return touched, _signature_classes(cell_of[touched], token, bounds), volume
+    own = cell_of[touched]
+    label = _signature_classes(own, token, bounds)
+    order = (own * label.size + label).argsort()   # by cell, then class
+    return touched[order], label[order], volume
+
+
+def _epsilon_classes(graph: Graph, active_cell: np.ndarray, cell_of, cell_end,
+                     eps: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """The vertices that leave their cell's start, their classes, and the volume.
+
+    A cell splits iff its members' degrees toward the active cell spread more
+    than eps, untouched members counting as f = 0. It is cut greedily in
+    ascending f: each group runs from its head, the least f not yet grouped,
+    to the last f within eps of it, so the groups depend only on the multiset
+    of values. The first group stays at the cell's start, with the untouched
+    members in a partly touched cell, so only the other groups move and are
+    returned. Class ids are distinct and ascend with f within a cell.
+    """
+    touched, f, volume = _active_cell_degrees(graph, active_cell)
+    # no cell can spread more than the largest degree toward the active cell
+    fmax = int(f.max()) if volume else 0
+    if fmax <= eps:
+        return touched[:0], f[:0], volume
+    # order the touched vertices by cell, ascending f within each cell
+    cells = cell_of[touched]
+    key = cells * (fmax + 1) + f
+    order = key.argsort()
+    key, cells, f, touched = key[order], cells[order], f[order], touched[order]
+    runs = _run_offsets(cells)
+    first, stop = runs[:-1], runs[1:]
+    starts = cells[first]
+    covered = stop - first == cell_end[starts] - starts
+    # the exact f spread of a cell, where untouched members (f = 0) only
+    # enter through the minimum
+    low = f[first] * covered
+    spread = f[stop - 1] - low > eps
+    # the group within eps of the minimum stays at the cell's start, so the
+    # movers of a spreading cell start after it
+    lo = np.searchsorted(key, starts * (fmax + 1) + low + eps, side="right")[spread]
+    head, end = lo, stop[spread]
+    moves = _ranges(lo, end - lo)
+    is_head = np.zeros(f.size, dtype=bool)
+    while head.size:   # the next group head of every cell at once
+        is_head[head] = True
+        head = np.searchsorted(key, key[head] + eps, side="right")
+        more = head < end
+        head, end = head[more], end[more]
+    return touched[moves], is_head[moves].cumsum(), volume
 
 
 def _split_cells(perm, pos, cell_of, cell_end, mover, touched, label
-                 ) -> tuple[np.ndarray, int, int]:
+                 ) -> tuple[np.ndarray, np.ndarray]:
     """Split every touched cell that holds two classes, untouched members being one.
 
-    The movers of all split cells go to the tails of their ranges in one
-    vectorised swap. Returns the new pending cells, the number of cells split
-    and the number of fragments made.
+    ``touched`` comes grouped by cell in start order, each class (a run of
+    equal ``label``) contiguous. The untouched members keep the cell's start
+    and the classes follow in the given order, each a fragment, as the movers
+    of all split cells go to the tails of their ranges in one vectorised
+    swap. Returns the starts of the split cells and the heads of all their
+    fragments, both ascending.
     """
     own = cell_of[touched]
-    order = (own * label.size + label).argsort()   # by cell, then class
-    touched, own, label = touched[order], own[order], label[order]
     edge = np.diff(label, prepend=-1) != 0         # where each class starts
     # a touched cell (a run of ``own``) splits if it holds two classes
     runs = _run_offsets(own)
@@ -474,13 +423,20 @@ def _split_cells(perm, pos, cell_of, cell_end, mover, touched, label
     cell_end[head] = head + size
     kept = untouched > 0
     cell_end[starts[kept]] = tail[kept]
-    # all fragments in start order; each cell's first largest stays idle
-    head = np.sort(np.concatenate((starts[kept], head)))
-    size = cell_end[head] - head
-    lead = np.searchsorted(head, starts)   # each cell's first fragment
+    return starts, np.sort(np.concatenate((starts[kept], head)))
+
+
+def _all_but_largest(cell_end, starts, heads) -> np.ndarray:
+    """Every fragment but the largest of its cell (the lower start on a tie).
+
+    Hopcroft's rule, exact at eps = 0 only: deg(v, largest) = deg(v, cell) -
+    deg(v, rest of the cell), so the largest fragment need not split others.
+    """
+    size = cell_end[heads] - heads
+    lead = np.searchsorted(heads, starts)   # each cell's first fragment
     big = np.maximum.reduceat(size, lead).repeat(np.diff(lead, append=size.size))
     big = np.flatnonzero(size == big)
-    return np.delete(head, big[np.searchsorted(big, lead)]), starts.size, head.size
+    return np.delete(heads, big[np.searchsorted(big, lead)])
 
 
 def fast_eep(graph: Graph, epsilon) -> Partition:
@@ -546,7 +502,7 @@ def equitable_oracle(graph: Graph) -> Partition:
     hash collision); it stops when the colour count stops growing. A round
     costs O(m log m) time and O(n + m) memory; the number of rounds is at most
     the number of cells, and n/2 on a path. Independent of the pending-cell
-    refinement loops: every round recounts the whole graph. Canonical output
+    refinement loop: every round recounts the whole graph. Canonical output
     (cells ordered by minimum member).
     """
     n = graph.n

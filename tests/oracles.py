@@ -20,7 +20,7 @@ import numpy as np
 from netpos import Graph, Partition
 from netpos.centrality import _brandes_source
 from netpos.graphs import ID_DTYPE
-from netpos.partition import _check_epsilon, _group_bounds
+from netpos.partition import _check_epsilon
 from netpos.similarity import UniverseMismatchError, _common_universe
 
 
@@ -124,15 +124,21 @@ def _fragment_cell(members: np.ndarray, fvals: np.ndarray,
                    eps: int) -> list[np.ndarray] | None:
     """Greedy epsilon-grouping of one cell, or None if it stays whole.
 
-    The per-cell form of the refinement loop's split: members are sorted by f
-    and grouped by :func:`netpos.partition._group_bounds`. Fragments
-    come out in ascending-f order with members sorted by id.
+    The per-cell form of the refinement loop's split: members are taken in
+    ascending f, and each starts a new group when its f exceeds the current
+    group's first (least) f by more than eps. Fragments come out in
+    ascending-f order with members sorted by id.
     """
     if int(fvals.max()) - int(fvals.min()) <= eps:
         return None
     order = np.argsort(fvals, kind="stable")
-    bounds = _group_bounds(fvals[order], eps)
-    return [np.sort(members[order[a:b]]) for a, b in zip(bounds, bounds[1:])]
+    groups: list[list[int]] = []
+    for v, value in zip(members[order].tolist(), fvals[order].tolist()):
+        if not groups or value > low + eps:
+            groups.append([])
+            low = value
+        groups[-1].append(v)
+    return [np.sort(np.asarray(group, dtype=ID_DTYPE)) for group in groups]
 
 
 def split(partition: Partition, f, epsilon) -> tuple[Partition, dict[int, tuple[int, ...]]]:

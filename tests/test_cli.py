@@ -204,6 +204,17 @@ def test_coevolve_histogram(runner, tmp_path):
     assert "conventions" in report["metadata"]
 
 
+def test_coevolve_full_pairs_refuses_a_huge_population(runner, tmp_path):
+    # the 5,000 leaves of a star share one position: C(5000, 2) = 12,497,500 pairs
+    log = _write(tmp_path, "log.txt", "".join(f"hub leaf{i} 10\n" for i in range(5000)))
+    base = str(tmp_path / "coe")
+    result = runner.invoke(main, ["coevolve", log, "--cutoffs", "20,50", "-e", "1",
+                                  "--full-pairs", "-o", base])
+    assert result.exit_code == 4, result.output
+    assert "error:" in result.output and "12497500" in result.output
+    assert not list(tmp_path.glob("coe*"))
+
+
 def test_coevolve_overlap(runner, tmp_path):
     log = _write(tmp_path, "log.txt",
                  "a b 10\nb c 10\nc d 15\nd e 40\na c 40\nb e 45\nc e 45\n")

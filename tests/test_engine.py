@@ -9,12 +9,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from netpos import (EngineConfig, GeneratorConfig, IterationLimitError,
+from netpos import (EngineConfig, GeneratorConfig, Graph, IterationLimitError,
                     Partition, compute_measures, fast_eep, generate_power_law,
                     overlap_matrix, run_refinement, same_position_pairs)
 from netpos.partition import _active_cell_degrees
 
-from helpers import er_graph, pa_snapshots, path_graph
+from helpers import edge_set, er_graph, pa_snapshots, path_graph, star_graph
 from oracles import ActiveList, degree_to_cell, split
 
 P4 = path_graph(4)
@@ -91,11 +91,23 @@ def test_progress_log_is_key_value(caplog):
         and "elapsed_ms=" in msg
 
 
+def _disjoint_union(a, b):
+    shifted = [(u + a.n, w + a.n) for u, w in sorted(edge_set(b))]
+    return Graph.from_edges(a.n + b.n, sorted(edge_set(a)) + shifted)
+
+
 def test_public_map_reduce_loop_matches_fast_eep():
-    # an independent refinement loop built from the per-vertex reference pieces
-    for seed in range(6):
-        g = er_graph(30, 0.2, seed)
-        for eps in (0, 1, 2):
+    # an independent refinement loop built from the per-vertex reference pieces;
+    # the later inputs have active cells that split several cells at once, some
+    # fully touched and some partly, and isolated vertices (er_graph(60, ...))
+    cases = [(er_graph(30, 0.2, seed), (0, 1, 2)) for seed in range(6)]
+    sparse = er_graph(60, 0.03, 2)
+    assert (sparse.degrees == 0).sum() > 0
+    for g in (star_graph(12), _disjoint_union(path_graph(9), star_graph(7)), sparse,
+              generate_power_law(GeneratorConfig(300, 2.3, seed=5))):
+        cases.append((g, (0, 1, 2, 3)))
+    for case, (g, epsilons) in enumerate(cases):
+        for eps in epsilons:
             part = Partition.unit(g.n)
             active = ActiveList([0])
             steps = volume = 0
@@ -108,12 +120,12 @@ def test_public_map_reduce_loop_matches_fast_eep():
                 volume += int(g.degrees[list(ca)].sum())
                 assert steps < 16 * g.n
             got, stats = run_refinement(g, eps, EngineConfig(collect_work=True))
-            assert got == fast_eep(g, eps), (seed, eps)
+            assert got == fast_eep(g, eps), (case, eps)
             if eps == 0:   # rounds: the same cells, in canonical order
-                assert part.canonical() == got, seed
+                assert part.canonical() == got, case
                 continue
-            assert part == got, (seed, eps)
-            assert (stats.iterations, stats.map_work) == (steps, volume), (seed, eps)
+            assert part == got, (case, eps)
+            assert (stats.iterations, stats.map_work) == (steps, volume), (case, eps)
 
 
 # --- refinement order, pinned -------------------------------------------------------
