@@ -138,10 +138,12 @@ _EPSILONS = _list_option(int, lambda xs: min(xs) >= 0,
                          "comma-separated non-negative integers")
 _SIZES = _list_option(int, lambda xs: min(xs) >= 2,
                       "comma-separated integers >= 2")
-_GAMMAS = _list_option(float, lambda xs: min(xs) > 1,
+_GAMMAS = _list_option(float, lambda xs: all(x > 1 for x in xs),  # rejects nan
                        "comma-separated numbers > 1")
-_BIN_EDGES = _list_option(float, _ascending,
-                          "strictly ascending comma-separated numbers")
+_BIN_EDGES = _list_option(float, lambda xs: (np.isfinite(xs).all()
+                                             and _ascending(xs) and xs[0] <= 0),
+                          "strictly ascending comma-separated finite numbers, "
+                          "the first <= 0")
 _CUTOFFS = _list_option(_parse_cutoff, _ascending,
                         "strictly ascending comma-separated unix timestamps "
                         "or ISO-8601 dates")
@@ -364,7 +366,8 @@ def snapshots(log_path, cutoffs, directed, reciprocal, output_base, manifest_out
               show_default=True, callback=_MEASURE_NAMES)
 @click.option("--bin-edges", default=",".join(str(int(e)) for e in DEFAULT_BIN_EDGES),
               show_default=True, callback=_BIN_EDGES,
-              help="Ascending bin edges; last bin overflows.")
+              help="Ascending bin edges, the first <= 0 since pair differences "
+                   "are >= 0; last bin overflows.")
 @click.option("--cap", type=click.IntRange(min=1), default=DEFAULT_PAIR_CAP,
               show_default=True, help="Same-position pair sample budget.")
 @click.option("--full-pairs", is_flag=True, help="Force exact pair enumeration.")
@@ -459,7 +462,7 @@ def coevolve(log_path, cutoffs, directed, reciprocal, method, epsilon, names,
 def gen(n, gamma, seed, output, manifest_out):
     """Generate a random power-law graph (erased configuration model)."""
     t0 = time.perf_counter()
-    if gamma <= 1:
+    if not gamma > 1:  # rejects nan
         raise click.UsageError("gamma must be > 1")
     manifest = _start_manifest("gen", dict(n=n, gamma=gamma, seed=seed,
                                            output=output), seed=seed)

@@ -8,7 +8,6 @@ scores moved in lockstep between the snapshots.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
@@ -21,82 +20,105 @@ from .similarity import _masked, restrict_partition, similarity_score
 
 DEFAULT_BIN_EDGES = tuple(float(x) for x in range(11))  # [0,1) .. [9,10) + overflow
 DEFAULT_PAIR_CAP = 1_000_000
-# the most pairs `coevolve --full-pairs` lists: a pair peaks at about 130 B
-# once listed and binned, so the run stays near 1.3 GB
+# the most pairs `coevolve --full-pairs` lists: a pair peaks at about 65 B
+# while it is unranked, so the run stays near 0.66 GB
 MAX_FULL_PAIRS = 10_000_000
 
 
-def _pair_count(size: int) -> int:
+def _pair_count(size: int | np.ndarray) -> int | np.ndarray:
     return size * (size - 1) // 2
 
 
-def _unrank_pair(k: int, size: int) -> tuple[int, int]:
-    """Map a rank in [0, C(size, 2)) to the k-th (i, j) pair, i < j.
+def _unrank_pair(k, size) -> tuple[np.ndarray, np.ndarray]:
+    """Map ranks ``k`` in [0, C(size, 2)) to pairs (i, j), i < j, elementwise.
 
-    Ranks enumerate pairs row-major: (0,1), (0,2), ..., (1,2), ...
-    Row i starts at offset C(size, 2) - C(size - i, 2), so the row of rank k
-    is found from the smallest s with C(s, 2) >= C(size, 2) - k.
+    Ranks enumerate pairs row-major: (0,1), (0,2), ..., (1,2), ... Row i
+    starts at rank C(size, 2) - C(size - i, 2), so the row of rank k is
+    size - s for the least s with C(s, 2) >= C(size, 2) - k. The float square
+    root lands within one of s; one integer step each way makes it exact.
     """
-    total = _pair_count(size)
-    if not 0 <= k < total:
+    k = np.asarray(k, dtype=np.int64)
+    size = np.asarray(size, dtype=np.int64)
+    rem = _pair_count(size) - k  # pairs from rank k to the end of the cell
+    if np.any(k < 0) or np.any(rem < 1):
         raise ValueError("pair rank out of range")
-    rem = total - k
-    s = (1 + math.isqrt(8 * rem)) // 2
-    while _pair_count(s) < rem:
-        s += 1
-    while _pair_count(s - 1) >= rem:
-        s -= 1
+    s = ((1 + np.sqrt(8 * rem.astype(np.float64))) // 2).astype(np.int64) + 1
+    s += _pair_count(s) < rem
+    s -= _pair_count(s - 1) >= rem
     i = size - s
-    j = i + 1 + (k - (total - _pair_count(s)))
-    return i, j
+    return i, i + 1 + _pair_count(s) - rem
+
+
+def _sample_ranks(population: int, cap: int, seed: int) -> np.ndarray:
+    """The first ``cap`` distinct values of a seeded stream of draws from
+    [0, population), ascending. A batch is need + need // 4 + 16 draws, need
+    being how many values are still missing.
+
+    Near ``cap`` the last values take thousands of small batches, so a mask
+    over the population marks the chosen ones and a batch costs O(batch). Far
+    above ``cap`` one batch nearly always suffices and a sorted array does.
+    """
+    rng = np.random.default_rng(seed)
+    taken = np.zeros(population, dtype=bool) if population <= 8 * cap else None
+    chosen, count = np.empty(0, dtype=np.int64), 0
+    while count < cap:
+        need = cap - count
+        draw = rng.integers(0, population, size=need + need // 4 + 16)
+        values, first = np.unique(draw, return_index=True)
+        old = np.isin(values, chosen) if taken is None else taken[values]
+        new = draw[np.sort(first[~old])[:need]]  # fresh values in draw order
+        if taken is None:
+            chosen = np.union1d(chosen, new)
+        else:
+            taken[new] = True
+        count += new.size
+    return chosen if taken is None else np.flatnonzero(taken)
 
 
 def same_position_pairs(partition: Partition, common: Iterable[int] | None = None,
-                        cap: int | None = None, seed: int = 0) -> list[tuple[int, int]]:
-    """All unordered same-cell pairs, restricted to ``common``.
+                        cap: int | None = None, seed: int = 0) -> np.ndarray:
+    """All unordered same-cell pairs, restricted to ``common``, as a (k, 2)
+    int64 array of (a, b) rows with a < b, in cell order and then row-major.
 
     When the pair population exceeds ``cap``, a uniform sample of exactly
     ``cap`` distinct pairs is drawn without replacement, deterministically for
-    a given seed.
+    a given seed, and returned in the same order.
     """
     if common is not None:
         keep = np.fromiter(common, dtype=ID_DTYPE)
         partition = _masked(partition, np.isin(partition.universe, keep))
-    groups = [cell for cell in partition.cells if len(cell) > 1]
-    population = sum(_pair_count(len(g)) for g in groups)
+    members = partition.universe[np.argsort(partition.membership, kind="stable")]
+    sizes = np.bincount(partition.membership, minlength=len(partition))
+    counts = _pair_count(sizes)
+    ends = np.cumsum(counts)
+    population = int(counts.sum())
     if cap is None or population <= cap:
-        return [pair for members in groups
-                for pair in itertools.combinations(members, 2)]
-
-    rng = np.random.default_rng(seed)
-    chosen: set[int] = set()
-    while len(chosen) < cap:
-        need = cap - len(chosen)
-        draw = rng.integers(0, population, size=need + need // 4 + 16)
-        for k in draw:
-            chosen.add(int(k))
-            if len(chosen) == cap:
-                break
-    offsets = np.cumsum([0] + [_pair_count(len(g)) for g in groups])
-    out = []
-    for k in sorted(chosen):
-        g = int(np.searchsorted(offsets, k, side="right")) - 1
-        i, j = _unrank_pair(k - int(offsets[g]), len(groups[g]))
-        out.append((groups[g][i], groups[g][j]))
-    return out
+        ranks = np.arange(population, dtype=np.int64)
+    else:
+        ranks = _sample_ranks(population, cap, seed)
+    cell = np.searchsorted(ends, ranks, side="right")
+    ranks -= (ends - counts)[cell]  # rank within its cell
+    i, j = _unrank_pair(ranks, sizes[cell])
+    del ranks  # a full listing is memory-bound: free 8 B a pair first
+    start = (np.cumsum(sizes) - sizes)[cell]  # each pair's cell in ``members``
+    i += start
+    j += start
+    return np.column_stack((members[i], members[j]))
 
 
-def pair_difference_values(pairs: Sequence[tuple[int, int]], scores_t,
-                           scores_later) -> np.ndarray:
+def pair_difference_values(pairs, scores_t, scores_later) -> np.ndarray:
     """|(a_t - b_t) - (a_t' - b_t')| for every pair; symmetric in (a, b).
 
-    Both score sets are arrays indexed by vertex id.
+    ``pairs`` is a (k, 2) array or a sequence of (a, b) tuples; both score
+    sets are arrays indexed by vertex id.
     """
-    if not pairs:
+    arr = np.asarray(pairs, dtype=np.int64)
+    if not len(arr):
         return np.empty(0)
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise ValueError(f"pairs must have shape (k, 2), not {arr.shape}")
     st = np.asarray(scores_t, dtype=float)
     sl = np.asarray(scores_later, dtype=float)
-    arr = np.asarray(pairs, dtype=np.int64)
     top = int(arr.max())
     if top >= st.shape[0] or top >= sl.shape[0]:
         shortest = min(st.shape[0], sl.shape[0])
@@ -154,8 +176,7 @@ class CoevolutionReport:
         }
 
 
-def pair_difference_histogram(pairs: Sequence[tuple[int, int]], scores_t,
-                              scores_later,
+def pair_difference_histogram(pairs, scores_t, scores_later,
                               bin_edges: Sequence[float] = DEFAULT_BIN_EDGES,
                               measure: str = "score") -> CoevolutionReport:
     """Bin one measure's pair differences into a single-measure report."""
@@ -163,12 +184,12 @@ def pair_difference_histogram(pairs: Sequence[tuple[int, int]], scores_t,
                               bin_edges=bin_edges)
 
 
-def coevolution_report(pairs: Sequence[tuple[int, int]],
-                       score_sets: Mapping[str, tuple[object, object]],
+def coevolution_report(pairs, score_sets: Mapping[str, tuple[object, object]],
                        bin_edges: Sequence[float] = DEFAULT_BIN_EDGES,
                        sampling: Mapping | None = None,
                        metadata: Mapping | None = None) -> CoevolutionReport:
     """Histogram the pair differences of several measures over shared pairs."""
+    pairs = np.asarray(pairs, dtype=np.int64)  # convert once, not per measure
     counts: dict[str, tuple[int, ...]] = {}
     pcts: dict[str, tuple[float, ...]] = {}
     total = len(pairs)

@@ -5,13 +5,16 @@ library computes in bulk: the active list and SPLIT step of the refinement
 loop, degrees toward a cell, the dense signature matrix behind the coarsest
 equitable partition, the dense degree matrix behind the epsilon spread,
 partition equality, intersection and restriction over cell tuples, the
-cross-product intersection count, exact rational betweenness, and the
-string-keyed per-event reciprocal projection and snapshot construction.
+cross-product intersection count, exact rational betweenness, the
+string-keyed per-event reciprocal projection and snapshot construction, and
+the set-based same-position pair sampler with its scalar pair unranking.
 Tests compare the library against them.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -369,3 +372,50 @@ def snapshots_reference(events, cutoffs) -> tuple[list[Graph], tuple[str, ...]]:
     checkpoints += [(len(ids), len(edge_list))] * (len(cutoffs) - ci)
     return ([Graph.from_edges(n_i, edge_list[:k_i]) for n_i, k_i in checkpoints],
             tuple(ids))
+
+
+def unrank_pair_scalar(k: int, size: int) -> tuple[int, int]:
+    """The k-th pair (i, j), i < j, of range(size) in row-major order, by
+    integer square root and stepping."""
+    total = size * (size - 1) // 2
+    if not 0 <= k < total:
+        raise ValueError("pair rank out of range")
+    rem = total - k
+    s = (1 + math.isqrt(8 * rem)) // 2
+    while s * (s - 1) // 2 < rem:
+        s += 1
+    while (s - 1) * (s - 2) // 2 >= rem:
+        s -= 1
+    i = size - s
+    return i, i + 1 + (k - (total - s * (s - 1) // 2))
+
+
+def same_position_pairs_reference(partition: Partition,
+                                  common: Iterable[int] | None = None,
+                                  cap: int | None = None, seed: int = 0) -> list:
+    """Same-cell pairs as tuples: every combination, or the first ``cap``
+    distinct ranks of the seeded draw stream, added to a set one draw at a
+    time and unranked one pair at a time."""
+    cells = partition.cells
+    if common is not None:
+        keep = set(common)
+        cells = [tuple(v for v in cell if v in keep) for cell in cells]
+    groups = [cell for cell in cells if len(cell) > 1]
+    population = sum(len(g) * (len(g) - 1) // 2 for g in groups)
+    if cap is None or population <= cap:
+        return [pair for cell in groups for pair in itertools.combinations(cell, 2)]
+    rng = np.random.default_rng(seed)
+    chosen: set[int] = set()
+    while len(chosen) < cap:
+        need = cap - len(chosen)
+        for k in rng.integers(0, population, size=need + need // 4 + 16):
+            chosen.add(int(k))
+            if len(chosen) == cap:
+                break
+    offsets = np.cumsum([0] + [len(g) * (len(g) - 1) // 2 for g in groups])
+    out = []
+    for k in sorted(chosen):
+        g = int(np.searchsorted(offsets, k, side="right")) - 1
+        i, j = unrank_pair_scalar(k - int(offsets[g]), len(groups[g]))
+        out.append((groups[g][i], groups[g][j]))
+    return out

@@ -304,9 +304,15 @@ def test_reciprocal_needs_directed(runner, tmp_path):
     ["coevolve", "LOG", "--cutoffs", ","],
     ["coevolve", "LOG", "--cutoffs", "20,50,80"],
     ["coevolve", "LOG", "--cutoffs", "20", "--overlap"],
+    ["gen", "-n", "10", "--gamma", "nan"],
+    ["bench", "--sizes", "200", "--gammas", "2,nan"],
+    ["coevolve", "LOG", "--cutoffs", "20,50", "--bin-edges", "5,6"],
+    ["coevolve", "LOG", "--cutoffs", "20,50", "--bin-edges", "nan"],
+    ["coevolve", "LOG", "--cutoffs", "20,50", "--bin-edges", "-inf,0,1"],
 ], ids=["negative-eps", "non-int-eps", "descending-bins", "unknown-measure",
         "size-below-2", "descending-cutoffs", "empty-cutoffs",
-        "three-cutoffs-histogram", "one-cutoff-overlap"])
+        "three-cutoffs-histogram", "one-cutoff-overlap", "nan-gamma",
+        "nan-gammas", "bins-above-zero", "nan-bins", "infinite-bins"])
 def test_bad_list_option_usage_error(runner, tmp_path, args):
     # the log does not parse, so exit 2 rather than 3 shows the option was
     # rejected before any input was read

@@ -10,6 +10,7 @@ from netpos import (Partition, coevolution_report, overlap_matrix,
 from netpos.coevolution import _unrank_pair, bin_values
 
 from helpers import pa_snapshots
+from oracles import same_position_pairs_reference
 
 
 # --- pair extraction -----------------------------------------------------------
@@ -17,34 +18,115 @@ from helpers import pa_snapshots
 
 def test_pairs_basic():
     p = Partition.from_cells([[1, 2, 3], [4]])
-    assert same_position_pairs(p) == [(1, 2), (1, 3), (2, 3)]
+    pairs = same_position_pairs(p)
+    assert pairs.dtype == np.int64 and pairs.shape == (3, 2)
+    assert pairs.tolist() == [[1, 2], [1, 3], [2, 3]]
 
 
 def test_pairs_discrete_empty():
-    assert same_position_pairs(Partition.discrete(range(5))) == []
+    pairs = same_position_pairs(Partition.discrete(range(5)))
+    assert pairs.dtype == np.int64 and pairs.shape == (0, 2)
 
 
 def test_pairs_respect_common_restriction():
     p = Partition.from_cells([[0, 1, 2], [3, 4]])
-    assert same_position_pairs(p, common={0, 2, 3}) == [(0, 2)]
+    assert same_position_pairs(p, common={0, 2, 3}).tolist() == [[0, 2]]
 
 
 def test_unrank_pair_exhaustive():
     for size in (2, 3, 7, 19, 40):
         want = list(itertools.combinations(range(size), 2))
-        got = [_unrank_pair(k, size) for k in range(len(want))]
-        assert got == want
+        i, j = _unrank_pair(np.arange(len(want)), np.full(len(want), size))
+        assert list(zip(i.tolist(), j.tolist())) == want
+    with pytest.raises(ValueError):
+        _unrank_pair(np.array([3]), np.array([3]))
+
+
+@pytest.mark.parametrize("size", [10**7, 2**26 + 3, 3 * 10**8 + 7])
+def test_unrank_pair_exact_for_huge_cells(size):
+    # the rows' first and last pairs are where a float square root would
+    # land one row off; the closed-form rank of (i, j) must give k back
+    rng = np.random.default_rng(size % 1000)
+    rows = np.concatenate(([0, 1, size - 3, size - 2], rng.integers(0, size - 1, 60)))
+    i = np.repeat(rows, 2)
+    j = np.where(np.arange(i.size) % 2, size - 1, i + 1)
+    c2 = lambda x: x * (x - 1) // 2
+    k = c2(size) - c2(size - i) + j - i - 1
+    got_i, got_j = _unrank_pair(k, np.full(k.size, size))
+    assert got_i.tolist() == i.tolist() and got_j.tolist() == j.tolist()
+
+
+def _reference_cases():
+    cells = [list(range(0, 60)), list(range(60, 61)), list(range(61, 100)),
+             list(range(100, 250, 3))]
+    p = Partition.from_cells(cells)
+    population = sum(len(c) * (len(c) - 1) // 2 for c in cells)
+    for seed in (0, 7, 2014):
+        # population // 8 keeps the chosen ranks in a mask, one less in a
+        # sorted array
+        for cap in (1, population - 1, population // 2, population // 8,
+                    population // 8 - 1):
+            yield p, None, cap, seed
+    common = [v for v in range(250) if v % 5]
+    yield p, common, 700, 3
+    yield p, common, None, 0
+    yield Partition.discrete(range(9)), None, 5, 0
+    yield Partition.discrete(range(9)), None, None, 0
+    yield Partition.from_cells([]), None, 5, 0
+    yield p, None, None, 0
+    yield p, None, population, 0
+
+
+def test_pairs_match_set_sampler_reference():
+    # the vectorised sampler returns the reference's exact rows: the same
+    # draws, dedupe order, cut at cap and unranking
+    for partition, common, cap, seed in _reference_cases():
+        got = same_position_pairs(partition, common, cap=cap, seed=seed)
+        want = same_position_pairs_reference(partition, common, cap=cap, seed=seed)
+        assert got.shape == (len(want), 2)
+        assert list(map(tuple, got.tolist())) == want
+
+
+def test_pair_sampling_needs_several_batches():
+    # at cap = population - 1 the first batch of 1.25 * cap + 16 draws has
+    # too few distinct ranks, so the sampler must draw again
+    p = Partition.from_cells([list(range(50))])
+    population = 50 * 49 // 2
+    cap = population - 1
+    first = np.random.default_rng(0).integers(0, population, cap + cap // 4 + 16)
+    assert np.unique(first).size < cap
+    got = same_position_pairs(p, cap=cap, seed=0).tolist()
+    assert list(map(tuple, got)) == same_position_pairs_reference(p, cap=cap, seed=0)
+
+
+def test_pair_sampling_redraws_on_both_sides_of_the_mask(monkeypatch):
+    # draws folded onto 600 ranks repeat often, so both the mask (cap 467)
+    # and the sorted array (cap 466) must drop ranks chosen in earlier batches
+    default_rng = np.random.default_rng
+
+    class Folded:
+        def __init__(self, seed):
+            self.rng = default_rng(seed)
+
+        def integers(self, low, high, size):
+            return self.rng.integers(low, high, size) % 600
+
+    monkeypatch.setattr(np.random, "default_rng", Folded)
+    p = next(_reference_cases())[0]
+    for cap in (466, 467):
+        got = same_position_pairs(p, cap=cap, seed=5).tolist()
+        assert list(map(tuple, got)) == same_position_pairs_reference(p, cap=cap, seed=5)
 
 
 def test_pair_sampling_contract():
     p = Partition.from_cells([list(range(1000))])
     sample = same_position_pairs(p, cap=10_000, seed=3)
     assert len(sample) == 10_000
-    assert len(set(sample)) == 10_000
-    assert all(a < b for a, b in sample)
+    assert len(np.unique(sample, axis=0)) == 10_000
+    assert np.all(sample[:, 0] < sample[:, 1])
     # reproducible per seed; different seed differs
-    assert sample == same_position_pairs(p, cap=10_000, seed=3)
-    assert sample != same_position_pairs(p, cap=10_000, seed=4)
+    assert np.array_equal(sample, same_position_pairs(p, cap=10_000, seed=3))
+    assert not np.array_equal(sample, same_position_pairs(p, cap=10_000, seed=4))
 
 
 def test_pair_sampling_spans_cells():
@@ -84,6 +166,15 @@ def test_pair_difference_missing_score_names_vertex():
         pair_difference_values([(0, 9)], [1.0] * 5, [1.0] * 10)
     with pytest.raises(ValueError, match="vertex 2"):
         pair_difference_values([(0, 2)], [1.0, 0.0, 0.5], [1.0])
+
+
+def test_pair_difference_rejects_malformed_pairs():
+    scores = [1.0] * 10
+    for pairs in ([0, 1, 2, 3], np.zeros((4, 3), dtype=np.int64), [[[0, 1]]]):
+        with pytest.raises(ValueError, match="shape"):
+            pair_difference_values(pairs, scores, scores)
+        with pytest.raises(ValueError, match="shape"):
+            coevolution_report(pairs, {"m": (scores, scores)})
 
 
 def test_zero_evolution_identity():

@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 from netpos import (EngineConfig, GeneratorConfig, Graph, IterationLimitError,
-                    Partition, compute_measures, fast_eep, generate_power_law,
-                    overlap_matrix, run_refinement, same_position_pairs)
+                    Partition, coevolution_report, compute_measures, fast_eep,
+                    generate_power_law, overlap_matrix, pair_difference_histogram,
+                    run_refinement, same_position_pairs)
 from netpos.partition import _active_cell_degrees
 
 from helpers import edge_set, er_graph, pa_snapshots, path_graph, star_graph
@@ -283,6 +284,21 @@ def test_perfbench_call_shapes():
     assert stats.iterations >= 1 and stats.cells == len(part)
     part, stats = run_refinement(early, 1, EngineConfig(workers=1))
     assert stats.cells == len(part)
+    # the coevolve-hist replay passes the pair array straight on
+    measures = ("degree", "betweenness", "triangles", "shapley")
+    scores = {m: (compute_measures(early, [m])[m].scores,
+                  compute_measures(late, [m])[m].scores) for m in measures}
+    population = sum(len(c) * (len(c) - 1) // 2 for c in part.cells)
+    for cap in (population // 3, population):
+        pairs = same_position_pairs(part, range(early.n), cap=cap, seed=0)
+        assert len(pairs) == min(cap, population)
+        report = coevolution_report(pairs, scores, sampling={
+            "population_pairs": population, "cap": cap,
+            "sampled": len(pairs) < population, "seed": 0})
+        rebuilt = {m: pair_difference_histogram(pairs, *scores[m], measure=m).counts[m]
+                   for m in measures}
+        assert rebuilt == report.counts
+        assert all(sum(c) == len(pairs) for c in report.counts.values())
     matrix = overlap_matrix([early, late], epsilons=range(9),
                             include_equitable=True, include_degree=True, workers=1)
     assert matrix.methods == tuple(f"eep:{e}" for e in range(9)) + ("ep", "degree")
