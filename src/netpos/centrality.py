@@ -23,6 +23,11 @@ CONVENTIONS = {
                "score(v) = sum over u in closed neighborhood of 1/(1+deg(u))",
 }
 
+# Largest n * (n + 2m) the CLI lets exact betweenness take on: each source
+# scans n-sized arrays and the 2m adjacency entries, at about 0.6 us a unit
+# on a 2-vCPU host, so the limit is about ten minutes there.
+MAX_BETWEENNESS_WORK = 10**9
+
 
 @dataclass(frozen=True)
 class CentralityVector:

@@ -23,7 +23,7 @@ import click
 import numpy as np
 
 from . import __version__
-from .centrality import CONVENTIONS, compute_measures
+from .centrality import CONVENTIONS, MAX_BETWEENNESS_WORK, compute_measures
 from .coevolution import (DEFAULT_BIN_EDGES, DEFAULT_PAIR_CAP, MAX_FULL_PAIRS,
                           coevolution_report, overlap_matrix, same_position_pairs)
 from .graphs import (GeneratorConfig, ParseError, SnapshotSpec,
@@ -164,6 +164,16 @@ def _partition(graph, method: str, epsilon: int, progress_interval: int = 0):
     return part, dict(cells=len(part))
 
 
+def _refuse_slow_betweenness(graph, names) -> None:
+    """Exit 4 if betweenness is asked for on a graph above its work limit."""
+    work = graph.n * (graph.n + 2 * graph.m)
+    if "betweenness" in names and work > MAX_BETWEENNESS_WORK:
+        click.echo(f"error: betweenness on n={graph.n} m={graph.m} would take "
+                   f"n*(n+2m) = {work} steps, above the limit of "
+                   f"{MAX_BETWEENNESS_WORK}; leave it out of --measures", err=True)
+        sys.exit(EXIT_INTEGRITY)
+
+
 def _load_snapshots(log_path, cuts, directed: bool, reciprocal: bool):
     """Read a temporal edge log and cut it into nested snapshots and their labels."""
     if reciprocal and not directed:
@@ -289,6 +299,7 @@ def centrality(input_path, names, fmt, output, manifest_out):
 
     with open(input_path, "r", encoding="utf-8") as fh:
         graph, labels = load_edge_list(fh)
+    _refuse_slow_betweenness(graph, names)
     vectors = compute_measures(graph, names)
 
     sink = sys.stdout if output == "-" else open(output, "w", encoding="utf-8")
@@ -416,6 +427,7 @@ def coevolve(log_path, cutoffs, directed, reciprocal, method, epsilon, names,
         return
 
     early, late = graphs
+    _refuse_slow_betweenness(late, names)
     part, _ = _partition(early, method, epsilon)
     sizes = np.bincount(part.membership)
     population = int((sizes * (sizes - 1) // 2).sum())

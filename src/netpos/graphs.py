@@ -138,66 +138,34 @@ class Graph:
 
 
 class VertexLabelMap:
-    """Bijective external-label <-> dense-id map, stable for the life of a run."""
+    """Dense id -> external label table, stable for the life of a run.
 
-    __slots__ = ("_ids", "_labels")
+    Ids are positions in the label tuple; a repeated label keeps its first id.
+    """
+
+    __slots__ = ("_labels",)
 
     def __init__(self, labels: Iterable[str] = ()):
-        self._labels: list[str] = list(dict.fromkeys(labels))
-        self._ids = dict(zip(self._labels, range(len(self._labels))))
-
-    def id_of(self, label: str) -> int:
-        return self._ids[label]
+        self._labels: tuple[str, ...] = tuple(dict.fromkeys(labels))
 
     def label_of(self, vid: int) -> str:
         return self._labels[vid]
 
     @property
     def labels(self) -> tuple[str, ...]:
-        return tuple(self._labels)
+        return self._labels
 
     def __len__(self) -> int:
         return len(self._labels)
 
-    def __contains__(self, label: str) -> bool:
-        return label in self._ids
-
     def write(self, stream: IO[str]) -> None:
-        for vid, label in enumerate(self._labels):
-            stream.write(f"{vid}\t{label}\n")
+        """Write one '<id>\\t<label>' line per id, ascending."""
+        stream.write("".join(f"{vid}\t{label}\n"
+                             for vid, label in enumerate(self._labels)))
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             self.write(fh)
-
-    @classmethod
-    def read(cls, stream: IO[str]) -> "VertexLabelMap":
-        entries: dict[int, str] = {}
-        for line_no, raw in enumerate(stream, 1):
-            line = raw.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t", 1)
-            if len(parts) != 2:
-                raise ParseError("expected '<id>\\t<label>'", line_no)
-            try:
-                vid = int(parts[0])
-            except ValueError:
-                raise ParseError(f"bad id {parts[0]!r}", line_no) from None
-            if vid in entries:
-                raise ParseError(f"duplicate id {vid}", line_no)
-            entries[vid] = parts[1]
-        if sorted(entries) != list(range(len(entries))):
-            raise ParseError("label map ids are not dense")
-        out = cls(entries[vid] for vid in range(len(entries)))
-        if len(out) != len(entries):
-            raise ParseError("label map has duplicate labels")
-        return out
-
-    @classmethod
-    def load(cls, path) -> "VertexLabelMap":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.read(fh)
 
 
 @dataclass(frozen=True, eq=False)

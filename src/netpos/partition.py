@@ -19,9 +19,7 @@ how the cells are numbered. ``fast_eep`` returns the partition alone.
 
 from __future__ import annotations
 
-import functools
 import heapq
-import itertools
 import logging
 import time
 from dataclasses import dataclass
@@ -65,24 +63,38 @@ class Partition:
     index of each, with cells numbered in partition order; ``len(p)`` is the
     cell count. Cell order is significant (refinement numbers cells by
     position); use :meth:`canonical` before comparing partitions structurally.
-    ``cells`` is a tuple-of-tuples view with ascending members, built once on
-    first use, for file output and for callers that read cells.
+    ``cells`` builds a tuple-of-tuples view with ascending members on each
+    access; nothing else is kept.
     """
+
+    __slots__ = ("universe", "membership", "_k")
 
     def __init__(self, cells: Iterable[Iterable[int]] = ()):
         """Validate and normalize cells (sorted members, disjoint, nonempty)."""
-        cells = [tuple(cell) for cell in cells]
-        if not all(cells):
+        self._group([np.fromiter(cell, dtype=ID_DTYPE) for cell in cells])
+
+    def _group(self, cells: list[np.ndarray],
+               line_nos: list[int] | None = None) -> None:
+        """Store cells given as id arrays, checking them with one stable sort.
+
+        The sort keeps the copies of a vertex in input order, so each copy but
+        the first is a repeat. The first cell, in input order, that holds one
+        raises a ParseError (a ValueError) naming its least repeated vertex and,
+        from ``line_nos``, the cell's line.
+        """
+        sizes = np.fromiter(map(len, cells), dtype=ID_DTYPE, count=len(cells))
+        if not sizes.all():
             raise ValueError("partition cells must be nonempty")
-        flat = np.fromiter(itertools.chain.from_iterable(cells), dtype=ID_DTYPE)
+        flat = np.concatenate(cells) if cells else np.zeros(0, dtype=ID_DTYPE)
         order = np.argsort(flat, kind="stable")
         universe = flat[order]
-        repeated = universe[1:][universe[1:] == universe[:-1]]
-        if repeated.size:
-            raise ValueError(f"vertex {repeated[0]} appears more than once")
-        sizes = [len(cell) for cell in cells]
-        labels = np.repeat(np.arange(len(cells), dtype=ID_DTYPE), sizes)
-        self._store(universe, labels[order], len(cells))
+        membership = np.repeat(np.arange(len(cells), dtype=ID_DTYPE), sizes)[order]
+        again = (universe[1:] == universe[:-1]).nonzero()[0] + 1
+        if again.size:
+            at = again[membership[again].argmin()]
+            raise ParseError(f"vertex {universe[at]} appears more than once",
+                             line_nos[membership[at]] if line_nos else None)
+        self._store(universe, membership, len(cells))
 
     def _store(self, universe: np.ndarray, membership: np.ndarray, k: int) -> None:
         universe.flags.writeable = membership.flags.writeable = False
@@ -95,20 +107,6 @@ class Partition:
         part = cls.__new__(cls)
         part._store(universe, membership.astype(ID_DTYPE, copy=False), keys.size)
         return part
-
-    @classmethod
-    def from_cells(cls, cells: Iterable[Iterable[int]]) -> "Partition":
-        """Same as ``Partition(cells)``."""
-        return cls(cells)
-
-    @classmethod
-    def unit(cls, n: int) -> "Partition":
-        """Single-cell partition of [0, n); refinement's starting point."""
-        return cls.from_membership(np.zeros(n, dtype=ID_DTYPE))
-
-    @classmethod
-    def discrete(cls, vertices: Iterable[int]) -> "Partition":
-        return cls((v,) for v in sorted(vertices))
 
     @classmethod
     def from_membership(cls, membership: Sequence[int]) -> "Partition":
@@ -129,18 +127,20 @@ class Partition:
     def __repr__(self) -> str:
         return f"Partition({self.cells!r})"
 
-    @functools.cached_property
+    @property
     def cells(self) -> tuple[tuple[int, ...], ...]:
-        members = self.universe[np.argsort(self.membership, kind="stable")].tolist()
-        ends = np.bincount(self.membership, minlength=self._k).cumsum().tolist()
+        members, ends = self._members_by_cell()
         return tuple(tuple(members[a:b]) for a, b in zip([0] + ends, ends))
+
+    def _members_by_cell(self) -> tuple[list[int], list[int]]:
+        """The ids in cell order, ascending within a cell, and each cell's end."""
+        members = self.universe[np.argsort(self.membership, kind="stable")]
+        ends = np.bincount(self.membership, minlength=self._k).cumsum()
+        return members.tolist(), ends.tolist()
 
     @property
     def n_vertices(self) -> int:
         return self.universe.size
-
-    def is_discrete(self) -> bool:
-        return self._k == self.universe.size
 
     def canonical(self) -> "Partition":
         """Cells renumbered by minimum member id; member order is already canonical."""
@@ -568,15 +568,20 @@ def write_partition_file(stream: IO[str], partition: Partition, *,
     meta = dict(header or {})
     meta.setdefault("cells", len(partition))
     stream.write("# " + " ".join(f"{k}={v}" for k, v in meta.items()) + "\n")
-    for idx, cell in enumerate(partition.cells):
-        stream.write(f"{idx}\t{' '.join(str(v) for v in cell)}\n")
+    members, ends = partition._members_by_cell()
+    stream.writelines(f"{idx}\t{' '.join(map(str, members[a:b]))}\n"
+                      for idx, (a, b) in enumerate(zip([0] + ends, ends)))
 
 
 def read_partition_file(stream: IO[str]) -> tuple[Partition, dict[str, str]]:
-    """Parse a partition file; returns the partition and its header metadata."""
+    """Parse a partition file; returns the partition and its header metadata.
+
+    Each cell line becomes an id array; the repeat check runs once, over all
+    of them, and names the line of the first cell that holds a repeat.
+    """
     meta: dict[str, str] = {}
-    cells: list[tuple[int, ...]] = []
-    seen: set[int] = set()
+    cells: list[np.ndarray] = []
+    line_nos: list[int] = []
     for line_no, raw in enumerate(stream, 1):
         line = raw.rstrip("\n")
         if not line.strip():
@@ -592,17 +597,17 @@ def read_partition_file(stream: IO[str]) -> tuple[Partition, dict[str, str]]:
             raise ParseError("expected '<cell_index>\\t<ids>'", line_no)
         try:
             idx = int(parts[0])
-            members = tuple(int(tok) for tok in parts[1].split())
-        except ValueError:
+            members = np.array(parts[1].split(), dtype=ID_DTYPE)
+        except (ValueError, OverflowError):
             raise ParseError("bad cell line", line_no) from None
         if idx != len(cells):
             raise ParseError(f"cell index {idx} out of sequence", line_no)
-        if not members:
+        if not members.size:
             raise ParseError("empty cell", line_no)
-        fresh = set(members)
-        if len(fresh) < len(members) or not seen.isdisjoint(fresh):
-            repeated = min(v for v in fresh if v in seen or members.count(v) > 1)
-            raise ParseError(f"vertex {repeated} appears more than once", line_no)
-        seen |= fresh
+        if "-" in parts[1] and members.min() < 0:   # min() is slow on tiny arrays
+            raise ParseError(f"negative vertex id {members.min()}", line_no)
         cells.append(members)
-    return Partition.from_cells(cells), meta
+        line_nos.append(line_no)
+    part = Partition.__new__(Partition)
+    part._group(cells, line_nos)
+    return part, meta

@@ -1,10 +1,10 @@
-"""Shared graph builders for the test suite."""
+"""Shared graph and partition builders for the test suite."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from netpos import Graph, TemporalEdgeLog
+from netpos import Graph, Partition, TemporalEdgeLog
 
 
 def er_graph(n: int, p: float, seed: int) -> Graph:
@@ -26,6 +26,16 @@ def star_graph(leaves: int) -> Graph:
 
 def complete_graph(n: int) -> Graph:
     return Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+
+
+def unit_partition(n: int) -> Partition:
+    """One cell holding [0, n); no cell when n = 0."""
+    return Partition.from_membership(np.zeros(n, dtype=np.int64))
+
+
+def discrete_partition(vertices) -> Partition:
+    """One singleton cell per vertex, ascending."""
+    return Partition((v,) for v in sorted(vertices))
 
 
 def pa_snapshots(n1: int, n2: int, seed: int, m_links: int = 2) -> tuple[Graph, Graph]:

@@ -6,9 +6,10 @@ loop, degrees toward a cell, the dense signature matrix behind the coarsest
 equitable partition, the dense degree matrix behind the epsilon spread,
 partition equality, intersection and restriction over cell tuples, the
 cross-product intersection count, exact rational betweenness, the
-string-keyed per-event reciprocal projection and snapshot construction, and
-the set-based same-position pair sampler with its scalar pair unranking.
-Tests compare the library against them.
+string-keyed per-event reciprocal projection and snapshot construction, the
+set-based same-position pair sampler with its scalar pair unranking, and the
+per-cell partition file writer and set-based reader. Tests compare the
+library against them.
 """
 
 from __future__ import annotations
@@ -16,13 +17,13 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import IO, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from netpos import Graph, Partition
 from netpos.centrality import _brandes_source
-from netpos.graphs import ID_DTYPE
+from netpos.graphs import ID_DTYPE, ParseError
 from netpos.partition import _check_epsilon
 from netpos.similarity import UniverseMismatchError, _common_universe
 
@@ -419,3 +420,50 @@ def same_position_pairs_reference(partition: Partition,
         i, j = unrank_pair_scalar(k - int(offsets[g]), len(groups[g]))
         out.append((groups[g][i], groups[g][j]))
     return out
+
+
+def write_partition_file_ref(stream: IO[str], partition: Partition, *,
+                             header: Mapping[str, object] | None = None) -> None:
+    """The partition file format written one cell tuple at a time."""
+    meta = dict(header or {})
+    meta.setdefault("cells", len(partition))
+    stream.write("# " + " ".join(f"{k}={v}" for k, v in meta.items()) + "\n")
+    for idx, cell in enumerate(partition.cells):
+        stream.write(f"{idx}\t{' '.join(str(v) for v in cell)}\n")
+
+
+def read_partition_file_ref(stream: IO[str]) -> tuple[Partition, dict[str, str]]:
+    """The partition file format read line by line, repeats caught in a Python
+    set as each line arrives. Negative ids pass, as they did in this form."""
+    meta: dict[str, str] = {}
+    cells: list[tuple[int, ...]] = []
+    seen: set[int] = set()
+    for line_no, raw in enumerate(stream, 1):
+        line = raw.rstrip("\n")
+        if not line.strip():
+            continue
+        if line.startswith("#"):
+            for token in line[1:].split():
+                if "=" in token:
+                    key, value = token.split("=", 1)
+                    meta[key] = value
+            continue
+        parts = line.split("\t", 1)
+        if len(parts) != 2:
+            raise ParseError("expected '<cell_index>\\t<ids>'", line_no)
+        try:
+            idx = int(parts[0])
+            members = tuple(int(tok) for tok in parts[1].split())
+        except ValueError:
+            raise ParseError("bad cell line", line_no) from None
+        if idx != len(cells):
+            raise ParseError(f"cell index {idx} out of sequence", line_no)
+        if not members:
+            raise ParseError("empty cell", line_no)
+        fresh = set(members)
+        if len(fresh) < len(members) or not seen.isdisjoint(fresh):
+            repeated = min(v for v in fresh if v in seen or members.count(v) > 1)
+            raise ParseError(f"vertex {repeated} appears more than once", line_no)
+        seen |= fresh
+        cells.append(members)
+    return Partition(cells), meta

@@ -37,7 +37,7 @@ def _random_partition(rng, n, max_cells):
     cells = {}
     for v, lab in enumerate(labels):
         cells.setdefault(int(lab), []).append(v)
-    return Partition.from_cells(cells.values())
+    return Partition(cells.values())
 
 
 def test_criterion_1_eps0_oracle_equivalence(acceptance_log):
@@ -110,11 +110,11 @@ def test_criterion_4_similarity_identities(acceptance_log):
         p2 = _random_partition(rng, n, 10)
         s = similarity_score(p1, p2)
         worst = max(worst, abs(s.direct_form - s.harmonic_form))
-    pi1 = Partition.from_cells([[1, 2, 3], [4, 5], [6, 7, 8]])
-    pi2 = Partition.from_cells([[1, 2], [3, 4, 5], [6, 7], [8]])
+    pi1 = Partition([[1, 2, 3], [4, 5], [6, 7, 8]])
+    pi2 = Partition([[1, 2], [3, 4, 5], [6, 7], [8]])
     worked = similarity_score(pi1, pi2).value
-    dis = similarity_score(Partition.from_cells([[1, 2, 3], [4, 5]]),
-                           Partition.from_cells([[1, 4], [3, 5], [2]])).value
+    dis = similarity_score(Partition([[1, 2, 3], [4, 5]]),
+                           Partition([[1, 4], [3, 5], [2]])).value
     self_sim = similarity_score(pi1, pi1).value
     ok = (worst <= 1e-12 and abs(worked - 0.675) <= 1e-12
           and dis == 0.0 and self_sim == 1.0)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import netpos.cli
 import netpos.partition
 from netpos.cli import main
 from netpos.partition import read_partition_file
@@ -126,14 +127,17 @@ def test_similarity_universe_mismatch_exit(runner, tmp_path):
     assert result.exit_code == 4
 
 
-@pytest.mark.parametrize("text", ["0\t0 1\n1\t1 2\n", "0\t0 1 1 2\n"],
-                         ids=["across-cells", "within-cell"])
-def test_similarity_repeated_vertex_parse_error(runner, tmp_path, text):
+@pytest.mark.parametrize("text, message", [
+    ("0\t0 1\n1\t1 2\n", "line 2: vertex 1 appears more than once"),
+    ("0\t0 1 1 2\n", "line 1: vertex 1 appears more than once"),
+    ("0\t0 1\n1\t-3\n", "line 2: negative vertex id -3"),
+], ids=["across-cells", "within-cell", "negative-id"])
+def test_similarity_repeated_vertex_parse_error(runner, tmp_path, text, message):
     good = _write(tmp_path, "a.part", "0\t0 1 2\n")
     bad = _write(tmp_path, "b.part", text)
     result = runner.invoke(main, ["similarity", good, bad])
     assert result.exit_code == 3
-    assert "vertex 1 appears more than once" in result.output
+    assert message in result.output
 
 
 def test_centrality_csv(runner, tmp_path):
@@ -146,6 +150,38 @@ def test_centrality_csv(runner, tmp_path):
     assert rows[0]["label"] == "a"
     assert float(rows[1]["betweenness"]) == 2.0
     assert rows[0]["degree"] == "1"
+
+
+@pytest.mark.parametrize("limit, code", [(40, 0), (39, 4)])
+def test_centrality_betweenness_work_limit(runner, tmp_path, monkeypatch, limit, code):
+    # P4 has n * (n + 2m) = 4 * (4 + 6) = 40
+    monkeypatch.setattr(netpos.cli, "MAX_BETWEENNESS_WORK", limit)
+    edges = _write(tmp_path, "p4.edges", P4_EDGES)
+    out = tmp_path / "scores.csv"
+    result = runner.invoke(main, ["centrality", edges, "-o", str(out)])
+    assert result.exit_code == code, result.output
+    assert out.exists() == (code == 0)
+    if code:
+        assert "error:" in result.output and "= 40" in result.output
+        assert "limit of 39" in result.output
+        result = runner.invoke(main, ["centrality", edges, "--measures",
+                                      "degree,triangles,shapley", "-o", str(out)])
+        assert result.exit_code == 0, result.output
+
+
+@pytest.mark.parametrize("limit, code", [(85, 0), (84, 4)])
+def test_coevolve_betweenness_work_limit(runner, tmp_path, monkeypatch, limit, code):
+    # the later snapshot has n = 5, m = 6, so n * (n + 2m) = 85; the earlier 40
+    monkeypatch.setattr(netpos.cli, "MAX_BETWEENNESS_WORK", limit)
+    log = _write(tmp_path, "log.txt",
+                 "a b 10\nb c 10\nc d 10\nd e 40\na c 40\nb e 40\n")
+    base = str(tmp_path / "coe")
+    result = runner.invoke(main, ["coevolve", log, "--cutoffs", "20,50", "-e", "1",
+                                  "-o", base])
+    assert result.exit_code == code, result.output
+    if code:
+        assert "error:" in result.output and "= 85" in result.output
+        assert not list(tmp_path.glob("coe*"))
 
 
 def test_centrality_unknown_measure_usage_error(runner, tmp_path):

@@ -9,7 +9,7 @@ from netpos import (Partition, coevolution_report, overlap_matrix,
                     same_position_pairs)
 from netpos.coevolution import _unrank_pair, bin_values
 
-from helpers import pa_snapshots
+from helpers import discrete_partition, pa_snapshots
 from oracles import same_position_pairs_reference
 
 
@@ -17,19 +17,19 @@ from oracles import same_position_pairs_reference
 
 
 def test_pairs_basic():
-    p = Partition.from_cells([[1, 2, 3], [4]])
+    p = Partition([[1, 2, 3], [4]])
     pairs = same_position_pairs(p)
     assert pairs.dtype == np.int64 and pairs.shape == (3, 2)
     assert pairs.tolist() == [[1, 2], [1, 3], [2, 3]]
 
 
 def test_pairs_discrete_empty():
-    pairs = same_position_pairs(Partition.discrete(range(5)))
+    pairs = same_position_pairs(discrete_partition(range(5)))
     assert pairs.dtype == np.int64 and pairs.shape == (0, 2)
 
 
 def test_pairs_respect_common_restriction():
-    p = Partition.from_cells([[0, 1, 2], [3, 4]])
+    p = Partition([[0, 1, 2], [3, 4]])
     assert same_position_pairs(p, common={0, 2, 3}).tolist() == [[0, 2]]
 
 
@@ -59,7 +59,7 @@ def test_unrank_pair_exact_for_huge_cells(size):
 def _reference_cases():
     cells = [list(range(0, 60)), list(range(60, 61)), list(range(61, 100)),
              list(range(100, 250, 3))]
-    p = Partition.from_cells(cells)
+    p = Partition(cells)
     population = sum(len(c) * (len(c) - 1) // 2 for c in cells)
     for seed in (0, 7, 2014):
         # population // 8 keeps the chosen ranks in a mask, one less in a
@@ -70,9 +70,9 @@ def _reference_cases():
     common = [v for v in range(250) if v % 5]
     yield p, common, 700, 3
     yield p, common, None, 0
-    yield Partition.discrete(range(9)), None, 5, 0
-    yield Partition.discrete(range(9)), None, None, 0
-    yield Partition.from_cells([]), None, 5, 0
+    yield discrete_partition(range(9)), None, 5, 0
+    yield discrete_partition(range(9)), None, None, 0
+    yield Partition([]), None, 5, 0
     yield p, None, None, 0
     yield p, None, population, 0
 
@@ -90,7 +90,7 @@ def test_pairs_match_set_sampler_reference():
 def test_pair_sampling_needs_several_batches():
     # at cap = population - 1 the first batch of 1.25 * cap + 16 draws has
     # too few distinct ranks, so the sampler must draw again
-    p = Partition.from_cells([list(range(50))])
+    p = Partition([list(range(50))])
     population = 50 * 49 // 2
     cap = population - 1
     first = np.random.default_rng(0).integers(0, population, cap + cap // 4 + 16)
@@ -119,7 +119,7 @@ def test_pair_sampling_redraws_on_both_sides_of_the_mask(monkeypatch):
 
 
 def test_pair_sampling_contract():
-    p = Partition.from_cells([list(range(1000))])
+    p = Partition([list(range(1000))])
     sample = same_position_pairs(p, cap=10_000, seed=3)
     assert len(sample) == 10_000
     assert len(np.unique(sample, axis=0)) == 10_000
@@ -130,7 +130,7 @@ def test_pair_sampling_contract():
 
 
 def test_pair_sampling_spans_cells():
-    p = Partition.from_cells([list(range(100)), list(range(100, 300))])
+    p = Partition([list(range(100)), list(range(100, 300))])
     sample = same_position_pairs(p, cap=500, seed=0)
     memb = p.membership
     cells_hit = {memb[a] for a, _ in sample}

@@ -10,12 +10,14 @@ import numpy as np
 import pytest
 
 from netpos import (EngineConfig, GeneratorConfig, Graph, IterationLimitError,
-                    Partition, coevolution_report, compute_measures, fast_eep,
-                    generate_power_law, overlap_matrix, pair_difference_histogram,
-                    run_refinement, same_position_pairs)
+                    Partition, VertexLabelMap, coevolution_report, compute_measures,
+                    fast_eep, generate_power_law, load_edge_list, overlap_matrix,
+                    pair_difference_histogram, read_partition_file, run_refinement,
+                    same_position_pairs, write_partition_file)
 from netpos.partition import _active_cell_degrees
 
-from helpers import edge_set, er_graph, pa_snapshots, path_graph, star_graph
+from helpers import (edge_set, er_graph, pa_snapshots, path_graph, star_graph,
+                     unit_partition)
 from oracles import ActiveList, degree_to_cell, split
 
 P4 = path_graph(4)
@@ -109,10 +111,10 @@ def test_public_map_reduce_loop_matches_fast_eep():
         cases.append((g, (0, 1, 2, 3)))
     for case, (g, epsilons) in enumerate(cases):
         for eps in epsilons:
-            part = Partition.unit(g.n)
+            part = unit_partition(g.n)
             active = ActiveList([0])
             steps = volume = 0
-            while active and not part.is_discrete():
+            while active and len(part) < g.n:
                 ca = part.cells[active.pop_min()]
                 f = [degree_to_cell(g, v, ca) for v in range(g.n)]
                 part, split_map = split(part, f, eps)
@@ -277,7 +279,7 @@ def test_sharded_computer_matches_scatter_computer():
         assert volume == int(g.degrees[cell].sum())
 
 
-def test_perfbench_call_shapes():
+def test_perfbench_call_shapes(tmp_path):
     # the library calls perfbench/tracing.py makes for its traced run
     early, late = pa_snapshots(40, 60, 0)
     part, stats = run_refinement(early, 1, EngineConfig(workers=1, collect_work=True))
@@ -317,6 +319,25 @@ def test_perfbench_call_shapes():
     assert not merged.canonical() == part.canonical()
     population = sum(len(c) * (len(c) - 1) // 2 for c in part.cells)
     assert population == len(same_position_pairs(part, range(early.n)))
+    # the label maps the benchmark's generator and replays save, by str and Path
+    VertexLabelMap(str(x) for x in range(early.n)).save(tmp_path / "G.labels")
+    assert (tmp_path / "G.labels").read_text(encoding="utf-8") == "".join(
+        f"{v}\t{v}\n" for v in range(early.n))
+    _, labels = load_edge_list(["b a", "c b 7"])
+    labels.save(str(tmp_path / "G.part.labels"))
+    text = (tmp_path / "G.part.labels").read_text(encoding="utf-8")
+    assert text == "0\tb\n1\ta\n2\tc\n"
+    # a written partition file reads back to the same cells (tracing's _same_cells)
+    for eps in (0, 2):
+        part = fast_eep(early, eps)
+        path = tmp_path / f"G.{eps}.part"
+        with open(path, "w", encoding="utf-8") as fh:
+            write_partition_file(fh, part, header={
+                "n": early.n, "epsilon": eps, "algorithm": "eep",
+                "graph_hash": early.content_hash()})
+        with open(path, encoding="utf-8") as fh:
+            back = read_partition_file(fh)[0]
+        assert back.canonical() == part.canonical() and back == part
 
 
 def test_perfbench_tracing_imports():

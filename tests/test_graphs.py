@@ -16,7 +16,7 @@ from oracles import reciprocal_reference, snapshots_reference
 def test_load_path_graph():
     g, labels = load_edge_list(["a b", "b c"])
     assert g.n == 3 and g.m == 2
-    assert labels.id_of("a") == 0 and labels.id_of("c") == 2
+    assert labels.labels.index("a") == 0 and labels.labels.index("c") == 2
     assert list(g.neighbors(1)) == [0, 2]
 
 
@@ -72,15 +72,16 @@ def test_edge_list_roundtrip():
 
 
 def test_label_map_roundtrip_and_validation():
-    labels = VertexLabelMap(["x", "y", "z"])
+    # a repeated label keeps its first id; the file lists every id once
+    labels = VertexLabelMap(["x", "y", "x", "z", "y"])
+    assert labels.labels == ("x", "y", "z") and len(labels) == 3
+    assert labels.label_of(1) == "y" and labels.labels is labels.labels
     buf = io.StringIO()
     labels.write(buf)
-    buf.seek(0)
-    again = VertexLabelMap.read(buf)
-    assert again.labels == ("x", "y", "z")
-    assert again.id_of("y") == 1
-    with pytest.raises(ParseError):
-        VertexLabelMap.read(io.StringIO("0\ta\n2\tb\n"))  # not dense
+    assert buf.getvalue() == "0\tx\n1\ty\n2\tz\n"
+    empty = io.StringIO()
+    VertexLabelMap().write(empty)
+    assert empty.getvalue() == ""
 
 
 def test_graph_hash_distinguishes_graphs():
@@ -99,7 +100,7 @@ def test_build_snapshots_cutoff_filter():
     g1, g2 = graphs
     assert g1.n == 2 and g1.m == 1
     assert g2.n == 3 and g2.m == 2
-    assert labels.id_of("a") == 0 and labels.id_of("c") == 2
+    assert labels.labels.index("a") == 0 and labels.labels.index("c") == 2
 
 
 def test_build_snapshots_empty_prefix():

@@ -6,16 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import netpos.partition
-from netpos import (GeneratorConfig, Graph, Partition, SignatureCollisionError,
-                    SnapshotSpec, build_snapshots, degree_partition,
-                    epsilon_spread, equitable_oracle, fast_eep,
+from netpos import (GeneratorConfig, Graph, ParseError, Partition,
+                    SignatureCollisionError, SnapshotSpec, build_snapshots,
+                    degree_partition, epsilon_spread, equitable_oracle, fast_eep,
                     generate_power_law, load_temporal_edge_list,
                     read_partition_file, reciprocal_projection,
                     write_partition_file)
 
-from helpers import complete_graph, edge_set, er_graph, path_graph, star_graph
+from helpers import (complete_graph, discrete_partition, edge_set, er_graph, path_graph,
+                     star_graph, unit_partition)
 from oracles import (ActiveList, degree_to_cell, degree_vector,
-                     epsilon_spread_dense, equitable_oracle_dense, split)
+                     epsilon_spread_dense, equitable_oracle_dense,
+                     read_partition_file_ref, split, write_partition_file_ref)
 
 P4 = path_graph(4)          # 0-1-2-3
 STAR = star_graph(3)        # center 0, leaves 1..3
@@ -25,7 +27,7 @@ STAR = star_graph(3)        # center 0, leaves 1..3
 
 
 def test_partition_from_cells_normalizes():
-    p = Partition.from_cells([[3, 1], [2], [0]])
+    p = Partition([[3, 1], [2], [0]])
     assert p.cells == ((1, 3), (2,), (0,))
     assert p.membership.tolist() == [2, 0, 1, 0]
     assert len(p) == 3 and p.n_vertices == 4
@@ -33,27 +35,28 @@ def test_partition_from_cells_normalizes():
 
 def test_partition_rejects_bad_cells():
     with pytest.raises(ValueError):
-        Partition.from_cells([[1, 2], [2, 3]])
+        Partition([[1, 2], [2, 3]])
     with pytest.raises(ValueError):
-        Partition.from_cells([[1], []])
+        Partition([[1], []])
 
 
 def test_partition_canonical_sorts_by_min_member():
-    p = Partition.from_cells([[5, 6], [1, 2], [3]])
+    p = Partition([[5, 6], [1, 2], [3]])
     assert p.canonical().cells == ((1, 2), (3,), (5, 6))
 
 
 def test_partition_unit_discrete():
-    assert Partition.unit(3).cells == ((0, 1, 2),)
-    assert Partition.unit(0).cells == ()
-    assert Partition.discrete([2, 0, 1]).is_discrete()
+    assert unit_partition(3).cells == ((0, 1, 2),)
+    assert unit_partition(0).cells == ()
+    disc = discrete_partition([2, 0, 1])
+    assert disc.cells == ((0,), (1,), (2,)) and len(disc) == disc.n_vertices
 
 
 def test_membership_array_requires_dense():
-    p = Partition.from_cells([[0, 2], [1]])
+    p = Partition([[0, 2], [1]])
     assert list(p.membership_array(3)) == [0, 1, 0]
     with pytest.raises(ValueError):
-        Partition.from_cells([[5]]).membership_array(1)
+        Partition([[5]]).membership_array(1)
 
 
 # --- ActiveList ---------------------------------------------------------------
@@ -120,15 +123,15 @@ def test_degree_to_cell_random_against_oracle():
 
 
 def test_degree_vector_p4():
-    p = Partition.from_cells([[0, 3], [1, 2]])
+    p = Partition([[0, 3], [1, 2]])
     assert list(degree_vector(P4, 1, p)) == [1, 1]
 
 
 def test_degree_vector_edge_cases():
     g = Graph.from_edges(3, [(0, 1)])  # vertex 2 isolated
-    p = Partition.from_cells([[0], [1], [2]])
+    p = Partition([[0], [1], [2]])
     assert list(degree_vector(g, 2, p)) == [0, 0, 0]
-    unit = Partition.unit(3)
+    unit = unit_partition(3)
     assert list(degree_vector(g, 0, unit)) == [g.degree(0)]
     for u in range(g.n):
         assert int(degree_vector(g, u, p).sum()) == g.degree(u)
@@ -138,7 +141,7 @@ def test_degree_vector_edge_cases():
 
 
 def test_split_star_eps0():
-    unit = Partition.unit(4)
+    unit = unit_partition(4)
     f = STAR.degrees  # center 3, leaves 1
     out, smap = split(unit, f, 0)
     assert out.cells == ((1, 2, 3), (0,))  # leaves first: lower f
@@ -146,14 +149,14 @@ def test_split_star_eps0():
 
 
 def test_split_star_eps2_no_split():
-    unit = Partition.unit(4)
+    unit = unit_partition(4)
     out, smap = split(unit, STAR.degrees, 2)
     assert out.cells == unit.cells
     assert smap == {0: (0,)}
 
 
 def test_split_constant_f_is_identity():
-    p = Partition.from_cells([[0, 1, 2], [3, 4]])
+    p = Partition([[0, 1, 2], [3, 4]])
     out, smap = split(p, [7, 7, 7, 7, 7], 0)
     assert out.cells == p.cells
     assert all(len(v) == 1 for v in smap.values())
@@ -161,7 +164,7 @@ def test_split_constant_f_is_identity():
 
 def test_split_greedy_grouping_from_group_first():
     # f = 0,1,2,3 with eps=1: groups {0,1}, {2,3} anchored at group minima
-    p = Partition.unit(4)
+    p = unit_partition(4)
     out, _ = split(p, [0, 1, 2, 3], 1)
     assert out.cells == ((0, 1), (2, 3))
     # eps=2 -> {0,1,2},{3}
@@ -170,20 +173,20 @@ def test_split_greedy_grouping_from_group_first():
 
 
 def test_split_tie_break_is_vertex_id():
-    p = Partition.from_cells([[0, 1, 2, 3]])
+    p = Partition([[0, 1, 2, 3]])
     out, _ = split(p, [5, 0, 5, 0], 0)
     assert out.cells == ((1, 3), (0, 2))
 
 
 def test_split_fragment_order_follows_f():
-    p = Partition.from_cells([[0, 1], [2, 3, 4]])
+    p = Partition([[0, 1], [2, 3, 4]])
     out, smap = split(p, {0: 1, 1: 9, 2: 4, 3: 0, 4: 9}, 1)
     assert out.cells == ((0,), (1,), (3,), (2,), (4,))
     assert smap == {0: (0, 1), 1: (2, 3, 4)}
 
 
 def test_split_rejects_negative_and_missing_f():
-    p = Partition.unit(3)
+    p = unit_partition(3)
     with pytest.raises(ValueError):
         split(p, [1, -1, 0], 0)
     with pytest.raises(ValueError):
@@ -197,7 +200,7 @@ def test_split_rejects_negative_and_missing_f():
 @settings(max_examples=200, deadline=None)
 def test_split_preserves_vertex_multiset(fvals, eps):
     n = len(fvals)
-    parts = Partition.unit(n)
+    parts = unit_partition(n)
     out, smap = split(parts, fvals, eps)
     assert sorted(v for cell in out.cells for v in cell) == list(range(n))
     # refinement: every output cell sits inside one input cell
@@ -260,17 +263,17 @@ def test_epsilon_spread_matches_dense_matrix():
             g = generate_power_law(GeneratorConfig(n, float(rng.uniform(1.7, 2.9)),
                                                    seed=1000 + trial))
         labels = rng.integers(0, rng.integers(1, 12), size=g.n)
-        arbitrary = Partition.from_cells(
+        arbitrary = Partition(
             np.flatnonzero(labels == lab) for lab in np.unique(labels))
         for part in (arbitrary, fast_eep(g, 0), fast_eep(g, 2), fast_eep(g, 8)):
             assert epsilon_spread(g, part) == epsilon_spread_dense(g, part), trial
 
 
 def test_epsilon_spread_edge_cases():
-    assert epsilon_spread(Graph.from_edges(5, []), Partition.unit(5)) == 0
-    assert epsilon_spread(STAR, Partition.unit(4)) == 2
-    assert epsilon_spread(STAR, Partition.from_cells([[0], [1, 2, 3]])) == 0
-    assert epsilon_spread(P4, Partition.from_cells([[0, 1], [2, 3]])) == 1
+    assert epsilon_spread(Graph.from_edges(5, []), unit_partition(5)) == 0
+    assert epsilon_spread(STAR, unit_partition(4)) == 2
+    assert epsilon_spread(STAR, Partition([[0], [1, 2, 3]])) == 0
+    assert epsilon_spread(P4, Partition([[0, 1], [2, 3]])) == 1
 
 
 def test_fast_eep_spread_bound_at_scale():
@@ -295,7 +298,7 @@ def test_fast_eep_deterministic():
 def test_refinement_monotone_under_split():
     # each iteration only subdivides: final cells nest inside the first split
     g = er_graph(50, 0.15, 8)
-    coarse = split(Partition.unit(g.n), g.degrees, 1)[0]
+    coarse = split(unit_partition(g.n), g.degrees, 1)[0]
     fine = fast_eep(g, 1)
     coarse_of = coarse.membership
     for cell in fine.cells:
@@ -357,8 +360,8 @@ def test_equitable_oracle_matches_dense():
     for i, g in enumerate(graphs):
         assert equitable_oracle(g) == equitable_oracle_dense(g), i
     assert equitable_oracle(Graph.from_edges(0, [])) == Partition(())
-    assert equitable_oracle(Graph.from_edges(1, [])) == Partition.unit(1)
-    assert equitable_oracle(Graph.from_edges(5, [])) == Partition.unit(5)
+    assert equitable_oracle(Graph.from_edges(1, [])) == unit_partition(1)
+    assert equitable_oracle(Graph.from_edges(5, [])) == unit_partition(5)
     assert (equitable_oracle(Graph.from_edges(6, [(0, 1), (1, 2)])).cells
             == ((0, 2), (1,), (3, 4, 5)))
 
@@ -404,7 +407,6 @@ def test_partition_file_roundtrip():
 
 
 def test_partition_file_rejects_garbage():
-    from netpos import ParseError
     with pytest.raises(ParseError):
         read_partition_file(io.StringIO("0\t1 2\n2\t3\n"))  # index gap
     with pytest.raises(ParseError):
@@ -414,3 +416,65 @@ def test_partition_file_rejects_garbage():
         with pytest.raises(ParseError, match="vertex 1 appears more than once") as err:
             read_partition_file(io.StringIO(text))
         assert err.value.line_no == line
+    with pytest.raises(ParseError, match="line 1: bad cell line"):   # past int64
+        read_partition_file(io.StringIO(f"0\t1 {2**63}\n"))
+    for text in ("0\t1 -3\n", "0\t1\n1\t-3\n"):   # the first line has no fault
+        with pytest.raises(ParseError, match="negative vertex id -3") as err:
+            read_partition_file(io.StringIO(text))
+        assert err.value.line_no == text.count("\n")
+
+
+def _partition_file_cases():
+    rng = np.random.default_rng(11)
+    yield Partition(())
+    yield discrete_partition(range(7))
+    yield unit_partition(300)
+    for _ in range(20):   # sparse universes with ids up to 2**62, cells shuffled
+        universe = np.unique(rng.integers(0, 2**62, size=int(rng.integers(1, 60))))
+        labels = rng.integers(0, int(rng.integers(1, 9)), size=universe.size)
+        yield Partition(universe[labels == lab]
+                        for lab in rng.permutation(np.unique(labels)))
+    g = generate_power_law(GeneratorConfig(3000, 2.5, seed=3))
+    yield fast_eep(g, 0)
+    yield fast_eep(g, 2)
+
+
+def test_partition_file_matches_reference_writer_and_reader():
+    for case, part in enumerate(_partition_file_cases()):
+        header = {"n": part.n_vertices, "epsilon": 2}
+        buf, ref = io.StringIO(), io.StringIO()
+        write_partition_file(buf, part, header=header)
+        write_partition_file_ref(ref, part, header=header)
+        text = buf.getvalue()
+        assert text == ref.getvalue(), case
+        got, meta = read_partition_file(io.StringIO(text))
+        want, want_meta = read_partition_file_ref(io.StringIO(text))
+        assert got == want == part and meta == want_meta, case
+        assert len(got) == len(part) and got.cells == part.cells, case
+
+
+def test_partition_file_errors_match_reference():
+    texts = ["0\t1 2\n2\t3\n", "nope\n", "1\t1\n", "0\t1 2\n0\t3\n",
+             "0\t\n", "0\t1 x\n", "x\t1\n", "0\t1.5\n",
+             "# n=3\n\n0\t1 2\n1\t2 3\n",
+             "0\t0 1\n1\t1 2\n", "0\t3\n1\t0 1 1 2\n",
+             "0\t5 1\n1\t9 9\n2\t1\n",     # line 2, although vertex 1 repeats later
+             "0\t7 7\n1\t1\n2\t1\n", "0\t4 5\n1\t6 6 4\n", "0\t2 1\n1\t4 3 2\n2\t1\n"]
+    rng = np.random.default_rng(5)
+    for _ in range(200):   # repeats only: random cells over a small id range
+        cells = [rng.integers(0, 30, size=int(rng.integers(1, 6))) for _ in range(6)]
+        texts.append("".join(f"{i}\t{' '.join(map(str, c))}\n"
+                             for i, c in enumerate(cells)))
+    failures = 0
+    for text in texts:
+        try:
+            want = read_partition_file_ref(io.StringIO(text))[0]
+        except ParseError as ref_err:
+            failures += 1
+            with pytest.raises(ParseError) as err:
+                read_partition_file(io.StringIO(text))
+            got = (str(err.value), err.value.line_no)
+            assert got == (str(ref_err), ref_err.line_no), text
+        else:
+            assert read_partition_file(io.StringIO(text))[0] == want, text
+    assert failures > len(texts) // 2

@@ -6,15 +6,16 @@ from hypothesis import strategies as st
 from netpos import (Partition, UniverseMismatchError, partition_intersection,
                     partitions_equal, restrict_partition, similarity_score)
 
+from helpers import discrete_partition
 from oracles import (intersection_cardinality_cellpairs, partition_intersection_ref,
                      partitions_equal_ref, restrict_partition_ref,
                      similarity_value_ref)
 
 # the appendix worked examples, used throughout
-PI1 = Partition.from_cells([[1, 2, 3], [4, 5], [6, 7, 8]])
-PI2 = Partition.from_cells([[1, 2], [3, 4, 5], [6, 7], [8]])
-DIS1 = Partition.from_cells([[1, 2, 3], [4, 5]])
-DIS2 = Partition.from_cells([[1, 4], [3, 5], [2]])
+PI1 = Partition([[1, 2, 3], [4, 5], [6, 7, 8]])
+PI2 = Partition([[1, 2], [3, 4, 5], [6, 7], [8]])
+DIS1 = Partition([[1, 2, 3], [4, 5]])
+DIS2 = Partition([[1, 4], [3, 5], [2]])
 
 
 def random_partition(rng, universe, max_cells=8):
@@ -22,31 +23,31 @@ def random_partition(rng, universe, max_cells=8):
     cells = {}
     for v, lab in zip(universe, labels):
         cells.setdefault(int(lab), []).append(int(v))
-    return Partition.from_cells(cells.values())
+    return Partition(cells.values())
 
 
 # --- equality -------------------------------------------------------------------
 
 
 def test_equality_ignores_cell_and_member_order():
-    p1 = Partition.from_cells([[1, 2, 3, 4], [5, 6], [7], [8, 9, 10]])
-    p2 = Partition.from_cells([[6, 5], [3, 2, 4, 1], [9, 8, 10], [7]])
+    p1 = Partition([[1, 2, 3, 4], [5, 6], [7], [8, 9, 10]])
+    p2 = Partition([[6, 5], [3, 2, 4, 1], [9, 8, 10], [7]])
     assert partitions_equal(p1, p2)
 
 
 def test_equality_self():
-    assert partitions_equal(PI1, Partition.from_cells(PI1.cells))
+    assert partitions_equal(PI1, Partition(PI1.cells))
 
 
 def test_equality_distinguishes():
-    a = Partition.from_cells([[1], [2]])
-    b = Partition.from_cells([[1, 2]])
+    a = Partition([[1], [2]])
+    b = Partition([[1, 2]])
     assert not partitions_equal(a, b)
 
 
 def test_universe_mismatch_raises():
-    a = Partition.from_cells([[1, 2]])
-    b = Partition.from_cells([[1, 2, 3]])
+    a = Partition([[1, 2]])
+    b = Partition([[1, 2, 3]])
     for fn in (partitions_equal, partition_intersection,
                intersection_cardinality_cellpairs, similarity_score):
         with pytest.raises(UniverseMismatchError):
@@ -67,7 +68,7 @@ def test_intersection_idempotent():
 
 def test_intersection_of_dissimilar_is_discrete():
     got = partition_intersection(DIS1, DIS2)
-    assert got.is_discrete() and len(got) == 5
+    assert len(got) == got.n_vertices == 5
 
 
 def test_intersection_refines_both_inputs():
@@ -109,7 +110,7 @@ def test_cellpair_equals_direct_method_randomized():
 
 
 def test_score_identical_partitions():
-    score = similarity_score(PI1, Partition.from_cells(PI1.cells))
+    score = similarity_score(PI1, Partition(PI1.cells))
     assert score.value == 1.0
 
 
@@ -128,10 +129,10 @@ def test_score_worked_example():
 
 
 def test_score_discrete_input_zero_unless_equal():
-    disc = Partition.discrete(range(4))
-    other = Partition.from_cells([[0, 1], [2, 3]])
+    disc = discrete_partition(range(4))
+    other = Partition([[0, 1], [2, 3]])
     assert similarity_score(disc, other).value == 0.0
-    assert similarity_score(disc, Partition.discrete(range(4))).value == 1.0
+    assert similarity_score(disc, discrete_partition(range(4))).value == 1.0
 
 
 def test_score_symmetric_and_bounded():
@@ -173,7 +174,7 @@ def test_score_forms_agree(n, seed):
 
 
 def test_restrict_basic():
-    p = Partition.from_cells([[1, 2], [3]])
+    p = Partition([[1, 2], [3]])
     assert restrict_partition(p, {1, 3}).cells == ((1,), (3,))
 
 
@@ -197,7 +198,7 @@ def _reference_cases(rng):
     """Random partitions of dense, gapped and single-vertex universes, plus the
     empty, unit and discrete partitions of each."""
     for universe in (list(range(12)), list(range(1, 9)), [3, 7, 40, 41, 90], [5]):
-        yield Partition.from_cells([universe]), Partition.discrete(universe)
+        yield Partition([universe]), discrete_partition(universe)
         for _ in range(40):
             yield (random_partition(rng, universe, max_cells=4),
                    random_partition(rng, universe, max_cells=len(universe)))
@@ -223,9 +224,9 @@ def test_array_forms_match_cell_tuple_references():
 
 
 def test_array_forms_match_references_on_universe_mismatch():
-    pairs = [(Partition.from_cells([[1, 2], [3]]), Partition.from_cells([[1, 2, 4]])),
-             (Partition.from_cells([[1, 2]]), Partition(())),
-             (Partition.from_cells([[0, 1]]), Partition.from_cells([[1], [2]]))]
+    pairs = [(Partition([[1, 2], [3]]), Partition([[1, 2, 4]])),
+             (Partition([[1, 2]]), Partition(())),
+             (Partition([[0, 1]]), Partition([[1], [2]]))]
     for a, b in pairs:
         with pytest.raises(UniverseMismatchError) as want:
             partition_intersection_ref(a, b)
