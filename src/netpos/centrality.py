@@ -7,12 +7,12 @@ is the closed-form value of the coalition game v(S) = |S union N(S)|.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from .graphs import ID_DTYPE, Graph
+from .partition import _ranges
 
 CONVENTIONS = {
     "degree": "neighbor count",
@@ -23,10 +23,14 @@ CONVENTIONS = {
                "score(v) = sum over u in closed neighborhood of 1/(1+deg(u))",
 }
 
-# Largest n * (n + 2m) the CLI lets exact betweenness take on: each source
-# scans n-sized arrays and the 2m adjacency entries, at about 0.6 us a unit
-# on a 2-vCPU host, so the limit is about ten minutes there.
-MAX_BETWEENNESS_WORK = 10**9
+# Largest k * (k + 2m) over the 2-core (k vertices, m edges) that the CLI lets
+# exact betweenness take on: at the 0.05-0.06 us a unit measured on a 2-vCPU
+# host, the limit is about ten minutes there.
+MAX_BETWEENNESS_WORK = 10**10
+
+# Source-by-vertex entries one betweenness batch holds: _BATCH_ENTRIES // k
+# sources, whose per-level temporaries scale with it.
+_BATCH_ENTRIES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -49,46 +53,104 @@ def degree_centrality(graph: Graph) -> CentralityVector:
     return CentralityVector("degree", graph.degrees.copy())
 
 
-def _brandes_source(graph: Graph, s: int):
-    """BFS from s; returns (visit order, predecessor lists, path counts)."""
+def _shatter(graph: Graph):
+    """Strip degree-1 vertices round by round (Sariyuce et al., SDM 2013).
+
+    Returns each vertex's reach (itself plus the trees merged into it), its
+    parent in the peel forest (itself if it survives), its betweenness from
+    pairs inside its merged trees, and the degrees left in the 2-core. A round
+    costs its leaves' degrees: the next leaves are found among their parents.
+    """
     n = graph.n
-    dist = np.full(n, -1, dtype=ID_DTYPE)
-    sigma = [0] * n
-    preds: list[list[int]] = [[] for _ in range(n)]
-    dist[s] = 0
-    sigma[s] = 1
-    order: list[int] = []
-    queue = deque([s])
-    while queue:
-        v = queue.popleft()
-        order.append(v)
-        dv = dist[v]
-        for w in graph.neighbors(v):
-            w = int(w)
-            if dist[w] < 0:
-                dist[w] = dv + 1
-                queue.append(w)
-            if dist[w] == dv + 1:
-                sigma[w] += sigma[v]
-                preds[w].append(v)
-    return order, preds, sigma
+    deg = graph.degrees.copy()  # 0 once a vertex is peeled
+    reach, parent = np.ones(n, dtype=ID_DTYPE), np.arange(n, dtype=ID_DTYPE)
+    credit, merged, merged_sq, owner = np.zeros((4, n), dtype=ID_DTYPE)
+    leaves = np.flatnonzero(deg == 1)
+    while leaves.size:
+        starts = graph.indptr[leaves]
+        nbrs = graph.indices[_ranges(starts, graph.indptr[leaves + 1] - starts)]
+        up = nbrs[deg[nbrs] > 0]  # a leaf's one unpeeled neighbour
+        keep = (deg[up] != 1) | (leaves > up)  # two joined leaves: the lower id stays
+        leaves, up = leaves[keep], up[keep]
+        parent[leaves], deg[leaves] = up, 0
+        np.subtract.at(deg, up, 1)
+        np.add.at(merged, up, reach[leaves])
+        np.add.at(merged_sq, up, reach[leaves] ** 2)
+        s = merged[up]  # a repeated parent repeats the same updates below
+        # pairs between the new trees, and between them and the trees merged before
+        credit[up] += s * (reach[up] - 1) + (s * s - merged_sq[up]) // 2
+        reach[up] += s
+        merged[up] = merged_sq[up] = 0
+        up = up[deg[up] == 1]
+        owner[up] = np.arange(up.size)
+        leaves = up[owner[up] == np.arange(up.size)]
+    return reach, parent, credit, deg
+
+
+def core_size(graph: Graph) -> tuple[int, int]:
+    """Vertices and edges of the 2-core that exact betweenness searches."""
+    deg = _shatter(graph)[3]
+    return int(np.count_nonzero(deg)), int(deg.sum()) // 2
+
+
+def _core_brandes(graph: Graph, deg: np.ndarray, reach: np.ndarray):
+    """Reach-weighted Brandes on the 2-core (the vertices with deg > 0).
+
+    A batch of sources runs its BFS level by level on flat keys ``row * k + v``.
+    Returns each core vertex's component size and its betweenness from the
+    pairs whose shortest paths cross the core.
+    """
+    core = np.flatnonzero(deg)
+    k = core.size
+    starts = graph.indptr[core]
+    nbrs = graph.indices[_ranges(starts, graph.indptr[core + 1] - starts)]
+    indices = (np.cumsum(deg > 0) - 1)[nbrs[deg[nbrs] > 0]]  # core ids
+    deg, reach = deg[core], reach[core]
+    indptr, weight = np.concatenate(([0], np.cumsum(deg))), reach.astype(float)
+    batch = min(k, max(1, _BATCH_ENTRIES // k))
+    comp, scores = np.empty(k, dtype=ID_DTYPE), np.zeros(k)
+    for first in range(0, k, batch):
+        src = np.arange(first, min(first + batch, k))
+        sg, dl, coef = np.zeros((3, src.size * k))
+        owner = np.empty(src.size * k, dtype=ID_DTYPE)
+        frontier = np.arange(src.size) * k + src
+        sg[frontier] = 1.0
+        levels = []  # per level: its keys and vertices, and its edges to the next
+        while frontier.size:  # forward: path counts, one BFS level at a time
+            v = frontier % k
+            lens = deg[v]
+            tail = np.repeat(np.arange(frontier.size), lens)
+            head = (frontier - v)[tail] + indices[_ranges(indptr[v], lens)]
+            fresh = sg[head] == 0.0  # edges to unreached keys lead one level down
+            tail, head = tail[fresh], head[fresh]
+            np.add.at(sg, head, sg[frontier][tail])
+            levels.append((frontier, v, tail, head))
+            owner[head] = np.arange(head.size)
+            frontier = head[owner[head] == np.arange(head.size)]
+        for keys, v, tail, head in reversed(levels[1:]):  # dependencies, deepest first
+            dl[keys] = sg[keys] * np.bincount(tail, coef[head], keys.size)
+            coef[keys] = (weight[v] + dl[keys]) / sg[keys]
+        comp[src] = np.where(sg.reshape(-1, k) > 0, reach, 0).sum(axis=1)
+        scores += (weight[src][:, None] * dl.reshape(-1, k)).sum(axis=0)
+    return comp, scores / 2.0  # each unordered pair was counted from both ends
 
 
 def betweenness_centrality(graph: Graph) -> CentralityVector:
-    """Exact unweighted betweenness via per-source dependency accumulation."""
-    n = graph.n
-    totals = np.zeros(n)
-    delta = np.zeros(n)
-    for s in range(n):
-        order, preds, sigma = _brandes_source(graph, s)
-        delta[:] = 0.0
-        for w in reversed(order):
-            coeff = (1.0 + delta[w]) / sigma[w]
-            for v in preds[w]:
-                delta[v] += sigma[v] * coeff
-        delta[s] = 0.0
-        totals += delta
-    return CentralityVector("betweenness", totals / 2.0)  # unordered pairs
+    """Exact unweighted betweenness: closed form on trees, Brandes on the 2-core.
+
+    Degree-1 trees are peeled off with reach weights (``_shatter``); a vertex
+    then gains (reach - 1) * (N - reach) for paths from its trees to the rest
+    of its N-vertex component, and the 2-core runs reach-weighted Brandes.
+    """
+    reach, parent, credit, deg = _shatter(graph)
+    comp, scores = reach.copy(), np.zeros(graph.n)  # a tree's root reaches it all
+    if deg.any():
+        comp[deg > 0], scores[deg > 0] = _core_brandes(graph, deg, reach)
+    root = parent
+    while not np.array_equal(root, up := root[root]):  # pointer jumping
+        root = up
+    return CentralityVector("betweenness",
+                            scores + (credit + (reach - 1) * (comp[root] - reach)))
 
 
 def triangle_counts(graph: Graph) -> CentralityVector:

@@ -23,7 +23,8 @@ import click
 import numpy as np
 
 from . import __version__
-from .centrality import CONVENTIONS, MAX_BETWEENNESS_WORK, compute_measures
+from .centrality import (CONVENTIONS, MAX_BETWEENNESS_WORK, compute_measures,
+                         core_size)
 from .coevolution import (DEFAULT_BIN_EDGES, DEFAULT_PAIR_CAP, MAX_FULL_PAIRS,
                           coevolution_report, overlap_matrix, same_position_pairs)
 from .graphs import (GeneratorConfig, ParseError, SnapshotSpec,
@@ -165,12 +166,16 @@ def _partition(graph, method: str, epsilon: int, progress_interval: int = 0):
 
 
 def _refuse_slow_betweenness(graph, names) -> None:
-    """Exit 4 if betweenness is asked for on a graph above its work limit."""
-    work = graph.n * (graph.n + 2 * graph.m)
-    if "betweenness" in names and work > MAX_BETWEENNESS_WORK:
-        click.echo(f"error: betweenness on n={graph.n} m={graph.m} would take "
-                   f"n*(n+2m) = {work} steps, above the limit of "
-                   f"{MAX_BETWEENNESS_WORK}; leave it out of --measures", err=True)
+    """Exit 4 if betweenness is asked for and its 2-core is above the work limit."""
+    if "betweenness" not in names:
+        return
+    k, m = core_size(graph)
+    work = k * (k + 2 * m)
+    if work > MAX_BETWEENNESS_WORK:
+        click.echo(f"error: betweenness on n={graph.n} m={graph.m} would search a "
+                   f"2-core of k={k} vertices and {m} edges, k*(k+2m) = {work} "
+                   f"steps, above the limit of {MAX_BETWEENNESS_WORK}; leave it "
+                   f"out of --measures", err=True)
         sys.exit(EXIT_INTEGRITY)
 
 

@@ -16,13 +16,13 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import deque
 from fractions import Fraction
 from typing import IO, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from netpos import Graph, Partition
-from netpos.centrality import _brandes_source
 from netpos.graphs import ID_DTYPE, ParseError
 from netpos.partition import _check_epsilon
 from netpos.similarity import UniverseMismatchError, _common_universe
@@ -253,6 +253,31 @@ def similarity_value_ref(p1: Partition, p2: Partition) -> float:
         return 0.0
     inter = len(partition_intersection_ref(p1, p2))
     return 0.5 * ((n - inter) / (n - k1) + (n - inter) / (n - k2))
+
+
+def _brandes_source(graph: Graph, s: int):
+    """BFS from s; returns (visit order, predecessor lists, path counts)."""
+    n = graph.n
+    dist = np.full(n, -1, dtype=ID_DTYPE)
+    sigma = [0] * n
+    preds: list[list[int]] = [[] for _ in range(n)]
+    dist[s] = 0
+    sigma[s] = 1
+    order: list[int] = []
+    queue = deque([s])
+    while queue:
+        v = queue.popleft()
+        order.append(v)
+        dv = dist[v]
+        for w in graph.neighbors(v):
+            w = int(w)
+            if dist[w] < 0:
+                dist[w] = dv + 1
+                queue.append(w)
+            if dist[w] == dv + 1:
+                sigma[w] += sigma[v]
+                preds[w].append(v)
+    return order, preds, sigma
 
 
 def betweenness_centrality_exact(graph: Graph) -> list[Fraction]:

@@ -5,8 +5,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from netpos import (Graph, betweenness_centrality, degree_centrality,
-                    shapley_centrality, triangle_counts)
+from netpos import (GeneratorConfig, Graph, betweenness_centrality,
+                    degree_centrality, generate_power_law, shapley_centrality,
+                    triangle_counts)
 from netpos.centrality import compute_measures
 
 from helpers import complete_graph, er_graph, path_graph, star_graph
@@ -127,6 +128,81 @@ def test_betweenness_float_close_to_exact():
 def test_betweenness_disconnected():
     g = Graph.from_edges(5, [(0, 1), (1, 2)])  # 3, 4 isolated
     assert list(betweenness_centrality(g).scores) == [0.0, 1.0, 0.0, 0.0, 0.0]
+
+
+def _tree(rng, size):
+    """Edges of a random recursive tree on [0, size)."""
+    return [(v, int(rng.integers(v))) for v in range(1, size)]
+
+
+def _with_pendants(rng, size, core_edges):
+    """``core_edges`` on [0, size) with random trees hung from core vertices."""
+    n, edges = size, list(core_edges)
+    for _ in range(int(rng.integers(1, 4))):
+        t = int(rng.integers(1, 6))
+        edges.append((int(rng.integers(size)), n))
+        edges += [(n + u, n + v) for u, v in _tree(rng, t)]
+        n += t
+    return n, edges
+
+
+def _union(rng, *parts):
+    """Disjoint union of (size, edges) parts under a random relabelling."""
+    n, edges = 0, []
+    for size, part in parts:
+        edges += [(u + n, v + n) for u, v in part]
+        n += size
+    perm = rng.permutation(n)
+    return Graph.from_edges(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+def _shattering_cases():
+    """(graph, is_forest) over the shapes the peel and the core search meet."""
+    rng = np.random.default_rng(12)
+    cycle = lambda c: (c, [(i, (i + 1) % c) for i in range(c)])
+    clique = lambda c: (c, list(itertools.combinations(range(c), 2)))
+    yield Graph.from_edges(0, []), True
+    yield Graph.from_edges(1, []), True
+    yield Graph.from_edges(2, [(0, 1)]), True
+    yield Graph.from_edges(6, [(4, 1)]), True
+    for n in range(2, 12):
+        yield path_graph(n), True
+        yield star_graph(n), True
+    for _ in range(15):
+        size = int(rng.integers(1, 30))
+        yield _union(rng, (size, _tree(rng, size))), True
+        sizes = rng.integers(1, 9, size=int(rng.integers(2, 6)))
+        yield _union(rng, *[(int(t), _tree(rng, int(t))) for t in sizes]), True
+    for c in range(3, 8):
+        yield _union(rng, _with_pendants(rng, *cycle(c))), False
+        yield _union(rng, _with_pendants(rng, *clique(c))), False
+    for _ in range(10):
+        trees = [(int(t), _tree(rng, int(t))) for t in rng.integers(1, 7, size=3)]
+        cores = [_with_pendants(rng, *cycle(int(rng.integers(3, 9)))),
+                 _with_pendants(rng, *clique(int(rng.integers(3, 6))))]
+        yield _union(rng, *trees, *cores, (4, [])), False
+
+
+def test_betweenness_shattering_matches_exact():
+    for g, forest in _shattering_cases():
+        got = betweenness_centrality(g).scores
+        want = betweenness_centrality_exact(g)
+        if forest:
+            assert [float(x) for x in got] == want
+        else:
+            assert np.allclose(got, [float(x) for x in want], rtol=1e-12, atol=1e-12)
+
+
+def test_betweenness_matches_networkx_power_law():
+    nx = pytest.importorskip("networkx")
+    g = generate_power_law(GeneratorConfig(n=2000, gamma=2.5, seed=7))
+    tails = np.repeat(np.arange(g.n), g.degrees)
+    nxg = nx.Graph()
+    nxg.add_nodes_from(range(g.n))
+    nxg.add_edges_from(zip(tails.tolist(), g.indices.tolist()))
+    want = nx.betweenness_centrality(nxg, normalized=False)
+    got = betweenness_centrality(g).scores
+    assert np.allclose(got, [want[v] for v in range(g.n)], rtol=1e-12, atol=1e-9)
 
 
 # --- triangles -------------------------------------------------------------------

@@ -152,35 +152,54 @@ def test_centrality_csv(runner, tmp_path):
     assert rows[0]["degree"] == "1"
 
 
-@pytest.mark.parametrize("limit, code", [(40, 0), (39, 4)])
+# a triangle a-b-c with the pendant tree c-d-e, c-d-f: the 2-core is the
+# triangle, k = 3 and m = 3, so its work is k * (k + 2m) = 27
+PENDANT_EDGES = "a b\nb c\na c\nc d\nd e\nd f\n"
+
+
+@pytest.mark.parametrize("limit, code", [(27, 0), (26, 4)])
 def test_centrality_betweenness_work_limit(runner, tmp_path, monkeypatch, limit, code):
-    # P4 has n * (n + 2m) = 4 * (4 + 6) = 40
     monkeypatch.setattr(netpos.cli, "MAX_BETWEENNESS_WORK", limit)
-    edges = _write(tmp_path, "p4.edges", P4_EDGES)
+    edges = _write(tmp_path, "pendant.edges", PENDANT_EDGES)
     out = tmp_path / "scores.csv"
     result = runner.invoke(main, ["centrality", edges, "-o", str(out)])
     assert result.exit_code == code, result.output
     assert out.exists() == (code == 0)
     if code:
-        assert "error:" in result.output and "= 40" in result.output
-        assert "limit of 39" in result.output
+        assert "error:" in result.output and "= 27" in result.output
+        assert "k=3" in result.output and "limit of 26" in result.output
         result = runner.invoke(main, ["centrality", edges, "--measures",
                                       "degree,triangles,shapley", "-o", str(out)])
         assert result.exit_code == 0, result.output
 
 
-@pytest.mark.parametrize("limit, code", [(85, 0), (84, 4)])
+def test_centrality_betweenness_work_limit_passes_large_tree(runner, tmp_path):
+    # a random tree far above the limit by n * (n + 2m) has no 2-core at all
+    n = 100_000
+    parents = np.random.default_rng(5).integers(0, np.arange(1, n))
+    assert n * (n + 2 * (n - 1)) > netpos.cli.MAX_BETWEENNESS_WORK
+    edges = _write(tmp_path, "tree.edges",
+                   "".join(f"{p} {v}\n" for v, p in enumerate(parents, 1)))
+    out = tmp_path / "scores.csv"
+    result = runner.invoke(main, ["centrality", edges, "--measures", "betweenness",
+                                  "-o", str(out)])
+    assert result.exit_code == 0, result.output
+    assert len(out.read_text().splitlines()) == n + 1
+
+
+@pytest.mark.parametrize("limit, code", [(27, 0), (26, 4)])
 def test_coevolve_betweenness_work_limit(runner, tmp_path, monkeypatch, limit, code):
-    # the later snapshot has n = 5, m = 6, so n * (n + 2m) = 85; the earlier 40
+    # the earlier snapshot is the path a-b-c-d, with no 2-core; the later one
+    # closes the triangle a-b-c and hangs c-d-e-f off it, so k = 3, m = 3
     monkeypatch.setattr(netpos.cli, "MAX_BETWEENNESS_WORK", limit)
     log = _write(tmp_path, "log.txt",
-                 "a b 10\nb c 10\nc d 10\nd e 40\na c 40\nb e 40\n")
+                 "a b 10\nb c 10\nc d 10\na c 40\nd e 40\ne f 40\n")
     base = str(tmp_path / "coe")
     result = runner.invoke(main, ["coevolve", log, "--cutoffs", "20,50", "-e", "1",
                                   "-o", base])
     assert result.exit_code == code, result.output
     if code:
-        assert "error:" in result.output and "= 85" in result.output
+        assert "error:" in result.output and "= 27" in result.output
         assert not list(tmp_path.glob("coe*"))
 
 
