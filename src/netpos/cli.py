@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import functools
+import gc
 import hashlib
 import json
 import resource
@@ -537,5 +538,16 @@ def bench(sizes, gammas, eps, repeats, seed, output, manifest_out):
     _finish_manifest(manifest, t0, manifest_out, output + ".manifest.json")
 
 
+def run():
+    """Process entry point: run :func:`main`, then freeze the heap on the way out."""
+    try:
+        main()
+    finally:
+        # everything still alive dies with the process, so the final
+        # collections need not walk it: numpy's and click's module graphs
+        # would otherwise be torn down object by object
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    main()
+    run()

@@ -96,33 +96,6 @@ class Graph:
         h.update(self.indices.astype("<i8").tobytes())
         return "sha256:" + h.hexdigest()
 
-    def validate(self) -> None:
-        """Check the simple-undirected invariants; raises ValueError on violation."""
-        if self.indptr.size != self.n + 1 or self.indptr[0] != 0:
-            raise ValueError("bad indptr")
-        if np.any(np.diff(self.indptr) < 0) or self.indptr[-1] != self.indices.size:
-            raise ValueError("bad indptr")
-        if self.indices.size:
-            if self.indices.min() < 0 or self.indices.max() >= self.n:
-                raise ValueError("neighbor id out of range")
-        rows = np.repeat(np.arange(self.n, dtype=ID_DTYPE), self.degrees)
-        if np.any(rows == self.indices):
-            raise ValueError("self-loop present")
-        # strictly ascending inside each adjacency run
-        if self.indices.size > 1:
-            ascending = self.indices[1:] > self.indices[:-1]
-            run_starts = np.zeros(self.indices.size - 1, dtype=bool)
-            starts = self.indptr[1:-1]
-            run_starts[starts[(starts > 0) & (starts < self.indices.size)] - 1] = True
-            if not np.all(ascending | run_starts):
-                raise ValueError("adjacency list not strictly ascending")
-        # symmetry: the (u, w) multiset equals the (w, u) multiset
-        fwd = np.lexsort((self.indices, rows))
-        rev = np.lexsort((rows, self.indices))
-        if not (np.array_equal(rows[fwd], self.indices[rev])
-                and np.array_equal(self.indices[fwd], rows[rev])):
-            raise ValueError("adjacency not symmetric")
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
@@ -147,6 +120,13 @@ class VertexLabelMap:
 
     def __init__(self, labels: Iterable[str] = ()):
         self._labels: tuple[str, ...] = tuple(dict.fromkeys(labels))
+
+    @classmethod
+    def _distinct(cls, labels: Iterable[str]) -> VertexLabelMap:
+        """The map of ``labels``, already distinct, without the dedup pass."""
+        self = cls.__new__(cls)
+        self._labels = tuple(labels)
+        return self
 
     def label_of(self, vid: int) -> str:
         return self._labels[vid]
@@ -280,7 +260,7 @@ def load_edge_list(stream: IO[str] | Iterable[str]) -> tuple[Graph, VertexLabelM
     returned graph.
     """
     ids, edges, _ = _scan(stream, (2, 3))
-    return Graph.from_edges(len(ids), edges), VertexLabelMap(ids)
+    return Graph.from_edges(len(ids), edges), VertexLabelMap._distinct(ids)
 
 
 def save_edge_list(graph: Graph, labels: VertexLabelMap, stream: IO[str]) -> None:
@@ -365,8 +345,8 @@ def build_snapshots(log: TemporalEdgeLog,
     m_in = np.searchsorted(first_pair, events_in)
     graphs = [Graph.from_edges(int(n_i), pairs[first_pair[:m_i]])
               for n_i, m_i in zip(n_in, m_in)]
-    labels = VertexLabelMap(map(log.labels.__getitem__, seen[by_appearance].tolist()))
-    return graphs, labels
+    names = np.array(log.labels, dtype=object)[seen[by_appearance]]
+    return graphs, VertexLabelMap._distinct(names.tolist())
 
 
 def generate_power_law(config: GeneratorConfig) -> Graph:

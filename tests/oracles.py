@@ -1,7 +1,8 @@
 """Reference implementations that only the tests use.
 
 Each helper is the direct, per-vertex or per-cell-pair form of a quantity the
-library computes in bulk: the active list and SPLIT step of the refinement
+library computes in bulk, or a check of its invariants: the CSR invariants of
+a simple undirected graph, the active list and SPLIT step of the refinement
 loop, degrees toward a cell, the dense signature matrix behind the coarsest
 equitable partition, the dense degree matrix behind the epsilon spread,
 partition equality, intersection and restriction over cell tuples, the
@@ -74,6 +75,35 @@ class ActiveList:
 
     def __repr__(self):
         return f"ActiveList({self._items!r})"
+
+
+def validate_graph(graph: Graph) -> None:
+    """Check the simple-undirected CSR invariants; raises ValueError on violation."""
+    indptr, indices, n = graph.indptr, graph.indices, graph.n
+    if indptr.size != n + 1 or indptr[0] != 0:
+        raise ValueError("bad indptr")
+    if np.any(np.diff(indptr) < 0) or indptr[-1] != indices.size:
+        raise ValueError("bad indptr")
+    if indices.size:
+        if indices.min() < 0 or indices.max() >= n:
+            raise ValueError("neighbor id out of range")
+    rows = np.repeat(np.arange(n, dtype=ID_DTYPE), graph.degrees)
+    if np.any(rows == indices):
+        raise ValueError("self-loop present")
+    # strictly ascending inside each adjacency run
+    if indices.size > 1:
+        ascending = indices[1:] > indices[:-1]
+        run_starts = np.zeros(indices.size - 1, dtype=bool)
+        starts = indptr[1:-1]
+        run_starts[starts[(starts > 0) & (starts < indices.size)] - 1] = True
+        if not np.all(ascending | run_starts):
+            raise ValueError("adjacency list not strictly ascending")
+    # symmetry: the (u, w) multiset equals the (w, u) multiset
+    fwd = np.lexsort((indices, rows))
+    rev = np.lexsort((rows, indices))
+    if not (np.array_equal(rows[fwd], indices[rev])
+            and np.array_equal(indices[fwd], rows[rev])):
+        raise ValueError("adjacency not symmetric")
 
 
 def degree_to_cell(graph: Graph, u: int, cell) -> int:

@@ -1,5 +1,9 @@
 import csv
+import gc
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -377,3 +381,77 @@ def test_bad_list_option_usage_error(runner, tmp_path, args):
                            + ["-o", str(out)])
     assert result.exit_code == 2, result.output
     assert not list(tmp_path.glob("out*"))
+
+
+@pytest.mark.parametrize("args, code", [
+    (["--version"], 0),
+    (["partition", "BAD", "-o", "OUT"], 3),
+], ids=["version", "parse-error"])
+def test_run_freezes_once_after_main(tmp_path, monkeypatch, args, code):
+    events = []
+    group = netpos.cli.main
+
+    def recording_main():
+        try:
+            group()
+        finally:
+            events.append("main")
+
+    monkeypatch.setattr(netpos.cli, "main", recording_main)
+    monkeypatch.setattr(gc, "freeze", lambda: events.append("freeze"))
+    bad = _write(tmp_path, "bad.edges", "a b c d\n")
+    monkeypatch.setattr(sys, "argv", ["netpos"] + [
+        {"BAD": bad, "OUT": str(tmp_path / "out.part")}.get(a, a) for a in args])
+    with pytest.raises(SystemExit) as exc:
+        netpos.cli.run()
+    assert exc.value.code == code
+    assert events == ["main", "freeze"]
+
+
+def _python(tmp_path, *args):
+    src = Path(netpos.cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    return subprocess.run([sys.executable, *args], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_import_and_click_runner_never_freeze(runner, tmp_path):
+    result = _python(tmp_path, "-c", "import gc, netpos.cli; print(gc.get_freeze_count())")
+    assert result.stdout == "0\n", result.stderr
+    before = gc.get_freeze_count()
+    assert runner.invoke(main, ["--version"]).exit_code == 0
+    assert gc.get_freeze_count() == before
+
+
+@pytest.mark.parametrize("args, code", [
+    (["partition", "--no-such-option"], 2),
+    (["partition", "bad.edges", "-o", "out.part"], 3),
+    (["gen", "-n", "10", "--gamma", "2.5", "-o", "missing/g.edges"], 3),
+], ids=["usage", "parse-error", "missing-output-dir"])
+def test_process_exit_codes(tmp_path, args, code):
+    _write(tmp_path, "bad.edges", "a b c d\n")
+    result = _python(tmp_path, "-m", "netpos.cli", *args)
+    assert result.returncode == code, result.stderr
+    assert result.stderr
+
+
+def test_process_flushes_its_outputs(tmp_path):
+    # the stdout line, the edge list and the manifest are each whole after
+    # the process froze its heap and exited
+    result = _python(tmp_path, "-m", "netpos.cli", "gen", "-n", "50", "--gamma",
+                     "2.5", "--seed", "1", "-o", "g.edges")
+    assert result.returncode == 0, result.stderr
+    lines = (tmp_path / "g.edges").read_text(encoding="utf-8").splitlines()
+    m = len(lines) - 1
+    assert lines[0] == f"# vertices=50 edges={m}"
+    assert result.stdout == f"n=50 m={m} -> g.edges\n"
+    manifest = json.loads((tmp_path / "g.edges.manifest.json").read_text())
+    assert manifest["extra"]["m"] == m
+
+
+def test_console_script_is_the_freezing_entry_point():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with open(pyproject, "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    assert scripts["netpos"] == "netpos.cli:run"

@@ -10,7 +10,7 @@ from netpos import (GeneratorConfig, Graph, ParseError, SnapshotSpec,
                     reciprocal_projection, save_edge_list)
 
 from helpers import edge_set, er_graph, log_rows
-from oracles import reciprocal_reference, snapshots_reference
+from oracles import reciprocal_reference, snapshots_reference, validate_graph
 
 
 def test_load_path_graph():
@@ -58,7 +58,19 @@ def test_handshake_and_symmetry_on_random_graphs():
     for seed in range(10):
         g = er_graph(40, 0.15, seed)
         assert int(g.degrees.sum()) == 2 * g.m
-        g.validate()
+        validate_graph(g)
+
+
+@pytest.mark.parametrize("n, indptr, indices, message", [
+    (2, [0, 1, 1], [1], "not symmetric"),
+    (2, [0, 1, 2], [0, 1], "self-loop"),
+    (3, [0, 2, 3, 4], [2, 1, 0, 0], "not strictly ascending"),
+    (2, [0, 1, 2], [1, 2], "out of range"),
+    (2, [0, 1], [1], "bad indptr"),
+])
+def test_validate_graph_rejects_broken_csr(n, indptr, indices, message):
+    with pytest.raises(ValueError, match=message):
+        validate_graph(Graph(n, indptr, indices))
 
 
 def test_edge_list_roundtrip():
@@ -241,7 +253,7 @@ def test_generator_deterministic():
 def test_generator_two_vertices():
     g = generate_power_law(GeneratorConfig(2, 2.0, seed=0))
     assert g.n == 2 and g.m in (0, 1)
-    g.validate()
+    validate_graph(g)
 
 
 def test_generator_rejects_tiny_or_bad_config():
@@ -255,7 +267,7 @@ def test_generator_rejects_tiny_or_bad_config():
 
 def test_generator_output_is_simple():
     g = generate_power_law(GeneratorConfig(3000, 2.1, seed=9))
-    g.validate()
+    validate_graph(g)
     assert int(g.degrees.sum()) == 2 * g.m
 
 
