@@ -23,11 +23,6 @@ CONVENTIONS = {
                "score(v) = sum over u in closed neighborhood of 1/(1+deg(u))",
 }
 
-# Largest k * (k + 2m) over the 2-core (k vertices, m edges) that the CLI lets
-# exact betweenness take on: at the 0.05-0.06 us a unit measured on a 2-vCPU
-# host, the limit is about ten minutes there.
-MAX_BETWEENNESS_WORK = 10**10
-
 # Source-by-vertex entries one betweenness batch holds: _BATCH_ENTRIES // k
 # sources, whose per-level temporaries scale with it.
 _BATCH_ENTRIES = 1 << 15

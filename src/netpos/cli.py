@@ -8,37 +8,53 @@ wall-clock times. Exit codes: 0 success, 2 usage, 3 parse/IO, 4 integrity.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import functools
 import gc
 import hashlib
 import json
+import math
 import resource
 import sys
 import time
+from contextlib import contextmanager
 from datetime import datetime, timezone
 from pathlib import Path
 
 import click
-import numpy as np
 
 from . import __version__
-from .centrality import (CONVENTIONS, MAX_BETWEENNESS_WORK, compute_measures,
-                         core_size)
-from .coevolution import (DEFAULT_BIN_EDGES, DEFAULT_PAIR_CAP, MAX_FULL_PAIRS,
-                          coevolution_report, overlap_matrix, same_position_pairs)
-from .graphs import (GeneratorConfig, ParseError, SnapshotSpec,
-                     VertexLabelMap, build_snapshots, generate_power_law,
-                     load_edge_list, load_temporal_edge_list,
-                     reciprocal_projection, save_edge_list)
-from .partition import (EngineConfig, IterationLimitError, SignatureCollisionError,
-                        degree_partition, equitable_oracle, read_partition_file,
-                        run_refinement, write_partition_file)
-from .similarity import UniverseMismatchError, similarity_score
+
+# Each command imports the netpos modules it runs (and numpy, csv and
+# logging) in its own body, before its clock starts, so a process loads only
+# what its command needs and `--version` loads no netpos module at all. The
+# option defaults below therefore restate three library constants rather
+# than import them; the CLI tests check that they agree.
+_ALL_MEASURES = "degree,betweenness,triangles,shapley"
+_DEFAULT_BIN_EDGES = "0,1,2,3,4,5,6,7,8,9,10"
+_DEFAULT_PAIR_CAP = 1_000_000
+
+# Largest k * (k + 2m) over the 2-core (k vertices, m edges) that exact
+# betweenness may take on: at the 0.05-0.06 us a unit measured on a 2-vCPU
+# host, the limit is about ten minutes there.
+MAX_BETWEENNESS_WORK = 10**10
+# the most pairs `coevolve --full-pairs` lists: a pair peaks at about 65 B
+# while it is unranked, so the run stays near 0.66 GB
+MAX_FULL_PAIRS = 10_000_000
 
 EXIT_PARSE = 3
 EXIT_INTEGRITY = 4
+
+
+def _parse_errors():
+    from .graphs import ParseError
+    return ParseError, OSError
+
+
+def _integrity_errors():
+    from .partition import IterationLimitError, SignatureCollisionError
+    from .similarity import UniverseMismatchError
+    return UniverseMismatchError, IterationLimitError, SignatureCollisionError
 
 
 def _cli_errors(fn):
@@ -46,11 +62,12 @@ def _cli_errors(fn):
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except (ParseError, OSError) as exc:
+        # an except clause's classes are looked up only once an exception
+        # reaches it, so the modules defining them load only on failure
+        except _parse_errors() as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(EXIT_PARSE)
-        except (UniverseMismatchError, IterationLimitError,
-                SignatureCollisionError) as exc:
+        except _integrity_errors() as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(EXIT_INTEGRITY)
     return wrapper
@@ -59,7 +76,11 @@ def _cli_errors(fn):
 def _sha256_file(path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
+        # each read allocates a buffer of the size asked for: a 1 MiB one is
+        # mmapped, and freeing it raises glibc's mmap threshold to 1 MiB for
+        # the rest of the process, so later array temporaries below 1 MiB
+        # land on the heap and keep its pages; 64 KiB stays under the threshold
+        for chunk in iter(lambda: fh.read(1 << 16), b""):
             h.update(chunk)
     return "sha256:" + h.hexdigest()
 
@@ -142,22 +163,46 @@ _SIZES = _list_option(int, lambda xs: min(xs) >= 2,
                       "comma-separated integers >= 2")
 _GAMMAS = _list_option(float, lambda xs: all(x > 1 for x in xs),  # rejects nan
                        "comma-separated numbers > 1")
-_BIN_EDGES = _list_option(float, lambda xs: (np.isfinite(xs).all()
+_BIN_EDGES = _list_option(float, lambda xs: (all(map(math.isfinite, xs))
                                              and _ascending(xs) and xs[0] <= 0),
                           "strictly ascending comma-separated finite numbers, "
                           "the first <= 0")
 _CUTOFFS = _list_option(_parse_cutoff, _ascending,
                         "strictly ascending comma-separated unix timestamps "
                         "or ISO-8601 dates")
-_MEASURE_NAMES = _list_option(str.strip, lambda xs: set(xs) <= CONVENTIONS.keys(),
-                              f"comma-separated names from {', '.join(CONVENTIONS)}")
+_MEASURE_NAMES = _list_option(str.strip,
+                              lambda xs: set(xs) <= set(_ALL_MEASURES.split(",")),
+                              "comma-separated names from "
+                              + _ALL_MEASURES.replace(",", ", "))
+
+
+@contextmanager
+def _progress_to_stderr(interval: int):
+    """Print refinement's key=value progress lines on stderr while the block runs."""
+    if not interval:
+        yield
+        return
+    import logging
+    logger = logging.getLogger("netpos.partition")
+    handler = logging.StreamHandler(sys.stderr)
+    level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.INFO)
+    try:
+        yield
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
 
 
 def _partition(graph, method: str, epsilon: int, progress_interval: int = 0):
     """Partition ``graph`` by ``method``; returns it with its manifest counters."""
+    from .partition import (EngineConfig, degree_partition, equitable_oracle,
+                            run_refinement)
     if method == "eep":
         cfg = EngineConfig(progress_interval=progress_interval, collect_work=True)
-        part, stats = run_refinement(graph, epsilon, cfg)
+        with _progress_to_stderr(progress_interval):
+            part, stats = run_refinement(graph, epsilon, cfg)
         return part, dict(iterations=stats.iterations, cells=stats.cells,
                           splits=stats.splits, fragments=stats.fragments,
                           map_work=stats.map_work,
@@ -170,6 +215,7 @@ def _refuse_slow_betweenness(graph, names) -> None:
     """Exit 4 if betweenness is asked for and its 2-core is above the work limit."""
     if "betweenness" not in names:
         return
+    from .centrality import core_size
     k, m = core_size(graph)
     work = k * (k + 2 * m)
     if work > MAX_BETWEENNESS_WORK:
@@ -184,6 +230,8 @@ def _load_snapshots(log_path, cuts, directed: bool, reciprocal: bool):
     """Read a temporal edge log and cut it into nested snapshots and their labels."""
     if reciprocal and not directed:
         raise click.UsageError("--reciprocal requires --directed events")
+    from .graphs import (SnapshotSpec, build_snapshots, load_temporal_edge_list,
+                         reciprocal_projection)
     with open(log_path, "r", encoding="utf-8") as fh:
         log = load_temporal_edge_list(fh, directed=directed)
     if reciprocal:
@@ -216,6 +264,8 @@ def main():
 def partition(input_path, epsilon, method, output, labels_out, manifest_out,
               progress_interval):
     """Partition a graph into positions and write a partition file."""
+    from .graphs import load_edge_list
+    from .partition import write_partition_file
     t0 = time.perf_counter()
     options = dict(input=input_path, epsilon=epsilon, method=method,
                    output=output)
@@ -247,6 +297,8 @@ def partition(input_path, epsilon, method, output, labels_out, manifest_out,
 @_cli_errors
 def similarity(partition1, partition2, labels, fmt, manifest_out):
     """Score the positional overlap of two partitions of the same vertices."""
+    from .partition import read_partition_file
+    from .similarity import similarity_score
     t0 = time.perf_counter()
     inputs = {"partition1": partition1, "partition2": partition2}
     if labels:
@@ -286,7 +338,7 @@ def similarity(partition1, partition2, labels, fmt, manifest_out):
 @main.command()
 @click.argument("input_path", metavar="EDGELIST",
                 type=click.Path(exists=True, dir_okay=False))
-@click.option("--measures", "names", default="degree,betweenness,triangles,shapley",
+@click.option("--measures", "names", default=_ALL_MEASURES,
               show_default=True, callback=_MEASURE_NAMES,
               help="Comma-separated measure names.")
 @click.option("--format", "fmt", type=click.Choice(["csv", "jsonl"]),
@@ -297,6 +349,9 @@ def similarity(partition1, partition2, labels, fmt, manifest_out):
 @_cli_errors
 def centrality(input_path, names, fmt, output, manifest_out):
     """Emit per-vertex centrality scores, one record per vertex."""
+    import csv
+    from .centrality import CONVENTIONS, compute_measures
+    from .graphs import load_edge_list
     t0 = time.perf_counter()
     manifest = _start_manifest(
         "centrality", dict(input=input_path, measures=names, output=output),
@@ -345,6 +400,7 @@ def centrality(input_path, names, fmt, output, manifest_out):
 @_cli_errors
 def snapshots(log_path, cutoffs, directed, reciprocal, output_base, manifest_out):
     """Build nested cumulative graph snapshots from a timestamped edge log."""
+    from .graphs import save_edge_list
     t0 = time.perf_counter()
     manifest = _start_manifest(
         "snapshots", dict(log=log_path, cutoffs=cutoffs, directed=directed,
@@ -379,13 +435,13 @@ def snapshots(log_path, cutoffs, directed, reciprocal, output_base, manifest_out
               default="eep", show_default=True)
 @click.option("--epsilon", "-e", type=click.IntRange(min=0), default=1,
               show_default=True)
-@click.option("--measures", "names", default="degree,betweenness,triangles,shapley",
+@click.option("--measures", "names", default=_ALL_MEASURES,
               show_default=True, callback=_MEASURE_NAMES)
-@click.option("--bin-edges", default=",".join(str(int(e)) for e in DEFAULT_BIN_EDGES),
+@click.option("--bin-edges", default=_DEFAULT_BIN_EDGES,
               show_default=True, callback=_BIN_EDGES,
               help="Ascending bin edges, the first <= 0 since pair differences "
                    "are >= 0; last bin overflows.")
-@click.option("--cap", type=click.IntRange(min=1), default=DEFAULT_PAIR_CAP,
+@click.option("--cap", type=click.IntRange(min=1), default=_DEFAULT_PAIR_CAP,
               show_default=True, help="Same-position pair sample budget.")
 @click.option("--full-pairs", is_flag=True, help="Force exact pair enumeration.")
 @click.option("--seed", type=int, default=0, show_default=True)
@@ -401,6 +457,10 @@ def coevolve(log_path, cutoffs, directed, reciprocal, method, epsilon, names,
              bin_edges, cap, full_pairs, seed, overlap, eps_list, output_base,
              manifest_out):
     """Analyze how same-position vertex pairs evolve between snapshots."""
+    import csv
+    import numpy as np
+    from .centrality import CONVENTIONS, compute_measures
+    from .coevolution import coevolution_report, overlap_matrix, same_position_pairs
     t0 = time.perf_counter()
     if len(cutoffs) != 2 and not (overlap and len(cutoffs) > 2):
         raise click.UsageError("histogram mode takes exactly two cutoffs, "
@@ -479,6 +539,8 @@ def coevolve(log_path, cutoffs, directed, reciprocal, method, epsilon, names,
 @_cli_errors
 def gen(n, gamma, seed, output, manifest_out):
     """Generate a random power-law graph (erased configuration model)."""
+    from .graphs import (GeneratorConfig, VertexLabelMap, generate_power_law,
+                         save_edge_list)
     t0 = time.perf_counter()
     if not gamma > 1:  # rejects nan
         raise click.UsageError("gamma must be > 1")
@@ -511,6 +573,9 @@ def gen(n, gamma, seed, output, manifest_out):
 @_cli_errors
 def bench(sizes, gammas, eps, repeats, seed, output, manifest_out):
     """Time the refinement over a (size, gamma, epsilon) grid."""
+    import csv
+    from .graphs import GeneratorConfig, generate_power_law
+    from .partition import EngineConfig, run_refinement
     t0 = time.perf_counter()
     manifest = _start_manifest("bench", dict(sizes=sizes, gammas=gammas, eps=eps,
                                              repeats=repeats, seed=seed,

@@ -20,9 +20,6 @@ from .similarity import _masked, restrict_partition, similarity_score
 
 DEFAULT_BIN_EDGES = tuple(float(x) for x in range(11))  # [0,1) .. [9,10) + overflow
 DEFAULT_PAIR_CAP = 1_000_000
-# the most pairs `coevolve --full-pairs` lists: a pair peaks at about 65 B
-# while it is unranked, so the run stays near 0.66 GB
-MAX_FULL_PAIRS = 10_000_000
 
 
 def _pair_count(size: int | np.ndarray) -> int | np.ndarray:
@@ -36,17 +33,29 @@ def _unrank_pair(k, size) -> tuple[np.ndarray, np.ndarray]:
     starts at rank C(size, 2) - C(size - i, 2), so the row of rank k is
     size - s for the least s with C(s, 2) >= C(size, 2) - k. The float square
     root lands within one of s; one integer step each way makes it exact.
+    The arithmetic runs in place, so that few arrays of len(k) are live at once.
     """
     k = np.asarray(k, dtype=np.int64)
     size = np.asarray(size, dtype=np.int64)
     rem = _pair_count(size) - k  # pairs from rank k to the end of the cell
     if np.any(k < 0) or np.any(rem < 1):
         raise ValueError("pair rank out of range")
-    s = ((1 + np.sqrt(8 * rem.astype(np.float64))) // 2).astype(np.int64) + 1
+    root = rem.astype(np.float64)
+    root *= 8
+    np.sqrt(root, out=root)
+    root += 1
+    root //= 2
+    s = root.astype(np.int64)
+    del root
+    s += 1
     s += _pair_count(s) < rem
     s -= _pair_count(s - 1) >= rem
-    i = size - s
-    return i, i + 1 + _pair_count(s) - rem
+    # i = size - s and j = i + 1 + C(s, 2) - rem, written over s and rem
+    rem -= _pair_count(s)
+    np.subtract(size, s, out=s)
+    np.subtract(s, rem, out=rem)
+    rem += 1
+    return s, rem
 
 
 def _sample_ranks(population: int, cap: int, seed: int) -> np.ndarray:

@@ -302,10 +302,16 @@ def reciprocal_projection(log: TemporalEdgeLog) -> TemporalEdgeLog:
     keys, times = keys[first], times[first]
     src, tgt = np.divmod(keys, max(k, 1))
     reverse = tgt * k + src
+    # look the reverse keys up in ascending order, so that the binary
+    # searches walk ``keys`` forward instead of missing cache at random;
+    # the rows are put in canonical order at the end whatever their order here
+    order = np.argsort(reverse)
+    reverse = reverse[order]
     at = np.minimum(np.searchsorted(keys, reverse), keys.size - 1)
     both = keys[at] == reverse
-    src, tgt = src[both], tgt[both]
-    times = np.maximum(times[both], times[at[both]])
+    found = order[both]
+    src, tgt = src[found], tgt[found]
+    times = np.maximum(times[found], times[at[both]])
     # a pair linked both ways has both directions here, so src holds every end
     ranks = _label_ranks(log.labels, src)
     keep = ranks[src] < ranks[tgt]

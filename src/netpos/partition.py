@@ -20,7 +20,6 @@ how the cells are numbered. ``fast_eep`` returns the partition alone.
 from __future__ import annotations
 
 import heapq
-import logging
 import time
 from dataclasses import dataclass
 from typing import IO, Iterable, Mapping, Sequence
@@ -28,8 +27,6 @@ from typing import IO, Iterable, Mapping, Sequence
 import numpy as np
 
 from .graphs import ID_DTYPE, Graph, ParseError
-
-log = logging.getLogger(__name__)
 
 
 class IterationLimitError(RuntimeError):
@@ -251,6 +248,9 @@ def run_refinement(graph: Graph, epsilon,
     """
     eps = _check_epsilon(epsilon)
     cfg = config or EngineConfig()
+    if cfg.progress_interval:   # logging is imported only by runs that report
+        import logging
+        log = logging.getLogger(__name__)
     t0 = time.perf_counter()
     n = graph.n
     perm, pos = np.arange(n, dtype=ID_DTYPE), np.arange(n, dtype=ID_DTYPE)

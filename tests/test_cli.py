@@ -2,6 +2,7 @@ import csv
 import gc
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +13,7 @@ from click.testing import CliRunner
 
 import netpos.cli
 import netpos.partition
+from netpos import CONVENTIONS, DEFAULT_BIN_EDGES, DEFAULT_PAIR_CAP
 from netpos.cli import main
 from netpos.partition import read_partition_file
 
@@ -74,6 +76,36 @@ def test_partition_signature_collision_exit(runner, tmp_path, monkeypatch):
     assert result.stderr.startswith("error: two distinct degree signatures share "
                                     "a 64-bit hash")
     assert not Path(out).exists()
+
+
+def test_progress_interval_prints_key_value_lines(runner, tmp_path):
+    edges = str(tmp_path / "g.edges")
+    assert runner.invoke(main, ["gen", "-n", "400", "--gamma", "2.5", "--seed", "3",
+                                "-o", edges]).exit_code == 0
+    runs = []
+    for flag in ([], ["--progress-interval", "1"]):
+        out = tmp_path / f"g{len(flag)}.part"
+        result = runner.invoke(main, ["partition", edges, "-e", "0", "-o", str(out),
+                                      *flag])
+        assert result.exit_code == 0, result.output
+        runs.append((out.read_bytes(), result.stderr.splitlines()))
+    (quiet_part, quiet_err), (loud_part, loud_err) = runs
+    assert quiet_part == loud_part and quiet_err == []
+    assert len(loud_err) > 1
+    assert all(re.fullmatch(r"iter=\d+ active=\d+ cells=\d+ elapsed_ms=\d+\.\d", line)
+               for line in loud_err), loud_err
+    assert [int(line.split()[0][5:]) for line in loud_err] == \
+        list(range(1, len(loud_err) + 1))
+
+
+def test_option_defaults_restate_library_constants():
+    defaults = {(cmd, p.name): p.default for cmd in ("centrality", "coevolve")
+                for p in main.commands[cmd].params}
+    assert defaults["centrality", "names"] == ",".join(CONVENTIONS)
+    assert defaults["coevolve", "names"] == ",".join(CONVENTIONS)
+    assert defaults["coevolve", "bin_edges"] == ",".join(str(int(e))
+                                                         for e in DEFAULT_BIN_EDGES)
+    assert defaults["coevolve", "cap"] == DEFAULT_PAIR_CAP
 
 
 def test_partition_degree_method_star(runner, tmp_path):

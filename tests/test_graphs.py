@@ -233,6 +233,19 @@ def test_reciprocal_invariant_to_event_order():
         assert log_rows(reciprocal_projection(load_temporal_edge_list(lines))) == base
 
 
+def test_reciprocal_matches_reference_on_many_labels():
+    # enough labels and events that the reverse keys are looked up out of
+    # their input order; labels whose str order differs from their ids
+    rng = np.random.default_rng(31)
+    for trial in range(20):
+        k = int(rng.integers(2, 120))
+        rows = [(f"v{int(a)}", f"v{int(b)}", int(t)) for a, b, t in
+                zip(rng.integers(0, k, 1500), rng.integers(0, k, 1500),
+                    rng.integers(0, 60, 1500))]
+        log = load_temporal_edge_list([f"{s} {t} {ts}" for s, t, ts in rows])
+        assert log_rows(reciprocal_projection(log)) == reciprocal_reference(rows)
+
+
 def test_reciprocal_requires_directed():
     log = load_temporal_edge_list(["a b 1"], directed=False)
     with pytest.raises(ValueError):

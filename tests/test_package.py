@@ -1,0 +1,123 @@
+"""The package surface, and the modules each CLI command loads."""
+
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+from click.testing import CliRunner
+
+import netpos
+from netpos.cli import main
+
+EXPORTS = {
+    "graphs": {"GeneratorConfig", "Graph", "ParseError", "SnapshotSpec",
+               "TemporalEdgeLog", "VertexLabelMap", "build_snapshots",
+               "generate_power_law", "load_edge_list", "load_temporal_edge_list",
+               "reciprocal_projection", "save_edge_list"},
+    "partition": {"EngineConfig", "IterationLimitError", "Partition",
+                  "RefinementStats", "SignatureCollisionError", "degree_partition",
+                  "epsilon_spread", "equitable_oracle", "fast_eep",
+                  "read_partition_file", "run_refinement", "write_partition_file"},
+    "similarity": {"SimilarityScore", "UniverseMismatchError",
+                   "partition_intersection", "partitions_equal",
+                   "restrict_partition", "similarity_score"},
+    "centrality": {"CONVENTIONS", "CentralityVector", "betweenness_centrality",
+                   "compute_measures", "degree_centrality", "shapley_centrality",
+                   "triangle_counts"},
+    "coevolution": {"DEFAULT_BIN_EDGES", "DEFAULT_PAIR_CAP", "CoevolutionReport",
+                    "OverlapMatrix", "coevolution_report", "overlap_matrix",
+                    "pair_difference_histogram", "pair_difference_values",
+                    "same_position_pairs"},
+}
+NAMES = set().union(*EXPORTS.values())
+
+
+def test_all_lists_the_exports():
+    assert len(NAMES) == 46
+    assert len(netpos.__all__) == 46 and set(netpos.__all__) == NAMES
+    assert NAMES <= set(dir(netpos))
+
+
+def test_each_export_is_its_modules_object():
+    for module_name, names in EXPORTS.items():
+        module = importlib.import_module(f"netpos.{module_name}")
+        for name in names:
+            assert getattr(netpos, name) is getattr(module, name), name
+
+
+def test_star_import():
+    namespace = {}
+    exec("from netpos import *", namespace)
+    assert set(namespace) - {"__builtins__"} == NAMES
+
+
+def test_unknown_attribute_raises():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        netpos.no_such_name
+    assert not hasattr(netpos, "MAX_FULL_PAIRS")
+
+
+# --- modules each command loads ---------------------------------------------
+
+_LOADED = """\
+import sys
+from netpos.cli import main
+main(sys.argv[1:], standalone_mode=False)
+print(" ".join(sorted(sys.modules)))
+"""
+
+
+def _modules_after(tmp_path, script, *args):
+    src = Path(netpos.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    result = subprocess.run([sys.executable, "-c", script, *args], cwd=tmp_path,
+                            env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    return set(result.stdout.splitlines()[-1].split())
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("inputs")
+    runner = CliRunner()
+    edges = str(tmp / "g.edges")
+    assert runner.invoke(main, ["gen", "-n", "60", "--gamma", "2.5", "-o", edges]).exit_code == 0
+    for eps in ("0", "2"):
+        result = runner.invoke(main, ["partition", edges, "-e", eps,
+                                      "-o", str(tmp / f"g{eps}.part")])
+        assert result.exit_code == 0
+    (tmp / "log").write_text("a b 10\nb a 20\nb c 30\nc b 40\na c 50\n",
+                             encoding="utf-8")
+    return tmp
+
+
+@pytest.mark.parametrize("args, netpos_modules, absent", [
+    (["partition", "g.edges", "-e", "0", "-o", "out.part"],
+     {"graphs", "partition"}, {"logging", "csv"}),
+    (["snapshots", "log", "--cutoffs", "20,50", "-o", "snap"], {"graphs"}, set()),
+    (["similarity", "g0.part", "g2.part"], {"graphs", "partition", "similarity"},
+     {"csv"}),
+    (["gen", "-n", "20", "--gamma", "2.5", "-o", "h.edges"], {"graphs"}, {"csv"}),
+    (["--version"], set(), {"numpy", "logging", "csv"}),
+], ids=["partition", "snapshots", "similarity", "gen", "version"])
+def test_command_loads_only_its_modules(inputs, args, netpos_modules, absent):
+    loaded = _modules_after(inputs, _LOADED, *args)
+    want = {"netpos", "netpos.cli"} | {f"netpos.{m}" for m in netpos_modules}
+    assert {m for m in loaded if m.split(".")[0] == "netpos"} == want
+    assert not absent & loaded
+
+
+_BARE_IMPORT = """\
+import sys, netpos
+loaded = " ".join(sys.modules)
+assert netpos.coevolution.DEFAULT_PAIR_CAP == 1_000_000   # submodules load on use
+print(loaded)
+"""
+
+
+def test_import_netpos_loads_no_submodule(tmp_path):
+    loaded = _modules_after(tmp_path, _BARE_IMPORT)
+    assert {m for m in loaded if m.split(".")[0] == "netpos"} == {"netpos"}
