@@ -11,8 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import ID_DTYPE, Graph
-from .partition import _ranges
+from .graphs import ID_DTYPE, Graph, ranges
 
 CONVENTIONS = {
     "degree": "neighbor count",
@@ -62,8 +61,7 @@ def _shatter(graph: Graph):
     credit, merged, merged_sq, owner = np.zeros((4, n), dtype=ID_DTYPE)
     leaves = np.flatnonzero(deg == 1)
     while leaves.size:
-        starts = graph.indptr[leaves]
-        nbrs = graph.indices[_ranges(starts, graph.indptr[leaves + 1] - starts)]
+        nbrs = graph.adjacent(leaves)[0]
         up = nbrs[deg[nbrs] > 0]  # a leaf's one unpeeled neighbour
         keep = (deg[up] != 1) | (leaves > up)  # two joined leaves: the lower id stays
         leaves, up = leaves[keep], up[keep]
@@ -97,8 +95,7 @@ def _core_brandes(graph: Graph, deg: np.ndarray, reach: np.ndarray):
     """
     core = np.flatnonzero(deg)
     k = core.size
-    starts = graph.indptr[core]
-    nbrs = graph.indices[_ranges(starts, graph.indptr[core + 1] - starts)]
+    nbrs = graph.adjacent(core)[0]
     indices = (np.cumsum(deg > 0) - 1)[nbrs[deg[nbrs] > 0]]  # core ids
     deg, reach = deg[core], reach[core]
     indptr, weight = np.concatenate(([0], np.cumsum(deg))), reach.astype(float)
@@ -115,7 +112,7 @@ def _core_brandes(graph: Graph, deg: np.ndarray, reach: np.ndarray):
             v = frontier % k
             lens = deg[v]
             tail = np.repeat(np.arange(frontier.size), lens)
-            head = (frontier - v)[tail] + indices[_ranges(indptr[v], lens)]
+            head = (frontier - v)[tail] + indices[ranges(indptr[v], lens)]
             fresh = sg[head] == 0.0  # edges to unreached keys lead one level down
             tail, head = tail[fresh], head[fresh]
             np.add.at(sg, head, sg[frontier][tail])

@@ -17,7 +17,6 @@ import math
 import resource
 import sys
 import time
-from contextlib import contextmanager
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -25,11 +24,11 @@ import click
 
 from . import __version__
 
-# Each command imports the netpos modules it runs (and numpy, csv and
-# logging) in its own body, before its clock starts, so a process loads only
-# what its command needs and `--version` loads no netpos module at all. The
-# option defaults below therefore restate three library constants rather
-# than import them; the CLI tests check that they agree.
+# Each command imports the netpos modules it runs (and numpy and csv) in its
+# own body, before its clock starts, so a process loads only what its command
+# needs and `--version` loads no netpos module at all. The option defaults
+# below therefore restate three library constants rather than import them;
+# the CLI tests check that they agree.
 _ALL_MEASURES = "degree,betweenness,triangles,shapley"
 _DEFAULT_BIN_EDGES = "0,1,2,3,4,5,6,7,8,9,10"
 _DEFAULT_PAIR_CAP = 1_000_000
@@ -176,33 +175,13 @@ _MEASURE_NAMES = _list_option(str.strip,
                               + _ALL_MEASURES.replace(",", ", "))
 
 
-@contextmanager
-def _progress_to_stderr(interval: int):
-    """Print refinement's key=value progress lines on stderr while the block runs."""
-    if not interval:
-        yield
-        return
-    import logging
-    logger = logging.getLogger("netpos.partition")
-    handler = logging.StreamHandler(sys.stderr)
-    level = logger.level
-    logger.addHandler(handler)
-    logger.setLevel(logging.INFO)
-    try:
-        yield
-    finally:
-        logger.removeHandler(handler)
-        logger.setLevel(level)
-
-
 def _partition(graph, method: str, epsilon: int, progress_interval: int = 0):
     """Partition ``graph`` by ``method``; returns it with its manifest counters."""
     from .partition import (EngineConfig, degree_partition, equitable_oracle,
                             run_refinement)
     if method == "eep":
         cfg = EngineConfig(progress_interval=progress_interval, collect_work=True)
-        with _progress_to_stderr(progress_interval):
-            part, stats = run_refinement(graph, epsilon, cfg)
+        part, stats = run_refinement(graph, epsilon, cfg)
         return part, dict(iterations=stats.iterations, cells=stats.cells,
                           splits=stats.splits, fragments=stats.fragments,
                           map_work=stats.map_work,

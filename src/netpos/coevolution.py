@@ -16,7 +16,7 @@ import numpy as np
 
 from .graphs import ID_DTYPE, Graph
 from .partition import Partition, degree_partition, equitable_oracle, fast_eep
-from .similarity import _masked, restrict_partition, similarity_score
+from .similarity import restrict_partition, similarity_score
 
 DEFAULT_BIN_EDGES = tuple(float(x) for x in range(11))  # [0,1) .. [9,10) + overflow
 DEFAULT_PAIR_CAP = 1_000_000
@@ -93,11 +93,12 @@ def same_position_pairs(partition: Partition, common: Iterable[int] | None = Non
     ``cap`` distinct pairs is drawn without replacement, deterministically for
     a given seed, and returned in the same order.
     """
-    if common is not None:
-        keep = np.fromiter(common, dtype=ID_DTYPE)
-        partition = _masked(partition, np.isin(partition.universe, keep))
-    members = partition.universe[np.argsort(partition.membership, kind="stable")]
-    sizes = np.bincount(partition.membership, minlength=len(partition))
+    universe, membership = partition.universe, partition.membership
+    if common is not None:   # cells emptied here have no pairs
+        keep = np.isin(universe, np.fromiter(common, dtype=ID_DTYPE))
+        universe, membership = universe[keep], membership[keep]
+    members = universe[np.argsort(membership, kind="stable")]
+    sizes = np.bincount(membership, minlength=len(partition))
     counts = _pair_count(sizes)
     ends = np.cumsum(counts)
     population = int(counts.sum())
@@ -110,9 +111,15 @@ def same_position_pairs(partition: Partition, common: Iterable[int] | None = Non
     i, j = _unrank_pair(ranks, sizes[cell])
     del ranks  # a full listing is memory-bound: free 8 B a pair first
     start = (np.cumsum(sizes) - sizes)[cell]  # each pair's cell in ``members``
+    del cell
     i += start
     j += start
-    return np.column_stack((members[i], members[j]))
+    del start
+    pairs = np.empty((i.size, 2), dtype=np.int64)
+    np.take(members, i, out=pairs[:, 0])
+    del i
+    np.take(members, j, out=pairs[:, 1])
+    return pairs
 
 
 def pair_difference_values(pairs, scores_t, scores_later) -> np.ndarray:
@@ -128,11 +135,10 @@ def pair_difference_values(pairs, scores_t, scores_later) -> np.ndarray:
         raise ValueError(f"pairs must have shape (k, 2), not {arr.shape}")
     st = np.asarray(scores_t, dtype=float)
     sl = np.asarray(scores_later, dtype=float)
-    top = int(arr.max())
-    if top >= st.shape[0] or top >= sl.shape[0]:
-        shortest = min(st.shape[0], sl.shape[0])
-        bad = int(arr[arr >= shortest].min())
-        raise ValueError(f"vertex {bad} has no score")
+    shortest = min(st.shape[0], sl.shape[0])
+    if arr.min() < 0 or arr.max() >= shortest:
+        bad = arr[(arr < 0) | (arr >= shortest)]
+        raise ValueError(f"vertex {int(bad.min())} has no score")
     before = st[arr[:, 0]] - st[arr[:, 1]]
     after = sl[arr[:, 0]] - sl[arr[:, 1]]
     return np.abs(before - after)

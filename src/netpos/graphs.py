@@ -16,6 +16,14 @@ import numpy as np
 ID_DTYPE = np.int64
 
 
+def ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """Concatenated index ranges [starts_i, starts_i + lens_i), in order."""
+    ends = lens.cumsum()
+    flat = np.repeat(starts - ends + lens, lens)
+    flat += np.arange(flat.size, dtype=ID_DTYPE)
+    return flat
+
+
 class ParseError(ValueError):
     """Malformed input; the message carries the 1-based line number."""
 
@@ -81,6 +89,12 @@ class Graph:
     def neighbors(self, v: int) -> np.ndarray:
         """Sorted read-only array of the neighbors of v."""
         return self.indices[self.indptr[v]:self.indptr[v + 1]]
+
+    def adjacent(self, vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The neighbours of each of ``vertices``, concatenated, and their degrees."""
+        starts = self.indptr[vertices]
+        degrees = self.indptr[vertices + 1] - starts
+        return self.indices[ranges(starts, degrees)], degrees
 
     def degree(self, v: int) -> int:
         return int(self.indptr[v + 1] - self.indptr[v])

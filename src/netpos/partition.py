@@ -20,13 +20,14 @@ how the cells are numbered. ``fast_eep`` returns the partition alone.
 from __future__ import annotations
 
 import heapq
+import sys
 import time
 from dataclasses import dataclass
 from typing import IO, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .graphs import ID_DTYPE, Graph, ParseError
+from .graphs import ID_DTYPE, Graph, ParseError, ranges
 
 
 class IterationLimitError(RuntimeError):
@@ -161,14 +162,6 @@ def _run_offsets(values: np.ndarray) -> np.ndarray:
     return edge.nonzero()[0]
 
 
-def _ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
-    """Concatenated index ranges [starts_i, starts_i + lens_i), in order."""
-    ends = lens.cumsum()
-    flat = np.repeat(starts - ends + lens, lens)
-    flat += np.arange(flat.size, dtype=ID_DTYPE)
-    return flat
-
-
 def _active_cell_degrees(graph: Graph, active_cell: np.ndarray
                          ) -> tuple[np.ndarray, np.ndarray, int]:
     """Vertices adjacent to the active cell, their degrees toward it, and its volume.
@@ -179,8 +172,7 @@ def _active_cell_degrees(graph: Graph, active_cell: np.ndarray
     and the cell's volume (the number of adjacency entries gathered), so an
     iteration costs work proportional to that volume, never to n.
     """
-    starts = graph.indptr[active_cell]
-    hits = graph.indices[_ranges(starts, graph.indptr[active_cell + 1] - starts)]
+    hits = graph.adjacent(active_cell)[0]
     hits.sort()
     runs = _run_offsets(hits)
     return hits[runs[:-1]], runs[1:] - runs[:-1], hits.size
@@ -196,7 +188,7 @@ class EngineConfig:
 
     workers: int = 1
     iteration_cap: int | None = None
-    progress_interval: int = 0    # log a key=value line every k iterations; 0 = off
+    progress_interval: int = 0    # a key=value line on stderr every k iterations; 0 = off
     collect_work: bool = False    # report the summed active-cell volumes as map_work
 
     def __post_init__(self):
@@ -243,14 +235,12 @@ def run_refinement(graph: Graph, epsilon,
     are the iteration count, the number of cell splits, the number of
     fragments they created, the cell count, the elapsed time and, under
     ``collect_work``, the summed volume of the splitters, which is the number
-    of adjacency entries gathered. The result is a pure function of
-    (graph, epsilon).
+    of adjacency entries gathered. Every ``progress_interval`` iterations it
+    prints an ``iter= active= cells= elapsed_ms=`` line on ``sys.stderr``,
+    looked up at each print. The result is a pure function of (graph, epsilon).
     """
     eps = _check_epsilon(epsilon)
     cfg = config or EngineConfig()
-    if cfg.progress_interval:   # logging is imported only by runs that report
-        import logging
-        log = logging.getLogger(__name__)
     t0 = time.perf_counter()
     n = graph.n
     perm, pos = np.arange(n, dtype=ID_DTYPE), np.arange(n, dtype=ID_DTYPE)
@@ -290,8 +280,9 @@ def run_refinement(graph: Graph, epsilon,
                     heapq.heappush(pending, head)
                 queued[heads] = True
         if cfg.progress_interval and iterations % cfg.progress_interval == 0:
-            log.info("iter=%d active=%d cells=%d elapsed_ms=%.1f", iterations,
-                     len(pending), n_cells, (time.perf_counter() - t0) * 1000.0)
+            elapsed_ms = (time.perf_counter() - t0) * 1000.0
+            print(f"iter={iterations} active={len(pending)} cells={n_cells} "
+                  f"elapsed_ms={elapsed_ms:.1f}", file=sys.stderr)
     if eps == 0:   # number every cell by its least member
         starts = cell_end.nonzero()[0]
         cell_end[starts] = np.minimum.reduceat(perm, starts)
@@ -311,15 +302,13 @@ def _splitter_classes(graph: Graph, perm, cell_of, cell_end, pending
     1982), with ids from ``_signature_classes``. Untouched members of a
     touched cell form one more class in ``_split_cells``.
     """
-    n, indptr = graph.n, graph.indptr
-    members = perm[_ranges(pending, cell_end[pending] - pending)]
-    rows = indptr[members]
-    lens = indptr[members + 1] - rows
+    n = graph.n
+    members = perm[ranges(pending, cell_end[pending] - pending)]
     # one key per adjacency entry of a splitter: touched vertex * n + splitter
-    key = graph.indices[_ranges(rows, lens)]
+    key, lens = graph.adjacent(members)
     key *= n
     key += np.repeat(cell_of[members], lens)
-    del members, rows, lens
+    del members, lens
     key.sort()
     runs = _run_offsets(key)
     touched, token = np.divmod(key[runs[:-1]], n)
@@ -370,7 +359,7 @@ def _epsilon_classes(graph: Graph, active_cell: np.ndarray, cell_of, cell_end,
     # movers of a spreading cell start after it
     lo = np.searchsorted(key, starts * (fmax + 1) + low + eps, side="right")[spread]
     head, end = lo, stop[spread]
-    moves = _ranges(lo, end - lo)
+    moves = ranges(lo, end - lo)
     is_head = np.zeros(f.size, dtype=bool)
     while head.size:   # the next group head of every cell at once
         is_head[head] = True
@@ -403,7 +392,7 @@ def _split_cells(perm, pos, cell_of, cell_end, mover, touched, label
     movers, edge = touched[keep], edge[keep]
     starts, count, untouched = starts[split], count[split], untouched[split]
     tail = starts + untouched
-    slots = _ranges(tail, count)
+    slots = ranges(tail, count)
     # swap the movers into [tail, end) of their cells; members there that
     # stay fill the holes the movers leave, cell by cell in both lists
     at = pos[movers]

@@ -109,9 +109,5 @@ def restrict_partition(partition: Partition, keep: Iterable[int]) -> Partition:
     if outside.size:
         raise ValueError(f"keep set contains vertices outside the partition "
                          f"universe, e.g. {outside.min()}")
-    return _masked(partition, np.isin(partition.universe, keep_ids))
-
-
-def _masked(partition: Partition, mask: np.ndarray) -> Partition:
-    """The vertices under ``mask``, in their cells, empties dropped, order kept."""
+    mask = np.isin(partition.universe, keep_ids)
     return Partition._from_labels(partition.universe[mask], partition.membership[mask])

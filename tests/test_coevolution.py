@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,6 +32,21 @@ def test_pairs_discrete_empty():
 def test_pairs_respect_common_restriction():
     p = Partition([[0, 1, 2], [3, 4]])
     assert same_position_pairs(p, common={0, 2, 3}).tolist() == [[0, 2]]
+
+
+def test_full_listing_peak_memory():
+    # 1,999,000 pairs of one cell: the listing may hold at most 3.6 times
+    # its 30.5-MiB result at once
+    p = Partition.from_membership(np.zeros(2000, dtype=np.int64))
+    tracemalloc.start()
+    try:
+        pairs = same_position_pairs(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pairs.shape == (1_999_000, 2) and pairs.flags.c_contiguous
+    assert pairs[0].tolist() == [0, 1] and pairs[-1].tolist() == [1998, 1999]
+    assert peak <= 3.6 * pairs.nbytes
 
 
 def test_unrank_pair_exhaustive():
@@ -70,6 +86,9 @@ def _reference_cases():
     common = [v for v in range(250) if v % 5]
     yield p, common, 700, 3
     yield p, common, None, 0
+    # a multi-member cell that ``common`` empties adds no pairs
+    yield p, [v for v in range(250) if not 61 <= v < 100], 700, 3
+    yield p, [v for v in range(250) if not 61 <= v < 100], None, 0
     yield discrete_partition(range(9)), None, 5, 0
     yield discrete_partition(range(9)), None, None, 0
     yield Partition([]), None, 5, 0
@@ -166,6 +185,14 @@ def test_pair_difference_missing_score_names_vertex():
         pair_difference_values([(0, 9)], [1.0] * 5, [1.0] * 10)
     with pytest.raises(ValueError, match="vertex 2"):
         pair_difference_values([(0, 2)], [1.0, 0.0, 0.5], [1.0])
+
+
+def test_pair_difference_rejects_negative_ids():
+    # a negative id would otherwise index the scores from the end
+    with pytest.raises(ValueError, match="vertex -1 has no score"):
+        pair_difference_values([(0, -1)], [1, 5, 9], [1, 2, 3])
+    with pytest.raises(ValueError, match="vertex -4 has no score"):
+        coevolution_report(np.array([[1, 2], [-4, 0]]), {"m": ([1, 5, 9], [1, 2, 3])})
 
 
 def test_pair_difference_rejects_malformed_pairs():

@@ -1,6 +1,5 @@
 import functools
 import hashlib
-import logging
 import os
 import subprocess
 import sys
@@ -84,12 +83,12 @@ def test_split_counters():
         assert stats.cells == len(part) == 1 + stats.fragments - stats.splits
 
 
-def test_progress_log_is_key_value(caplog):
+def test_progress_log_is_key_value(capsys):
     g = er_graph(40, 0.2, 6)
-    with caplog.at_level(logging.INFO, logger="netpos.partition"):
-        run_refinement(g, 0, EngineConfig(workers=1, progress_interval=1))
-    assert caplog.records
-    msg = caplog.records[0].getMessage()
+    run_refinement(g, 0, EngineConfig(workers=1, progress_interval=1))
+    lines = capsys.readouterr().err.splitlines()
+    assert lines
+    msg = lines[0]
     assert msg.startswith("iter=") and "active=" in msg and "cells=" in msg \
         and "elapsed_ms=" in msg
 

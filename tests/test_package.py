@@ -1,5 +1,7 @@
-"""The package surface, and the modules each CLI command loads."""
+"""The package surface, the modules each CLI command loads, and the imports
+between the package's modules."""
 
+import ast
 import importlib
 import os
 import subprocess
@@ -97,12 +99,16 @@ def inputs(tmp_path_factory):
 @pytest.mark.parametrize("args, netpos_modules, absent", [
     (["partition", "g.edges", "-e", "0", "-o", "out.part"],
      {"graphs", "partition"}, {"logging", "csv"}),
+    (["partition", "g.edges", "-e", "0", "-o", "loud.part", "--progress-interval", "1"],
+     {"graphs", "partition"}, {"logging", "csv"}),
     (["snapshots", "log", "--cutoffs", "20,50", "-o", "snap"], {"graphs"}, set()),
     (["similarity", "g0.part", "g2.part"], {"graphs", "partition", "similarity"},
      {"csv"}),
     (["gen", "-n", "20", "--gamma", "2.5", "-o", "h.edges"], {"graphs"}, {"csv"}),
+    (["centrality", "g.edges", "-o", "c.csv"], {"graphs", "centrality"}, {"logging"}),
     (["--version"], set(), {"numpy", "logging", "csv"}),
-], ids=["partition", "snapshots", "similarity", "gen", "version"])
+], ids=["partition", "partition-progress", "snapshots", "similarity", "gen",
+        "centrality", "version"])
 def test_command_loads_only_its_modules(inputs, args, netpos_modules, absent):
     loaded = _modules_after(inputs, _LOADED, *args)
     want = {"netpos", "netpos.cli"} | {f"netpos.{m}" for m in netpos_modules}
@@ -121,3 +127,16 @@ print(loaded)
 def test_import_netpos_loads_no_submodule(tmp_path):
     loaded = _modules_after(tmp_path, _BARE_IMPORT)
     assert {m for m in loaded if m.split(".")[0] == "netpos"} == {"netpos"}
+
+
+def test_no_module_imports_a_private_name_from_a_sibling():
+    # a helper two modules need belongs, public, to the module that owns it
+    found = []
+    for path in sorted(Path(netpos.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.level or (
+                    node.module or "").split(".")[0] == "netpos"):
+                found += [f"{path.name}: {alias.name}" for alias in node.names
+                          if alias.name.startswith("_")
+                          and not alias.name.endswith("__")]
+    assert found == []
