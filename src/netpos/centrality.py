@@ -7,8 +7,6 @@ is the closed-form value of the coalition game v(S) = |S union N(S)|.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .graphs import ID_DTYPE, Graph, ranges
@@ -27,17 +25,15 @@ CONVENTIONS = {
 _BATCH_ENTRIES = 1 << 15
 
 
-@dataclass(frozen=True)
 class CentralityVector:
-    """A measure tag plus one score per vertex."""
+    """A measure tag plus one score per vertex, as a read-only array."""
 
-    measure: str
-    scores: np.ndarray
+    __slots__ = ("measure", "scores")
 
-    def __post_init__(self):
-        scores = np.asarray(self.scores)
+    def __init__(self, measure: str, scores):
+        scores = np.asarray(scores)
         scores.setflags(write=False)
-        object.__setattr__(self, "scores", scores)
+        self.measure, self.scores = measure, scores
 
     def __len__(self) -> int:
         return len(self.scores)

@@ -8,7 +8,6 @@ wall-clock times. Exit codes: 0 success, 2 usage, 3 parse/IO, 4 integrity.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import gc
 import hashlib
@@ -37,8 +36,8 @@ _DEFAULT_PAIR_CAP = 1_000_000
 # betweenness may take on: at the 0.05-0.06 us a unit measured on a 2-vCPU
 # host, the limit is about ten minutes there.
 MAX_BETWEENNESS_WORK = 10**10
-# the most pairs `coevolve --full-pairs` lists: a pair peaks at about 65 B
-# while it is unranked, so the run stays near 0.66 GB
+# the most pairs `coevolve --full-pairs` lists: a pair peaks at about 56 B
+# while its score differences are taken, so the run stays near 0.6 GB
 MAX_FULL_PAIRS = 10_000_000
 
 EXIT_PARSE = 3
@@ -89,36 +88,25 @@ def _write_json(path, payload) -> None:
                           encoding="utf-8")
 
 
-@dataclasses.dataclass
-class RunManifest:
-    command: str
-    options: dict
-    input_hashes: dict
-    seed: int | None
-    version: str = __version__
-    started_at: str = ""
-    elapsed_s: float = 0.0
-    peak_rss_mb: float = 0.0
-    outputs: dict = dataclasses.field(default_factory=dict)
-    extra: dict = dataclasses.field(default_factory=dict)
-
-
 def _start_manifest(command: str, options: dict, inputs: dict | None = None,
-                    seed: int | None = None) -> RunManifest:
+                    seed: int | None = None) -> dict:
+    """A run manifest, the dict written as JSON; the command fills its
+    ``outputs`` and ``extra``, and ``_finish_manifest`` its time and memory."""
     hashes = {name: _sha256_file(p) for name, p in (inputs or {}).items()}
-    return RunManifest(command=command, options=options, input_hashes=hashes,
-                       seed=seed,
-                       started_at=datetime.now(timezone.utc).isoformat())
+    return dict(command=command, options=options, input_hashes=hashes, seed=seed,
+                version=__version__,
+                started_at=datetime.now(timezone.utc).isoformat(),
+                elapsed_s=0.0, peak_rss_mb=0.0, outputs={}, extra={})
 
 
-def _finish_manifest(manifest: RunManifest, t0: float, manifest_out,
+def _finish_manifest(manifest: dict, t0: float, manifest_out,
                      default_path) -> None:
-    manifest.elapsed_s = time.perf_counter() - t0
+    manifest["elapsed_s"] = time.perf_counter() - t0
     # this process's own high-water mark; Linux reports ru_maxrss in KiB
-    manifest.peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    manifest["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     path = manifest_out or default_path
     if path:
-        _write_json(path, dataclasses.asdict(manifest))
+        _write_json(path, manifest)
 
 
 def _parse_cutoff(token: str) -> int:
@@ -176,18 +164,19 @@ _MEASURE_NAMES = _list_option(str.strip,
 
 
 def _partition(graph, method: str, epsilon: int, progress_interval: int = 0):
-    """Partition ``graph`` by ``method``; returns it with its manifest counters."""
-    from .partition import (EngineConfig, degree_partition, equitable_oracle,
-                            run_refinement)
-    if method == "eep":
-        cfg = EngineConfig(progress_interval=progress_interval, collect_work=True)
-        part, stats = run_refinement(graph, epsilon, cfg)
-        return part, dict(iterations=stats.iterations, cells=stats.cells,
-                          splits=stats.splits, fragments=stats.fragments,
-                          map_work=stats.map_work,
-                          refine_elapsed_s=stats.elapsed_s)
-    part = equitable_oracle(graph) if method == "ep-oracle" else degree_partition(graph)
-    return part, dict(cells=len(part))
+    """Partition ``graph`` by ``method``; returns it with its manifest counters.
+
+    ``ep-oracle``, the coarsest equitable partition, is refinement at eps 0.
+    """
+    from .partition import EngineConfig, degree_partition, run_refinement
+    if method == "degree":
+        part = degree_partition(graph)
+        return part, dict(cells=len(part))
+    cfg = EngineConfig(progress_interval=progress_interval, collect_work=True)
+    part, stats = run_refinement(graph, 0 if method == "ep-oracle" else epsilon, cfg)
+    return part, dict(iterations=stats.iterations, cells=stats.cells,
+                      splits=stats.splits, fragments=stats.fragments,
+                      map_work=stats.map_work, refine_elapsed_s=stats.elapsed_s)
 
 
 def _refuse_slow_betweenness(graph, names) -> None:
@@ -252,7 +241,7 @@ def partition(input_path, epsilon, method, output, labels_out, manifest_out,
 
     with open(input_path, "r", encoding="utf-8") as fh:
         graph, labels = load_edge_list(fh)
-    part, manifest.extra = _partition(graph, method, epsilon, progress_interval)
+    part, manifest["extra"] = _partition(graph, method, epsilon, progress_interval)
 
     header = {"n": graph.n, "epsilon": epsilon, "algorithm": method,
               "graph_hash": graph.content_hash()}
@@ -260,7 +249,7 @@ def partition(input_path, epsilon, method, output, labels_out, manifest_out,
         write_partition_file(fh, part, header=header)
     labels_path = labels_out or output + ".labels"
     labels.save(labels_path)
-    manifest.outputs = {"partition": output, "labels": labels_path}
+    manifest["outputs"] = {"partition": output, "labels": labels_path}
     _finish_manifest(manifest, t0, manifest_out, output + ".manifest.json")
     click.echo(f"cells={len(part)} n={graph.n} m={graph.m} -> {output}")
 
@@ -303,10 +292,10 @@ def similarity(partition1, partition2, labels, fmt, manifest_out):
         "harmonic_form": score.harmonic_form,
         "headers": {"partition1": meta1, "partition2": meta2},
     }
-    manifest.extra = {"value": score.value}
+    manifest["extra"] = {"value": score.value}
     _finish_manifest(manifest, t0, manifest_out, None)
     if fmt == "json":
-        payload["manifest"] = dataclasses.asdict(manifest)
+        payload["manifest"] = manifest
         click.echo(json.dumps(payload, indent=2, sort_keys=True))
     else:
         for key in ("value", "cells_1", "cells_2", "cells_intersection",
@@ -335,31 +324,29 @@ def centrality(input_path, names, fmt, output, manifest_out):
     manifest = _start_manifest(
         "centrality", dict(input=input_path, measures=names, output=output),
         {"input": input_path})
-    manifest.extra["conventions"] = {m: CONVENTIONS[m] for m in names}
+    manifest["extra"]["conventions"] = {m: CONVENTIONS[m] for m in names}
 
     with open(input_path, "r", encoding="utf-8") as fh:
         graph, labels = load_edge_list(fh)
     _refuse_slow_betweenness(graph, names)
     vectors = compute_measures(graph, names)
 
+    # one row per vertex, zipped from the label tuple and the score columns
+    rows = zip(labels.labels, *(vectors[m].scores.tolist() for m in names))
     sink = sys.stdout if output == "-" else open(output, "w", encoding="utf-8")
     try:
         if fmt == "csv":
             writer = csv.writer(sink)
             writer.writerow(["label"] + names)
-            for v in range(graph.n):
-                writer.writerow([labels.label_of(v)]
-                                + [vectors[m].scores[v].item() for m in names])
+            writer.writerows(rows)
         else:
-            for v in range(graph.n):
-                record = {"label": labels.label_of(v)}
-                record.update({m: vectors[m].scores[v].item() for m in names})
-                sink.write(json.dumps(record) + "\n")
+            keys = ["label"] + names
+            sink.writelines(json.dumps(dict(zip(keys, row))) + "\n" for row in rows)
     finally:
         if sink is not sys.stdout:
             sink.close()
     if output != "-":
-        manifest.outputs = {"scores": output}
+        manifest["outputs"] = {"scores": output}
     _finish_manifest(manifest, t0, manifest_out,
                      None if output == "-" else output + ".manifest.json")
 
@@ -397,8 +384,8 @@ def snapshots(log_path, cutoffs, directed, reciprocal, output_base, manifest_out
     labels_path = f"{output_base}.labels"
     labels.save(labels_path)
     outputs["labels"] = labels_path
-    manifest.outputs = outputs
-    manifest.extra = {"sizes": [[g.n, g.m] for g in graphs]}
+    manifest["outputs"] = outputs
+    manifest["extra"] = {"sizes": [[g.n, g.m] for g in graphs]}
     _finish_manifest(manifest, t0, manifest_out,
                      f"{output_base}.manifest.json")
 
@@ -437,9 +424,12 @@ def coevolve(log_path, cutoffs, directed, reciprocal, method, epsilon, names,
              manifest_out):
     """Analyze how same-position vertex pairs evolve between snapshots."""
     import csv
-    import numpy as np
-    from .centrality import CONVENTIONS, compute_measures
-    from .coevolution import coevolution_report, overlap_matrix, same_position_pairs
+    if overlap:
+        from .coevolution import overlap_matrix
+    else:
+        import numpy as np
+        from .centrality import CONVENTIONS, compute_measures
+        from .coevolution import coevolution_report, same_position_pairs
     t0 = time.perf_counter()
     if len(cutoffs) != 2 and not (overlap and len(cutoffs) > 2):
         raise click.UsageError("histogram mode takes exactly two cutoffs, "
@@ -465,7 +455,7 @@ def coevolve(log_path, cutoffs, directed, reciprocal, method, epsilon, names,
             writer.writerow(["earlier", "later"] + list(matrix.methods))
             for (i, j), scores in sorted(matrix.values.items()):
                 writer.writerow([i, j] + [f"{scores[m]:.6f}" for m in matrix.methods])
-        manifest.outputs = {"overlap_json": json_path, "overlap_csv": csv_path}
+        manifest["outputs"] = {"overlap_json": json_path, "overlap_csv": csv_path}
         _finish_manifest(manifest, t0, manifest_out,
                          f"{output_base}.manifest.json")
         click.echo(f"overlap matrix over {len(graphs)} snapshots -> {csv_path}")
@@ -501,8 +491,8 @@ def coevolve(log_path, cutoffs, directed, reciprocal, method, epsilon, names,
         writer.writerow(["bin_lo", "bin_hi", "measure", "count", "pct"])
         for lo, hi, measure, count, pct in report.csv_rows():
             writer.writerow([lo, hi, measure, count, f"{pct:.6f}"])
-    manifest.outputs = {"report_json": json_path, "report_csv": csv_path}
-    manifest.extra = {"pairs": len(pairs), "positions": len(part)}
+    manifest["outputs"] = {"report_json": json_path, "report_csv": csv_path}
+    manifest["extra"] = {"pairs": len(pairs), "positions": len(part)}
     _finish_manifest(manifest, t0, manifest_out, f"{output_base}.manifest.json")
     click.echo(f"pairs={len(pairs)} positions={len(part)} -> {csv_path}")
 
@@ -529,11 +519,11 @@ def gen(n, gamma, seed, output, manifest_out):
     labels = VertexLabelMap(str(v) for v in range(graph.n))
     with open(output, "w", encoding="utf-8") as fh:
         save_edge_list(graph, labels, fh)
-    manifest.outputs = {"edges": output}
-    manifest.extra = {"n": graph.n, "m": graph.m,
-                      "self_loops_erased": graph.self_loops_dropped,
-                      "multi_edges_erased": graph.duplicates_collapsed,
-                      "graph_hash": graph.content_hash()}
+    manifest["outputs"] = {"edges": output}
+    manifest["extra"] = {"n": graph.n, "m": graph.m,
+                         "self_loops_erased": graph.self_loops_dropped,
+                         "multi_edges_erased": graph.duplicates_collapsed,
+                         "graph_hash": graph.content_hash()}
     _finish_manifest(manifest, t0, manifest_out, output + ".manifest.json")
     click.echo(f"n={graph.n} m={graph.m} -> {output}")
 
@@ -578,12 +568,17 @@ def bench(sizes, gammas, eps, repeats, seed, output, manifest_out):
                         click.echo(f"n={n} gamma={gamma} eps={epsilon} "
                                    f"rep={rep} t={stats.elapsed_s:.3f}s "
                                    f"iters={stats.iterations} cells={stats.cells}")
-    manifest.outputs = {"csv": output}
+    manifest["outputs"] = {"csv": output}
     _finish_manifest(manifest, t0, manifest_out, output + ".manifest.json")
 
 
 def run():
-    """Process entry point: run :func:`main`, then freeze the heap on the way out."""
+    """Process entry point: run :func:`main` with the cyclic collector off,
+    then freeze the heap on the way out and restore the collector's state."""
+    enabled = gc.isenabled()
+    # a command's work makes no reference cycles, so the collections that
+    # would otherwise run, most of them while numpy loads, would find nothing
+    gc.disable()
     try:
         main()
     finally:
@@ -591,6 +586,8 @@ def run():
         # collections need not walk it: numpy's and click's module graphs
         # would otherwise be torn down object by object
         gc.freeze()
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

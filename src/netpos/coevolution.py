@@ -9,17 +9,17 @@ scores moved in lockstep between the snapshots.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .graphs import ID_DTYPE, Graph
-from .partition import Partition, degree_partition, equitable_oracle, fast_eep
+from .partition import Partition, degree_partition, fast_eep
 from .similarity import restrict_partition, similarity_score
 
 DEFAULT_BIN_EDGES = tuple(float(x) for x in range(11))  # [0,1) .. [9,10) + overflow
 DEFAULT_PAIR_CAP = 1_000_000
+_PAIR_CHUNK = 1 << 12   # ranks unranked at once by ``same_position_pairs``
 
 
 def _pair_count(size: int | np.ndarray) -> int | np.ndarray:
@@ -102,23 +102,25 @@ def same_position_pairs(partition: Partition, common: Iterable[int] | None = Non
     counts = _pair_count(sizes)
     ends = np.cumsum(counts)
     population = int(counts.sum())
-    if cap is None or population <= cap:
-        ranks = np.arange(population, dtype=np.int64)
-    else:
-        ranks = _sample_ranks(population, cap, seed)
-    cell = np.searchsorted(ends, ranks, side="right")
-    ranks -= (ends - counts)[cell]  # rank within its cell
-    i, j = _unrank_pair(ranks, sizes[cell])
-    del ranks  # a full listing is memory-bound: free 8 B a pair first
-    start = (np.cumsum(sizes) - sizes)[cell]  # each pair's cell in ``members``
-    del cell
-    i += start
-    j += start
-    del start
-    pairs = np.empty((i.size, 2), dtype=np.int64)
-    np.take(members, i, out=pairs[:, 0])
-    del i
-    np.take(members, j, out=pairs[:, 1])
+    sampled = cap is not None and population > cap
+    ranks = _sample_ranks(population, cap, seed) if sampled else None
+    k = cap if sampled else population
+    firsts = ends - counts               # each cell's first rank
+    offsets = np.cumsum(sizes) - sizes   # each cell's first slot in ``members``
+    pairs = np.empty((k, 2), dtype=np.int64)
+    # unranking holds several arrays of its ranks' length at once, so it
+    # runs on chunks of 4,096 ranks: their 32-KiB temporaries are reused
+    # from the heap chunk after chunk, and only the output grows with k
+    for lo in range(0, k, _PAIR_CHUNK):
+        hi = min(lo + _PAIR_CHUNK, k)
+        chunk = np.arange(lo, hi, dtype=np.int64) if ranks is None else ranks[lo:hi]
+        cell = np.searchsorted(ends, chunk, side="right")
+        i, j = _unrank_pair(chunk - firsts[cell], sizes[cell])
+        start = offsets[cell]
+        i += start
+        j += start
+        np.take(members, i, out=pairs[lo:hi, 0])
+        np.take(members, j, out=pairs[lo:hi, 1])
     return pairs
 
 
@@ -157,16 +159,19 @@ def bin_values(values: np.ndarray, edges: Sequence[float]) -> np.ndarray:
     return np.bincount(idx, minlength=edges_arr.size)
 
 
-@dataclass(frozen=True)
 class CoevolutionReport:
     """Binned pair-difference statistics per measure, plus sampling metadata."""
 
-    bin_edges: tuple[float, ...]
-    counts: dict[str, tuple[int, ...]]
-    percentages: dict[str, tuple[float, ...]]
-    total_pairs: int
-    sampling: dict
-    metadata: dict = field(default_factory=dict)
+    __slots__ = ("bin_edges", "counts", "percentages", "total_pairs", "sampling",
+                 "metadata")
+
+    def __init__(self, bin_edges: tuple[float, ...],
+                 counts: dict[str, tuple[int, ...]],
+                 percentages: dict[str, tuple[float, ...]], total_pairs: int,
+                 sampling: dict, metadata: dict | None = None):
+        self.bin_edges, self.counts, self.percentages = bin_edges, counts, percentages
+        self.total_pairs, self.sampling = total_pairs, sampling
+        self.metadata = {} if metadata is None else metadata
 
     def bins(self) -> list[tuple[float, float]]:
         edges = list(self.bin_edges) + [math.inf]
@@ -217,13 +222,14 @@ def coevolution_report(pairs, score_sets: Mapping[str, tuple[object, object]],
                              total, dict(sampling or {}), dict(metadata or {}))
 
 
-@dataclass(frozen=True)
 class OverlapMatrix:
     """Similarity percentages per (earlier, later) snapshot pair and method."""
 
-    methods: tuple[str, ...]
-    n_snapshots: int
-    values: dict[tuple[int, int], dict[str, float]]
+    __slots__ = ("methods", "n_snapshots", "values")
+
+    def __init__(self, methods: tuple[str, ...], n_snapshots: int,
+                 values: dict[tuple[int, int], dict[str, float]]):
+        self.methods, self.n_snapshots, self.values = methods, n_snapshots, values
 
     def to_json_dict(self) -> dict:
         return {
@@ -241,29 +247,25 @@ def overlap_matrix(snapshots: Sequence[Graph], *, epsilons: Sequence[int] = (),
     The later partition is restricted to the earlier snapshot's vertex set
     before scoring, so N is the earlier vertex count. Snapshots must share a
     label map, i.e. vertex ids are nested dense prefixes. A repeated epsilon
-    is scored once, in first-seen order. ``workers`` is accepted for
-    compatibility and has no effect.
+    is scored once, in first-seen order. ``ep``, the coarsest equitable
+    partition, is the eps-0 refinement, so it reuses ``eep:0``'s partitions
+    when 0 is in the grid. ``workers`` is accepted for compatibility and has
+    no effect.
     """
     for earlier, later in zip(snapshots, snapshots[1:]):
         if earlier.n > later.n:
             raise ValueError("snapshots must be ordered by growing vertex set")
 
-    methods = [f"eep:{e}" for e in dict.fromkeys(int(e) for e in epsilons)]
-    if include_equitable:
-        methods.append("ep")
+    refined = {e: [fast_eep(g, e) for g in snapshots]
+               for e in dict.fromkeys(int(e) for e in epsilons)}
+    by_method = {f"eep:{e}": parts for e, parts in refined.items()}
+    if include_equitable:   # the coarsest equitable partition is eep at eps 0
+        by_method["ep"] = refined.get(0) or [fast_eep(g, 0) for g in snapshots]
     if include_degree:
-        methods.append("degree")
-    if not methods:
+        by_method["degree"] = [degree_partition(g) for g in snapshots]
+    if not by_method:
         raise ValueError("no partitioning method selected")
-
-    def partition_for(method: str, graph: Graph) -> Partition:
-        if method.startswith("eep:"):
-            return fast_eep(graph, int(method.split(":", 1)[1]))
-        if method == "ep":
-            return equitable_oracle(graph)
-        return degree_partition(graph)
-
-    by_method = {m: [partition_for(m, g) for g in snapshots] for m in methods}
+    methods = tuple(by_method)
     values: dict[tuple[int, int], dict[str, float]] = {}
     for i in range(len(snapshots)):
         for j in range(i + 1, len(snapshots)):
@@ -274,4 +276,4 @@ def overlap_matrix(snapshots: Sequence[Graph], *, epsilons: Sequence[int] = (),
                 pj = restrict_partition(by_method[method][j], early_universe)
                 cell[method] = 100.0 * similarity_score(pi, pj).value
             values[(i, j)] = cell
-    return OverlapMatrix(tuple(methods), len(snapshots), values)
+    return OverlapMatrix(methods, len(snapshots), values)

@@ -8,7 +8,6 @@ built.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 from typing import IO, Iterable
 
 import numpy as np
@@ -162,7 +161,6 @@ class VertexLabelMap:
             self.write(fh)
 
 
-@dataclass(frozen=True, eq=False)
 class TemporalEdgeLog:
     """Timestamped edge events as three read-only int64 columns.
 
@@ -171,18 +169,16 @@ class TemporalEdgeLog:
     meaning.
     """
 
-    source: np.ndarray
-    target: np.ndarray
-    timestamp: np.ndarray
-    labels: tuple[str, ...]
-    directed: bool = True
+    __slots__ = ("source", "target", "timestamp", "labels", "directed")
 
-    def __post_init__(self):
-        for name in ("source", "target", "timestamp"):
-            column = np.array(getattr(self, name), dtype=ID_DTYPE)
+    def __init__(self, source, target, timestamp, labels: Iterable[str],
+                 directed: bool = True):
+        columns = [np.array(c, dtype=ID_DTYPE) for c in (source, target, timestamp)]
+        for column in columns:
             column.setflags(write=False)
-            object.__setattr__(self, name, column)
-        object.__setattr__(self, "labels", tuple(self.labels))
+        self.source, self.target, self.timestamp = columns
+        self.labels: tuple[str, ...] = tuple(labels)
+        self.directed = directed
         if not self.source.shape == self.target.shape == self.timestamp.shape:
             raise ValueError("source, target and timestamp differ in length")
         ends = np.concatenate([self.source, self.target])
@@ -195,32 +191,30 @@ class TemporalEdgeLog:
         return int(self.source.size)
 
 
-@dataclass(frozen=True)
 class SnapshotSpec:
     """Strictly ascending snapshot cutoff timestamps."""
 
-    cutoffs: tuple[int, ...]
+    __slots__ = ("cutoffs",)
 
-    def __post_init__(self):
-        if not self.cutoffs:
+    def __init__(self, cutoffs: tuple[int, ...]):
+        if not cutoffs:
             raise ValueError("at least one cutoff required")
-        if any(b <= a for a, b in zip(self.cutoffs, self.cutoffs[1:])):
+        if any(b <= a for a, b in zip(cutoffs, cutoffs[1:])):
             raise ValueError("cutoffs must be strictly ascending")
+        self.cutoffs = cutoffs
 
 
-@dataclass(frozen=True)
 class GeneratorConfig:
     """Power-law generator parameters: P(k) proportional to k**(-gamma)."""
 
-    n: int
-    gamma: float
-    seed: int = 0
+    __slots__ = ("n", "gamma", "seed")
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int, gamma: float, seed: int = 0):
+        if n < 1:
             raise ValueError("n must be >= 1")
-        if not self.gamma > 1:
+        if not gamma > 1:
             raise ValueError("gamma must be > 1")
+        self.n, self.gamma, self.seed = n, gamma, seed
 
 
 def _scan(stream: IO[str] | Iterable[str], fields: tuple[int, ...]):

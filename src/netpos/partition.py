@@ -22,7 +22,6 @@ from __future__ import annotations
 import heapq
 import sys
 import time
-from dataclasses import dataclass
 from typing import IO, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -178,32 +177,41 @@ def _active_cell_degrees(graph: Graph, active_cell: np.ndarray
     return hits[runs[:-1]], runs[1:] - runs[:-1], hits.size
 
 
-@dataclass
 class EngineConfig:
     """Knobs of a refinement run.
 
-    ``workers`` is accepted for compatibility and has no effect: refinement
-    runs in one thread. It must still be >= 1.
+    ``iteration_cap`` bounds the iterations (default 16 n + 64) and
+    ``progress_interval`` prints a key=value line on stderr every that many
+    iterations (0, the default, prints none). ``collect_work`` reports the
+    summed active-cell volumes as ``map_work``; without it that counter
+    reads 0. ``workers`` is accepted for compatibility and has no effect:
+    refinement runs in one thread. It must still be >= 1.
     """
 
-    workers: int = 1
-    iteration_cap: int | None = None
-    progress_interval: int = 0    # a key=value line on stderr every k iterations; 0 = off
-    collect_work: bool = False    # report the summed active-cell volumes as map_work
+    __slots__ = ("workers", "iteration_cap", "progress_interval", "collect_work")
 
-    def __post_init__(self):
-        if self.workers < 1:
+    def __init__(self, workers: int = 1, iteration_cap: int | None = None,
+                 progress_interval: int = 0, collect_work: bool = False):
+        if workers < 1:
             raise ValueError("workers must be >= 1")
+        self.workers, self.iteration_cap = workers, iteration_cap
+        self.progress_interval, self.collect_work = progress_interval, collect_work
 
 
-@dataclass
 class RefinementStats:
-    iterations: int = 0
-    cells: int = 0
-    elapsed_s: float = 0.0
-    map_work: int = 0    # summed active-cell volume; 0 unless collect_work
-    splits: int = 0      # cells split
-    fragments: int = 0   # cells the splits created; cells == 1 + fragments - splits
+    """Counters of a refinement run; ``cells == 1 + fragments - splits``.
+
+    ``map_work`` is the summed active-cell volume, 0 unless ``collect_work``;
+    ``splits`` counts the cells split and ``fragments`` the cells they created.
+    """
+
+    __slots__ = ("iterations", "cells", "elapsed_s", "map_work", "splits",
+                 "fragments")
+
+    def __init__(self, iterations: int = 0, cells: int = 0, elapsed_s: float = 0.0,
+                 map_work: int = 0, splits: int = 0, fragments: int = 0):
+        self.iterations, self.cells, self.elapsed_s = iterations, cells, elapsed_s
+        self.map_work, self.splits, self.fragments = map_work, splits, fragments
 
 
 def run_refinement(graph: Graph, epsilon,

@@ -11,7 +11,6 @@ the harmonic mean; both forms are evaluated and must agree to 1e-12.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -57,17 +56,22 @@ def partition_intersection(p1: Partition, p2: Partition) -> Partition:
     return Partition._from_labels(p1.universe, _meet_labels(p1, p2)).canonical()
 
 
-@dataclass(frozen=True)
 class SimilarityScore:
-    """Similarity value in [0, 1] plus the quantities it was computed from."""
+    """Similarity value in [0, 1] plus the quantities it was computed from.
 
-    value: float
-    cells_a: int
-    cells_b: int
-    cells_intersection: int
-    universe_size: int
-    direct_form: float    # the two-fraction average
-    harmonic_form: float  # C(p1^p2) / H(C(p1), C(p2))
+    ``direct_form`` is the two-fraction average and ``harmonic_form`` is
+    C(p1^p2) / H(C(p1), C(p2)).
+    """
+
+    __slots__ = ("value", "cells_a", "cells_b", "cells_intersection",
+                 "universe_size", "direct_form", "harmonic_form")
+
+    def __init__(self, value: float, cells_a: int, cells_b: int,
+                 cells_intersection: int, universe_size: int,
+                 direct_form: float, harmonic_form: float):
+        self.value, self.cells_a, self.cells_b = value, cells_a, cells_b
+        self.cells_intersection, self.universe_size = cells_intersection, universe_size
+        self.direct_form, self.harmonic_form = direct_form, harmonic_form
 
 
 def similarity_score(p1: Partition, p2: Partition) -> SimilarityScore:

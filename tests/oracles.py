@@ -8,14 +8,16 @@ equitable partition, the dense degree matrix behind the epsilon spread,
 partition equality, intersection and restriction over cell tuples, the
 cross-product intersection count, exact rational betweenness, the
 string-keyed per-event reciprocal projection and snapshot construction, the
-set-based same-position pair sampler with its scalar pair unranking, and the
-per-cell partition file writer and set-based reader. Tests compare the
-library against them.
+set-based same-position pair sampler with its scalar pair unranking, the
+per-cell partition file writer and set-based reader, and the per-vertex
+centrality row writer. Tests compare the library against them.
 """
 
 from __future__ import annotations
 
+import csv
 import itertools
+import json
 import math
 from collections import deque
 from fractions import Fraction
@@ -23,7 +25,7 @@ from typing import IO, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from netpos import Graph, Partition
+from netpos import Graph, Partition, VertexLabelMap
 from netpos.graphs import ID_DTYPE, ParseError
 from netpos.partition import _check_epsilon
 from netpos.similarity import UniverseMismatchError, _common_universe
@@ -522,3 +524,20 @@ def read_partition_file_ref(stream: IO[str]) -> tuple[Partition, dict[str, str]]
         seen |= fresh
         cells.append(members)
     return Partition(cells), meta
+
+
+def write_centrality_rows_ref(stream: IO[str], fmt: str, labels: VertexLabelMap,
+                              vectors: Mapping, names: Sequence[str]) -> None:
+    """The ``centrality`` rows written vertex by vertex, one ``.item()`` per
+    score: a CSV header and rows, or one JSON record per line."""
+    if fmt == "csv":
+        writer = csv.writer(stream)
+        writer.writerow(["label"] + list(names))
+        for v in range(len(labels)):
+            writer.writerow([labels.label_of(v)]
+                            + [vectors[m].scores[v].item() for m in names])
+    else:
+        for v in range(len(labels)):
+            record = {"label": labels.label_of(v)}
+            record.update({m: vectors[m].scores[v].item() for m in names})
+            stream.write(json.dumps(record) + "\n")

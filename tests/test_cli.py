@@ -1,5 +1,6 @@
 import csv
 import gc
+import io
 import json
 import os
 import re
@@ -13,9 +14,12 @@ from click.testing import CliRunner
 
 import netpos.cli
 import netpos.partition
-from netpos import CONVENTIONS, DEFAULT_BIN_EDGES, DEFAULT_PAIR_CAP
+from netpos import (CONVENTIONS, DEFAULT_BIN_EDGES, DEFAULT_PAIR_CAP,
+                    compute_measures, equitable_oracle, load_edge_list)
 from netpos.cli import main
 from netpos.partition import read_partition_file
+
+from oracles import write_centrality_rows_ref
 
 P4_EDGES = "a b\nb c\nc d\n"
 
@@ -63,7 +67,12 @@ def test_partition_ep_oracle_matches_eps0_at_scale(runner, tmp_path):
             parts.append(read_partition_file(fh)[0].canonical())
         manifest = json.loads(Path(out + ".manifest.json").read_text())
         assert manifest["peak_rss_mb"] > 0
-    assert parts[0] == parts[1] and len(parts[0]) > 1000
+    # both methods run the eps-0 refinement; the whole-graph colour
+    # refinement is the independent check
+    with open(edges, encoding="utf-8") as fh:
+        graph, _ = load_edge_list(fh)
+    oracle = equitable_oracle(graph)
+    assert parts[0] == oracle and parts[1] == oracle and len(oracle) > 1000
 
 
 def test_partition_signature_collision_exit(runner, tmp_path, monkeypatch):
@@ -186,6 +195,27 @@ def test_centrality_csv(runner, tmp_path):
     assert rows[0]["label"] == "a"
     assert float(rows[1]["betweenness"]) == 2.0
     assert rows[0]["degree"] == "1"
+
+
+@pytest.mark.parametrize("to_file", [True, False], ids=["file", "stdout"])
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_centrality_rows_match_per_vertex_writer(runner, tmp_path, fmt, to_file):
+    edges = str(tmp_path / "g.edges")
+    assert runner.invoke(main, ["gen", "-n", "300", "--gamma", "2.5", "--seed", "4",
+                                "-o", edges]).exit_code == 0
+    with open(edges, "a", encoding="utf-8") as fh:
+        fh.write("lone lone\nsolo solo\n")   # self-loops: two isolated vertices
+    out = str(tmp_path / f"scores.{fmt}") if to_file else "-"
+    result = runner.invoke(main, ["centrality", edges, "--format", fmt, "-o", out])
+    assert result.exit_code == 0, result.output
+    got = Path(out).read_bytes() if to_file else result.stdout_bytes
+    with open(edges, encoding="utf-8") as fh:
+        graph, labels = load_edge_list(fh)
+    names = list(CONVENTIONS)
+    assert graph.degree(labels.labels.index("lone")) == 0
+    want = io.StringIO()
+    write_centrality_rows_ref(want, fmt, labels, compute_measures(graph, names), names)
+    assert got == want.getvalue().encode("utf-8")
 
 
 # a triangle a-b-c with the pendant tree c-d-e, c-d-f: the 2-core is the
@@ -445,6 +475,65 @@ def _python(tmp_path, *args):
     env = dict(os.environ, PYTHONPATH=str(src))
     return subprocess.run([sys.executable, *args], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+def test_run_turns_the_collector_off_around_main_only(monkeypatch, enabled):
+    during = []
+    group = netpos.cli.main
+
+    def recording_main():
+        during.append(gc.isenabled())
+        group()
+
+    monkeypatch.setattr(netpos.cli, "main", recording_main)
+    monkeypatch.setattr(gc, "freeze", lambda: None)   # keep this process's heap
+    monkeypatch.setattr(sys, "argv", ["netpos", "--version"])
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        with pytest.raises(SystemExit):
+            netpos.cli.run()
+        after = gc.isenabled()
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert during == [False] and after is enabled
+
+
+def test_main_never_touches_the_collector(runner, tmp_path, monkeypatch):
+    calls = []
+    for name in ("disable", "enable", "freeze", "collect"):
+        monkeypatch.setattr(gc, name, lambda *args, name=name: calls.append(name))
+    result = runner.invoke(main, ["gen", "-n", "30", "--gamma", "2.5",
+                                  "-o", str(tmp_path / "g.edges")])
+    assert result.exit_code == 0, result.output
+    assert calls == [] and gc.isenabled()
+
+
+_GARBAGE_AFTER = """\
+import gc, sys
+gc.disable()
+from netpos.cli import main
+main(sys.argv[1:], standalone_mode=False)
+print(gc.collect())
+"""
+
+
+def test_snapshots_leaves_no_cyclic_garbage_per_event(tmp_path):
+    # run() turns the collector off because a command's work makes no
+    # reference cycles: what a collection finds then is the same fixed set
+    # of import-time garbage, however long the log
+    found = []
+    for events in (20, 20_000):
+        log = tmp_path / f"{events}.log"
+        log.write_text("".join(f"v{i % 997} v{(7 * i + 1) % 1009} {i}\n"
+                               for i in range(events)), encoding="utf-8")
+        result = _python(tmp_path, "-c", _GARBAGE_AFTER, "snapshots", str(log),
+                         "--cutoffs", f"{events // 2},{events}", "--directed",
+                         "--reciprocal", "-o", str(tmp_path / f"s{events}"))
+        assert result.returncode == 0, result.stderr
+        found.append(int(result.stdout.splitlines()[-1]))
+    assert found[1] <= found[0]
 
 
 def test_import_and_click_runner_never_freeze(runner, tmp_path):

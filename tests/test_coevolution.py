@@ -49,6 +49,22 @@ def test_full_listing_peak_memory():
     assert peak <= 3.6 * pairs.nbytes
 
 
+def test_full_listing_in_chunks_peak_memory():
+    # unranking runs on fixed chunks of ranks, so listing the 1,999,000
+    # pairs of one 2,000-vertex cell (488 chunks) costs little beyond its result
+    p = Partition.from_membership(np.zeros(2000, dtype=np.int64))
+    tracemalloc.start()
+    try:
+        pairs = same_position_pairs(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    first = np.repeat(np.arange(2000), np.arange(1999, -1, -1))
+    second = np.concatenate([np.arange(a + 1, 2000) for a in range(2000)])
+    assert np.array_equal(pairs, np.column_stack([first, second]))
+    assert peak <= 1.1 * pairs.nbytes
+
+
 def test_unrank_pair_exhaustive():
     for size in (2, 3, 7, 19, 40):
         want = list(itertools.combinations(range(size), 2))
@@ -313,3 +329,18 @@ def test_overlap_requires_some_method():
     g1, g2 = pa_snapshots(40, 60, seed=2)
     with pytest.raises(ValueError):
         overlap_matrix([g1, g2])
+
+
+@pytest.mark.parametrize("epsilons", [[1, 0, 3], [1, 3]], ids=["eps0-in-grid",
+                                                               "eps0-not-in-grid"])
+def test_overlap_ep_is_the_equitable_oracles_score(epsilons):
+    from netpos import equitable_oracle, restrict_partition, similarity_score
+    g1, g2 = pa_snapshots(60, 110, seed=5)
+    g3 = pa_snapshots(60, 160, seed=5)[1]
+    graphs = [g1, g2, g3]
+    matrix = overlap_matrix(graphs, epsilons=epsilons, include_equitable=True)
+    assert matrix.methods[-1] == "ep"
+    for (i, j), scores in matrix.values.items():
+        pi = equitable_oracle(graphs[i])
+        pj = restrict_partition(equitable_oracle(graphs[j]), range(graphs[i].n))
+        assert scores["ep"] == 100.0 * similarity_score(pi, pj).value

@@ -106,14 +106,17 @@ def inputs(tmp_path_factory):
      {"csv"}),
     (["gen", "-n", "20", "--gamma", "2.5", "-o", "h.edges"], {"graphs"}, {"csv"}),
     (["centrality", "g.edges", "-o", "c.csv"], {"graphs", "centrality"}, {"logging"}),
+    (["coevolve", "log", "--cutoffs", "20,40,50", "--overlap", "-o", "ov"],
+     {"graphs", "partition", "similarity", "coevolution"}, {"logging"}),
     (["--version"], set(), {"numpy", "logging", "csv"}),
 ], ids=["partition", "partition-progress", "snapshots", "similarity", "gen",
-        "centrality", "version"])
+        "centrality", "coevolve-overlap", "version"])
 def test_command_loads_only_its_modules(inputs, args, netpos_modules, absent):
     loaded = _modules_after(inputs, _LOADED, *args)
     want = {"netpos", "netpos.cli"} | {f"netpos.{m}" for m in netpos_modules}
     assert {m for m in loaded if m.split(".")[0] == "netpos"} == want
-    assert not absent & loaded
+    # the records are plain classes: no command generates dataclass code
+    assert not (absent | {"dataclasses"}) & loaded
 
 
 _BARE_IMPORT = """\
