@@ -23,6 +23,8 @@ CONVENTIONS = {
 # Source-by-vertex entries one betweenness batch holds: _BATCH_ENTRIES // k
 # sources, whose per-level temporaries scale with it.
 _BATCH_ENTRIES = 1 << 15
+# Wedges one triangle chunk checks, whose temporaries take about 60 B each.
+_TRIANGLE_WEDGES = 1 << 18
 
 
 class CentralityVector:
@@ -142,28 +144,38 @@ def betweenness_centrality(graph: Graph) -> CentralityVector:
 
 
 def triangle_counts(graph: Graph) -> CentralityVector:
-    """Per-vertex triangle counts via degree-ordered adjacency intersection.
+    """Per-vertex triangle counts by compact-forward wedge checks.
 
-    Edges are oriented from lower to higher (degree, id) rank, so each
-    triangle is found exactly once and credited to all three members.
+    Edges point from the lower to the higher (degree, id) rank (Chiba &
+    Nishizeki 1985; Latapy 2008), so a triangle u < v < w in rank is found
+    once: from its forward edge u -> v and the forward neighbour w of v, when
+    one binary search over the sorted forward-edge keys finds u -> w too. A
+    hit is credited to all three members. The wedges go in chunks of about
+    ``_TRIANGLE_WEDGES``, so memory is O(m + chunk) whatever the degree skew.
     """
     n = graph.n
+    rank = graph.degrees * n + np.arange(n)  # (degree, id), as one number
+    rows = np.repeat(np.arange(n, dtype=ID_DTYPE), graph.degrees)
+    forward = rank[rows] < rank[graph.indices]
+    tail, head = rows[forward], graph.indices[forward]
+    del rank, rows, forward
+    keys = tail * n + head  # ascending: the adjacency is sorted by (row, id)
+    out_deg = np.bincount(tail, minlength=n)
+    out_start = np.cumsum(out_deg) - out_deg
+    wedges = out_deg[head]  # the wedges of each forward edge
+    first = np.cumsum(wedges) - wedges
+    # chunk j holds the edges whose first wedge is in [j, j + 1) * chunk
+    starts = np.arange(0, wedges.sum(), _TRIANGLE_WEDGES)
+    cuts = np.searchsorted(first, starts).tolist()
     counts = np.zeros(n, dtype=ID_DTYPE)
-    if n == 0:
-        return CentralityVector("triangles", counts)
-    degrees = graph.degrees
-    rank = np.empty(n, dtype=ID_DTYPE)
-    rank[np.lexsort((np.arange(n), degrees))] = np.arange(n)
-    forward = [graph.neighbors(v)[rank[graph.neighbors(v)] > rank[v]]
-               for v in range(n)]
-    for v in range(n):
-        fv = forward[v]
-        for w in fv:
-            common = np.intersect1d(fv, forward[int(w)], assume_unique=True)
-            if common.size:
-                counts[v] += common.size
-                counts[int(w)] += common.size
-                counts[common] += 1
+    for lo, hi in zip(cuts, cuts[1:] + [head.size]):
+        edge = np.repeat(np.arange(lo, hi), wedges[lo:hi])
+        w = head[ranges(out_start[head[lo:hi]], wedges[lo:hi])]
+        query = tail[edge] * n + w
+        hit = keys[np.minimum(np.searchsorted(keys, query), keys.size - 1)] == query
+        edge = edge[hit]
+        counts += np.bincount(np.concatenate((tail[edge], head[edge], w[hit])),
+                              minlength=n)
     return CentralityVector("triangles", counts)
 
 
@@ -173,14 +185,10 @@ def shapley_centrality(graph: Graph) -> CentralityVector:
     score(v) = sum of 1/(1 + deg(u)) over u in {v} union N(v); the scores sum
     to n (the game is efficient).
     """
-    n = graph.n
     inv = 1.0 / (1.0 + graph.degrees)
-    if graph.indices.size:
-        vals = inv[graph.indices]
-        cs = np.concatenate(([0.0], np.cumsum(vals)))
-        neighbor_sums = cs[graph.indptr[1:]] - cs[graph.indptr[:-1]]
-    else:
-        neighbor_sums = np.zeros(n)
+    vals = inv[graph.indices]
+    cs = np.concatenate(([0.0], np.cumsum(vals)))
+    neighbor_sums = cs[graph.indptr[1:]] - cs[graph.indptr[:-1]]
     return CentralityVector("shapley", inv + neighbor_sums)
 
 

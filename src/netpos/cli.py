@@ -36,8 +36,8 @@ _DEFAULT_PAIR_CAP = 1_000_000
 # betweenness may take on: at the 0.05-0.06 us a unit measured on a 2-vCPU
 # host, the limit is about ten minutes there.
 MAX_BETWEENNESS_WORK = 10**10
-# the most pairs `coevolve --full-pairs` lists: a pair peaks at about 56 B
-# while its score differences are taken, so the run stays near 0.6 GB
+# the most pairs `coevolve --full-pairs` lists: a pair peaks at about 48 B
+# while its score differences are taken, so the run stays near 0.5 GB
 MAX_FULL_PAIRS = 10_000_000
 
 EXIT_PARSE = 3
@@ -164,16 +164,13 @@ _MEASURE_NAMES = _list_option(str.strip,
 
 
 def _partition(graph, method: str, epsilon: int, progress_interval: int = 0):
-    """Partition ``graph`` by ``method``; returns it with its manifest counters.
-
-    ``ep-oracle``, the coarsest equitable partition, is refinement at eps 0.
-    """
+    """Partition ``graph`` by ``method``; returns it with its manifest counters."""
     from .partition import EngineConfig, degree_partition, run_refinement
     if method == "degree":
         part = degree_partition(graph)
         return part, dict(cells=len(part))
     cfg = EngineConfig(progress_interval=progress_interval, collect_work=True)
-    part, stats = run_refinement(graph, 0 if method == "ep-oracle" else epsilon, cfg)
+    part, stats = run_refinement(graph, epsilon, cfg)
     return part, dict(iterations=stats.iterations, cells=stats.cells,
                       splits=stats.splits, fragments=stats.fragments,
                       map_work=stats.map_work, refine_elapsed_s=stats.elapsed_s)
@@ -238,6 +235,8 @@ def partition(input_path, epsilon, method, output, labels_out, manifest_out,
     options = dict(input=input_path, epsilon=epsilon, method=method,
                    output=output)
     manifest = _start_manifest("partition", options, {"input": input_path})
+    if method == "ep-oracle":   # the coarsest equitable partition is refined at 0
+        epsilon = 0
 
     with open(input_path, "r", encoding="utf-8") as fh:
         graph, labels = load_edge_list(fh)
@@ -463,6 +462,8 @@ def coevolve(log_path, cutoffs, directed, reciprocal, method, epsilon, names,
 
     early, late = graphs
     _refuse_slow_betweenness(late, names)
+    if method == "ep-oracle":   # the coarsest equitable partition is refined at 0
+        epsilon = 0
     part, _ = _partition(early, method, epsilon)
     sizes = np.bincount(part.membership)
     population = int((sizes * (sizes - 1) // 2).sum())

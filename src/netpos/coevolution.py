@@ -141,9 +141,13 @@ def pair_difference_values(pairs, scores_t, scores_later) -> np.ndarray:
     if arr.min() < 0 or arr.max() >= shortest:
         bad = arr[(arr < 0) | (arr >= shortest)]
         raise ValueError(f"vertex {int(bad.min())} has no score")
-    before = st[arr[:, 0]] - st[arr[:, 1]]
-    after = sl[arr[:, 0]] - sl[arr[:, 1]]
-    return np.abs(before - after)
+    # in place: a pair peaks at three floats, the result among them
+    d = st[arr[:, 0]]
+    d -= st[arr[:, 1]]
+    e = sl[arr[:, 0]]
+    e -= sl[arr[:, 1]]
+    d -= e
+    return np.abs(d, out=d)
 
 
 def bin_values(values: np.ndarray, edges: Sequence[float]) -> np.ndarray:

@@ -23,6 +23,15 @@ def ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
     return flat
 
 
+def run_offsets(values: np.ndarray) -> np.ndarray:
+    """Start offset of each run of equal values in a sorted array, then its size."""
+    size = values.size
+    edge = np.empty(size + 1, dtype=bool)
+    edge[0] = edge[size] = True
+    np.not_equal(values[1:], values[:-1], out=edge[1:size])
+    return edge.nonzero()[0]
+
+
 class ParseError(ValueError):
     """Malformed input; the message carries the 1-based line number."""
 
@@ -94,6 +103,22 @@ class Graph:
         starts = self.indptr[vertices]
         degrees = self.indptr[vertices + 1] - starts
         return self.indices[ranges(starts, degrees)], degrees
+
+    def tally(self, sources: np.ndarray, groups: np.ndarray
+              ) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray, int]:
+        """Count the adjacency entries of ``sources`` by (neighbour, source group).
+
+        ``groups`` holds one label in [0, n) per source. Returns the distinct
+        (neighbour, group) pairs, ascending, as two arrays, the count of each
+        and the number of entries gathered: one sort, over the sources' volume.
+        """
+        key, lens = self.adjacent(sources)
+        key *= self.n
+        key += np.repeat(groups, lens)
+        del lens
+        key.sort()
+        runs = run_offsets(key)
+        return np.divmod(key[runs[:-1]], max(self.n, 1)), runs[1:] - runs[:-1], key.size
 
     def degree(self, v: int) -> int:
         return int(self.indptr[v + 1] - self.indptr[v])

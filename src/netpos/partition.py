@@ -26,7 +26,7 @@ from typing import IO, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .graphs import ID_DTYPE, Graph, ParseError, ranges
+from .graphs import ID_DTYPE, Graph, ParseError, ranges, run_offsets
 
 
 class IterationLimitError(RuntimeError):
@@ -150,31 +150,6 @@ class Partition:
         if u.size != n or (n and (u[0] != 0 or u[-1] != n - 1)):
             raise ValueError("partition universe is not the dense range [0, n)")
         return self.membership
-
-
-def _run_offsets(values: np.ndarray) -> np.ndarray:
-    """Start offset of each run of equal values in a sorted array, then its size."""
-    size = values.size
-    edge = np.empty(size + 1, dtype=bool)
-    edge[0] = edge[size] = True
-    np.not_equal(values[1:], values[:-1], out=edge[1:size])
-    return edge.nonzero()[0]
-
-
-def _active_cell_degrees(graph: Graph, active_cell: np.ndarray
-                         ) -> tuple[np.ndarray, np.ndarray, int]:
-    """Vertices adjacent to the active cell, their degrees toward it, and its volume.
-
-    Scatters from the active cell side: gathers the adjacency rows of its
-    members in one shot, sorts the gathered ids and takes run lengths. Returns
-    the touched vertices (ascending), f(u) = deg(u, active cell) >= 1 for each,
-    and the cell's volume (the number of adjacency entries gathered), so an
-    iteration costs work proportional to that volume, never to n.
-    """
-    hits = graph.adjacent(active_cell)[0]
-    hits.sort()
-    runs = _run_offsets(hits)
-    return hits[runs[:-1]], runs[1:] - runs[:-1], hits.size
 
 
 class EngineConfig:
@@ -305,27 +280,18 @@ def _splitter_classes(graph: Graph, perm, cell_of, cell_end, pending
                       ) -> tuple[np.ndarray, np.ndarray, int]:
     """Vertices the pending cells touch, their classes, and the cells' volume.
 
-    A round counts the (touched vertex, splitter) pairs with one sort; a class
-    is a (cell, sorted (splitter, count) list) signature (Cardon & Crochemore
-    1982), with ids from ``_signature_classes``. Untouched members of a
-    touched cell form one more class in ``_split_cells``.
+    A round counts the (touched vertex, splitter) pairs with ``Graph.tally``;
+    a class is a (cell, sorted (splitter, count) list) signature (Cardon &
+    Crochemore 1982), with ids from ``_signature_classes``. Untouched members
+    of a touched cell form one more class in ``_split_cells``.
     """
-    n = graph.n
     members = perm[ranges(pending, cell_end[pending] - pending)]
-    # one key per adjacency entry of a splitter: touched vertex * n + splitter
-    key, lens = graph.adjacent(members)
-    key *= n
-    key += np.repeat(cell_of[members], lens)
-    del members, lens
-    key.sort()
-    runs = _run_offsets(key)
-    touched, token = np.divmod(key[runs[:-1]], n)
-    volume = key.size
-    del key
-    token *= n + 1
-    token += runs[1:] - runs[:-1]   # (splitter, count), one per pair
-    del runs
-    bounds = _run_offsets(touched)
+    (touched, token), count, volume = graph.tally(members, cell_of[members])
+    del members
+    token *= graph.n + 1
+    token += count   # (splitter, count), one per pair
+    del count
+    bounds = run_offsets(touched)
     touched = touched[bounds[:-1]]
     own = cell_of[touched]
     label = _signature_classes(own, token, bounds)
@@ -345,7 +311,7 @@ def _epsilon_classes(graph: Graph, active_cell: np.ndarray, cell_of, cell_end,
     members in a partly touched cell, so only the other groups move and are
     returned. Class ids are distinct and ascend with f within a cell.
     """
-    touched, f, volume = _active_cell_degrees(graph, active_cell)
+    (touched, _), f, volume = graph.tally(active_cell, cell_of[active_cell])
     # no cell can spread more than the largest degree toward the active cell
     fmax = int(f.max()) if volume else 0
     if fmax <= eps:
@@ -355,7 +321,7 @@ def _epsilon_classes(graph: Graph, active_cell: np.ndarray, cell_of, cell_end,
     key = cells * (fmax + 1) + f
     order = key.argsort()
     key, cells, f, touched = key[order], cells[order], f[order], touched[order]
-    runs = _run_offsets(cells)
+    runs = run_offsets(cells)
     first, stop = runs[:-1], runs[1:]
     starts = cells[first]
     covered = stop - first == cell_end[starts] - starts
@@ -391,7 +357,7 @@ def _split_cells(perm, pos, cell_of, cell_end, mover, touched, label
     own = cell_of[touched]
     edge = np.diff(label, prepend=-1) != 0         # where each class starts
     # a touched cell (a run of ``own``) splits if it holds two classes
-    runs = _run_offsets(own)
+    runs = run_offsets(own)
     first, count = runs[:-1], runs[1:] - runs[:-1]
     starts = own[first]
     untouched = cell_end[starts] - starts - count
@@ -473,7 +439,7 @@ def _signature_classes(own: np.ndarray, token: np.ndarray,
     digest += own.view(np.uint64) * np.uint64(0x9E3779B97F4A7C15) + lens.view(np.uint64)
     del weight
     order = digest.argsort()
-    runs = _run_offsets(digest[order])
+    runs = run_offsets(digest[order])
     label = np.empty_like(order)
     label[order] = np.arange(runs.size - 1).repeat(runs[1:] - runs[:-1])
     leader = order[runs[:-1]][label]
@@ -493,27 +459,24 @@ def equitable_oracle(graph: Graph) -> Partition:
 
     1-WL colour refinement from one uniform colour, whose stable colouring is
     the coarsest equitable partition (Berkholz, Bonsma & Grohe 2017). Each
-    round counts the (vertex, neighbour colour) pairs with one sort, gives
-    every vertex the signature (own colour, sorted (colour, count) list) and
-    relabels vertices by signature (``_signature_classes``, which refuses a
-    hash collision); it stops when the colour count stops growing. A round
-    costs O(m log m) time and O(n + m) memory; the number of rounds is at most
-    the number of cells, and n/2 on a path. Independent of the pending-cell
-    refinement loop: every round recounts the whole graph. Canonical output
-    (cells ordered by minimum member).
+    round counts the (vertex, neighbour colour) pairs with ``Graph.tally``,
+    gives every vertex the signature (own colour, sorted (colour, count)
+    list) and relabels vertices by signature (``_signature_classes``, which
+    refuses a hash collision); it stops when the colour count stops growing.
+    A round costs O(m log m) time and O(n + m) memory; the number of rounds
+    is at most the number of cells, and n/2 on a path. Independent of the
+    pending-cell refinement loop: every round recounts the whole graph.
+    Canonical output (cells ordered by minimum member).
     """
     n = graph.n
     if n == 0:
         return Partition(())
     memb = np.zeros(n, dtype=ID_DTYPE)
     k = 1
-    rows = np.repeat(np.arange(n, dtype=ID_DTYPE), graph.degrees)
     bounds = np.zeros(n + 1, dtype=ID_DTYPE)
     while True:
-        keys, counts = np.unique(rows * k + memb[graph.indices],
-                                 return_counts=True)
         # the (colour, count) lists, each a run of ``owner``, ascending colour
-        owner, colour = np.divmod(keys, k)
+        (owner, colour), counts, _ = graph.tally(np.arange(n, dtype=ID_DTYPE), memb)
         np.cumsum(np.bincount(owner, minlength=n), out=bounds[1:])
         new = _signature_classes(memb, colour * (n + 1) + counts, bounds)
         if new.max() + 1 == k:
@@ -531,27 +494,23 @@ def epsilon_spread(graph: Graph, partition: Partition) -> int:
     """Largest within-cell spread of member degrees toward any cell.
 
     A partition is epsilon-equitable iff this is <= epsilon. Counts each
-    (vertex, neighbour cell) pair from the adjacency entries, then takes
+    (vertex, neighbour cell) pair with ``Graph.tally``, then takes
     max - min per (own cell, neighbour cell) group; a member with no entry
     for a neighbour cell has degree 0 toward it. Costs O(m log m) time and
     O(m) memory, whatever the number of cells.
     """
     n = graph.n
     memb, k = partition.membership_array(n), len(partition)
-    if graph.indices.size == 0:
-        return 0
-    rows = np.repeat(np.arange(n, dtype=ID_DTYPE), graph.degrees)
-    keys, counts = np.unique(rows * k + memb[graph.indices], return_counts=True)
-    vertex, target = np.divmod(keys, k)
+    (vertex, target), counts, _ = graph.tally(np.arange(n, dtype=ID_DTYPE), memb)
     group = memb[vertex] * k + target
     order = np.argsort(group, kind="stable")
     group, counts = group[order], counts[order]
-    first = _run_offsets(group)
+    first = run_offsets(group)
     high = np.maximum.reduceat(counts, first[:-1])
     low = np.minimum.reduceat(counts, first[:-1])
     cell_size = np.bincount(memb, minlength=k)
     low[np.diff(first) < cell_size[group[first[:-1]] // k]] = 0
-    return int((high - low).max())
+    return int((high - low).max(initial=0))
 
 
 def write_partition_file(stream: IO[str], partition: Partition, *,

@@ -6,8 +6,8 @@ a simple undirected graph, the active list and SPLIT step of the refinement
 loop, degrees toward a cell, the dense signature matrix behind the coarsest
 equitable partition, the dense degree matrix behind the epsilon spread,
 partition equality, intersection and restriction over cell tuples, the
-cross-product intersection count, exact rational betweenness, the
-string-keyed per-event reciprocal projection and snapshot construction, the
+cross-product intersection count, exact rational betweenness, per-edge
+triangle counts, the string-keyed per-event reciprocal projection and snapshot construction, the
 set-based same-position pair sampler with its scalar pair unranking, the
 per-cell partition file writer and set-based reader, and the per-vertex
 centrality row writer. Tests compare the library against them.
@@ -331,6 +331,31 @@ def betweenness_centrality_exact(graph: Graph) -> list[Fraction]:
             if w != s:
                 totals[w] += delta[w]
     return [t / 2 for t in totals]
+
+
+def triangle_counts_ref(graph: Graph) -> np.ndarray:
+    """Per-vertex triangle counts by per-edge adjacency intersection.
+
+    The per-vertex form of netpos.triangle_counts: edges point from lower to
+    higher (degree, id) rank, and each forward edge v -> w intersects the
+    forward lists of v and w, so each triangle is found exactly once and
+    credited to all three members.
+    """
+    n = graph.n
+    counts = np.zeros(n, dtype=ID_DTYPE)
+    rank = np.empty(n, dtype=ID_DTYPE)
+    rank[np.lexsort((np.arange(n), graph.degrees))] = np.arange(n)
+    forward = [graph.neighbors(v)[rank[graph.neighbors(v)] > rank[v]]
+               for v in range(n)]
+    for v in range(n):
+        fv = forward[v]
+        for w in fv:
+            common = np.intersect1d(fv, forward[int(w)], assume_unique=True)
+            if common.size:
+                counts[v] += common.size
+                counts[int(w)] += common.size
+                counts[common] += 1
+    return counts
 
 
 def equitable_oracle_dense(graph: Graph) -> Partition:

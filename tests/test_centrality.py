@@ -5,13 +5,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import netpos.centrality
 from netpos import (GeneratorConfig, Graph, betweenness_centrality,
                     degree_centrality, generate_power_law, shapley_centrality,
                     triangle_counts)
 from netpos.centrality import compute_measures
 
 from helpers import complete_graph, er_graph, path_graph, star_graph
-from oracles import betweenness_centrality_exact
+from oracles import betweenness_centrality_exact, triangle_counts_ref
 
 STAR = star_graph(3)
 
@@ -225,6 +226,29 @@ def test_triangle_handshake():
     total3 = int(triangle_counts(g).scores.sum())
     assert total3 % 3 == 0
     assert total3 // 3 == sum(triangle_oracle(g)) // 3
+
+
+@pytest.mark.parametrize("n, gamma", [(3000, 2.1), (200_000, 2.5), (20_000, 2.9)])
+def test_triangles_match_per_edge_reference_on_power_law(n, gamma):
+    g = generate_power_law(GeneratorConfig(n, gamma, seed=7))
+    want = triangle_counts_ref(g)
+    assert want.sum() > 0
+    assert np.array_equal(triangle_counts(g).scores, want)
+
+
+@pytest.mark.parametrize("wedges", [1, 3])
+def test_triangles_in_tiny_wedge_chunks(monkeypatch, wedges):
+    # a chunk of 1 or 3 wedges gives many chunks, one-edge chunks and empty ones
+    monkeypatch.setattr(netpos.centrality, "_TRIANGLE_WEDGES", wedges)
+    for g in (generate_power_law(GeneratorConfig(400, 2.1, seed=3)),
+              complete_graph(6), er_graph(30, 0.3, 2)):
+        assert np.array_equal(triangle_counts(g).scores, triangle_counts_ref(g))
+
+
+@pytest.mark.parametrize("n", [0, 1, 5])
+def test_triangles_without_edges(n):
+    scores = triangle_counts(Graph.from_edges(n, [])).scores
+    assert scores.tolist() == [0] * n and scores.dtype == np.int64
 
 
 # --- shapley ---------------------------------------------------------------------

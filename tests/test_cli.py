@@ -75,6 +75,38 @@ def test_partition_ep_oracle_matches_eps0_at_scale(runner, tmp_path):
     assert parts[0] == oracle and parts[1] == oracle and len(oracle) > 1000
 
 
+def test_ep_oracle_records_the_epsilon_it_refines_at(runner, tmp_path):
+    # -e 3 would merge the path's ends with its middle; ep-oracle refines at 0
+    edges = _write(tmp_path, "p6.edges", "a b\nb c\nc d\nd e\ne f\n")
+    bodies = []
+    for name, args in (("oracle", ["--method", "ep-oracle", "-e", "3"]),
+                       ("eep", ["-e", "0"])):
+        out = str(tmp_path / f"{name}.part")
+        result = runner.invoke(main, ["partition", edges, *args, "-o", out])
+        assert result.exit_code == 0, result.output
+        header, *body = Path(out).read_text().splitlines()
+        assert "epsilon=0 " in header
+        bodies.append(body)
+    assert bodies[0] == bodies[1] and len(bodies[0]) == 3
+    manifest = json.loads(Path(tmp_path / "oracle.part.manifest.json").read_text())
+    assert manifest["options"]["epsilon"] == 3
+    log = _write(tmp_path, "log.txt", "".join(
+        f"{u} {w} 10\n" for u, w in ("ab", "bc", "cd", "de", "ef")))
+    reports = []
+    for name, args in (("oracle", ["--method", "ep-oracle"]), ("eep", ["-e", "0"])):
+        base = str(tmp_path / name)
+        result = runner.invoke(main, ["coevolve", log, "--cutoffs", "20,50", *args,
+                                      "--measures", "degree", "-o", base])
+        assert result.exit_code == 0, result.output
+        report = json.loads(Path(base + ".report.json").read_text())
+        assert report["metadata"]["epsilon"] == 0
+        reports.append(report)
+    assert reports[0]["metadata"]["positions"] == reports[1]["metadata"]["positions"] == 3
+    assert reports[0]["counts"] == reports[1]["counts"]
+    manifest = json.loads(Path(tmp_path / "oracle.manifest.json").read_text())
+    assert manifest["options"]["epsilon"] == 1
+
+
 def test_partition_signature_collision_exit(runner, tmp_path, monkeypatch):
     # with every token weighing 0, the P4 end and middle signatures collide
     monkeypatch.setattr(netpos.partition, "_mix64", np.zeros_like)

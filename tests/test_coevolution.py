@@ -196,6 +196,23 @@ def test_pair_difference_symmetric():
     assert a == b
 
 
+def test_pair_difference_in_place_peak_memory():
+    # the differences are taken in place: a pair peaks at three floats, the
+    # result among them, where four were live before
+    rng = np.random.default_rng(1)
+    st, sl = rng.normal(size=(2, 5000))
+    pairs = rng.integers(0, 5000, size=(1_000_000, 2))
+    tracemalloc.start()
+    try:
+        values = pair_difference_values(pairs, st, sl)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 26 * len(pairs)
+    a, b = pairs[:, 0], pairs[:, 1]
+    assert np.array_equal(values, np.abs((st[a] - st[b]) - (sl[a] - sl[b])))
+
+
 def test_pair_difference_missing_score_names_vertex():
     with pytest.raises(ValueError, match="vertex 9"):
         pair_difference_values([(0, 9)], [1.0] * 5, [1.0] * 10)

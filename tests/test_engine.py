@@ -13,7 +13,6 @@ from netpos import (EngineConfig, GeneratorConfig, Graph, IterationLimitError,
                     fast_eep, generate_power_law, load_edge_list, overlap_matrix,
                     pair_difference_histogram, read_partition_file, run_refinement,
                     same_position_pairs, write_partition_file)
-from netpos.partition import _active_cell_degrees
 
 from helpers import (edge_set, er_graph, pa_snapshots, path_graph, star_graph,
                      unit_partition)
@@ -227,13 +226,14 @@ def test_refinement_order_pinned(name, eps, iterations, map_work, cells, digest,
     assert stats.cells == len(part) == 1 + stats.fragments - stats.splits
 
 
-# --- the active-cell scatter, which replaced the per-shard map phase --------------
+# --- Graph.tally over one cell, the map phase of an eps > 0 iteration --------------
 
 
 def _dense_degrees(graph, cell):
-    """The scatter's sparse (touched, counts) output as a length-n f, and the volume."""
-    touched, counts, volume = _active_cell_degrees(graph, cell)
+    """The tally's sparse (touched, counts) output as a length-n f, and the volume."""
+    (touched, group), counts, volume = graph.tally(cell, np.zeros_like(cell))
     assert np.all(np.diff(touched) > 0) and np.all(counts >= 1)
+    assert not group.any()
     f = np.zeros(graph.n, dtype=np.int64)
     f[touched] = counts
     return f, volume

@@ -4,13 +4,14 @@ import itertools
 import numpy as np
 import pytest
 
-from netpos import (GeneratorConfig, Graph, ParseError, SnapshotSpec,
+from netpos import (GeneratorConfig, Graph, ParseError, Partition, SnapshotSpec,
                     VertexLabelMap, build_snapshots, generate_power_law,
                     load_edge_list, load_temporal_edge_list,
                     reciprocal_projection, save_edge_list)
 
 from helpers import edge_set, er_graph, log_rows
-from oracles import reciprocal_reference, snapshots_reference, validate_graph
+from oracles import (degree_to_cell, degree_vector, reciprocal_reference,
+                     snapshots_reference, validate_graph)
 
 
 def test_load_path_graph():
@@ -71,6 +72,57 @@ def test_handshake_and_symmetry_on_random_graphs():
 def test_validate_graph_rejects_broken_csr(n, indptr, indices, message):
     with pytest.raises(ValueError, match=message):
         validate_graph(Graph(n, indptr, indices))
+
+
+# --- Graph.tally, the one count of neighbours by group ----------------------------
+
+
+def _tally_dense(graph, sources, groups):
+    """The tally as an n x n (neighbour, group) count matrix, and the volume."""
+    (vertex, group), counts, volume = graph.tally(sources, groups)
+    assert np.all(np.diff(vertex * graph.n + group) > 0) and np.all(counts >= 1)
+    dense = np.zeros((graph.n, graph.n), dtype=np.int64)
+    dense[vertex, group] = counts
+    return dense, volume
+
+
+def _tally_cases():
+    rng = np.random.default_rng(17)
+    isolated = Graph.from_edges(7, [(0, 1), (1, 2), (2, 0), (2, 3)])  # 4-6 isolated
+    yield isolated, np.arange(7), np.zeros(7, dtype=np.int64)  # a single group
+    yield isolated, np.array([6, 4, 2, 0]), np.array([6, 6, 1, 6])
+    yield isolated, np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    yield Graph.from_edges(0, []), np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    for trial in range(12):
+        n = int(rng.integers(2, 40))
+        g = er_graph(n, float(rng.uniform(0.02, 0.4)), seed=trial)
+        sources = rng.permutation(n)[:rng.integers(0, n + 1)]
+        groups = rng.integers(0, n, size=sources.size)
+        groups[:1] = n - 1   # the largest group id a tally takes
+        yield g, sources, groups
+
+
+def test_tally_matches_degree_to_cell():
+    for g, sources, groups in _tally_cases():
+        dense, volume = _tally_dense(g, sources, groups)
+        want = np.zeros_like(dense)
+        for group in np.unique(groups):
+            cell = sources[groups == group]
+            want[:, group] = [degree_to_cell(g, v, cell) for v in range(g.n)]
+        assert np.array_equal(dense, want)
+        assert volume == int(g.degrees[sources].sum())
+
+
+def test_tally_over_every_vertex_matches_degree_vector():
+    rng = np.random.default_rng(5)
+    for trial in range(8):
+        n = int(rng.integers(1, 50))
+        g = er_graph(n, float(rng.uniform(0.02, 0.3)), seed=100 + trial)
+        part = Partition.from_membership(rng.integers(0, int(rng.integers(1, n + 1)), n))
+        dense, volume = _tally_dense(g, np.arange(n), part.membership)
+        for v in range(n):
+            assert dense[v, :len(part)].tolist() == degree_vector(g, v, part).tolist()
+        assert not dense[:, len(part):].any() and volume == 2 * g.m
 
 
 def test_edge_list_roundtrip():
