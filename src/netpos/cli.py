@@ -8,18 +8,17 @@ wall-clock times. Exit codes: 0 success, 2 usage, 3 parse/IO, 4 integrity.
 
 from __future__ import annotations
 
-import functools
+import argparse
 import gc
 import hashlib
 import json
 import math
+import os
 import resource
 import sys
 import time
 from datetime import datetime, timezone
 from pathlib import Path
-
-import click
 
 from . import __version__
 
@@ -36,12 +35,22 @@ _DEFAULT_PAIR_CAP = 1_000_000
 # betweenness may take on: at the 0.05-0.06 us a unit measured on a 2-vCPU
 # host, the limit is about ten minutes there.
 MAX_BETWEENNESS_WORK = 10**10
-# the most pairs `coevolve --full-pairs` lists: a pair peaks at about 48 B
-# while its score differences are taken, so the run stays near 0.5 GB
+# the most pairs `coevolve --full-pairs` lists: the pair array takes 16 B a
+# pair and its score differences are binned chunk by chunk, so the run
+# stays near 0.2 GB
 MAX_FULL_PAIRS = 10_000_000
 
+EXIT_USAGE = 2
 EXIT_PARSE = 3
 EXIT_INTEGRITY = 4
+
+
+class _UsageError(Exception):
+    """A command line that parsed but cannot run; exits with code 2."""
+
+
+class _Refused(Exception):
+    """A run refused before its work starts; exits with code 4."""
 
 
 def _parse_errors():
@@ -52,23 +61,8 @@ def _parse_errors():
 def _integrity_errors():
     from .partition import IterationLimitError, SignatureCollisionError
     from .similarity import UniverseMismatchError
-    return UniverseMismatchError, IterationLimitError, SignatureCollisionError
-
-
-def _cli_errors(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        # an except clause's classes are looked up only once an exception
-        # reaches it, so the modules defining them load only on failure
-        except _parse_errors() as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(EXIT_PARSE)
-        except _integrity_errors() as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(EXIT_INTEGRITY)
-    return wrapper
+    return (_Refused, UniverseMismatchError, IterationLimitError,
+            SignatureCollisionError)
 
 
 def _sha256_file(path) -> str:
@@ -109,6 +103,42 @@ def _finish_manifest(manifest: dict, t0: float, manifest_out,
         _write_json(path, manifest)
 
 
+# --- option values ------------------------------------------------------------
+# Each converter runs while the command line is parsed, so a bad value is a
+# usage error (exit 2) raised before any input is read.
+
+
+def _file(exists: bool = False, writable: bool = False):
+    """Converter of a file path: a directory, or an existing file that cannot
+    be read (or written, if ``writable``), is refused, and a missing path too
+    if ``exists``."""
+    def convert(text: str) -> str:
+        if not os.path.exists(text):
+            if exists:
+                raise argparse.ArgumentTypeError(f"{text!r} does not exist")
+            return text
+        if os.path.isdir(text):
+            raise argparse.ArgumentTypeError(f"{text!r} is a directory")
+        if not os.access(text, os.R_OK | (os.W_OK if writable else 0)):
+            raise argparse.ArgumentTypeError(f"{text!r} is not "
+                                             f"{'writable' if writable else 'readable'}")
+        return text
+    return convert
+
+
+def _at_least(low: int):
+    """Converter of an integer that must be >= ``low``."""
+    def convert(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not a valid integer") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{value} is not in the range x>={low}")
+        return value
+    return convert
+
+
 def _parse_cutoff(token: str) -> int:
     """A unix timestamp or an ISO-8601 date (UTC unless zoned); else ValueError."""
     token = token.strip()
@@ -123,21 +153,20 @@ def _parse_cutoff(token: str) -> int:
 
 
 def _list_option(convert, valid, requirement: str):
-    """Click callback parsing a comma-separated option value into a list.
+    """Converter of a comma-separated option value into a list.
 
     A token that does not convert, an empty list, or a list failing ``valid``
-    is a usage error, raised while the command line is parsed and so before
-    any input is read.
+    is refused.
     """
-    def callback(ctx, param, text):
+    def parse(text: str) -> list:
         try:
             values = [convert(tok) for tok in text.split(",") if tok.strip()]
         except ValueError:
             values = None
         if not values or not valid(values):
-            raise click.BadParameter(f"{text!r}: expected {requirement}")
+            raise argparse.ArgumentTypeError(f"{text!r}: expected {requirement}")
         return values
-    return callback
+    return parse
 
 
 def _ascending(xs) -> bool:
@@ -161,6 +190,27 @@ _MEASURE_NAMES = _list_option(str.strip,
                               lambda xs: set(xs) <= set(_ALL_MEASURES.split(",")),
                               "comma-separated names from "
                               + _ALL_MEASURES.replace(",", ", "))
+_METHODS = ("eep", "ep-oracle", "degree")
+
+
+# --- commands -----------------------------------------------------------------
+
+# name -> (function, arguments): each command function below, registered by
+# ``_command`` with the ``add_argument`` calls of its parser
+_COMMANDS: dict[str, tuple] = {}
+
+
+def _command(*arguments):
+    """Register the decorated function as the command of its name, taking
+    ``arguments``, each the (names, keywords) of one ``add_argument`` call."""
+    def register(fn):
+        _COMMANDS[fn.__name__] = (fn, arguments)
+        return fn
+    return register
+
+
+def _arg(*names, **keywords):
+    return names, keywords
 
 
 def _partition(graph, method: str, epsilon: int, progress_interval: int = 0):
@@ -177,24 +227,24 @@ def _partition(graph, method: str, epsilon: int, progress_interval: int = 0):
 
 
 def _refuse_slow_betweenness(graph, names) -> None:
-    """Exit 4 if betweenness is asked for and its 2-core is above the work limit."""
+    """Refuse the run if betweenness is asked for and its 2-core is above the
+    work limit."""
     if "betweenness" not in names:
         return
     from .centrality import core_size
     k, m = core_size(graph)
     work = k * (k + 2 * m)
     if work > MAX_BETWEENNESS_WORK:
-        click.echo(f"error: betweenness on n={graph.n} m={graph.m} would search a "
-                   f"2-core of k={k} vertices and {m} edges, k*(k+2m) = {work} "
-                   f"steps, above the limit of {MAX_BETWEENNESS_WORK}; leave it "
-                   f"out of --measures", err=True)
-        sys.exit(EXIT_INTEGRITY)
+        raise _Refused(f"betweenness on n={graph.n} m={graph.m} would search a "
+                       f"2-core of k={k} vertices and {m} edges, k*(k+2m) = {work} "
+                       f"steps, above the limit of {MAX_BETWEENNESS_WORK}; leave it "
+                       f"out of --measures")
 
 
 def _load_snapshots(log_path, cuts, directed: bool, reciprocal: bool):
     """Read a temporal edge log and cut it into nested snapshots and their labels."""
     if reciprocal and not directed:
-        raise click.UsageError("--reciprocal requires --directed events")
+        raise _UsageError("--reciprocal requires --directed events")
     from .graphs import (SnapshotSpec, build_snapshots, load_temporal_edge_list,
                          reciprocal_projection)
     with open(log_path, "r", encoding="utf-8") as fh:
@@ -204,28 +254,20 @@ def _load_snapshots(log_path, cuts, directed: bool, reciprocal: bool):
     return build_snapshots(log, SnapshotSpec(tuple(cuts)))
 
 
-@click.group()
-@click.version_option(version=__version__, prog_name="netpos")
-def main():
-    """Positional analysis of large graphs."""
-
-
-@main.command()
-@click.argument("input_path", metavar="EDGELIST",
-                type=click.Path(exists=True, dir_okay=False))
-@click.option("--epsilon", "-e", type=click.IntRange(min=0), default=0,
-              show_default=True, help="Degree-spread tolerance.")
-@click.option("--method", type=click.Choice(["eep", "ep-oracle", "degree"]),
-              default="eep", show_default=True)
-@click.option("--output", "-o", required=True,
-              type=click.Path(dir_okay=False, writable=True))
-@click.option("--labels-out", type=click.Path(dir_okay=False),
-              help="Label map path [default: OUTPUT.labels].")
-@click.option("--manifest-out", type=click.Path(dir_okay=False),
-              help="Manifest path [default: OUTPUT.manifest.json].")
-@click.option("--progress-interval", type=click.IntRange(min=0), default=0,
-              help="Log a key=value progress line every N iterations.")
-@_cli_errors
+@_command(
+    _arg("input_path", metavar="EDGELIST", type=_file(exists=True)),
+    _arg("-e", "--epsilon", type=_at_least(0), default=0, metavar="INTEGER RANGE",
+         help="Degree-spread tolerance.  [default: %(default)s; x>=0]"),
+    _arg("--method", choices=_METHODS, default="eep",
+         metavar="[eep|ep-oracle|degree]", help="[default: %(default)s]"),
+    _arg("-o", "--output", required=True, type=_file(writable=True), metavar="FILE"),
+    _arg("--labels-out", type=_file(), metavar="FILE",
+         help="Label map path [default: OUTPUT.labels]."),
+    _arg("--manifest-out", type=_file(), metavar="FILE",
+         help="Manifest path [default: OUTPUT.manifest.json]."),
+    _arg("--progress-interval", type=_at_least(0), default=0, metavar="INTEGER RANGE",
+         help="Log a key=value progress line every N iterations.  [x>=0]"),
+)
 def partition(input_path, epsilon, method, output, labels_out, manifest_out,
               progress_interval):
     """Partition a graph into positions and write a partition file."""
@@ -250,18 +292,18 @@ def partition(input_path, epsilon, method, output, labels_out, manifest_out,
     labels.save(labels_path)
     manifest["outputs"] = {"partition": output, "labels": labels_path}
     _finish_manifest(manifest, t0, manifest_out, output + ".manifest.json")
-    click.echo(f"cells={len(part)} n={graph.n} m={graph.m} -> {output}")
+    print(f"cells={len(part)} n={graph.n} m={graph.m} -> {output}")
 
 
-@main.command()
-@click.argument("partition1", type=click.Path(exists=True, dir_okay=False))
-@click.argument("partition2", type=click.Path(exists=True, dir_okay=False))
-@click.option("--labels", type=click.Path(exists=True, dir_okay=False),
-              help="Shared label map, recorded in the report.")
-@click.option("--format", "fmt", type=click.Choice(["text", "json"]),
-              default="text", show_default=True)
-@click.option("--manifest-out", type=click.Path(dir_okay=False))
-@_cli_errors
+@_command(
+    _arg("partition1", metavar="PARTITION1", type=_file(exists=True)),
+    _arg("partition2", metavar="PARTITION2", type=_file(exists=True)),
+    _arg("--labels", type=_file(exists=True), metavar="FILE",
+         help="Shared label map, recorded in the report."),
+    _arg("--format", dest="fmt", choices=("text", "json"), default="text",
+         metavar="[text|json]", help="[default: %(default)s]"),
+    _arg("--manifest-out", type=_file(), metavar="FILE"),
+)
 def similarity(partition1, partition2, labels, fmt, manifest_out):
     """Score the positional overlap of two partitions of the same vertices."""
     from .partition import read_partition_file
@@ -295,25 +337,23 @@ def similarity(partition1, partition2, labels, fmt, manifest_out):
     _finish_manifest(manifest, t0, manifest_out, None)
     if fmt == "json":
         payload["manifest"] = manifest
-        click.echo(json.dumps(payload, indent=2, sort_keys=True))
+        print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         for key in ("value", "cells_1", "cells_2", "cells_intersection",
                     "universe_size", "direct_form", "harmonic_form"):
-            click.echo(f"{key}={payload[key]}")
+            print(f"{key}={payload[key]}")
 
 
-@main.command()
-@click.argument("input_path", metavar="EDGELIST",
-                type=click.Path(exists=True, dir_okay=False))
-@click.option("--measures", "names", default=_ALL_MEASURES,
-              show_default=True, callback=_MEASURE_NAMES,
-              help="Comma-separated measure names.")
-@click.option("--format", "fmt", type=click.Choice(["csv", "jsonl"]),
-              default="csv", show_default=True)
-@click.option("--output", "-o", type=click.Path(dir_okay=False), default="-",
-              show_default=True)
-@click.option("--manifest-out", type=click.Path(dir_okay=False))
-@_cli_errors
+@_command(
+    _arg("input_path", metavar="EDGELIST", type=_file(exists=True)),
+    _arg("--measures", dest="names", type=_MEASURE_NAMES, default=_ALL_MEASURES,
+         metavar="TEXT", help="Comma-separated measure names.  [default: %(default)s]"),
+    _arg("--format", dest="fmt", choices=("csv", "jsonl"), default="csv",
+         metavar="[csv|jsonl]", help="[default: %(default)s]"),
+    _arg("-o", "--output", type=_file(), default="-", metavar="FILE",
+         help="[default: %(default)s]"),
+    _arg("--manifest-out", type=_file(), metavar="FILE"),
+)
 def centrality(input_path, names, fmt, output, manifest_out):
     """Emit per-vertex centrality scores, one record per vertex."""
     import csv
@@ -350,19 +390,18 @@ def centrality(input_path, names, fmt, output, manifest_out):
                      None if output == "-" else output + ".manifest.json")
 
 
-@main.command()
-@click.argument("log_path", metavar="TEMPORAL_EDGELIST",
-                type=click.Path(exists=True, dir_okay=False))
-@click.option("--cutoffs", required=True, callback=_CUTOFFS,
-              help="Comma-separated unix timestamps or ISO-8601 dates.")
-@click.option("--directed/--undirected", default=False,
-              help="Treat log events as directed links.")
-@click.option("--reciprocal", is_flag=True,
-              help="Project directed events to reciprocated undirected edges.")
-@click.option("--output-base", "-o", required=True,
-              help="Snapshots land at BASE.<i>.edges plus BASE.labels.")
-@click.option("--manifest-out", type=click.Path(dir_okay=False))
-@_cli_errors
+@_command(
+    _arg("log_path", metavar="TEMPORAL_EDGELIST", type=_file(exists=True)),
+    _arg("--cutoffs", required=True, type=_CUTOFFS, metavar="TEXT",
+         help="Comma-separated unix timestamps or ISO-8601 dates."),
+    _arg("--directed", action="store_true", help="Treat log events as directed links."),
+    _arg("--undirected", dest="directed", action="store_false"),
+    _arg("--reciprocal", action="store_true",
+         help="Project directed events to reciprocated undirected edges."),
+    _arg("-o", "--output-base", required=True, metavar="TEXT",
+         help="Snapshots land at BASE.<i>.edges plus BASE.labels."),
+    _arg("--manifest-out", type=_file(), metavar="FILE"),
+)
 def snapshots(log_path, cutoffs, directed, reciprocal, output_base, manifest_out):
     """Build nested cumulative graph snapshots from a timestamped edge log."""
     from .graphs import save_edge_list
@@ -379,7 +418,7 @@ def snapshots(log_path, cutoffs, directed, reciprocal, output_base, manifest_out
         with open(path, "w", encoding="utf-8") as fh:
             save_edge_list(graph, labels, fh)
         outputs[f"snapshot_{i}"] = path
-        click.echo(f"snapshot {i}: cutoff={cutoffs[i]} n={graph.n} m={graph.m}")
+        print(f"snapshot {i}: cutoff={cutoffs[i]} n={graph.n} m={graph.m}")
     labels_path = f"{output_base}.labels"
     labels.save(labels_path)
     outputs["labels"] = labels_path
@@ -389,35 +428,35 @@ def snapshots(log_path, cutoffs, directed, reciprocal, output_base, manifest_out
                      f"{output_base}.manifest.json")
 
 
-@main.command()
-@click.argument("log_path", metavar="TEMPORAL_EDGELIST",
-                type=click.Path(exists=True, dir_okay=False))
-@click.option("--cutoffs", required=True, callback=_CUTOFFS,
-              help="Two (histogram mode) or more (--overlap) cutoffs.")
-@click.option("--directed/--undirected", default=False)
-@click.option("--reciprocal", is_flag=True)
-@click.option("--method", type=click.Choice(["eep", "ep-oracle", "degree"]),
-              default="eep", show_default=True)
-@click.option("--epsilon", "-e", type=click.IntRange(min=0), default=1,
-              show_default=True)
-@click.option("--measures", "names", default=_ALL_MEASURES,
-              show_default=True, callback=_MEASURE_NAMES)
-@click.option("--bin-edges", default=_DEFAULT_BIN_EDGES,
-              show_default=True, callback=_BIN_EDGES,
-              help="Ascending bin edges, the first <= 0 since pair differences "
-                   "are >= 0; last bin overflows.")
-@click.option("--cap", type=click.IntRange(min=1), default=_DEFAULT_PAIR_CAP,
-              show_default=True, help="Same-position pair sample budget.")
-@click.option("--full-pairs", is_flag=True, help="Force exact pair enumeration.")
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--overlap", is_flag=True,
-              help="Score every snapshot pair under several methods instead "
-                   "of building histograms.")
-@click.option("--eps-list", default="0,1,2,3,4,5,6,7,8", show_default=True,
-              callback=_EPSILONS, help="Epsilon grid for --overlap.")
-@click.option("--output-base", "-o", required=True)
-@click.option("--manifest-out", type=click.Path(dir_okay=False))
-@_cli_errors
+@_command(
+    _arg("log_path", metavar="TEMPORAL_EDGELIST", type=_file(exists=True)),
+    _arg("--cutoffs", required=True, type=_CUTOFFS, metavar="TEXT",
+         help="Two (histogram mode) or more (--overlap) cutoffs."),
+    _arg("--directed", action="store_true"),
+    _arg("--undirected", dest="directed", action="store_false"),
+    _arg("--reciprocal", action="store_true"),
+    _arg("--method", choices=_METHODS, default="eep",
+         metavar="[eep|ep-oracle|degree]", help="[default: %(default)s]"),
+    _arg("-e", "--epsilon", type=_at_least(0), default=1, metavar="INTEGER RANGE",
+         help="[default: %(default)s; x>=0]"),
+    _arg("--measures", dest="names", type=_MEASURE_NAMES, default=_ALL_MEASURES,
+         metavar="TEXT", help="[default: %(default)s]"),
+    _arg("--bin-edges", type=_BIN_EDGES, default=_DEFAULT_BIN_EDGES, metavar="TEXT",
+         help="Ascending bin edges, the first <= 0 since pair differences are "
+              ">= 0; last bin overflows.  [default: %(default)s]"),
+    _arg("--cap", type=_at_least(1), default=_DEFAULT_PAIR_CAP, metavar="INTEGER RANGE",
+         help="Same-position pair sample budget.  [default: %(default)s; x>=1]"),
+    _arg("--full-pairs", action="store_true", help="Force exact pair enumeration."),
+    _arg("--seed", type=int, default=0, metavar="INTEGER",
+         help="[default: %(default)s]"),
+    _arg("--overlap", action="store_true",
+         help="Score every snapshot pair under several methods instead of "
+              "building histograms."),
+    _arg("--eps-list", type=_EPSILONS, default="0,1,2,3,4,5,6,7,8", metavar="TEXT",
+         help="Epsilon grid for --overlap.  [default: %(default)s]"),
+    _arg("-o", "--output-base", required=True, metavar="TEXT"),
+    _arg("--manifest-out", type=_file(), metavar="FILE"),
+)
 def coevolve(log_path, cutoffs, directed, reciprocal, method, epsilon, names,
              bin_edges, cap, full_pairs, seed, overlap, eps_list, output_base,
              manifest_out):
@@ -431,8 +470,8 @@ def coevolve(log_path, cutoffs, directed, reciprocal, method, epsilon, names,
         from .coevolution import coevolution_report, same_position_pairs
     t0 = time.perf_counter()
     if len(cutoffs) != 2 and not (overlap and len(cutoffs) > 2):
-        raise click.UsageError("histogram mode takes exactly two cutoffs, "
-                               "--overlap two or more")
+        raise _UsageError("histogram mode takes exactly two cutoffs, "
+                         "--overlap two or more")
     # the manifest records only the options that shape this mode's output
     options = dict(log=log_path, cutoffs=cutoffs, directed=directed,
                    reciprocal=reciprocal, overlap=overlap)
@@ -457,7 +496,7 @@ def coevolve(log_path, cutoffs, directed, reciprocal, method, epsilon, names,
         manifest["outputs"] = {"overlap_json": json_path, "overlap_csv": csv_path}
         _finish_manifest(manifest, t0, manifest_out,
                          f"{output_base}.manifest.json")
-        click.echo(f"overlap matrix over {len(graphs)} snapshots -> {csv_path}")
+        print(f"overlap matrix over {len(graphs)} snapshots -> {csv_path}")
         return
 
     early, late = graphs
@@ -468,9 +507,8 @@ def coevolve(log_path, cutoffs, directed, reciprocal, method, epsilon, names,
     sizes = np.bincount(part.membership)
     population = int((sizes * (sizes - 1) // 2).sum())
     if full_pairs and population > MAX_FULL_PAIRS:
-        click.echo(f"error: --full-pairs would list {population} same-position pairs, "
-                   f"above the limit of {MAX_FULL_PAIRS}; sample them with --cap", err=True)
-        sys.exit(EXIT_INTEGRITY)
+        raise _Refused(f"--full-pairs would list {population} same-position pairs, "
+                       f"above the limit of {MAX_FULL_PAIRS}; sample them with --cap")
     pairs = same_position_pairs(part, cap=None if full_pairs else cap, seed=seed)
     scores_early = compute_measures(early, names)
     scores_late = compute_measures(late, names)
@@ -495,25 +533,25 @@ def coevolve(log_path, cutoffs, directed, reciprocal, method, epsilon, names,
     manifest["outputs"] = {"report_json": json_path, "report_csv": csv_path}
     manifest["extra"] = {"pairs": len(pairs), "positions": len(part)}
     _finish_manifest(manifest, t0, manifest_out, f"{output_base}.manifest.json")
-    click.echo(f"pairs={len(pairs)} positions={len(part)} -> {csv_path}")
+    print(f"pairs={len(pairs)} positions={len(part)} -> {csv_path}")
 
 
-@main.command()
-@click.option("-n", "n", type=click.IntRange(min=2), required=True)
-@click.option("--gamma", type=float, required=True,
-              help="Power-law exponent, > 1.")
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--output", "-o", required=True,
-              type=click.Path(dir_okay=False, writable=True))
-@click.option("--manifest-out", type=click.Path(dir_okay=False))
-@_cli_errors
+@_command(
+    _arg("-n", type=_at_least(2), required=True, metavar="INTEGER RANGE",
+         help="[x>=2]"),
+    _arg("--gamma", type=float, required=True, metavar="FLOAT",
+         help="Power-law exponent, > 1."),
+    _arg("--seed", type=int, default=0, metavar="INTEGER", help="[default: %(default)s]"),
+    _arg("-o", "--output", required=True, type=_file(writable=True), metavar="FILE"),
+    _arg("--manifest-out", type=_file(), metavar="FILE"),
+)
 def gen(n, gamma, seed, output, manifest_out):
     """Generate a random power-law graph (erased configuration model)."""
     from .graphs import (GeneratorConfig, VertexLabelMap, generate_power_law,
                          save_edge_list)
     t0 = time.perf_counter()
     if not gamma > 1:  # rejects nan
-        raise click.UsageError("gamma must be > 1")
+        raise _UsageError("gamma must be > 1")
     manifest = _start_manifest("gen", dict(n=n, gamma=gamma, seed=seed,
                                            output=output), seed=seed)
     graph = generate_power_law(GeneratorConfig(n=n, gamma=gamma, seed=seed))
@@ -526,21 +564,22 @@ def gen(n, gamma, seed, output, manifest_out):
                          "multi_edges_erased": graph.duplicates_collapsed,
                          "graph_hash": graph.content_hash()}
     _finish_manifest(manifest, t0, manifest_out, output + ".manifest.json")
-    click.echo(f"n={graph.n} m={graph.m} -> {output}")
+    print(f"n={graph.n} m={graph.m} -> {output}")
 
 
-@main.command()
-@click.option("--sizes", required=True, callback=_SIZES,
-              help="Comma-separated vertex counts.")
-@click.option("--gammas", default="2.9", show_default=True, callback=_GAMMAS)
-@click.option("--eps", default="0,5", show_default=True, callback=_EPSILONS)
-@click.option("--repeats", type=click.IntRange(min=1), default=1,
-              show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--output", "-o", required=True,
-              type=click.Path(dir_okay=False, writable=True))
-@click.option("--manifest-out", type=click.Path(dir_okay=False))
-@_cli_errors
+@_command(
+    _arg("--sizes", required=True, type=_SIZES, metavar="TEXT",
+         help="Comma-separated vertex counts."),
+    _arg("--gammas", type=_GAMMAS, default="2.9", metavar="TEXT",
+         help="[default: %(default)s]"),
+    _arg("--eps", type=_EPSILONS, default="0,5", metavar="TEXT",
+         help="[default: %(default)s]"),
+    _arg("--repeats", type=_at_least(1), default=1, metavar="INTEGER RANGE",
+         help="[default: %(default)s; x>=1]"),
+    _arg("--seed", type=int, default=0, metavar="INTEGER", help="[default: %(default)s]"),
+    _arg("-o", "--output", required=True, type=_file(writable=True), metavar="FILE"),
+    _arg("--manifest-out", type=_file(), metavar="FILE"),
+)
 def bench(sizes, gammas, eps, repeats, seed, output, manifest_out):
     """Time the refinement over a (size, gamma, epsilon) grid."""
     import csv
@@ -566,29 +605,114 @@ def bench(sizes, gammas, eps, repeats, seed, output, manifest_out):
                                          stats.iterations, stats.cells,
                                          stats.splits, stats.fragments,
                                          stats.map_work])
-                        click.echo(f"n={n} gamma={gamma} eps={epsilon} "
-                                   f"rep={rep} t={stats.elapsed_s:.3f}s "
-                                   f"iters={stats.iterations} cells={stats.cells}")
+                        print(f"n={n} gamma={gamma} eps={epsilon} "
+                              f"rep={rep} t={stats.elapsed_s:.3f}s "
+                              f"iters={stats.iterations} cells={stats.cells}")
     manifest["outputs"] = {"csv": output}
     _finish_manifest(manifest, t0, manifest_out, output + ".manifest.json")
 
 
+# --- entry points -------------------------------------------------------------
+
+def _parser(name: str | None = None) -> argparse.ArgumentParser:
+    """The parser of command ``name``, or else of ``netpos`` itself, which
+    reads the command name and leaves the rest of the line to the command's.
+
+    Each takes exactly the option names it declares (no abbreviations) and
+    ``--help``, but no ``-h``. Only the parser of the command that runs is
+    built.
+    """
+    if name is None:
+        listing = "".join(f"  {command:<12}{fn.__doc__}\n"
+                          for command, (fn, _) in sorted(_COMMANDS.items()))
+        parser = argparse.ArgumentParser(
+            prog="netpos", description="Positional analysis of large graphs.",
+            epilog="commands:\n" + listing, add_help=False, allow_abbrev=False,
+            formatter_class=argparse.RawDescriptionHelpFormatter)
+        parser.add_argument("--version", action="version",
+                            version=f"netpos, version {__version__}",
+                            help="Show the version and exit.")
+        parser.add_argument("command", metavar="COMMAND", choices=sorted(_COMMANDS))
+        parser.add_argument("args", nargs=argparse.REMAINDER, metavar="ARGS",
+                            help="The command's options and arguments.")
+    else:
+        fn, arguments = _COMMANDS[name]
+        parser = argparse.ArgumentParser(prog=f"netpos {name}", description=fn.__doc__,
+                                         add_help=False, allow_abbrev=False)
+        for names, keywords in arguments:
+            parser.add_argument(*names, **keywords)
+    parser.add_argument("--help", action="help", help="Show this message and exit.")
+    return parser
+
+
+def _bind_values(argv: list[str], arguments) -> list[str]:
+    """``argv`` with every option of ``arguments`` that takes a value joined
+    to the token after it, as ``--opt=value``, so that a value starting with
+    '-' (``--bin-edges -1,0,1``) binds to its option instead of reading as an
+    option itself."""
+    takes_value = {name for names, keywords in arguments
+                   if names[0].startswith("-") and "action" not in keywords
+                   for name in names}
+    bound, rest = [], iter(argv)
+    for token in rest:
+        if token == "--":   # every later token is an argument
+            bound += [token, *rest]
+        elif token in takes_value:
+            value = next(rest, None)
+            bound.append(token if value is None else f"{token}={value}")
+        else:
+            bound.append(token)
+    return bound
+
+
+def main(argv: list[str] | None = None) -> int:
+    """Run one command line, ``sys.argv[1:]`` by default; returns the exit code.
+
+    Messages go to ``sys.stderr``: ``error: ...`` for a parse, IO or
+    integrity error, and the command's usage for a usage error.
+    """
+    try:
+        line = _parser().parse_args(sys.argv[1:] if argv is None else argv)
+        command, arguments = _COMMANDS[line.command]
+        parser = _parser(line.command)
+        args = parser.parse_args(_bind_values(line.args, arguments))
+    except SystemExit as exc:   # --help and --version exit 0, a usage error 2
+        return exc.code
+    try:
+        command(**vars(args))
+    except _UsageError as exc:
+        parser.print_usage(sys.stderr)
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    # an except clause's classes are looked up only once an exception
+    # reaches it, so the modules defining them load only on failure
+    except _parse_errors() as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    except _integrity_errors() as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INTEGRITY
+    return 0
+
+
 def run():
     """Process entry point: run :func:`main` with the cyclic collector off,
-    then freeze the heap on the way out and restore the collector's state."""
+    then freeze the heap on the way out, restore the collector's state and
+    exit with ``main``'s code."""
     enabled = gc.isenabled()
     # a command's work makes no reference cycles, so the collections that
     # would otherwise run, most of them while numpy loads, would find nothing
     gc.disable()
     try:
-        main()
+        code = main()
     finally:
         # everything still alive dies with the process, so the final
-        # collections need not walk it: numpy's and click's module graphs
-        # would otherwise be torn down object by object
+        # collections need not walk it: numpy's module graph would otherwise
+        # be torn down object by object
         gc.freeze()
         if enabled:
             gc.enable()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -20,6 +20,7 @@ from .similarity import restrict_partition, similarity_score
 DEFAULT_BIN_EDGES = tuple(float(x) for x in range(11))  # [0,1) .. [9,10) + overflow
 DEFAULT_PAIR_CAP = 1_000_000
 _PAIR_CHUNK = 1 << 12   # ranks unranked at once by ``same_position_pairs``
+_DIFFERENCE_CHUNK = 1 << 16   # pairs binned at once by ``coevolution_report``
 
 
 def _pair_count(size: int | np.ndarray) -> int | np.ndarray:
@@ -130,9 +131,16 @@ def pair_difference_values(pairs, scores_t, scores_later) -> np.ndarray:
     ``pairs`` is a (k, 2) array or a sequence of (a, b) tuples; both score
     sets are arrays indexed by vertex id.
     """
+    return _differences(*_checked_pairs(pairs, scores_t, scores_later))
+
+
+def _checked_pairs(pairs, scores_t, scores_later
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The pairs as a (k, 2) int64 array and both score sets as float arrays,
+    once every pair's vertices are known to have a score in both."""
     arr = np.asarray(pairs, dtype=np.int64)
     if not len(arr):
-        return np.empty(0)
+        return arr.reshape(0, 2), np.empty(0), np.empty(0)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError(f"pairs must have shape (k, 2), not {arr.shape}")
     st = np.asarray(scores_t, dtype=float)
@@ -141,6 +149,10 @@ def pair_difference_values(pairs, scores_t, scores_later) -> np.ndarray:
     if arr.min() < 0 or arr.max() >= shortest:
         bad = arr[(arr < 0) | (arr >= shortest)]
         raise ValueError(f"vertex {int(bad.min())} has no score")
+    return arr, st, sl
+
+
+def _differences(arr: np.ndarray, st: np.ndarray, sl: np.ndarray) -> np.ndarray:
     # in place: a pair peaks at three floats, the result among them
     d = st[arr[:, 0]]
     d -= st[arr[:, 1]]
@@ -212,14 +224,21 @@ def coevolution_report(pairs, score_sets: Mapping[str, tuple[object, object]],
                        bin_edges: Sequence[float] = DEFAULT_BIN_EDGES,
                        sampling: Mapping | None = None,
                        metadata: Mapping | None = None) -> CoevolutionReport:
-    """Histogram the pair differences of several measures over shared pairs."""
+    """Histogram the pair differences of several measures over shared pairs.
+
+    The differences are taken and binned ``_DIFFERENCE_CHUNK`` pairs at a
+    time, so beyond the pairs the report holds one chunk's arrays at once.
+    """
     pairs = np.asarray(pairs, dtype=np.int64)  # convert once, not per measure
     counts: dict[str, tuple[int, ...]] = {}
     pcts: dict[str, tuple[float, ...]] = {}
     total = len(pairs)
     for measure, (scores_t, scores_later) in score_sets.items():
-        values = pair_difference_values(pairs, scores_t, scores_later)
-        binned = bin_values(values, bin_edges)
+        arr, st, sl = _checked_pairs(pairs, scores_t, scores_later)
+        binned = bin_values(np.empty(0), bin_edges)   # checks the edges
+        for lo in range(0, total, _DIFFERENCE_CHUNK):
+            chunk = arr[lo:lo + _DIFFERENCE_CHUNK]
+            binned += bin_values(_differences(chunk, st, sl), bin_edges)
         counts[measure] = tuple(int(c) for c in binned)
         pcts[measure] = tuple(100.0 * c / total if total else 0.0 for c in binned)
     return CoevolutionReport(tuple(float(e) for e in bin_edges), counts, pcts,

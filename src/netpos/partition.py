@@ -217,10 +217,12 @@ def run_refinement(graph: Graph, epsilon,
     Nothing in an iteration costs O(n) or O(number of cells). The counters
     are the iteration count, the number of cell splits, the number of
     fragments they created, the cell count, the elapsed time and, under
-    ``collect_work``, the summed volume of the splitters, which is the number
-    of adjacency entries gathered. Every ``progress_interval`` iterations it
-    prints an ``iter= active= cells= elapsed_ms=`` line on ``sys.stderr``,
-    looked up at each print. The result is a pure function of (graph, epsilon).
+    ``collect_work``, the summed volume of the splitters: the adjacency
+    entries gathered, plus those of eps > 0 splitters of at most eps members,
+    which cannot split a cell and are not gathered. Every
+    ``progress_interval`` iterations it prints an ``iter= active= cells=
+    elapsed_ms=`` line on ``sys.stderr``, looked up at each print. The result
+    is a pure function of (graph, epsilon).
     """
     eps = _check_epsilon(epsilon)
     cfg = config or EngineConfig()
@@ -311,7 +313,15 @@ def _epsilon_classes(graph: Graph, active_cell: np.ndarray, cell_of, cell_end,
     members in a partly touched cell, so only the other groups move and are
     returned. Class ids are distinct and ascend with f within a cell.
     """
-    (touched, _), f, volume = graph.tally(active_cell, cell_of[active_cell])
+    if active_cell.size <= eps:
+        # in a simple graph no vertex has more neighbours in the active cell
+        # than it has members, so no cell can spread more than eps
+        volume = graph.indptr[active_cell + 1] - graph.indptr[active_cell]
+        return active_cell[:0], active_cell[:0], int(volume.sum())
+    neighbours, _ = graph.adjacent(active_cell)
+    neighbours.sort()
+    runs = run_offsets(neighbours)
+    touched, f, volume = neighbours[runs[:-1]], np.diff(runs), neighbours.size
     # no cell can spread more than the largest degree toward the active cell
     fmax = int(f.max()) if volume else 0
     if fmax <= eps:

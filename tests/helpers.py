@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import io
+import sys
+
 import numpy as np
 
 from netpos import Graph, Partition, TemporalEdgeLog
@@ -64,3 +67,44 @@ def edge_set(graph: Graph) -> set[tuple[int, int]]:
     """Each undirected edge of the graph once, as (u, w) with u < w."""
     rows = np.repeat(np.arange(graph.n), graph.degrees)
     return {(u, w) for u, w in zip(rows.tolist(), graph.indices.tolist()) if u < w}
+
+
+class _Tee(io.BytesIO):
+    """A byte stream that also copies every write into a shared one."""
+
+    def __init__(self, shared: io.BytesIO):
+        super().__init__()
+        self.shared = shared
+
+    def write(self, data) -> int:
+        self.shared.write(data)
+        return super().write(data)
+
+
+class CliResult:
+    """A CLI run's exit code and what it wrote, as bytes and as text; ``output``
+    interleaves stdout and stderr in the order they were written."""
+
+    def __init__(self, exit_code: int, stdout_bytes: bytes, stderr_bytes: bytes,
+                 output_bytes: bytes):
+        self.exit_code = exit_code
+        self.stdout_bytes, self.stderr_bytes = stdout_bytes, stderr_bytes
+        self.stdout, self.stderr, self.output = (
+            b.decode("utf-8") for b in (stdout_bytes, stderr_bytes, output_bytes))
+
+
+class CliRunner:
+    """Runs a CLI ``main(args)`` in this process with stdout and stderr captured."""
+
+    def invoke(self, main, args) -> CliResult:
+        output = io.BytesIO()
+        out, err = (io.TextIOWrapper(_Tee(output), encoding="utf-8", write_through=True)
+                    for _ in range(2))
+        saved = sys.stdout, sys.stderr
+        sys.stdout, sys.stderr = out, err
+        try:
+            code = main(list(args))
+        finally:
+            sys.stdout, sys.stderr = saved
+        return CliResult(code, out.buffer.getvalue(), err.buffer.getvalue(),
+                         output.getvalue())

@@ -10,7 +10,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
 import netpos.cli
 import netpos.partition
@@ -19,6 +18,7 @@ from netpos import (CONVENTIONS, DEFAULT_BIN_EDGES, DEFAULT_PAIR_CAP,
 from netpos.cli import main
 from netpos.partition import read_partition_file
 
+from helpers import CliRunner
 from oracles import write_centrality_rows_ref
 
 P4_EDGES = "a b\nb c\nc d\n"
@@ -140,8 +140,9 @@ def test_progress_interval_prints_key_value_lines(runner, tmp_path):
 
 
 def test_option_defaults_restate_library_constants():
-    defaults = {(cmd, p.name): p.default for cmd in ("centrality", "coevolve")
-                for p in main.commands[cmd].params}
+    defaults = {(cmd, name): netpos.cli._parser(cmd).get_default(name)
+                for cmd in ("centrality", "coevolve")
+                for name in ("names", "bin_edges", "cap")}
     assert defaults["centrality", "names"] == ",".join(CONVENTIONS)
     assert defaults["coevolve", "names"] == ",".join(CONVENTIONS)
     assert defaults["coevolve", "bin_edges"] == ",".join(str(int(e))
@@ -462,10 +463,14 @@ def test_reciprocal_needs_directed(runner, tmp_path):
     ["coevolve", "LOG", "--cutoffs", "20,50", "--bin-edges", "5,6"],
     ["coevolve", "LOG", "--cutoffs", "20,50", "--bin-edges", "nan"],
     ["coevolve", "LOG", "--cutoffs", "20,50", "--bin-edges", "-inf,0,1"],
+    ["coevolve", "LOG", "--cutoffs", "20,50", "-e", "-1"],
+    ["coevolve", "LOG", "--cutoffs", "20,50", "--bin", "0,1"],
+    ["snapshots", "missing.log", "--cutoffs", "20"],
 ], ids=["negative-eps", "non-int-eps", "descending-bins", "unknown-measure",
         "size-below-2", "descending-cutoffs", "empty-cutoffs",
         "three-cutoffs-histogram", "one-cutoff-overlap", "nan-gamma",
-        "nan-gammas", "bins-above-zero", "nan-bins", "infinite-bins"])
+        "nan-gammas", "bins-above-zero", "nan-bins", "infinite-bins",
+        "negative-epsilon", "abbreviated-option", "missing-input"])
 def test_bad_list_option_usage_error(runner, tmp_path, args):
     # the log does not parse, so exit 2 rather than 3 shows the option was
     # rejected before any input was read
@@ -475,6 +480,47 @@ def test_bad_list_option_usage_error(runner, tmp_path, args):
                            + ["-o", str(out)])
     assert result.exit_code == 2, result.output
     assert not list(tmp_path.glob("out*"))
+
+
+def test_option_value_may_start_with_a_dash(runner, tmp_path):
+    # a value binds to the option before it even when it looks like an option
+    log = _write(tmp_path, "log.txt",
+                 "a b 10\nb c 10\nc d 10\nd e 40\na c 40\nb e 40\n")
+    base = str(tmp_path / "coe")
+    result = runner.invoke(main, ["coevolve", log, "--cutoffs", "20,50", "--measures",
+                                  "degree", "--bin-edges", "-1,0,1", "-o", base])
+    assert result.exit_code == 0, result.output
+    report = json.loads(Path(base + ".report.json").read_text())
+    assert report["bin_edges"] == [-1.0, 0.0, 1.0] and report["total_pairs"] > 0
+    assert report["counts"]["degree"][0] == 0   # no difference is below 0
+
+
+OPTION_NAMES = {
+    None: {"--version"},
+    "partition": {"-e", "--epsilon", "--method", "-o", "--output", "--labels-out",
+                  "--manifest-out", "--progress-interval"},
+    "similarity": {"--labels", "--format", "--manifest-out"},
+    "centrality": {"--measures", "--format", "-o", "--output", "--manifest-out"},
+    "snapshots": {"--cutoffs", "--directed", "--undirected", "--reciprocal", "-o",
+                  "--output-base", "--manifest-out"},
+    "coevolve": {"--cutoffs", "--directed", "--undirected", "--reciprocal", "--method",
+                 "-e", "--epsilon", "--measures", "--bin-edges", "--cap", "--full-pairs",
+                 "--seed", "--overlap", "--eps-list", "-o", "--output-base",
+                 "--manifest-out"},
+    "gen": {"-n", "--gamma", "--seed", "-o", "--output", "--manifest-out"},
+    "bench": {"--sizes", "--gammas", "--eps", "--repeats", "--seed", "-o", "--output",
+              "--manifest-out"},
+}
+
+
+@pytest.mark.parametrize("command", OPTION_NAMES, ids=str)
+def test_help_lists_every_option(runner, command):
+    result = runner.invoke(main, [command, "--help"] if command else ["--help"])
+    assert result.exit_code == 0, result.output
+    listed = set(re.findall(r"(?<![\w-])--?[a-z][\w-]*", result.stdout))
+    assert listed == OPTION_NAMES[command] | {"--help"}
+    if command is None:
+        assert all(name in result.stdout for name in OPTION_NAMES if name)
 
 
 @pytest.mark.parametrize("args, code", [
@@ -487,7 +533,7 @@ def test_run_freezes_once_after_main(tmp_path, monkeypatch, args, code):
 
     def recording_main():
         try:
-            group()
+            return group()
         finally:
             events.append("main")
 
@@ -546,7 +592,7 @@ _GARBAGE_AFTER = """\
 import gc, sys
 gc.disable()
 from netpos.cli import main
-main(sys.argv[1:], standalone_mode=False)
+main(sys.argv[1:])
 print(gc.collect())
 """
 

@@ -213,6 +213,27 @@ def test_pair_difference_in_place_peak_memory():
     assert np.array_equal(values, np.abs((st[a] - st[b]) - (sl[a] - sl[b])))
 
 
+def test_report_bins_in_chunks_peak_memory():
+    # the differences are binned chunk by chunk: beyond the 16 MB of pairs
+    # the report holds one chunk's arrays, where a whole measure's were live
+    rng = np.random.default_rng(2)
+    scores = {m: rng.normal(size=(2, 5000)) for m in ("x", "y")}
+    pairs = rng.integers(0, 5000, size=(1_000_000, 2))
+    edges = (-3.0, -0.5, 0.0, 0.25, 1.0, 2.0)
+    tracemalloc.start()
+    try:
+        report = coevolution_report(pairs, scores, bin_edges=edges)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= pairs.nbytes / 4
+    for m, (st, sl) in scores.items():
+        values = pair_difference_values(pairs, st, sl)
+        want = np.histogram(values, bins=list(edges) + [np.inf])[0]
+        assert report.counts[m] == tuple(want.tolist())
+        assert report.percentages[m] == tuple(100.0 * c / len(pairs) for c in want)
+
+
 def test_pair_difference_missing_score_names_vertex():
     with pytest.raises(ValueError, match="vertex 9"):
         pair_difference_values([(0, 9)], [1.0] * 5, [1.0] * 10)

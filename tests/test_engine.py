@@ -129,6 +129,24 @@ def test_public_map_reduce_loop_matches_fast_eep():
             assert (stats.iterations, stats.map_work) == (steps, volume), (case, eps)
 
 
+@pytest.mark.parametrize("eps", [1, 2, 5])
+def test_small_active_cells_skip_the_gather(monkeypatch, eps):
+    # no vertex has more neighbours in the active cell than the cell has
+    # members, so an active cell of at most eps members cannot split a cell
+    gathered = []
+    adjacent = Graph.adjacent
+
+    def counting_adjacent(self, vertices):
+        gathered.append(len(vertices))
+        return adjacent(self, vertices)
+
+    g = generate_power_law(GeneratorConfig(2000, 2.3, seed=3))
+    monkeypatch.setattr(Graph, "adjacent", counting_adjacent)
+    stats = run_refinement(g, eps, EngineConfig(collect_work=True))[1]
+    assert gathered and min(gathered) > eps
+    assert len(gathered) < stats.iterations   # the skipped iterations still count
+
+
 # --- refinement order, pinned -------------------------------------------------------
 # (graph, eps, iterations, map_work, cells, SHA-256 of the cells in partition order,
 # SHA-256 of the cells in canonical order). The eps > 0 rows were recorded from the
