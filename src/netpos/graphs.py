@@ -94,10 +94,6 @@ class Graph:
         return cls(n, indptr, indices, self_loops_dropped=loops,
                    duplicates_collapsed=dups)
 
-    def neighbors(self, v: int) -> np.ndarray:
-        """Sorted read-only array of the neighbors of v."""
-        return self.indices[self.indptr[v]:self.indptr[v + 1]]
-
     def adjacent(self, vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The neighbours of each of ``vertices``, concatenated, and their degrees."""
         starts = self.indptr[vertices]
@@ -119,9 +115,6 @@ class Graph:
         key.sort()
         runs = run_offsets(key)
         return np.divmod(key[runs[:-1]], max(self.n, 1)), runs[1:] - runs[:-1], key.size
-
-    def degree(self, v: int) -> int:
-        return int(self.indptr[v + 1] - self.indptr[v])
 
     @property
     def degrees(self) -> np.ndarray:
@@ -206,11 +199,12 @@ class TemporalEdgeLog:
         self.directed = directed
         if not self.source.shape == self.target.shape == self.timestamp.shape:
             raise ValueError("source, target and timestamp differ in length")
-        ends = np.concatenate([self.source, self.target])
-        if np.any((ends < 0) | (ends >= len(self.labels))):
-            raise ValueError("label id outside the label table")
-        if np.any(self.timestamp < 0):
-            raise ValueError("negative timestamp")
+        if self.source.size:
+            if (min(self.source.min(), self.target.min()) < 0
+                    or max(self.source.max(), self.target.max()) >= len(self.labels)):
+                raise ValueError("label id outside the label table")
+            if self.timestamp.min() < 0:
+                raise ValueError("negative timestamp")
 
     def __len__(self) -> int:
         return int(self.source.size)
@@ -274,17 +268,6 @@ def _scan(stream: IO[str] | Iterable[str], fields: tuple[int, ...]):
     return ids, np.array(ends, dtype=ID_DTYPE).reshape(-1, 2), times
 
 
-def _label_ranks(labels: tuple[str, ...], ids: np.ndarray) -> np.ndarray:
-    """Ranks of the labels of ``ids`` in Python ``str`` order, indexed by id.
-
-    Only the entries at ``ids`` are meaningful; the rest are 0.
-    """
-    ids = np.flatnonzero(np.bincount(ids, minlength=len(labels))).tolist()
-    ranks = np.zeros(len(labels), dtype=ID_DTYPE)
-    ranks[sorted(ids, key=labels.__getitem__)] = np.arange(len(ids))
-    return ranks
-
-
 def load_edge_list(stream: IO[str] | Iterable[str]) -> tuple[Graph, VertexLabelMap]:
     """Read '<label> <label> [<unix-timestamp>]' lines into a simple graph.
 
@@ -312,27 +295,56 @@ def load_temporal_edge_list(stream: IO[str] | Iterable[str], *,
     return TemporalEdgeLog(edges[:, 0], edges[:, 1], times, tuple(ids), directed)
 
 
+def _canonical_order(labels: tuple[str, ...], source: np.ndarray,
+                     target: np.ndarray, timestamp: np.ndarray) -> np.ndarray:
+    """Row order by (timestamp, source label, target label), labels in ``str``
+    order and equal labels by id.
+
+    One argsort of the timestamps; labels are ranked, and rows re-sorted by
+    rank, only among rows whose timestamp another row shares. Rows that tie
+    on all of that are identical, so no sort here needs to be stable but the
+    last.
+    """
+    order = timestamp.argsort()
+    times = timestamp[order]
+    tied = np.zeros(times.size, dtype=bool)
+    np.equal(times[1:], times[:-1], out=tied[1:])
+    tied[:-1] |= tied[1:]
+    rows = order[tied]
+    if rows.size:
+        src, tgt = source[rows], target[rows]
+        ids = np.flatnonzero(np.bincount(np.concatenate([src, tgt]),
+                                         minlength=len(labels))).tolist()
+        ranks = np.zeros(len(labels), dtype=ID_DTYPE)
+        ranks[sorted(ids, key=labels.__getitem__)] = np.arange(len(ids))
+        # by rank pair (below 2**63 for fewer than 3e9 labels), then stably
+        # by timestamp, so that the tied rows keep their places
+        by_ranks = (ranks[src] * len(ids) + ranks[tgt]).argsort()
+        order[tied] = rows[by_ranks[times[tied][by_ranks].argsort(kind="stable")]]
+    return order
+
+
 def reciprocal_projection(log: TemporalEdgeLog) -> TemporalEdgeLog:
     """Project a directed log to the undirected reciprocated-link log.
 
     An undirected event (a, b) appears iff both a->b and b->a occur; its
     timestamp is the moment the later of the two directions first appeared.
-    Each pair is oriented with its lower label (in ``str`` order) as source,
-    and rows are in canonical (timestamp, source, target) order, so the
-    result is invariant to input order. The label table is kept.
+    Each pair is oriented with its lower label (in ``str`` order; the lower id
+    where the two labels are equal) as source, and rows are in canonical
+    (timestamp, source, target) order, so the result is invariant to input
+    order. The label table is kept.
     """
     if not log.directed:
         raise ValueError("reciprocal_projection requires a directed log")
     k = len(log.labels)
     links = log.source != log.target
     keys = log.source[links] * k + log.target[links]
-    times = log.timestamp[links]
-    order = np.lexsort((times, keys))
-    keys, times = keys[order], times[order]
-    # each direction once, at its earliest time
-    first = np.ones(keys.size, dtype=bool)
-    first[1:] = keys[1:] != keys[:-1]
-    keys, times = keys[first], times[first]
+    order = keys.argsort()
+    keys = keys[order]
+    # each direction once, at its earliest time: the minimum over its run
+    runs = run_offsets(keys)[:-1]
+    times = np.minimum.reduceat(log.timestamp[links][order], runs)
+    keys = keys[runs]
     src, tgt = np.divmod(keys, max(k, 1))
     reverse = tgt * k + src
     # look the reverse keys up in ascending order, so that the binary
@@ -345,11 +357,14 @@ def reciprocal_projection(log: TemporalEdgeLog) -> TemporalEdgeLog:
     found = order[both]
     src, tgt = src[found], tgt[found]
     times = np.maximum(times[found], times[at[both]])
-    # a pair linked both ways has both directions here, so src holds every end
-    ranks = _label_ranks(log.labels, src)
-    keep = ranks[src] < ranks[tgt]
-    src, tgt, times = src[keep], tgt[keep], times[keep]
-    order = np.lexsort((ranks[tgt], ranks[src], times))
+    # each pair is here in both directions: keep the one from the lower id,
+    # then swap the ends where the target's label sorts first
+    lower = src < tgt
+    src, tgt, times = src[lower], tgt[lower], times[lower]
+    names = np.array(log.labels, dtype=object)
+    swap = names[tgt] < names[src]
+    src, tgt = np.where(swap, tgt, src), np.where(swap, src, tgt)
+    order = _canonical_order(log.labels, src, tgt, times)
     return TemporalEdgeLog(src[order], tgt[order], times[order], log.labels,
                            directed=False)
 
@@ -361,14 +376,14 @@ def build_snapshots(log: TemporalEdgeLog,
     Snapshot i holds exactly the edges whose first event is at or before
     cutoff i; a vertex belongs to a snapshot iff it is incident to a retained
     edge. Ids are assigned in order of first appearance in canonical
-    (timestamp, source, target) event order, source before target, so each
-    snapshot's vertex set is the dense prefix [0, n_i). Self-loops and events
-    after the last cutoff are ignored.
+    (timestamp, source label, target label) event order (see
+    ``_canonical_order``), source before target, so each snapshot's vertex
+    set is the dense prefix [0, n_i). Self-loops and events after the last
+    cutoff are ignored.
     """
     kept = (log.source != log.target) & (log.timestamp <= spec.cutoffs[-1])
     src, tgt, times = log.source[kept], log.target[kept], log.timestamp[kept]
-    ranks = _label_ranks(log.labels, np.concatenate([src, tgt]))
-    order = np.lexsort((ranks[tgt], ranks[src], times))
+    order = _canonical_order(log.labels, src, tgt, times)
     ends = np.column_stack([src[order], tgt[order]])
     times = times[order]
     seen, first = np.unique(ends.ravel(), return_index=True)

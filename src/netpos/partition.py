@@ -68,30 +68,31 @@ class Partition:
 
     def __init__(self, cells: Iterable[Iterable[int]] = ()):
         """Validate and normalize cells (sorted members, disjoint, nonempty)."""
-        self._group([np.fromiter(cell, dtype=ID_DTYPE) for cell in cells])
+        cells = [np.fromiter(cell, dtype=ID_DTYPE) for cell in cells]
+        flat = np.concatenate(cells) if cells else np.zeros(0, dtype=ID_DTYPE)
+        self._group(flat, [c.size for c in cells])
 
-    def _group(self, cells: list[np.ndarray],
+    def _group(self, flat: np.ndarray, sizes: list[int],
                line_nos: list[int] | None = None) -> None:
-        """Store cells given as id arrays, checking them with one stable sort.
+        """Store cells given as their ids end to end and their sizes, checking
+        them with one stable sort.
 
         The sort keeps the copies of a vertex in input order, so each copy but
         the first is a repeat. The first cell, in input order, that holds one
         raises a ParseError (a ValueError) naming its least repeated vertex and,
         from ``line_nos``, the cell's line.
         """
-        sizes = np.fromiter(map(len, cells), dtype=ID_DTYPE, count=len(cells))
-        if not sizes.all():
+        if 0 in sizes:
             raise ValueError("partition cells must be nonempty")
-        flat = np.concatenate(cells) if cells else np.zeros(0, dtype=ID_DTYPE)
         order = np.argsort(flat, kind="stable")
         universe = flat[order]
-        membership = np.repeat(np.arange(len(cells), dtype=ID_DTYPE), sizes)[order]
+        membership = np.repeat(np.arange(len(sizes), dtype=ID_DTYPE), sizes)[order]
         again = (universe[1:] == universe[:-1]).nonzero()[0] + 1
         if again.size:
             at = again[membership[again].argmin()]
             raise ParseError(f"vertex {universe[at]} appears more than once",
                              line_nos[membership[at]] if line_nos else None)
-        self._store(universe, membership, len(cells))
+        self._store(universe, membership, len(sizes))
 
     def _store(self, universe: np.ndarray, membership: np.ndarray, k: int) -> None:
         universe.flags.writeable = membership.flags.writeable = False
@@ -539,41 +540,97 @@ def write_partition_file(stream: IO[str], partition: Partition, *,
                       for idx, (a, b) in enumerate(zip([0] + ends, ends)))
 
 
+_CHUNK_IDS = 1 << 12   # most ids parsed per np.array call when reading a partition
+
+
+def _cell_ids(tokens: list[str], line_no: int) -> np.ndarray:
+    """The ids of one cell line; a bad or negative id raises a ParseError."""
+    try:
+        members = np.array(tokens, dtype=ID_DTYPE)
+    except (ValueError, OverflowError):
+        raise ParseError("bad cell line", line_no) from None
+    if members.size and members.min() < 0:
+        raise ParseError(f"negative vertex id {members.min()}", line_no)
+    return members
+
+
+def _chunk_ids(tokens: list[str], sizes: list[int], line_nos: list[int]) -> np.ndarray:
+    """The ids of consecutive cell lines, end to end, from one np.array call.
+
+    ``sizes`` and ``line_nos`` are the lines' id counts and line numbers. A
+    bad or negative id sends the lines through :func:`_cell_ids` one by one,
+    so the error names the first line that holds one.
+    """
+    try:
+        ids = np.array(tokens, dtype=ID_DTYPE)
+        if not ids.size or ids.min() >= 0:
+            return ids
+    except (ValueError, OverflowError):
+        pass
+    ends = np.cumsum(sizes).tolist()
+    return np.concatenate([_cell_ids(tokens[end - size:end], line_no)
+                           for end, size, line_no in zip(ends, sizes, line_nos)])
+
+
+def _cell_line_error(line: str, line_no: int, index: int) -> ParseError:
+    """The error of a cell line that is not '<index>\\t<ids>' with at least
+    one id, ``index`` being the expected cell index."""
+    parts = line.split("\t", 1)
+    if len(parts) != 2:
+        return ParseError("expected '<cell_index>\\t<ids>'", line_no)
+    try:
+        idx = int(parts[0])
+        np.array(parts[1].split(), dtype=ID_DTYPE)
+    except (ValueError, OverflowError):
+        return ParseError("bad cell line", line_no)
+    if idx != index:
+        return ParseError(f"cell index {idx} out of sequence", line_no)
+    return ParseError("empty cell", line_no)
+
+
 def read_partition_file(stream: IO[str]) -> tuple[Partition, dict[str, str]]:
     """Parse a partition file; returns the partition and its header metadata.
 
-    Each cell line becomes an id array; the repeat check runs once, over all
-    of them, and names the line of the first cell that holds a repeat.
+    Cell lines are checked for format, index and size as they come; their ids
+    are parsed in chunks of at most ``_CHUNK_IDS`` ids, or one longer line.
+    The repeat check runs once, over all of them, and names the line of the
+    first cell that holds a repeat.
     """
     meta: dict[str, str] = {}
-    cells: list[np.ndarray] = []
+    chunks: list[np.ndarray] = []
+    sizes: list[int] = []
     line_nos: list[int] = []
+    tokens: list[str] = []    # ids of the cell lines since the last chunk
+    start = 0                 # the first of those lines, as a cell index
     for line_no, raw in enumerate(stream, 1):
-        line = raw.rstrip("\n")
-        if not line.strip():
-            continue
-        if line.startswith("#"):
-            for token in line[1:].split():
-                if "=" in token:
-                    key, value = token.split("=", 1)
-                    meta[key] = value
-            continue
-        parts = line.split("\t", 1)
-        if len(parts) != 2:
-            raise ParseError("expected '<cell_index>\\t<ids>'", line_no)
+        parts = raw.split("\t", 1)
+        ids = parts[-1].split()
         try:
-            idx = int(parts[0])
-            members = np.array(parts[1].split(), dtype=ID_DTYPE)
-        except (ValueError, OverflowError):
-            raise ParseError("bad cell line", line_no) from None
-        if idx != len(cells):
-            raise ParseError(f"cell index {idx} out of sequence", line_no)
-        if not members.size:
-            raise ParseError("empty cell", line_no)
-        if "-" in parts[1] and members.min() < 0:   # min() is slow on tiny arrays
-            raise ParseError(f"negative vertex id {members.min()}", line_no)
-        cells.append(members)
+            plain = len(parts) == 2 and bool(ids) and int(parts[0]) == len(sizes)
+        except ValueError:
+            plain = False
+        if not plain:
+            line = raw.rstrip("\n")
+            if not line.strip():
+                continue
+            if line.startswith("#"):
+                for token in line[1:].split():
+                    if "=" in token:
+                        key, value = token.split("=", 1)
+                        meta[key] = value
+                continue
+        if not plain or tokens and len(tokens) + len(ids) > _CHUNK_IDS:
+            chunks.append(_chunk_ids(tokens, sizes[start:], line_nos[start:]))
+            tokens, start = [], len(sizes)
+        if not plain:   # after any error on an earlier line
+            raise _cell_line_error(line, line_no, len(sizes))
+        if tokens:
+            tokens += ids
+        else:   # a chunk's first line is not copied: it may hold many ids
+            tokens = ids
+        sizes.append(len(ids))
         line_nos.append(line_no)
+    chunks.append(_chunk_ids(tokens, sizes[start:], line_nos[start:]))
     part = Partition.__new__(Partition)
-    part._group(cells, line_nos)
+    part._group(np.concatenate(chunks), sizes, line_nos)
     return part, meta

@@ -10,6 +10,15 @@ import numpy as np
 from netpos import Graph, Partition, TemporalEdgeLog
 
 
+def neighbors(graph: Graph, v: int) -> np.ndarray:
+    """Sorted read-only array of the neighbors of v."""
+    return graph.indices[graph.indptr[v]:graph.indptr[v + 1]]
+
+
+def degree(graph: Graph, v: int) -> int:
+    return int(graph.indptr[v + 1] - graph.indptr[v])
+
+
 def er_graph(n: int, p: float, seed: int) -> Graph:
     """Erdos-Renyi G(n, p) graph, deterministic per seed."""
     rng = np.random.default_rng(seed)

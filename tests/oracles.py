@@ -7,8 +7,10 @@ loop, degrees toward a cell, the dense signature matrix behind the coarsest
 equitable partition, the dense degree matrix behind the epsilon spread,
 partition equality, intersection and restriction over cell tuples, the
 cross-product intersection count, exact rational betweenness, per-edge
-triangle counts, the string-keyed per-event reciprocal projection and snapshot construction, the
-set-based same-position pair sampler with its scalar pair unranking, the
+triangle counts, the string-keyed per-event reciprocal projection and snapshot
+construction, the same two cut by ranking every label and sorting whole logs
+with ``np.lexsort`` (the array ordering that held before canonical order was
+found from one timestamp sort), the set-based same-position pair sampler with its scalar pair unranking, the
 per-cell partition file writer and set-based reader, and the per-vertex
 centrality row writer. Tests compare the library against them.
 """
@@ -25,10 +27,13 @@ from typing import IO, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from netpos import Graph, Partition, VertexLabelMap
+from netpos import (Graph, Partition, SnapshotSpec, TemporalEdgeLog,
+                    VertexLabelMap)
 from netpos.graphs import ID_DTYPE, ParseError
 from netpos.partition import _check_epsilon
 from netpos.similarity import UniverseMismatchError, _common_universe
+
+from helpers import neighbors
 
 
 class ActiveList:
@@ -116,7 +121,7 @@ def degree_to_cell(graph: Graph, u: int, cell) -> int:
     """
     if not 0 <= u < graph.n:
         raise ValueError(f"vertex {u} outside [0, {graph.n})")
-    adj = graph.neighbors(u)
+    adj = neighbors(graph, u)
     if isinstance(cell, (set, frozenset)):
         members = np.fromiter(cell, dtype=ID_DTYPE, count=len(cell))
     else:
@@ -139,7 +144,7 @@ def degree_vector(graph: Graph, u: int, partition: Partition) -> np.ndarray:
     """Per-cell neighbor counts of u, ordered like the partition's cells."""
     memb = partition.membership
     counts = np.zeros(len(partition), dtype=ID_DTYPE)
-    for w in graph.neighbors(u):
+    for w in neighbors(graph, u):
         counts[memb[int(w)]] += 1
     return counts
 
@@ -301,7 +306,7 @@ def _brandes_source(graph: Graph, s: int):
         v = queue.popleft()
         order.append(v)
         dv = dist[v]
-        for w in graph.neighbors(v):
+        for w in neighbors(graph, v):
             w = int(w)
             if dist[w] < 0:
                 dist[w] = dv + 1
@@ -345,7 +350,7 @@ def triangle_counts_ref(graph: Graph) -> np.ndarray:
     counts = np.zeros(n, dtype=ID_DTYPE)
     rank = np.empty(n, dtype=ID_DTYPE)
     rank[np.lexsort((np.arange(n), graph.degrees))] = np.arange(n)
-    forward = [graph.neighbors(v)[rank[graph.neighbors(v)] > rank[v]]
+    forward = [neighbors(graph, v)[rank[neighbors(graph, v)] > rank[v]]
                for v in range(n)]
     for v in range(n):
         fv = forward[v]
@@ -455,6 +460,68 @@ def snapshots_reference(events, cutoffs) -> tuple[list[Graph], tuple[str, ...]]:
     checkpoints += [(len(ids), len(edge_list))] * (len(cutoffs) - ci)
     return ([Graph.from_edges(n_i, edge_list[:k_i]) for n_i, k_i in checkpoints],
             tuple(ids))
+
+
+def _label_ranks(labels: tuple[str, ...], ids: np.ndarray) -> np.ndarray:
+    """Ranks of the labels of ``ids`` in ``str`` order, equal labels by id,
+    indexed by id; only the entries at ``ids`` are meaningful."""
+    ids = np.flatnonzero(np.bincount(ids, minlength=len(labels))).tolist()
+    ranks = np.zeros(len(labels), dtype=ID_DTYPE)
+    ranks[sorted(ids, key=labels.__getitem__)] = np.arange(len(ids))
+    return ranks
+
+
+def reciprocal_projection_lexsort(log: TemporalEdgeLog) -> TemporalEdgeLog:
+    """``reciprocal_projection`` over id arrays, ordered by whole-log sorts:
+    a lexsort of (direction, time) for each direction's first time, every
+    end's label rank for orientation, and a lexsort of (time, source rank,
+    target rank) for canonical order."""
+    k = len(log.labels)
+    links = log.source != log.target
+    keys = log.source[links] * k + log.target[links]
+    times = log.timestamp[links]
+    order = np.lexsort((times, keys))
+    keys, times = keys[order], times[order]
+    first = np.ones(keys.size, dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    keys, times = keys[first], times[first]
+    src, tgt = np.divmod(keys, max(k, 1))
+    at = np.minimum(np.searchsorted(keys, tgt * k + src), keys.size - 1)
+    both = keys[at] == tgt * k + src
+    src, tgt = src[both], tgt[both]
+    times = np.maximum(times[both], times[at[both]])
+    ranks = _label_ranks(log.labels, src)
+    keep = ranks[src] < ranks[tgt]
+    src, tgt, times = src[keep], tgt[keep], times[keep]
+    order = np.lexsort((ranks[tgt], ranks[src], times))
+    return TemporalEdgeLog(src[order], tgt[order], times[order], log.labels,
+                           directed=False)
+
+
+def snapshots_lexsort(log: TemporalEdgeLog,
+                      spec: SnapshotSpec) -> tuple[list[Graph], tuple[str, ...]]:
+    """``build_snapshots`` with canonical order from every end's label rank and
+    one lexsort of the whole log, then ids walked edge by edge in that order.
+    Returns the graphs and the label tuple."""
+    kept = (log.source != log.target) & (log.timestamp <= spec.cutoffs[-1])
+    src, tgt, times = log.source[kept], log.target[kept], log.timestamp[kept]
+    ranks = _label_ranks(log.labels, np.concatenate([src, tgt]))
+    order = np.lexsort((ranks[tgt], ranks[src], times))
+    ids: dict[int, int] = {}
+    edges: dict[tuple[int, int], None] = {}
+    checkpoints = []
+    ci = 0
+    for s, t, ts in zip(src[order].tolist(), tgt[order].tolist(),
+                        times[order].tolist()):
+        while ts > spec.cutoffs[ci]:
+            checkpoints.append((len(ids), len(edges)))
+            ci += 1
+        u, v = ids.setdefault(s, len(ids)), ids.setdefault(t, len(ids))
+        edges.setdefault((min(u, v), max(u, v)))
+    checkpoints += [(len(ids), len(edges))] * (len(spec.cutoffs) - ci)
+    pairs = list(edges)
+    return ([Graph.from_edges(n_i, pairs[:m_i]) for n_i, m_i in checkpoints],
+            tuple(log.labels[i] for i in ids))
 
 
 def unrank_pair_scalar(k: int, size: int) -> tuple[int, int]:

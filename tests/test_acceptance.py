@@ -21,7 +21,7 @@ from netpos import (EngineConfig, GeneratorConfig, Partition, SnapshotSpec,
                     triangle_counts)
 from netpos.coevolution import overlap_matrix
 
-from helpers import edge_set, er_graph, log_rows, pa_snapshots
+from helpers import edge_set, er_graph, log_rows, neighbors, pa_snapshots
 from oracles import betweenness_centrality_exact, intersection_cardinality_cellpairs
 
 
@@ -150,7 +150,7 @@ def _betweenness_oracle(graph):
         q = deque([s])
         while q:
             v = q.popleft()
-            for w in graph.neighbors(v):
+            for w in neighbors(graph, v):
                 w = int(w)
                 if w not in d:
                     d[w] = d[v] + 1
@@ -174,7 +174,7 @@ def _betweenness_oracle(graph):
 
 def _triangle_oracle(graph):
     counts = [0] * graph.n
-    adj = [set(int(w) for w in graph.neighbors(v)) for v in range(graph.n)]
+    adj = [set(int(w) for w in neighbors(graph, v)) for v in range(graph.n)]
     for a, b, c in itertools.combinations(range(graph.n), 3):
         if b in adj[a] and c in adj[a] and c in adj[b]:
             counts[a] += 1
@@ -204,7 +204,7 @@ def test_criterion_6_centrality_oracles(acceptance_log):
     g = er_graph(24, 0.2, seed=41)
     closed = [1 << v for v in range(g.n)]
     for v in range(g.n):
-        for w in g.neighbors(v):
+        for w in neighbors(g, v):
             closed[v] |= 1 << int(w)
     totals = np.zeros(g.n)
     perms = 100_000

@@ -11,7 +11,7 @@ from netpos import (GeneratorConfig, Graph, betweenness_centrality,
                     triangle_counts)
 from netpos.centrality import compute_measures
 
-from helpers import complete_graph, er_graph, path_graph, star_graph
+from helpers import complete_graph, er_graph, neighbors, path_graph, star_graph
 from oracles import betweenness_centrality_exact, triangle_counts_ref
 
 STAR = star_graph(3)
@@ -27,7 +27,7 @@ def bfs_dist_sigma(graph, s):
     q = deque([s])
     while q:
         v = q.popleft()
-        for w in graph.neighbors(v):
+        for w in neighbors(graph, v):
             w = int(w)
             if w not in dist:
                 dist[w] = dist[v] + 1
@@ -59,7 +59,7 @@ def betweenness_oracle(graph):
 
 def triangle_oracle(graph):
     counts = [0] * graph.n
-    adj = [set(int(w) for w in graph.neighbors(v)) for v in range(graph.n)]
+    adj = [set(int(w) for w in neighbors(graph, v)) for v in range(graph.n)]
     for a, b, c in itertools.combinations(range(graph.n), 3):
         if b in adj[a] and c in adj[a] and c in adj[b]:
             counts[a] += 1
@@ -73,7 +73,7 @@ def shapley_permutation_oracle(graph, permutations, seed):
     n = graph.n
     closed = [1 << v for v in range(n)]
     for v in range(n):
-        for w in graph.neighbors(v):
+        for w in neighbors(graph, v):
             closed[v] |= 1 << int(w)
     rng = np.random.default_rng(seed)
     totals = np.zeros(n)

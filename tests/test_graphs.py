@@ -5,20 +5,21 @@ import numpy as np
 import pytest
 
 from netpos import (GeneratorConfig, Graph, ParseError, Partition, SnapshotSpec,
-                    VertexLabelMap, build_snapshots, generate_power_law,
-                    load_edge_list, load_temporal_edge_list,
+                    TemporalEdgeLog, VertexLabelMap, build_snapshots,
+                    generate_power_law, load_edge_list, load_temporal_edge_list,
                     reciprocal_projection, save_edge_list)
 
-from helpers import edge_set, er_graph, log_rows
-from oracles import (degree_to_cell, degree_vector, reciprocal_reference,
-                     snapshots_reference, validate_graph)
+from helpers import edge_set, er_graph, log_rows, neighbors
+from oracles import (degree_to_cell, degree_vector, reciprocal_projection_lexsort,
+                     reciprocal_reference, snapshots_lexsort, snapshots_reference,
+                     validate_graph)
 
 
 def test_load_path_graph():
     g, labels = load_edge_list(["a b", "b c"])
     assert g.n == 3 and g.m == 2
     assert labels.labels.index("a") == 0 and labels.labels.index("c") == 2
-    assert list(g.neighbors(1)) == [0, 2]
+    assert list(neighbors(g, 1)) == [0, 2]
 
 
 def test_load_deduplicates():
@@ -223,6 +224,75 @@ def test_build_snapshots_matches_reference():
             want_graphs, want_labels = snapshots_reference(want, cutoffs)
             assert labels.labels == want_labels
             assert graphs == want_graphs
+
+
+def _same_log(got: TemporalEdgeLog, want: TemporalEdgeLog) -> bool:
+    return (got.labels == want.labels and got.directed == want.directed
+            and all(np.array_equal(getattr(got, c), getattr(want, c))
+                    for c in ("source", "target", "timestamp")))
+
+
+def test_ordering_matches_lexsort_reference_with_repeated_labels():
+    # a label table that repeats labels (only a hand-built log can), so that
+    # pairs and ties whose labels are equal are ordered by id; in a third of
+    # the trials every event shares one timestamp
+    rng = np.random.default_rng(19)
+    table = ("b", "a", "b", "x\x00", "x", "a", "", "b", "10", "9")
+    for trial in range(300):
+        k = int(rng.integers(1, len(table) + 1))
+        size = int(rng.integers(0, 60))
+        times = (np.full(size, 7) if trial % 3 == 0 else rng.integers(0, 9, size))
+        log = TemporalEdgeLog(rng.integers(0, k, size), rng.integers(0, k, size),
+                              times, table[:k])
+        cutoffs = tuple(sorted(rng.choice(10, int(rng.integers(1, 4)),
+                                          replace=False).tolist()))
+        projected = reciprocal_projection(log)
+        assert _same_log(projected, reciprocal_projection_lexsort(log)), trial
+        for cut in (log, projected):
+            graphs, labels = build_snapshots(cut, SnapshotSpec(cutoffs))
+            assert (graphs, labels.labels) == snapshots_lexsort(cut, SnapshotSpec(cutoffs))
+
+
+@pytest.mark.parametrize("resolution", [1, 86_400])
+def test_snapshot_pipeline_matches_reference_at_scale(resolution):
+    # 200k directed events over 50k labels, a third of them answering an
+    # earlier link; timestamps in seconds tie rarely, in whole days almost
+    # always, so both the timestamp sort and the label ranking of ties carry
+    # the order
+    rng = np.random.default_rng(23)
+    k, asked, answered = 50_000, 100_000, 60_000
+    a, b = rng.integers(0, k, asked), rng.integers(0, k, asked)
+    t = rng.integers(10**9, 10**9 + 10**8, asked)
+    back = rng.choice(asked, answered, replace=False)
+    noise = asked - answered
+    source = np.concatenate([a, b[back], rng.integers(0, k, noise)])
+    target = np.concatenate([b, a[back], rng.integers(0, k, noise)])
+    times = np.concatenate([t, t[back] + rng.integers(0, 10**6, answered),
+                            rng.integers(10**9, 10**9 + 10**8, noise)])
+    times -= times % resolution
+    perm = rng.permutation(source.size)
+    labels = tuple(f"u{x}" for x in rng.permutation(k).tolist())
+    log = TemporalEdgeLog(source[perm], target[perm], times[perm], labels)
+    names = np.array(labels, dtype=object)
+    rows = list(zip(names[log.source], names[log.target], log.timestamp.tolist()))
+    projected = reciprocal_projection(log)
+    want = reciprocal_reference(rows)
+    assert len(want) > 50_000
+    assert log_rows(projected) == want
+    cutoffs = tuple(int(np.quantile(times, q)) for q in (0.3, 0.6)) + (int(times.max()),)
+    graphs, label_map = build_snapshots(projected, SnapshotSpec(cutoffs))
+    assert (graphs, label_map.labels) == snapshots_reference(want, cutoffs)
+
+
+def test_temporal_log_validation():
+    for source, target, times, message in [
+            ([0, 2], [1, 0], [1, 1], "label id outside"),
+            ([0, 1], [-1, 0], [1, 1], "label id outside"),
+            ([0, 1], [1, 0], [1, -1], "negative timestamp"),
+            ([0], [1, 0], [1, 1], "differ in length")]:
+        with pytest.raises(ValueError, match=message):
+            TemporalEdgeLog(source, target, times, ("a", "b"))
+    assert len(TemporalEdgeLog([], [], [], ())) == 0
 
 
 def test_snapshot_spec_validation():

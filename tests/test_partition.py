@@ -13,8 +13,8 @@ from netpos import (GeneratorConfig, Graph, ParseError, Partition,
                     read_partition_file, reciprocal_projection,
                     write_partition_file)
 
-from helpers import (complete_graph, discrete_partition, edge_set, er_graph, path_graph,
-                     star_graph, unit_partition)
+from helpers import (complete_graph, degree, discrete_partition, edge_set, er_graph,
+                     neighbors, path_graph, star_graph, unit_partition)
 from oracles import (ActiveList, degree_to_cell, degree_vector,
                      epsilon_spread_dense, equitable_oracle_dense,
                      read_partition_file_ref, split, write_partition_file_ref)
@@ -90,7 +90,7 @@ def test_active_list_update_rule():
 
 def _degree_oracle(graph, u, cell):
     cell = set(cell)
-    return sum(1 for w in graph.neighbors(u) if int(w) in cell)
+    return sum(1 for w in neighbors(graph, u) if int(w) in cell)
 
 
 def test_degree_to_cell_p4_example():
@@ -102,7 +102,7 @@ def test_degree_to_cell_p4_example():
 def test_degree_to_cell_empty_and_full():
     assert degree_to_cell(P4, 2, set()) == 0
     for u in range(P4.n):
-        assert degree_to_cell(P4, u, range(P4.n)) == P4.degree(u)
+        assert degree_to_cell(P4, u, range(P4.n)) == degree(P4, u)
 
 
 def test_degree_to_cell_validates():
@@ -132,9 +132,9 @@ def test_degree_vector_edge_cases():
     p = Partition([[0], [1], [2]])
     assert list(degree_vector(g, 2, p)) == [0, 0, 0]
     unit = unit_partition(3)
-    assert list(degree_vector(g, 0, unit)) == [g.degree(0)]
+    assert list(degree_vector(g, 0, unit)) == [degree(g, 0)]
     for u in range(g.n):
-        assert int(degree_vector(g, u, p).sum()) == g.degree(u)
+        assert int(degree_vector(g, u, p).sum()) == degree(g, u)
 
 
 # --- split ---------------------------------------------------------------------
@@ -451,6 +451,47 @@ def test_partition_file_matches_reference_writer_and_reader():
         want, want_meta = read_partition_file_ref(io.StringIO(text))
         assert got == want == part and meta == want_meta, case
         assert len(got) == len(part) and got.cells == part.cells, case
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 5, netpos.partition._CHUNK_IDS])
+def test_partition_file_errors_across_id_chunks(monkeypatch, chunk):
+    # ids are parsed a chunk of lines at a time: a fault found when a chunk
+    # is parsed must still lose to a fault on an earlier line, and win over
+    # one on a later line, whichever chunk either falls in
+    monkeypatch.setattr(netpos.partition, "_CHUNK_IDS", chunk)
+    faults = ["{i}\t91 x", "{i}\t-4 92", "{i}\t", "{j}\t93", "x{i}\t94", "{i} 95",
+              "{i}\t-5 y", "{j}\t-6 z"]   # ids that no cell holds
+    rng = np.random.default_rng(7)
+    for _ in range(300):
+        lines = []
+        for i in range(int(rng.integers(1, 12))):
+            ids = 100 * i + np.arange(int(rng.integers(1, 4)))
+            lines.append(f"{i}\t" + " ".join(map(str, ids)))
+            if rng.random() < 0.25:
+                lines.append("# k=v" if rng.random() < 0.5 else "")
+        for at in rng.choice(len(lines), min(len(lines), int(rng.integers(0, 3))),
+                             replace=False):
+            i = int(lines[at].split("\t")[0]) if "\t" in lines[at] else 0
+            lines[at] = faults[int(rng.integers(len(faults)))].format(i=i, j=i + 1)
+        text = "".join(line + "\n" for line in lines)
+        want, error = None, None
+        try:
+            want, _ = read_partition_file_ref(io.StringIO(text))
+        except ParseError as err:
+            error = (str(err), err.line_no)
+        # the reference passes negative ids: a line before its error that
+        # holds one fails first
+        for line_no, line in enumerate(lines[:error[1] - 1] if error else lines, 1):
+            cell = [] if line.startswith("#") else [int(t) for t in line.split()[1:]]
+            if cell and min(cell) < 0:
+                error = (f"line {line_no}: negative vertex id {min(cell)}", line_no)
+                break
+        if error:
+            with pytest.raises(ParseError) as err:
+                read_partition_file(io.StringIO(text))
+            assert (str(err.value), err.value.line_no) == error, text
+        else:
+            assert read_partition_file(io.StringIO(text))[0] == want, text
 
 
 def test_partition_file_errors_match_reference():
