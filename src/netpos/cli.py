@@ -77,6 +77,18 @@ def _sha256_file(path) -> str:
     return "sha256:" + h.hexdigest()
 
 
+def _read(path, reader, **options):
+    """``reader`` applied to the text of the file at ``path``; bytes that are
+    not UTF-8 are a ParseError naming the file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return reader(fh, **options)
+        except UnicodeDecodeError as exc:
+            from .graphs import ParseError
+            raise ParseError(f"{path}: not valid UTF-8 (byte "
+                             f"0x{exc.object[exc.start]:02x}: {exc.reason})") from None
+
+
 def _write_json(path, payload) -> None:
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
                           encoding="utf-8")
@@ -247,8 +259,7 @@ def _load_snapshots(log_path, cuts, directed: bool, reciprocal: bool):
         raise _UsageError("--reciprocal requires --directed events")
     from .graphs import (SnapshotSpec, build_snapshots, load_temporal_edge_list,
                          reciprocal_projection)
-    with open(log_path, "r", encoding="utf-8") as fh:
-        log = load_temporal_edge_list(fh, directed=directed)
+    log = _read(log_path, load_temporal_edge_list, directed=directed)
     if reciprocal:
         log = reciprocal_projection(log)
     return build_snapshots(log, SnapshotSpec(tuple(cuts)))
@@ -280,8 +291,7 @@ def partition(input_path, epsilon, method, output, labels_out, manifest_out,
     if method == "ep-oracle":   # the coarsest equitable partition is refined at 0
         epsilon = 0
 
-    with open(input_path, "r", encoding="utf-8") as fh:
-        graph, labels = load_edge_list(fh)
+    graph, labels = _read(input_path, load_edge_list)
     part, manifest["extra"] = _partition(graph, method, epsilon, progress_interval)
 
     header = {"n": graph.n, "epsilon": epsilon, "algorithm": method,
@@ -317,10 +327,8 @@ def similarity(partition1, partition2, labels, fmt, manifest_out):
         dict(partition1=partition1, partition2=partition2, labels=labels),
         inputs)
 
-    with open(partition1, "r", encoding="utf-8") as fh:
-        p1, meta1 = read_partition_file(fh)
-    with open(partition2, "r", encoding="utf-8") as fh:
-        p2, meta2 = read_partition_file(fh)
+    p1, meta1 = _read(partition1, read_partition_file)
+    p2, meta2 = _read(partition2, read_partition_file)
     score = similarity_score(p1, p2)
 
     payload = {
@@ -365,8 +373,7 @@ def centrality(input_path, names, fmt, output, manifest_out):
         {"input": input_path})
     manifest["extra"]["conventions"] = {m: CONVENTIONS[m] for m in names}
 
-    with open(input_path, "r", encoding="utf-8") as fh:
-        graph, labels = load_edge_list(fh)
+    graph, labels = _read(input_path, load_edge_list)
     _refuse_slow_betweenness(graph, names)
     vectors = compute_measures(graph, names)
 

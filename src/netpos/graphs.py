@@ -8,6 +8,9 @@ built.
 from __future__ import annotations
 
 import hashlib
+import io
+from functools import partial
+from itertools import chain, repeat
 from typing import IO, Iterable
 
 import numpy as np
@@ -236,36 +239,192 @@ class GeneratorConfig:
         self.n, self.gamma, self.seed = n, gamma, seed
 
 
-def _scan(stream: IO[str] | Iterable[str], fields: tuple[int, ...]):
-    """Read '<label> <label> [<timestamp>]' lines, interning labels as they come.
+# Bytes are classified by lookups in these tables, which share one numpy
+# kernel. str.split()'s whitespace is the ASCII bytes of _IS_SPACE and the
+# characters of _SPACES, which become spaces before a block is encoded.
+_IS_SPACE = np.frombuffer(bytes(b in b"\t\n\v\f\r\x1c\x1d\x1e\x1f "
+                                for b in range(256)), dtype=bool)
+_IS_NEWLINE = np.frombuffer(bytes(b == 10 for b in range(256)), dtype=bool)
+_IS_HASH = np.frombuffer(bytes(b == 35 for b in range(256)), dtype=bool)
+_DIGIT = np.array([b - 48 if 48 <= b < 58 else 10 for b in range(256)],
+                  dtype=ID_DTYPE)      # a byte's digit value; 10 for no digit
+_SPACES = dict.fromkeys([0x85, 0xA0, 0x1680, *range(0x2000, 0x200B), 0x2028,
+                         0x2029, 0x202F, 0x205F, 0x3000], " ")
+# _PAD[r] sets each byte of a word past its first r to 0xFF, which UTF-8 never
+# holds, so labels packed into words padded this way are equal iff the words are
+_PAD = np.frombuffer(b"".join(bytes(r) + b"\xff" * (8 - r) for r in range(9)),
+                     dtype=ID_DTYPE)
 
-    Blank lines and '#' comments are skipped; a line whose field count is not
-    in ``fields``, or whose timestamp is not integer unix seconds in
-    [0, 2**63), raises a ParseError naming it. Returns the label -> id dict
-    (ids in order of first appearance, source before target), the (source,
-    target) ids as an (events, 2) array, and the timestamps.
+
+def _blocks(read):
+    """The text ``read(size)`` returns, in blocks of whole lines of about 64K
+    characters, each ending in a newline."""
+    carry = ""
+    for chunk in iter(partial(read, 1 << 16), ""):
+        text = carry + chunk
+        cut = text.rfind("\n") + 1
+        carry = text[cut:]
+        if cut:
+            yield text[:cut]
+    if carry:
+        yield carry + "\n"
+
+
+def _stamps(raw: bytes, byte: np.ndarray, starts: np.ndarray,
+            stops: np.ndarray) -> np.ndarray:
+    """The value of each token as a timestamp, or -1 if not in [0, 2**63).
+
+    Tokens of at most 19 ASCII digits are read in int64 one digit position at
+    a time, right-aligned; 2**63 and above wrap negative, since fewer than 20
+    digits stay below 2**64. Any other token, such as '+5' or '1_0', is read
+    by ``int`` alone.
     """
-    ids: dict[str, int] = {}
-    intern = ids.setdefault
-    ends: list[int] = []
-    times: list[int] = []
-    for line_no, raw in enumerate(stream, 1):
-        tokens = raw.split()
-        if not tokens or tokens[0].startswith("#"):
-            continue
-        if len(tokens) not in fields:
-            expected = " or ".join(map(str, fields))
-            raise ParseError(f"expected {expected} fields, got {len(tokens)}", line_no)
-        if len(tokens) == 3:
-            try:
-                ts = int(tokens[2])
-            except ValueError:
-                ts = -1
-            if not 0 <= ts < 2**63:
-                raise ParseError(f"bad timestamp {tokens[2]!r}", line_no)
-            times.append(ts)
-        ends += intern(tokens[0], len(ids)), intern(tokens[1], len(ids))
-    return ids, np.array(ends, dtype=ID_DTYPE).reshape(-1, 2), times
+    sizes = stops - starts
+    at = np.arange(-min(int(sizes.max(initial=0)), 19), 0)[:, None]
+    digits = byte[stops + at]
+    digits[at + sizes < 0] = 48     # '0' before each token
+    value = np.zeros(sizes.size, dtype=ID_DTYPE)
+    odd = sizes > 19
+    for row in digits:
+        row = _DIGIT[row]
+        odd |= row > 9
+        value *= 10
+        value += row
+    value[value < 0] = -1
+    for i in np.flatnonzero(odd).tolist():
+        try:
+            number = int(raw[starts[i]:stops[i]].decode("utf-8", "surrogatepass"))
+        except ValueError:
+            number = -1
+        value[i] = number if 0 <= number < 2**63 else -1
+    return value
+
+
+def _decode(words: np.ndarray) -> list[str]:
+    """The labels packed in the rows of ``words``."""
+    rows = np.full((len(words), 8 * words.shape[1] + 1), 10, dtype=np.uint8)
+    rows[:, :-1] = words.view(np.uint8)
+    text = rows.tobytes().replace(b"\xff", b"").decode("utf-8", "surrogatepass")
+    del rows
+    labels = text.split("\n")
+    labels.pop()    # after the last newline
+    return labels
+
+
+def _intern(keys: list[np.ndarray], wide: dict) -> tuple[list[str], np.ndarray]:
+    """The labels in order of first appearance, and the id of each token.
+
+    ``keys`` holds each block's tokens' first packed words, and is emptied;
+    ``wide`` maps each word count above one to the (token ordinals, words)
+    of the tokens that need it. Each word count is one group, sorted once:
+    by argsort for one word, by lexsort for more. A label first appears at
+    the least ordinal in its run of equal rows.
+    """
+    key = np.concatenate(keys)
+    keys.clear()
+    total = key.size
+    groups = [(None, key[:, None])]
+    if wide:
+        groups = [(np.concatenate(o), np.concatenate(w))
+                  for o, w in (zip(*parts) for parts in wide.values())]
+        short = np.ones(total, dtype=bool)
+        for ordinal, _ in groups:
+            short[ordinal] = False
+        short = np.flatnonzero(short)
+        groups.insert(0, (short, key[short, None]))
+    del key
+    runs, firsts, reps = [], [], []
+    while groups:
+        ordinal, words = groups.pop(0)
+        order = words[:, 0].argsort() if words.shape[1] == 1 else np.lexsort(words.T)
+        words = words[order]
+        start = np.zeros(len(words), dtype=bool)
+        start[:1] = True
+        for column in words.T:
+            start[1:] |= column[1:] != column[:-1]
+        start = np.flatnonzero(start)
+        reps.append(words[start])
+        del words
+        if ordinal is not None:
+            order = ordinal[order]
+        firsts.append(np.minimum.reduceat(order, start))
+        runs.append((order, start))
+    rank = np.concatenate(firsts).argsort()
+    del firsts
+    new = np.empty(rank.size, dtype=ID_DTYPE)
+    new[rank] = np.arange(rank.size)
+    ids = np.empty(total, dtype=ID_DTYPE)
+    for order, start in runs:
+        ids[order] = np.repeat(new[:start.size], np.diff(start, append=order.size))
+        new = new[start.size:]
+    del runs, new
+    if len(reps) == 1:
+        return _decode(reps.pop()[rank]), ids
+    labels = np.array(list(chain.from_iterable(map(_decode, reps))), dtype=object)
+    return labels[rank].tolist(), ids
+
+
+def _scan(stream: IO[str] | Iterable[str], fields: tuple[int, ...]):
+    """Read '<label> <label> [<timestamp>]' lines, a block of lines at a time.
+
+    ``stream`` is a text stream, or an iterable of lines, each with or
+    without its newline. Tokens are split at ``str.split``'s whitespace.
+    Blank lines, and lines whose first token starts with '#', are skipped.
+    A line whose field count is not in ``fields``, or whose timestamp is not
+    integer unix seconds in [0, 2**63), raises a ParseError naming it; the
+    first such line in the file wins. Each label is kept as its UTF-8 bytes
+    packed into int64 words. Returns the labels in order of first appearance
+    (source before target), the (source, target) ids as an (events, 2)
+    array, and the timestamps.
+    """
+    if not hasattr(stream, "read"):     # an iterable of lines
+        stream = io.StringIO("\n".join(map(str.removesuffix, stream, repeat("\n"))))
+    keys, times = [np.empty(0, dtype=ID_DTYPE)], [np.empty(0, dtype=ID_DTYPE)]
+    wide = {}       # word count above one -> [(token ordinals, words)]
+    lines = tokens = 0
+    for text in _blocks(stream.read):
+        raw = (text if text.isascii() else text.translate(_SPACES)).encode(
+            "utf-8", "surrogatepass") + bytes(7)     # room to read a word at any byte
+        byte = np.frombuffer(raw, dtype=np.uint8)[:-7]
+        space = np.concatenate(([True], _IS_SPACE[byte]))
+        bounds = np.flatnonzero(space[1:] != space[:-1])
+        starts, stops = bounds[0::2], bounds[1::2]
+        # the tokens before each line's end, so each line's count and first
+        after = np.searchsorted(starts, np.flatnonzero(_IS_NEWLINE[byte]))
+        count = np.diff(after, prepend=0)
+        first = after - count
+        data = count > 0    # and not a comment: its first token starts with '#'
+        data[data] = ~_IS_HASH[byte[starts[first[data]]]]
+        timed = data & (count == 3)
+        good = timed | (data & (count == 2)) if 2 in fields else timed
+        stamp = _stamps(raw, byte, starts[first[timed] + 2], stops[first[timed] + 2])
+        wrong = data & ~good
+        wrong[timed] = stamp < 0
+        if wrong.any():
+            line = int(wrong.argmax())
+            if not good[line]:
+                expected = " or ".join(map(str, fields))
+                raise ParseError(f"expected {expected} fields, got {count[line]}",
+                                 lines + line + 1)
+            token = raw[starts[first[line] + 2]:stops[first[line] + 2]]
+            raise ParseError(f"bad timestamp {token.decode('utf-8', 'surrogatepass')!r}",
+                             lines + line + 1)
+        lines += count.size
+        times.append(stamp)
+        at = (first[good][:, None] + (0, 1)).ravel()
+        starts, sizes = starts[at], stops[at] - starts[at]
+        words = np.ndarray(byte.size, ID_DTYPE, raw, 0, (1,))   # 8 bytes from each byte
+        keys.append(words[starts] | _PAD[np.minimum(sizes, 8)])
+        width = (sizes + 7) >> 3
+        for w in (np.flatnonzero(np.bincount(width)[2:]) + 2).tolist():   # 2+ words
+            rows = np.flatnonzero(width == w)
+            cols = 8 * np.arange(w)
+            wide.setdefault(w, []).append(
+                (tokens + rows, words[starts[rows, None] + cols]
+                 | _PAD[np.minimum(sizes[rows, None] - cols, 8)]))
+        tokens += at.size
+    labels, ids = _intern(keys, wide)
+    return labels, ids.reshape(-1, 2), np.concatenate(times)
 
 
 def load_edge_list(stream: IO[str] | Iterable[str]) -> tuple[Graph, VertexLabelMap]:
@@ -275,24 +434,29 @@ def load_edge_list(stream: IO[str] | Iterable[str]) -> tuple[Graph, VertexLabelM
     used. Duplicate edges collapse; self-loops are dropped and counted on the
     returned graph.
     """
-    ids, edges, _ = _scan(stream, (2, 3))
-    return Graph.from_edges(len(ids), edges), VertexLabelMap._distinct(ids)
+    labels, edges, _ = _scan(stream, (2, 3))
+    return Graph.from_edges(len(labels), edges), VertexLabelMap._distinct(labels)
 
 
 def save_edge_list(graph: Graph, labels: VertexLabelMap, stream: IO[str]) -> None:
-    """Write each edge once, as 'u w' with u < w, rows ascending."""
+    """Write each edge once, as 'u w' with u < w, rows ascending, 8,192
+    edges a write."""
     stream.write(f"# vertices={graph.n} edges={graph.m}\n")
     rows = np.repeat(np.arange(graph.n, dtype=ID_DTYPE), graph.degrees)
     upper = graph.indices > rows
+    heads, tails = rows[upper], graph.indices[upper]
     names = np.array(labels.labels, dtype=object)
-    stream.write("".join(names[rows[upper]] + " " + names[graph.indices[upper]] + "\n"))
+    # a chunk at a time, so the strings of one chunk are all that are live
+    for at in range(0, heads.size, 8192):
+        chunk = slice(at, at + 8192)
+        stream.write("".join(names[heads[chunk]] + " " + names[tails[chunk]] + "\n"))
 
 
 def load_temporal_edge_list(stream: IO[str] | Iterable[str], *,
                             directed: bool = True) -> TemporalEdgeLog:
     """Read '<label> <label> <unix-timestamp>' lines into a TemporalEdgeLog."""
-    ids, edges, times = _scan(stream, (3,))
-    return TemporalEdgeLog(edges[:, 0], edges[:, 1], times, tuple(ids), directed)
+    labels, edges, times = _scan(stream, (3,))
+    return TemporalEdgeLog(edges[:, 0], edges[:, 1], times, labels, directed)
 
 
 def _canonical_order(labels: tuple[str, ...], source: np.ndarray,
@@ -386,20 +550,25 @@ def build_snapshots(log: TemporalEdgeLog,
     order = _canonical_order(log.labels, src, tgt, times)
     ends = np.column_stack([src[order], tgt[order]])
     times = times[order]
-    seen, first = np.unique(ends.ravel(), return_index=True)
-    by_appearance = np.argsort(first)
+    # each label's first position in ``ends``, or ends.size where it is absent
+    first = np.full(len(log.labels), ends.size, dtype=ID_DTYPE)
+    np.minimum.at(first, ends.ravel(), np.arange(ends.size))
+    seen = np.flatnonzero(first < ends.size)
+    seen = seen[first[seen].argsort()]      # in order of first appearance
     new_id = np.empty(len(log.labels), dtype=ID_DTYPE)
-    new_id[seen[by_appearance]] = np.arange(seen.size)
+    new_id[seen] = np.arange(seen.size)
     pairs = np.sort(new_id[ends], axis=1)
-    _, first_pair = np.unique(pairs[:, 0] * seen.size + pairs[:, 1],
-                              return_index=True)
+    keys = pairs[:, 0] * seen.size + pairs[:, 1]
+    order = keys.argsort()
+    # each pair's first row, the minimum over its run of equal keys
+    first_pair = np.minimum.reduceat(order, run_offsets(keys[order])[:-1])
     first_pair.sort()
     events_in = np.searchsorted(times, spec.cutoffs, side="right")
-    n_in = np.searchsorted(first[by_appearance], 2 * events_in)
+    n_in = np.searchsorted(first[seen], 2 * events_in)
     m_in = np.searchsorted(first_pair, events_in)
     graphs = [Graph.from_edges(int(n_i), pairs[first_pair[:m_i]])
               for n_i, m_i in zip(n_in, m_in)]
-    names = np.array(log.labels, dtype=object)[seen[by_appearance]]
+    names = np.array(log.labels, dtype=object)[seen]
     return graphs, VertexLabelMap._distinct(names.tolist())
 
 

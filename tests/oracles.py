@@ -7,12 +7,13 @@ loop, degrees toward a cell, the dense signature matrix behind the coarsest
 equitable partition, the dense degree matrix behind the epsilon spread,
 partition equality, intersection and restriction over cell tuples, the
 cross-product intersection count, exact rational betweenness, per-edge
-triangle counts, the string-keyed per-event reciprocal projection and snapshot
-construction, the same two cut by ranking every label and sorting whole logs
-with ``np.lexsort`` (the array ordering that held before canonical order was
-found from one timestamp sort), the set-based same-position pair sampler with its scalar pair unranking, the
-per-cell partition file writer and set-based reader, and the per-vertex
-centrality row writer. Tests compare the library against them.
+triangle counts, the per-line edge-list and log reader, the string-keyed
+per-event reciprocal projection and snapshot construction, the same two cut
+by ranking every label and sorting whole logs with ``np.lexsort`` (the
+array ordering that held before canonical order was found from one timestamp
+sort), the set-based same-position pair sampler with its scalar pair
+unranking, the per-cell partition file writer and set-based reader, and the
+per-vertex centrality row writer. Tests compare the library against them.
 """
 
 from __future__ import annotations
@@ -408,6 +409,39 @@ def epsilon_spread_dense(graph: Graph, partition: Partition) -> int:
         block = sig[list(cell)]
         worst = max(worst, int((block.max(axis=0) - block.min(axis=0)).max()))
     return worst
+
+
+def scan_reference(stream: IO[str] | Iterable[str], fields: tuple[int, ...]):
+    """The per-line form of ``netpos.graphs._scan``, interning labels in a dict.
+
+    Each line is split with ``str.split``; blank lines and lines whose first
+    token starts with '#' are skipped, and the first line with a field count
+    outside ``fields`` or a timestamp outside [0, 2**63) raises a ParseError
+    naming it. Returns the labels in order of first appearance, the
+    (source, target) ids as an (events, 2) array and the timestamps.
+    """
+    ids: dict[str, int] = {}
+    intern = ids.setdefault
+    ends: list[int] = []
+    times: list[int] = []
+    for line_no, raw in enumerate(stream, 1):
+        tokens = raw.split()
+        if not tokens or tokens[0].startswith("#"):
+            continue
+        if len(tokens) not in fields:
+            expected = " or ".join(map(str, fields))
+            raise ParseError(f"expected {expected} fields, got {len(tokens)}", line_no)
+        if len(tokens) == 3:
+            try:
+                ts = int(tokens[2])
+            except ValueError:
+                ts = -1
+            if not 0 <= ts < 2**63:
+                raise ParseError(f"bad timestamp {tokens[2]!r}", line_no)
+            times.append(ts)
+        ends += intern(tokens[0], len(ids)), intern(tokens[1], len(ids))
+    return (list(ids), np.array(ends, dtype=ID_DTYPE).reshape(-1, 2),
+            np.array(times, dtype=ID_DTYPE))
 
 
 def _canonical(events):

@@ -175,6 +175,24 @@ def test_partition_parse_error_exit_code(runner, tmp_path):
     assert result.exit_code == 3
 
 
+@pytest.mark.parametrize("data, args", [
+    (b"a b\n\xe2\x82 c\n", ["partition", "{in}", "-o", "{out}"]),
+    (b"a b\n\xe2\x82 c\n", ["centrality", "{in}", "-o", "{out}"]),
+    (b"a b 1\n\xff\xfe c 2\n", ["snapshots", "{in}", "--cutoffs", "5", "-o", "{out}"]),
+    (b"a b 1\n\xff\xfe c 2\n", ["coevolve", "{in}", "--cutoffs", "1,5", "-o", "{out}"]),
+    (b"# n=2\n0\t0\n1\t\xff1\n", ["similarity", "{in}", "{in}"]),
+], ids=["partition", "centrality", "snapshots", "coevolve", "similarity"])
+def test_input_that_is_not_utf8_is_a_parse_error(runner, tmp_path, data, args):
+    path = tmp_path / "bad.in"
+    path.write_bytes(data)
+    out = str(tmp_path / "out")
+    result = runner.invoke(main, [a.format(**{"in": str(path), "out": out})
+                                  for a in args])
+    assert result.exit_code == 3
+    assert re.fullmatch(rf"error: {re.escape(str(path))}: not valid UTF-8 "
+                        r"\(byte 0x(e2|ff): invalid \w+ byte\)\n", result.stderr)
+
+
 def test_similarity_identical_files(runner, tmp_path):
     edges = _write(tmp_path, "p4.edges", P4_EDGES)
     out = str(tmp_path / "p4.part")
@@ -626,12 +644,14 @@ def test_import_and_click_runner_never_freeze(runner, tmp_path):
     (["partition", "--no-such-option"], 2),
     (["partition", "bad.edges", "-o", "out.part"], 3),
     (["gen", "-n", "10", "--gamma", "2.5", "-o", "missing/g.edges"], 3),
-], ids=["usage", "parse-error", "missing-output-dir"])
+    (["snapshots", "bad.log", "--cutoffs", "5", "-o", "x"], 3),
+], ids=["usage", "parse-error", "missing-output-dir", "not-utf8"])
 def test_process_exit_codes(tmp_path, args, code):
     _write(tmp_path, "bad.edges", "a b c d\n")
+    (tmp_path / "bad.log").write_bytes(b"a b 1\n\xff\xfe c 2\n")
     result = _python(tmp_path, "-m", "netpos.cli", *args)
     assert result.returncode == code, result.stderr
-    assert result.stderr
+    assert result.stderr and "Traceback" not in result.stderr
 
 
 def test_process_flushes_its_outputs(tmp_path):

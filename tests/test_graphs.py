@@ -1,18 +1,23 @@
+import gc
 import io
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netpos import (GeneratorConfig, Graph, ParseError, Partition, SnapshotSpec,
                     TemporalEdgeLog, VertexLabelMap, build_snapshots,
                     generate_power_law, load_edge_list, load_temporal_edge_list,
                     reciprocal_projection, save_edge_list)
+from netpos.graphs import _scan
 
 from helpers import edge_set, er_graph, log_rows, neighbors
 from oracles import (degree_to_cell, degree_vector, reciprocal_projection_lexsort,
-                     reciprocal_reference, snapshots_lexsort, snapshots_reference,
-                     validate_graph)
+                     reciprocal_reference, scan_reference, snapshots_lexsort,
+                     snapshots_reference, validate_graph)
 
 
 def test_load_path_graph():
@@ -54,6 +59,123 @@ def test_load_malformed_line_reports_number():
             load_edge_list([f"a b {token}"])
     with pytest.raises(ParseError, match="line 2: bad timestamp"):
         load_temporal_edge_list(["a b 1", "a c 1e400"])
+
+
+# str.split()'s whitespace but the newline, which ends a line
+_GAPS = [" ", "\t", "\x0b", "\x0c", "\r", "\x1c", "\x1d", "\x1e", "\x1f", "\x85",
+         "\xa0", "\u1680", "\u2000", "\u200a", "\u2028", "\u2029", "\u202f",
+         "\u205f", "\u3000"]
+_GOOD_STAMPS = ["0", "007", "+5", "1_0", "\u0663", "1700000000", str(2**63 - 1),
+                "-0", "0" * 24 + "42"]
+_BAD_STAMPS = [str(2**63), "9" * 19, "-1", "x", "1.5", "0x10", "\xbd"]
+# labels of 1 to 12 characters, up to 48 bytes, so keys of one to six words
+_LABELS = st.text(alphabet="ab#1\x00\xe9\u65e5\U0001f600", min_size=1, max_size=12)
+
+
+@st.composite
+def _edge_text(draw):
+    """A file of edge or event lines: comments, blank lines, Unicode gaps,
+    CRLF, odd labels and timestamps, and, if ``noisy``, bad lines."""
+    noisy = draw(st.booleans())
+    lines = []
+    for _ in range(draw(st.integers(0, 30))):
+        kind = draw(st.sampled_from(["pair", "timed", "timed", "comment", "blank"]
+                                    + ["odd"] * noisy))
+        if kind == "pair":
+            tokens = [draw(_LABELS), draw(_LABELS)]
+        elif kind == "timed":
+            stamps = _GOOD_STAMPS + _BAD_STAMPS * noisy
+            tokens = [draw(_LABELS), draw(_LABELS), draw(st.sampled_from(stamps))]
+        elif kind == "comment":
+            tokens = ["#" + draw(_LABELS)] + draw(st.lists(_LABELS, max_size=3))
+        elif kind == "odd":
+            tokens = draw(st.lists(_LABELS, min_size=1, max_size=5))
+        else:
+            tokens = []
+        gaps = draw(st.lists(st.lists(st.sampled_from(_GAPS), min_size=1, max_size=3),
+                             min_size=len(tokens) + 1, max_size=len(tokens) + 1))
+        lead = "".join(gaps[0]) if draw(st.booleans()) else ""
+        line = lead + "".join(t + "".join(g) for t, g in zip(tokens, gaps[1:]))
+        lines.append(line if draw(st.booleans()) else line.rstrip("".join(_GAPS)))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(lines) + (end if draw(st.booleans()) else "")
+
+
+def _outcome(scan, source, fields):
+    """What a reader returns as plain lists, or its error message."""
+    try:
+        labels, ends, times = scan(source, fields)
+    except ParseError as exc:
+        return str(exc)
+    return labels, ends.tolist(), times.tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_edge_text(), fields=st.sampled_from([(2, 3), (3,)]))
+def test_reader_matches_per_line_reference(text, fields):
+    want = _outcome(scan_reference, io.StringIO(text), fields)
+    assert _outcome(_scan, io.StringIO(text), fields) == want
+    # an iterable of lines, with or without their newlines, reads the same
+    assert _outcome(_scan, io.StringIO(text).readlines(), fields) == want
+    assert _outcome(_scan, text.split("\n"), fields) == want
+
+
+@pytest.mark.parametrize("lines, message", [
+    (["a b 1", "a b x", "a b c d"], "line 2: bad timestamp 'x'"),
+    (["a b 1", "a b c d", "a b x"], "line 2: expected 3 fields, got 4"),
+    (["# c", "", f"a b {2**63}"], f"line 3: bad timestamp '{2**63}'"),
+    (["a b +5", "a b \u0663", "a b -1"], "line 3: bad timestamp '-1'"),
+    (["a\u3000b\u2005\t7"], None),
+], ids=["stamp-first", "count-first", "2**63", "int-spellings", "unicode-gaps"])
+def test_reader_reports_the_first_error_in_file_order(lines, message):
+    want = _outcome(scan_reference, lines, (3,))
+    assert _outcome(_scan, lines, (3,)) == want
+    assert want == message if message else isinstance(want, tuple)
+
+
+def _random_log(events: int, labels: int, seed: int) -> list[str]:
+    rng = np.random.default_rng(seed)
+    ends = rng.integers(0, labels, size=(events, 2)).tolist()
+    stamps = rng.integers(10**9, 2 * 10**9, size=events).tolist()
+    return [f"u{a} v{b} {t}\n" for (a, b), t in zip(ends, stamps)]
+
+
+def test_reader_matches_reference_across_blocks():
+    # 40k lines span many 64K-character blocks; a 100k-character label and a
+    # line with non-ASCII gaps sit across block boundaries; the last line has
+    # no newline
+    lines = _random_log(40_000, 5_000, 3)
+    lines[2_000] = "x" * 100_000 + " y 5\n"
+    lines[3_000] = "\xe9t\xe9\u3000\u65e5 7\n"
+    lines[-1] = lines[-1].rstrip("\n")
+    text = "".join(lines)
+    for fields in ((2, 3), (3,)):
+        want = _outcome(scan_reference, io.StringIO(text), fields)
+        assert isinstance(want, tuple)
+        assert _outcome(_scan, io.StringIO(text), fields) == want
+    lines[-2] = "u1 v2 3 4\n"   # an error in the last block names its line
+    want = _outcome(scan_reference, io.StringIO("".join(lines)), (3,))
+    assert want == f"line {len(lines) - 1}: expected 3 fields, got 4"
+    assert _outcome(_scan, io.StringIO("".join(lines)), (3,)) == want
+
+
+def test_reader_peaks_no_higher_than_reference():
+    text = "".join(_random_log(100_000, 60_000, 5))
+    peaks = []
+    enabled = gc.isenabled()
+    gc.disable()    # as the CLI runs
+    try:
+        for scan in (_scan, scan_reference):
+            tracemalloc.start()
+            try:
+                scan(io.StringIO(text), (3,))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+    finally:
+        if enabled:
+            gc.enable()
+    assert peaks[0] <= peaks[1]
 
 
 def test_handshake_and_symmetry_on_random_graphs():
