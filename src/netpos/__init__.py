@@ -29,8 +29,8 @@ _EXPORTS = {
         "run_refinement", "write_partition_file",
     ),
     "similarity": (
-        "SimilarityScore", "UniverseMismatchError", "partition_intersection",
-        "partitions_equal", "restrict_partition", "similarity_score",
+        "SimilarityScore", "UniverseMismatchError", "restrict_partition",
+        "similarity_score",
     ),
     "centrality": (
         "CONVENTIONS", "CentralityVector", "betweenness_centrality",
@@ -40,8 +40,7 @@ _EXPORTS = {
     "coevolution": (
         "DEFAULT_BIN_EDGES", "DEFAULT_PAIR_CAP", "CoevolutionReport",
         "OverlapMatrix", "coevolution_report", "overlap_matrix",
-        "pair_difference_histogram", "pair_difference_values",
-        "same_position_pairs",
+        "pair_difference_histogram", "same_position_pairs",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -125,15 +125,6 @@ def same_position_pairs(partition: Partition, common: Iterable[int] | None = Non
     return pairs
 
 
-def pair_difference_values(pairs, scores_t, scores_later) -> np.ndarray:
-    """|(a_t - b_t) - (a_t' - b_t')| for every pair; symmetric in (a, b).
-
-    ``pairs`` is a (k, 2) array or a sequence of (a, b) tuples; both score
-    sets are arrays indexed by vertex id.
-    """
-    return _differences(*_checked_pairs(pairs, scores_t, scores_later))
-
-
 def _checked_pairs(pairs, scores_t, scores_later
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The pairs as a (k, 2) int64 array and both score sets as float arrays,

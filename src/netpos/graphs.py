@@ -1,21 +1,22 @@
 """Graph model and ingestion: edge lists, temporal logs, snapshots, generation.
 
 Vertices carry dense integer ids internally; external string labels live in a
-:class:`VertexLabelMap`. Graphs are undirected, simple, and immutable once
-built.
+:class:`VertexLabelMap`, as one UTF-8 byte pool. Graphs are undirected,
+simple, and immutable once built. The text reader and the byte kernels of
+the writers are in :mod:`netpos.textio`.
 """
 
 from __future__ import annotations
 
 import hashlib
-import io
-from functools import partial
-from itertools import chain, repeat
 from typing import IO, Iterable
 
 import numpy as np
 
 ID_DTYPE = np.int64
+_CHUNK = 1 << 12    # most labels or lines formatted at once
+# _HIGH[r] keeps the first r bytes of a big-endian word read as a number
+_HIGH = np.array([2**64 - 2**(64 - 8 * r) for r in range(9)], dtype=np.uint64)
 
 
 def ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
@@ -86,7 +87,8 @@ class Graph:
         arr = arr[~loop_mask]
         # dedupe on the 1-D key lo * n + hi: sorted keys are sorted (lo, hi)
         # pairs; sort-based, as numpy's hashing np.unique is many times slower
-        keys = np.sort(arr.min(axis=1) * n + arr.max(axis=1))
+        keys = np.sort(np.minimum(arr[:, 0], arr[:, 1]) * n
+                       + np.maximum(arr[:, 0], arr[:, 1]))
         keys = keys[np.diff(keys, prepend=-1) != 0]
         dups = int(arr.shape[0] - keys.size)
         lo, hi = np.divmod(keys, n)
@@ -144,38 +146,142 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
+def _encode(labels: tuple[str, ...]) -> tuple[bytes, np.ndarray]:
+    """The UTF-8 bytes of ``labels`` end to end, and the bytes of each."""
+    text = "".join(labels)
+    pool = text.encode("utf-8", "surrogatepass")
+    sizes = np.fromiter(map(len, labels), ID_DTYPE, len(labels))
+    if len(pool) != len(text):
+        # from characters to bytes: a character starts at each byte that is
+        # not 10xxxxxx
+        heads = np.append(np.flatnonzero(np.frombuffer(pool, np.uint8) & 0xC0 != 0x80),
+                          len(pool))
+        sizes = np.diff(heads[np.concatenate(([0], sizes.cumsum()))])
+    return pool, sizes
+
+
 class VertexLabelMap:
     """Dense id -> external label table, stable for the life of a run.
 
-    Ids are positions in the label tuple; a repeated label keeps its first id.
+    The labels are one UTF-8 byte pool: label i is ``pool[offsets[i]:offsets[i
+    + 1]]``, and 8 zero bytes follow the last, so that 8 bytes can be read
+    from any label's start. ``labels``, the ``str`` tuple, is decoded on first
+    access. Built from ``str`` labels, a repeated label keeps its first id.
     """
 
-    __slots__ = ("_labels",)
+    __slots__ = ("_pool", "_offsets", "_labels", "_ranks")
 
     def __init__(self, labels: Iterable[str] = ()):
-        self._labels: tuple[str, ...] = tuple(dict.fromkeys(labels))
+        self._store(*_encode(tuple(dict.fromkeys(labels))))
 
     @classmethod
-    def _distinct(cls, labels: Iterable[str]) -> VertexLabelMap:
-        """The map of ``labels``, already distinct, without the dedup pass."""
+    def _table(cls, labels: Iterable[str]) -> VertexLabelMap:
+        """The map of ``labels`` as given, repeats included."""
+        return cls._from_pool(*_encode(tuple(labels)))
+
+    @classmethod
+    def _from_pool(cls, pool: bytes, sizes: np.ndarray) -> VertexLabelMap:
+        """The map of the labels of ``sizes`` bytes each, end to end in ``pool``."""
         self = cls.__new__(cls)
-        self._labels = tuple(labels)
+        self._store(pool, sizes)
         return self
 
-    def label_of(self, vid: int) -> str:
-        return self._labels[vid]
+    def _store(self, pool: bytes, sizes: np.ndarray) -> None:
+        offsets = np.zeros(sizes.size + 1, dtype=ID_DTYPE)
+        np.cumsum(sizes, out=offsets[1:])
+        offsets.setflags(write=False)
+        self._pool, self._offsets = pool + bytes(8), offsets
+        self._labels = self._ranks = None
 
     @property
     def labels(self) -> tuple[str, ...]:
+        """The labels as ``str``, by id: decoded on first access, then kept."""
+        if self._labels is None:
+            end = int(self._offsets[-1])
+            text = str(memoryview(self._pool)[:end], "utf-8", "surrogatepass")
+            cuts = self._offsets
+            if len(text) != end:    # byte offsets to character offsets
+                heads = np.frombuffer(self._pool, np.uint8, end) & 0xC0 != 0x80
+                cuts = np.concatenate(([0], heads.cumsum()))[cuts]
+            cuts = cuts.tolist()
+            self._labels = tuple(map(text.__getitem__, map(slice, cuts[:-1], cuts[1:])))
         return self._labels
 
     def __len__(self) -> int:
-        return len(self._labels)
+        return self._offsets.size - 1
+
+    def ranks(self) -> np.ndarray:
+        """Each label's place in code-point order, equal labels by id.
+
+        UTF-8 byte order is code-point order (RFC 3629), lone surrogates
+        encoded by 'surrogatepass' included, so labels are compared as bytes,
+        8 at a time: as big-endian words, zero past the label's end, then by
+        the label's bytes left from the word on, capped at 9, which puts a
+        label before a longer one whose next bytes are zero. Only labels that
+        tie on a word and have bytes past it are sorted again, on the next
+        word. Computed once.
+        """
+        if self._ranks is None:
+            starts, sizes = self._offsets[:-1], np.diff(self._offsets)
+            words = np.ndarray(len(self._pool) - 7, ">u8", self._pool, 0, (1,))
+            order = np.arange(sizes.size)
+            rows = np.arange(sizes.size if sizes.size > 1 else 0)   # places still tied
+            group = ()      # the key of their tie groups, after the first word
+            at = 0
+            while rows.size:
+                ids = order[rows]
+                left = np.minimum(sizes[ids] - at, 9)
+                word = words[starts[ids] + at] & _HIGH[np.minimum(left, 8)]
+                by = np.lexsort((left, word, *group))     # groups keep their places
+                order[rows] = ids[by]
+                del ids
+                left, word = left[by], word[by]
+                del by
+                new = np.ones(rows.size, dtype=bool)
+                new[1:] = (word[1:] != word[:-1]) | (left[1:] != left[:-1])
+                if group:
+                    new[1:] |= group[0][1:] != group[0][:-1]
+                del word
+                heads = np.flatnonzero(new)
+                count = np.diff(heads, append=rows.size)
+                tied = (np.repeat(count, count) > 1) & (left > 8)
+                rows, group = rows[tied], (np.repeat(heads, count)[tied],)
+                at += 8
+            self._ranks = np.empty_like(order)
+            self._ranks[order] = np.arange(order.size)
+        return self._ranks
+
+    def _text(self, ids: np.ndarray, ends) -> bytes:
+        """The labels of ``ids`` end to end, each followed by its byte of ``ends``."""
+        from .textio import gather
+        starts = self._offsets[ids]
+        return gather(self._pool, starts, self._offsets[ids + 1] - starts, ends)
+
+    def _subset(self, ids: np.ndarray) -> VertexLabelMap:
+        """The map of the labels of ``ids``, in that order."""
+        text = b"".join(self._text(ids[at:at + _CHUNK], 0xFF)
+                        for at in range(0, ids.size, _CHUNK))
+        return VertexLabelMap._from_pool(text, self._offsets[ids + 1] - self._offsets[ids])
 
     def write(self, stream: IO[str]) -> None:
-        """Write one '<id>\\t<label>' line per id, ascending."""
-        stream.write("".join(f"{vid}\t{label}\n"
-                             for vid, label in enumerate(self._labels)))
+        """Write one '<id>\\t<label>' line per id, ascending, a chunk of ids at a
+        time."""
+        from .textio import format_decimal, gather
+        offsets = self._offsets
+        ends = np.tile(np.array([0xFF, 10], dtype=np.uint8), _CHUNK)
+        for lo in range(0, len(self), _CHUNK):
+            ids = np.arange(lo, min(lo + _CHUNK, len(self)))
+            digits = format_decimal(ids, 9)     # each '<id>\t', padded
+            first, last = int(offsets[lo]), int(offsets[ids[-1] + 1])
+            source = digits.tobytes() + self._pool[first:last + 8]
+            # the line's two strings in ``source``: its id's row and its label
+            starts, sizes = np.empty((2, ids.size, 2), dtype=ID_DTYPE)
+            starts[:, 0] = (ids - lo) * digits.shape[1]
+            starts[:, 1] = offsets[ids] + (digits.size - first)
+            sizes[:, 0] = digits.shape[1]
+            sizes[:, 1] = offsets[ids + 1] - offsets[ids]
+            text = gather(source, starts.ravel(), sizes.ravel(), ends[:2 * ids.size])
+            stream.write(text.decode("utf-8", "surrogatepass"))
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -185,20 +291,22 @@ class VertexLabelMap:
 class TemporalEdgeLog:
     """Timestamped edge events as three read-only int64 columns.
 
-    Row i is the event ``labels[source[i]] -> labels[target[i]]`` at unix time
-    ``timestamp[i]``; ``directed`` says whether a row's direction carries
-    meaning.
+    Row i is the event from label ``source[i]`` to label ``target[i]`` of the
+    :class:`VertexLabelMap` ``labels`` at unix time ``timestamp[i]``;
+    ``directed`` says whether a row's direction carries meaning. Given as
+    ``str``, the labels are kept as given, repeats included.
     """
 
     __slots__ = ("source", "target", "timestamp", "labels", "directed")
 
-    def __init__(self, source, target, timestamp, labels: Iterable[str],
-                 directed: bool = True):
+    def __init__(self, source, target, timestamp,
+                 labels: VertexLabelMap | Iterable[str], directed: bool = True):
         columns = [np.array(c, dtype=ID_DTYPE) for c in (source, target, timestamp)]
         for column in columns:
             column.setflags(write=False)
         self.source, self.target, self.timestamp = columns
-        self.labels: tuple[str, ...] = tuple(labels)
+        self.labels = (labels if isinstance(labels, VertexLabelMap)
+                       else VertexLabelMap._table(labels))
         self.directed = directed
         if not self.source.shape == self.target.shape == self.timestamp.shape:
             raise ValueError("source, target and timestamp differ in length")
@@ -239,194 +347,6 @@ class GeneratorConfig:
         self.n, self.gamma, self.seed = n, gamma, seed
 
 
-# Bytes are classified by lookups in these tables, which share one numpy
-# kernel. str.split()'s whitespace is the ASCII bytes of _IS_SPACE and the
-# characters of _SPACES, which become spaces before a block is encoded.
-_IS_SPACE = np.frombuffer(bytes(b in b"\t\n\v\f\r\x1c\x1d\x1e\x1f "
-                                for b in range(256)), dtype=bool)
-_IS_NEWLINE = np.frombuffer(bytes(b == 10 for b in range(256)), dtype=bool)
-_IS_HASH = np.frombuffer(bytes(b == 35 for b in range(256)), dtype=bool)
-_DIGIT = np.array([b - 48 if 48 <= b < 58 else 10 for b in range(256)],
-                  dtype=ID_DTYPE)      # a byte's digit value; 10 for no digit
-_SPACES = dict.fromkeys([0x85, 0xA0, 0x1680, *range(0x2000, 0x200B), 0x2028,
-                         0x2029, 0x202F, 0x205F, 0x3000], " ")
-# _PAD[r] sets each byte of a word past its first r to 0xFF, which UTF-8 never
-# holds, so labels packed into words padded this way are equal iff the words are
-_PAD = np.frombuffer(b"".join(bytes(r) + b"\xff" * (8 - r) for r in range(9)),
-                     dtype=ID_DTYPE)
-
-
-def _blocks(read):
-    """The text ``read(size)`` returns, in blocks of whole lines of about 64K
-    characters, each ending in a newline."""
-    carry = ""
-    for chunk in iter(partial(read, 1 << 16), ""):
-        text = carry + chunk
-        cut = text.rfind("\n") + 1
-        carry = text[cut:]
-        if cut:
-            yield text[:cut]
-    if carry:
-        yield carry + "\n"
-
-
-def _stamps(raw: bytes, byte: np.ndarray, starts: np.ndarray,
-            stops: np.ndarray) -> np.ndarray:
-    """The value of each token as a timestamp, or -1 if not in [0, 2**63).
-
-    Tokens of at most 19 ASCII digits are read in int64 one digit position at
-    a time, right-aligned; 2**63 and above wrap negative, since fewer than 20
-    digits stay below 2**64. Any other token, such as '+5' or '1_0', is read
-    by ``int`` alone.
-    """
-    sizes = stops - starts
-    at = np.arange(-min(int(sizes.max(initial=0)), 19), 0)[:, None]
-    digits = byte[stops + at]
-    digits[at + sizes < 0] = 48     # '0' before each token
-    value = np.zeros(sizes.size, dtype=ID_DTYPE)
-    odd = sizes > 19
-    for row in digits:
-        row = _DIGIT[row]
-        odd |= row > 9
-        value *= 10
-        value += row
-    value[value < 0] = -1
-    for i in np.flatnonzero(odd).tolist():
-        try:
-            number = int(raw[starts[i]:stops[i]].decode("utf-8", "surrogatepass"))
-        except ValueError:
-            number = -1
-        value[i] = number if 0 <= number < 2**63 else -1
-    return value
-
-
-def _decode(words: np.ndarray) -> list[str]:
-    """The labels packed in the rows of ``words``."""
-    rows = np.full((len(words), 8 * words.shape[1] + 1), 10, dtype=np.uint8)
-    rows[:, :-1] = words.view(np.uint8)
-    text = rows.tobytes().replace(b"\xff", b"").decode("utf-8", "surrogatepass")
-    del rows
-    labels = text.split("\n")
-    labels.pop()    # after the last newline
-    return labels
-
-
-def _intern(keys: list[np.ndarray], wide: dict) -> tuple[list[str], np.ndarray]:
-    """The labels in order of first appearance, and the id of each token.
-
-    ``keys`` holds each block's tokens' first packed words, and is emptied;
-    ``wide`` maps each word count above one to the (token ordinals, words)
-    of the tokens that need it. Each word count is one group, sorted once:
-    by argsort for one word, by lexsort for more. A label first appears at
-    the least ordinal in its run of equal rows.
-    """
-    key = np.concatenate(keys)
-    keys.clear()
-    total = key.size
-    groups = [(None, key[:, None])]
-    if wide:
-        groups = [(np.concatenate(o), np.concatenate(w))
-                  for o, w in (zip(*parts) for parts in wide.values())]
-        short = np.ones(total, dtype=bool)
-        for ordinal, _ in groups:
-            short[ordinal] = False
-        short = np.flatnonzero(short)
-        groups.insert(0, (short, key[short, None]))
-    del key
-    runs, firsts, reps = [], [], []
-    while groups:
-        ordinal, words = groups.pop(0)
-        order = words[:, 0].argsort() if words.shape[1] == 1 else np.lexsort(words.T)
-        words = words[order]
-        start = np.zeros(len(words), dtype=bool)
-        start[:1] = True
-        for column in words.T:
-            start[1:] |= column[1:] != column[:-1]
-        start = np.flatnonzero(start)
-        reps.append(words[start])
-        del words
-        if ordinal is not None:
-            order = ordinal[order]
-        firsts.append(np.minimum.reduceat(order, start))
-        runs.append((order, start))
-    rank = np.concatenate(firsts).argsort()
-    del firsts
-    new = np.empty(rank.size, dtype=ID_DTYPE)
-    new[rank] = np.arange(rank.size)
-    ids = np.empty(total, dtype=ID_DTYPE)
-    for order, start in runs:
-        ids[order] = np.repeat(new[:start.size], np.diff(start, append=order.size))
-        new = new[start.size:]
-    del runs, new
-    if len(reps) == 1:
-        return _decode(reps.pop()[rank]), ids
-    labels = np.array(list(chain.from_iterable(map(_decode, reps))), dtype=object)
-    return labels[rank].tolist(), ids
-
-
-def _scan(stream: IO[str] | Iterable[str], fields: tuple[int, ...]):
-    """Read '<label> <label> [<timestamp>]' lines, a block of lines at a time.
-
-    ``stream`` is a text stream, or an iterable of lines, each with or
-    without its newline. Tokens are split at ``str.split``'s whitespace.
-    Blank lines, and lines whose first token starts with '#', are skipped.
-    A line whose field count is not in ``fields``, or whose timestamp is not
-    integer unix seconds in [0, 2**63), raises a ParseError naming it; the
-    first such line in the file wins. Each label is kept as its UTF-8 bytes
-    packed into int64 words. Returns the labels in order of first appearance
-    (source before target), the (source, target) ids as an (events, 2)
-    array, and the timestamps.
-    """
-    if not hasattr(stream, "read"):     # an iterable of lines
-        stream = io.StringIO("\n".join(map(str.removesuffix, stream, repeat("\n"))))
-    keys, times = [np.empty(0, dtype=ID_DTYPE)], [np.empty(0, dtype=ID_DTYPE)]
-    wide = {}       # word count above one -> [(token ordinals, words)]
-    lines = tokens = 0
-    for text in _blocks(stream.read):
-        raw = (text if text.isascii() else text.translate(_SPACES)).encode(
-            "utf-8", "surrogatepass") + bytes(7)     # room to read a word at any byte
-        byte = np.frombuffer(raw, dtype=np.uint8)[:-7]
-        space = np.concatenate(([True], _IS_SPACE[byte]))
-        bounds = np.flatnonzero(space[1:] != space[:-1])
-        starts, stops = bounds[0::2], bounds[1::2]
-        # the tokens before each line's end, so each line's count and first
-        after = np.searchsorted(starts, np.flatnonzero(_IS_NEWLINE[byte]))
-        count = np.diff(after, prepend=0)
-        first = after - count
-        data = count > 0    # and not a comment: its first token starts with '#'
-        data[data] = ~_IS_HASH[byte[starts[first[data]]]]
-        timed = data & (count == 3)
-        good = timed | (data & (count == 2)) if 2 in fields else timed
-        stamp = _stamps(raw, byte, starts[first[timed] + 2], stops[first[timed] + 2])
-        wrong = data & ~good
-        wrong[timed] = stamp < 0
-        if wrong.any():
-            line = int(wrong.argmax())
-            if not good[line]:
-                expected = " or ".join(map(str, fields))
-                raise ParseError(f"expected {expected} fields, got {count[line]}",
-                                 lines + line + 1)
-            token = raw[starts[first[line] + 2]:stops[first[line] + 2]]
-            raise ParseError(f"bad timestamp {token.decode('utf-8', 'surrogatepass')!r}",
-                             lines + line + 1)
-        lines += count.size
-        times.append(stamp)
-        at = (first[good][:, None] + (0, 1)).ravel()
-        starts, sizes = starts[at], stops[at] - starts[at]
-        words = np.ndarray(byte.size, ID_DTYPE, raw, 0, (1,))   # 8 bytes from each byte
-        keys.append(words[starts] | _PAD[np.minimum(sizes, 8)])
-        width = (sizes + 7) >> 3
-        for w in (np.flatnonzero(np.bincount(width)[2:]) + 2).tolist():   # 2+ words
-            rows = np.flatnonzero(width == w)
-            cols = 8 * np.arange(w)
-            wide.setdefault(w, []).append(
-                (tokens + rows, words[starts[rows, None] + cols]
-                 | _PAD[np.minimum(sizes[rows, None] - cols, 8)]))
-        tokens += at.size
-    labels, ids = _intern(keys, wide)
-    return labels, ids.reshape(-1, 2), np.concatenate(times)
-
-
 def load_edge_list(stream: IO[str] | Iterable[str]) -> tuple[Graph, VertexLabelMap]:
     """Read '<label> <label> [<unix-timestamp>]' lines into a simple graph.
 
@@ -434,40 +354,42 @@ def load_edge_list(stream: IO[str] | Iterable[str]) -> tuple[Graph, VertexLabelM
     used. Duplicate edges collapse; self-loops are dropped and counted on the
     returned graph.
     """
-    labels, edges, _ = _scan(stream, (2, 3))
-    return Graph.from_edges(len(labels), edges), VertexLabelMap._distinct(labels)
+    from .textio import scan
+    labels, edges, _ = scan(stream, (2, 3))
+    return Graph.from_edges(len(labels), edges), labels
 
 
 def save_edge_list(graph: Graph, labels: VertexLabelMap, stream: IO[str]) -> None:
-    """Write each edge once, as 'u w' with u < w, rows ascending, 8,192
-    edges a write."""
+    """Write each edge once, as 'u w' with u < w, rows ascending, a chunk of
+    edges at a time."""
     stream.write(f"# vertices={graph.n} edges={graph.m}\n")
     rows = np.repeat(np.arange(graph.n, dtype=ID_DTYPE), graph.degrees)
     upper = graph.indices > rows
-    heads, tails = rows[upper], graph.indices[upper]
-    names = np.array(labels.labels, dtype=object)
-    # a chunk at a time, so the strings of one chunk are all that are live
-    for at in range(0, heads.size, 8192):
-        chunk = slice(at, at + 8192)
-        stream.write("".join(names[heads[chunk]] + " " + names[tails[chunk]] + "\n"))
+    ends = np.column_stack([rows[upper], graph.indices[upper]]).ravel()
+    del rows, upper
+    line = np.tile(np.array([32, 10], dtype=np.uint8), _CHUNK)     # ' ', '\n'
+    for at in range(0, ends.size, 2 * _CHUNK):
+        ids = ends[at:at + 2 * _CHUNK]
+        stream.write(labels._text(ids, line[:ids.size]).decode("utf-8", "surrogatepass"))
 
 
 def load_temporal_edge_list(stream: IO[str] | Iterable[str], *,
                             directed: bool = True) -> TemporalEdgeLog:
     """Read '<label> <label> <unix-timestamp>' lines into a TemporalEdgeLog."""
-    labels, edges, times = _scan(stream, (3,))
+    from .textio import scan
+    labels, edges, times = scan(stream, (3,))
     return TemporalEdgeLog(edges[:, 0], edges[:, 1], times, labels, directed)
 
 
-def _canonical_order(labels: tuple[str, ...], source: np.ndarray,
+def _canonical_order(labels: VertexLabelMap, source: np.ndarray,
                      target: np.ndarray, timestamp: np.ndarray) -> np.ndarray:
     """Row order by (timestamp, source label, target label), labels in ``str``
     order and equal labels by id.
 
-    One argsort of the timestamps; labels are ranked, and rows re-sorted by
-    rank, only among rows whose timestamp another row shares. Rows that tie
-    on all of that are identical, so no sort here needs to be stable but the
-    last.
+    One argsort of the timestamps; rows are re-sorted by label rank
+    (``VertexLabelMap.ranks``) only among rows whose timestamp another row
+    shares. Rows that tie on all of that are identical, so no sort here needs
+    to be stable but the last.
     """
     order = timestamp.argsort()
     times = timestamp[order]
@@ -476,14 +398,10 @@ def _canonical_order(labels: tuple[str, ...], source: np.ndarray,
     tied[:-1] |= tied[1:]
     rows = order[tied]
     if rows.size:
-        src, tgt = source[rows], target[rows]
-        ids = np.flatnonzero(np.bincount(np.concatenate([src, tgt]),
-                                         minlength=len(labels))).tolist()
-        ranks = np.zeros(len(labels), dtype=ID_DTYPE)
-        ranks[sorted(ids, key=labels.__getitem__)] = np.arange(len(ids))
+        ranks = labels.ranks()
         # by rank pair (below 2**63 for fewer than 3e9 labels), then stably
         # by timestamp, so that the tied rows keep their places
-        by_ranks = (ranks[src] * len(ids) + ranks[tgt]).argsort()
+        by_ranks = (ranks[source[rows]] * len(labels) + ranks[target[rows]]).argsort()
         order[tied] = rows[by_ranks[times[tied][by_ranks].argsort(kind="stable")]]
     return order
 
@@ -500,6 +418,7 @@ def reciprocal_projection(log: TemporalEdgeLog) -> TemporalEdgeLog:
     """
     if not log.directed:
         raise ValueError("reciprocal_projection requires a directed log")
+    ranks = log.labels.ranks()      # before the temporaries below are live
     k = len(log.labels)
     links = log.source != log.target
     keys = log.source[links] * k + log.target[links]
@@ -508,7 +427,9 @@ def reciprocal_projection(log: TemporalEdgeLog) -> TemporalEdgeLog:
     # each direction once, at its earliest time: the minimum over its run
     runs = run_offsets(keys)[:-1]
     times = np.minimum.reduceat(log.timestamp[links][order], runs)
+    del links, order
     keys = keys[runs]
+    del runs
     src, tgt = np.divmod(keys, max(k, 1))
     reverse = tgt * k + src
     # look the reverse keys up in ascending order, so that the binary
@@ -523,10 +444,10 @@ def reciprocal_projection(log: TemporalEdgeLog) -> TemporalEdgeLog:
     times = np.maximum(times[found], times[at[both]])
     # each pair is here in both directions: keep the one from the lower id,
     # then swap the ends where the target's label sorts first
+    del keys, reverse, order, at, both, found
     lower = src < tgt
     src, tgt, times = src[lower], tgt[lower], times[lower]
-    names = np.array(log.labels, dtype=object)
-    swap = names[tgt] < names[src]
+    swap = ranks[tgt] < ranks[src]
     src, tgt = np.where(swap, tgt, src), np.where(swap, src, tgt)
     order = _canonical_order(log.labels, src, tgt, times)
     return TemporalEdgeLog(src[order], tgt[order], times[order], log.labels,
@@ -568,8 +489,7 @@ def build_snapshots(log: TemporalEdgeLog,
     m_in = np.searchsorted(first_pair, events_in)
     graphs = [Graph.from_edges(int(n_i), pairs[first_pair[:m_i]])
               for n_i, m_i in zip(n_in, m_in)]
-    names = np.array(log.labels, dtype=object)[seen]
-    return graphs, VertexLabelMap._distinct(names.tolist())
+    return graphs, log.labels._subset(seen)
 
 
 def generate_power_law(config: GeneratorConfig) -> Graph:

@@ -127,14 +127,13 @@ class Partition:
 
     @property
     def cells(self) -> tuple[tuple[int, ...], ...]:
-        members, ends = self._members_by_cell()
+        members, ends = (a.tolist() for a in self._members_by_cell())
         return tuple(tuple(members[a:b]) for a, b in zip([0] + ends, ends))
 
-    def _members_by_cell(self) -> tuple[list[int], list[int]]:
+    def _members_by_cell(self) -> tuple[np.ndarray, np.ndarray]:
         """The ids in cell order, ascending within a cell, and each cell's end."""
         members = self.universe[np.argsort(self.membership, kind="stable")]
-        ends = np.bincount(self.membership, minlength=self._k).cumsum()
-        return members.tolist(), ends.tolist()
+        return members, np.bincount(self.membership, minlength=self._k).cumsum()
 
     @property
     def n_vertices(self) -> int:
@@ -530,17 +529,28 @@ def write_partition_file(stream: IO[str], partition: Partition, *,
 
     Each line is '<cell_index>\\t<v1> <v2> ...' with ids ascending. The header
     records whatever metadata the caller supplies (n, epsilon, algorithm,
-    graph hash) plus the cell count.
+    graph hash) plus the cell count. The lines are formatted ``_CHUNK_IDS``
+    ids at a time, each chunk's cell indexes among them.
     """
+    from .textio import format_decimal
     meta = dict(header or {})
     meta.setdefault("cells", len(partition))
     stream.write("# " + " ".join(f"{k}={v}" for k, v in meta.items()) + "\n")
     members, ends = partition._members_by_cell()
-    stream.writelines(f"{idx}\t{' '.join(map(str, members[a:b]))}\n"
-                      for idx, (a, b) in enumerate(zip([0] + ends, ends)))
+    firsts = ends - np.diff(ends, prepend=0)
+    for lo in range(0, members.size, _CHUNK_IDS):
+        hi = min(lo + _CHUNK_IDS, members.size)
+        c0, c1 = np.searchsorted(firsts, (lo, hi))      # the cells starting here
+        e0, e1 = np.searchsorted(ends, (lo, hi), side="right")   # and ending
+        after = np.full(hi - lo, 32, dtype=np.uint8)    # ' ', or '\n' at a cell's end
+        after[ends[e0:e1] - 1 - lo] = 10
+        heads = firsts[c0:c1] - lo
+        rows = format_decimal(np.insert(members[lo:hi], heads, np.arange(c0, c1)),
+                              np.insert(after, heads, 9))
+        stream.write(rows.tobytes().replace(b"\xff", b"").decode("ascii"))
 
 
-_CHUNK_IDS = 1 << 12   # most ids parsed per np.array call when reading a partition
+_CHUNK_IDS = 1 << 12   # most ids formatted or parsed at once in a partition file
 
 
 def _cell_ids(tokens: list[str], line_no: int) -> np.ndarray:

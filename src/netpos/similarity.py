@@ -1,4 +1,4 @@
-"""Partition comparison: equality, intersection, and the similarity score.
+"""Partition comparison: the similarity score and restriction to a vertex set.
 
 The score for two partitions of the same N-vertex universe is
 
@@ -39,21 +39,6 @@ def _meet_labels(p1: Partition, p2: Partition) -> np.ndarray:
     """One label per (cell-in-p1, cell-in-p2) pair, aligned with the universe."""
     _common_universe(p1, p2)
     return p1.membership * len(p2) + p2.membership
-
-
-def partitions_equal(p1: Partition, p2: Partition) -> bool:
-    """True iff the partitions agree up to cell order and member order."""
-    _common_universe(p1, p2)
-    return p1.canonical() == p2.canonical()
-
-
-def partition_intersection(p1: Partition, p2: Partition) -> Partition:
-    """Cell-wise intersection, empties discarded, canonicalized.
-
-    Computed in O(N log N) by grouping each vertex on its (cell-in-p1,
-    cell-in-p2) index pair rather than crossing cells.
-    """
-    return Partition._from_labels(p1.universe, _meet_labels(p1, p2)).canonical()
 
 
 class SimilarityScore:

@@ -1,4 +1,6 @@
-"""Shared graph and partition builders for the test suite."""
+"""Shared graph and partition builders for the test suite, and the helpers
+only the tests call: label lookup, partition equality and intersection, and
+the per-pair score differences."""
 
 from __future__ import annotations
 
@@ -7,7 +9,9 @@ import sys
 
 import numpy as np
 
-from netpos import Graph, Partition, TemporalEdgeLog
+from netpos import Graph, Partition, TemporalEdgeLog, VertexLabelMap
+from netpos.coevolution import _checked_pairs, _differences
+from netpos.similarity import _common_universe, _meet_labels
 
 
 def neighbors(graph: Graph, v: int) -> np.ndarray:
@@ -66,9 +70,38 @@ def pa_snapshots(n1: int, n2: int, seed: int, m_links: int = 2) -> tuple[Graph, 
     return Graph.from_edges(n1, early), Graph.from_edges(n2, edges)
 
 
+def label_of(labels: VertexLabelMap, vid: int) -> str:
+    return labels.labels[vid]
+
+
+def partitions_equal(p1: Partition, p2: Partition) -> bool:
+    """True iff the partitions agree up to cell order and member order."""
+    _common_universe(p1, p2)
+    return p1.canonical() == p2.canonical()
+
+
+def partition_intersection(p1: Partition, p2: Partition) -> Partition:
+    """Cell-wise intersection, empties discarded, canonicalized.
+
+    Computed in O(N log N) by grouping each vertex on its (cell-in-p1,
+    cell-in-p2) index pair rather than crossing cells.
+    """
+    return Partition._from_labels(p1.universe, _meet_labels(p1, p2)).canonical()
+
+
+def pair_difference_values(pairs, scores_t, scores_later) -> np.ndarray:
+    """|(a_t - b_t) - (a_t' - b_t')| for every pair; symmetric in (a, b).
+
+    ``pairs`` is a (k, 2) array or a sequence of (a, b) tuples; both score
+    sets are arrays indexed by vertex id.
+    """
+    return _differences(*_checked_pairs(pairs, scores_t, scores_later))
+
+
 def log_rows(log: TemporalEdgeLog) -> list[tuple[str, str, int]]:
     """The rows of a temporal log as (source label, target label, timestamp)."""
-    return [(log.labels[s], log.labels[t], ts) for s, t, ts in
+    names = log.labels.labels
+    return [(names[s], names[t], ts) for s, t, ts in
             zip(log.source.tolist(), log.target.tolist(), log.timestamp.tolist())]
 
 

@@ -7,7 +7,8 @@ loop, degrees toward a cell, the dense signature matrix behind the coarsest
 equitable partition, the dense degree matrix behind the epsilon spread,
 partition equality, intersection and restriction over cell tuples, the
 cross-product intersection count, exact rational betweenness, per-edge
-triangle counts, the per-line edge-list and log reader, the string-keyed
+triangle counts, the per-line edge-list and log reader, the per-line label
+map and edge-list writers, the string-keyed
 per-event reciprocal projection and snapshot construction, the same two cut
 by ranking every label and sorting whole logs with ``np.lexsort`` (the
 array ordering that held before canonical order was found from one timestamp
@@ -412,7 +413,7 @@ def epsilon_spread_dense(graph: Graph, partition: Partition) -> int:
 
 
 def scan_reference(stream: IO[str] | Iterable[str], fields: tuple[int, ...]):
-    """The per-line form of ``netpos.graphs._scan``, interning labels in a dict.
+    """The per-line form of ``netpos.textio.scan``, interning labels in a dict.
 
     Each line is split with ``str.split``; blank lines and lines whose first
     token starts with '#' are skipped, and the first line with a field count
@@ -524,7 +525,7 @@ def reciprocal_projection_lexsort(log: TemporalEdgeLog) -> TemporalEdgeLog:
     both = keys[at] == tgt * k + src
     src, tgt = src[both], tgt[both]
     times = np.maximum(times[both], times[at[both]])
-    ranks = _label_ranks(log.labels, src)
+    ranks = _label_ranks(log.labels.labels, src)
     keep = ranks[src] < ranks[tgt]
     src, tgt, times = src[keep], tgt[keep], times[keep]
     order = np.lexsort((ranks[tgt], ranks[src], times))
@@ -539,7 +540,7 @@ def snapshots_lexsort(log: TemporalEdgeLog,
     Returns the graphs and the label tuple."""
     kept = (log.source != log.target) & (log.timestamp <= spec.cutoffs[-1])
     src, tgt, times = log.source[kept], log.target[kept], log.timestamp[kept]
-    ranks = _label_ranks(log.labels, np.concatenate([src, tgt]))
+    ranks = _label_ranks(log.labels.labels, np.concatenate([src, tgt]))
     order = np.lexsort((ranks[tgt], ranks[src], times))
     ids: dict[int, int] = {}
     edges: dict[tuple[int, int], None] = {}
@@ -555,7 +556,7 @@ def snapshots_lexsort(log: TemporalEdgeLog,
     checkpoints += [(len(ids), len(edges))] * (len(spec.cutoffs) - ci)
     pairs = list(edges)
     return ([Graph.from_edges(n_i, pairs[:m_i]) for n_i, m_i in checkpoints],
-            tuple(log.labels[i] for i in ids))
+            tuple(log.labels.labels[i] for i in ids))
 
 
 def unrank_pair_scalar(k: int, size: int) -> tuple[int, int]:
@@ -603,6 +604,24 @@ def same_position_pairs_reference(partition: Partition,
         i, j = unrank_pair_scalar(k - int(offsets[g]), len(groups[g]))
         out.append((groups[g][i], groups[g][j]))
     return out
+
+
+def write_labels_ref(labels: VertexLabelMap, stream: IO[str]) -> None:
+    """``VertexLabelMap.write`` as one string joined from a line per label."""
+    stream.write("".join(f"{vid}\t{label}\n" for vid, label in enumerate(labels.labels)))
+
+
+def save_edge_list_ref(graph: Graph, labels: VertexLabelMap, stream: IO[str]) -> None:
+    """``save_edge_list`` from an object array of the label strings, 8,192
+    lines a write."""
+    stream.write(f"# vertices={graph.n} edges={graph.m}\n")
+    rows = np.repeat(np.arange(graph.n, dtype=ID_DTYPE), graph.degrees)
+    upper = graph.indices > rows
+    heads, tails = rows[upper], graph.indices[upper]
+    names = np.array(labels.labels, dtype=object)
+    for at in range(0, heads.size, 8192):
+        chunk = slice(at, at + 8192)
+        stream.write("".join(names[heads[chunk]] + " " + names[tails[chunk]] + "\n"))
 
 
 def write_partition_file_ref(stream: IO[str], partition: Partition, *,
@@ -660,10 +679,10 @@ def write_centrality_rows_ref(stream: IO[str], fmt: str, labels: VertexLabelMap,
         writer = csv.writer(stream)
         writer.writerow(["label"] + list(names))
         for v in range(len(labels)):
-            writer.writerow([labels.label_of(v)]
+            writer.writerow([labels.labels[v]]
                             + [vectors[m].scores[v].item() for m in names])
     else:
         for v in range(len(labels)):
-            record = {"label": labels.label_of(v)}
+            record = {"label": labels.labels[v]}
             record.update({m: vectors[m].scores[v].item() for m in names})
             stream.write(json.dumps(record) + "\n")

@@ -16,12 +16,12 @@ from scipy.stats import spearmanr
 from netpos import (EngineConfig, GeneratorConfig, Partition, SnapshotSpec,
                     build_snapshots, epsilon_spread, equitable_oracle, fast_eep,
                     generate_power_law, load_temporal_edge_list,
-                    partition_intersection, reciprocal_projection,
-                    run_refinement, shapley_centrality, similarity_score,
-                    triangle_counts)
+                    reciprocal_projection, run_refinement, shapley_centrality,
+                    similarity_score, triangle_counts)
 from netpos.coevolution import overlap_matrix
 
-from helpers import edge_set, er_graph, log_rows, neighbors, pa_snapshots
+from helpers import (edge_set, er_graph, log_rows, neighbors, pa_snapshots,
+                     partition_intersection)
 from oracles import betweenness_centrality_exact, intersection_cardinality_cellpairs
 
 

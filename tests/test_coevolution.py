@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 
 from netpos import (Partition, coevolution_report, overlap_matrix,
-                    pair_difference_histogram, pair_difference_values,
-                    same_position_pairs)
+                    pair_difference_histogram, same_position_pairs)
 from netpos.coevolution import _unrank_pair, bin_values
 
-from helpers import discrete_partition, pa_snapshots
+from helpers import discrete_partition, pa_snapshots, pair_difference_values
 from oracles import same_position_pairs_reference
 
 

@@ -5,19 +5,22 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+
+import netpos.graphs
 
 from netpos import (GeneratorConfig, Graph, ParseError, Partition, SnapshotSpec,
                     TemporalEdgeLog, VertexLabelMap, build_snapshots,
                     generate_power_law, load_edge_list, load_temporal_edge_list,
                     reciprocal_projection, save_edge_list)
-from netpos.graphs import _scan
+from netpos.textio import scan
 
-from helpers import edge_set, er_graph, log_rows, neighbors
+from helpers import edge_set, er_graph, label_of, log_rows, neighbors
 from oracles import (degree_to_cell, degree_vector, reciprocal_projection_lexsort,
-                     reciprocal_reference, scan_reference, snapshots_lexsort,
-                     snapshots_reference, validate_graph)
+                     reciprocal_reference, save_edge_list_ref, scan_reference,
+                     snapshots_lexsort, snapshots_reference, validate_graph,
+                     write_labels_ref)
 
 
 def test_load_path_graph():
@@ -107,17 +110,17 @@ def _outcome(scan, source, fields):
         labels, ends, times = scan(source, fields)
     except ParseError as exc:
         return str(exc)
-    return labels, ends.tolist(), times.tolist()
+    return list(getattr(labels, "labels", labels)), ends.tolist(), times.tolist()
 
 
 @settings(max_examples=300, deadline=None)
 @given(text=_edge_text(), fields=st.sampled_from([(2, 3), (3,)]))
 def test_reader_matches_per_line_reference(text, fields):
     want = _outcome(scan_reference, io.StringIO(text), fields)
-    assert _outcome(_scan, io.StringIO(text), fields) == want
+    assert _outcome(scan, io.StringIO(text), fields) == want
     # an iterable of lines, with or without their newlines, reads the same
-    assert _outcome(_scan, io.StringIO(text).readlines(), fields) == want
-    assert _outcome(_scan, text.split("\n"), fields) == want
+    assert _outcome(scan, io.StringIO(text).readlines(), fields) == want
+    assert _outcome(scan, text.split("\n"), fields) == want
 
 
 @pytest.mark.parametrize("lines, message", [
@@ -129,7 +132,7 @@ def test_reader_matches_per_line_reference(text, fields):
 ], ids=["stamp-first", "count-first", "2**63", "int-spellings", "unicode-gaps"])
 def test_reader_reports_the_first_error_in_file_order(lines, message):
     want = _outcome(scan_reference, lines, (3,))
-    assert _outcome(_scan, lines, (3,)) == want
+    assert _outcome(scan, lines, (3,)) == want
     assert want == message if message else isinstance(want, tuple)
 
 
@@ -152,11 +155,11 @@ def test_reader_matches_reference_across_blocks():
     for fields in ((2, 3), (3,)):
         want = _outcome(scan_reference, io.StringIO(text), fields)
         assert isinstance(want, tuple)
-        assert _outcome(_scan, io.StringIO(text), fields) == want
+        assert _outcome(scan, io.StringIO(text), fields) == want
     lines[-2] = "u1 v2 3 4\n"   # an error in the last block names its line
     want = _outcome(scan_reference, io.StringIO("".join(lines)), (3,))
     assert want == f"line {len(lines) - 1}: expected 3 fields, got 4"
-    assert _outcome(_scan, io.StringIO("".join(lines)), (3,)) == want
+    assert _outcome(scan, io.StringIO("".join(lines)), (3,)) == want
 
 
 def test_reader_peaks_no_higher_than_reference():
@@ -165,10 +168,10 @@ def test_reader_peaks_no_higher_than_reference():
     enabled = gc.isenabled()
     gc.disable()    # as the CLI runs
     try:
-        for scan in (_scan, scan_reference):
+        for read in (scan, scan_reference):
             tracemalloc.start()
             try:
-                scan(io.StringIO(text), (3,))
+                read(io.StringIO(text), (3,))
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -262,13 +265,116 @@ def test_label_map_roundtrip_and_validation():
     # a repeated label keeps its first id; the file lists every id once
     labels = VertexLabelMap(["x", "y", "x", "z", "y"])
     assert labels.labels == ("x", "y", "z") and len(labels) == 3
-    assert labels.label_of(1) == "y" and labels.labels is labels.labels
+    assert label_of(labels, 1) == "y" and labels.labels is labels.labels
     buf = io.StringIO()
     labels.write(buf)
     assert buf.getvalue() == "0\tx\n1\ty\n2\tz\n"
     empty = io.StringIO()
     VertexLabelMap().write(empty)
     assert empty.getvalue() == ""
+
+
+# any text, lone surrogates included, and labels that differ only past a
+# word, by a NUL, by a prefix, or in the planes UTF-8 encodes differently
+_TEXT = st.text(st.characters(exclude_categories=()), max_size=12)
+_EDGY = st.sampled_from(["", "\x00", "a", "a\x00", "a\x00b", "ab", "aaaaaaaa",
+                         "aaaaaaaa\x00", "aaaaaaaab", "\x7f", "\x80", "\uffff",
+                         "\U0001f600", "\ud800", "\udfff", "\ue000", "\ud83d\ude00"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(labels=st.lists(st.one_of(_TEXT, _EDGY), max_size=40))
+def test_label_ranks_follow_str_order(labels):
+    # ranks come from the UTF-8 bytes alone; repeats keep id order
+    table = VertexLabelMap._table(labels)
+    assert table.labels == tuple(labels)
+    order = sorted(range(len(labels)), key=lambda i: (labels[i], i))
+    assert table.ranks()[order].tolist() == list(range(len(labels)))
+
+
+def _write_both(write, ref, *args) -> tuple[str, str]:
+    got, want = io.StringIO(), io.StringIO()
+    write(*args, got)
+    ref(*args, want)
+    return got.getvalue(), want.getvalue()
+
+
+@settings(max_examples=200, deadline=None)
+@given(labels=st.lists(st.one_of(_TEXT, _EDGY, st.text(min_size=20, max_size=90)),
+                       max_size=30),
+       data=st.data())
+@example(labels=[], data=None)      # an empty graph and map
+def test_label_and_edge_writers_match_per_line_references(labels, data):
+    # chunks of 1 and 3 lines cut between every pair of lines, and labels
+    # of up to 90 characters take many words each
+    label_map = VertexLabelMap(labels)
+    n = len(label_map)
+    pairs = st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=50)
+    graph = Graph.from_edges(n, data.draw(pairs) if n else [])   # isolated ends too
+    for chunk in (1, 3, netpos.graphs._CHUNK):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(netpos.graphs, "_CHUNK", chunk)
+            got, want = _write_both(lambda fh: label_map.write(fh),
+                                    lambda fh: write_labels_ref(label_map, fh))
+            assert got == want
+            got, want = _write_both(save_edge_list, save_edge_list_ref, graph, label_map)
+            assert got == want
+
+
+def test_writers_match_references_on_a_label_wider_than_a_chunk():
+    names = ["x" * 100_000, "\u00e9" * 30_000, "b", "\U0001f600" * 5_000]
+    label_map = VertexLabelMap(names + [f"v{i}" for i in range(20_000)])
+    graph = Graph.from_edges(len(label_map), [(0, 1), (1, 2), (0, 3), (3, 20_003)]
+                             + [(4 + i, 5 + i) for i in range(19_998)])
+    got, want = _write_both(lambda fh: label_map.write(fh),
+                            lambda fh: write_labels_ref(label_map, fh))
+    assert got == want
+    got, want = _write_both(save_edge_list, save_edge_list_ref, graph, label_map)
+    assert got == want
+
+
+class _Discard:
+    def write(self, text: str) -> int:
+        return len(text)
+
+
+def _traced(fn) -> tuple[int, int]:
+    """The memory ``fn()`` leaves allocated and its peak, by tracemalloc,
+    with the cyclic collector off as the CLI runs."""
+    enabled = gc.isenabled()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        kept = fn()
+        held, peak = tracemalloc.get_traced_memory()
+        del kept
+    finally:
+        tracemalloc.stop()
+        if enabled:
+            gc.enable()
+    return held - before, peak - before
+
+
+def test_loaded_labels_hold_their_bytes_and_offsets_alone():
+    # 100k distinct labels: the graph, the UTF-8 bytes and about 8 B of
+    # offsets a label stay allocated, and no str per label
+    text = io.StringIO("".join(f"u{i} v{i}\n" for i in range(50_000)))
+    loaded = []
+    held, _ = _traced(lambda: loaded.append(load_edge_list(text)))
+    graph, labels = loaded.pop()
+    pool = sum(len(label.encode()) for label in labels.labels)
+    csr = graph.indptr.nbytes + graph.indices.nbytes
+    assert len(labels) == 100_000
+    assert held < csr + pool + 16 * len(labels)
+
+
+def test_label_map_write_peak_does_not_grow_with_labels():
+    peaks = []
+    for n in (3 * netpos.graphs._CHUNK, 30 * netpos.graphs._CHUNK):
+        label_map = VertexLabelMap(f"label{i}" for i in range(n))
+        peaks.append(_traced(lambda: label_map.write(_Discard()))[1])
+    assert peaks[1] < 1.2 * peaks[0]
 
 
 def test_graph_hash_distinguishes_graphs():
@@ -318,7 +424,7 @@ def test_snapshot_vertices_are_dense_prefix():
     graphs, labels = build_snapshots(log, SnapshotSpec((10, 100)))
     assert graphs[0].n == 2
     assert graphs[1].n == 4
-    assert labels.label_of(0) == "x" and labels.label_of(3) == "q"
+    assert label_of(labels, 0) == "x" and label_of(labels, 3) == "q"
 
 
 def test_build_snapshots_matches_reference():
@@ -349,7 +455,7 @@ def test_build_snapshots_matches_reference():
 
 
 def _same_log(got: TemporalEdgeLog, want: TemporalEdgeLog) -> bool:
-    return (got.labels == want.labels and got.directed == want.directed
+    return (got.labels.labels == want.labels.labels and got.directed == want.directed
             and all(np.array_equal(getattr(got, c), getattr(want, c))
                     for c in ("source", "target", "timestamp")))
 

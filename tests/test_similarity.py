@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netpos import (Partition, UniverseMismatchError, partition_intersection,
-                    partitions_equal, restrict_partition, similarity_score)
+from netpos import (Partition, UniverseMismatchError, restrict_partition,
+                    similarity_score)
 
-from helpers import discrete_partition
+from helpers import discrete_partition, partition_intersection, partitions_equal
 from oracles import (intersection_cardinality_cellpairs, partition_intersection_ref,
                      partitions_equal_ref, restrict_partition_ref,
                      similarity_value_ref)
