@@ -554,15 +554,20 @@ def coevolve(log_path, cutoffs, directed, reciprocal, method, epsilon, names,
 )
 def gen(n, gamma, seed, output, manifest_out):
     """Generate a random power-law graph (erased configuration model)."""
+    import numpy as np
     from .graphs import (GeneratorConfig, VertexLabelMap, generate_power_law,
                          save_edge_list)
+    from .textio import format_decimal
     t0 = time.perf_counter()
     if not gamma > 1:  # rejects nan
         raise _UsageError("gamma must be > 1")
     manifest = _start_manifest("gen", dict(n=n, gamma=gamma, seed=seed,
                                            output=output), seed=seed)
     graph = generate_power_law(GeneratorConfig(n=n, gamma=gamma, seed=seed))
-    labels = VertexLabelMap(str(v) for v in range(graph.n))
+    digits = format_decimal(np.arange(graph.n), 0xFF)   # label v is str(v)
+    labels = VertexLabelMap._from_pool(digits.tobytes().replace(b"\xff", b""),
+                                       np.count_nonzero(digits != 0xFF, axis=1))
+    del digits
     with open(output, "w", encoding="utf-8") as fh:
         save_edge_list(graph, labels, fh)
     manifest["outputs"] = {"edges": output}

@@ -72,8 +72,8 @@ class Partition:
         flat = np.concatenate(cells) if cells else np.zeros(0, dtype=ID_DTYPE)
         self._group(flat, [c.size for c in cells])
 
-    def _group(self, flat: np.ndarray, sizes: list[int],
-               line_nos: list[int] | None = None) -> None:
+    def _group(self, flat: np.ndarray, sizes: Sequence[int],
+               line_nos: np.ndarray | None = None) -> None:
         """Store cells given as their ids end to end and their sizes, checking
         them with one stable sort.
 
@@ -90,8 +90,8 @@ class Partition:
         again = (universe[1:] == universe[:-1]).nonzero()[0] + 1
         if again.size:
             at = again[membership[again].argmin()]
-            raise ParseError(f"vertex {universe[at]} appears more than once",
-                             line_nos[membership[at]] if line_nos else None)
+            line_no = None if line_nos is None else int(line_nos[membership[at]])
+            raise ParseError(f"vertex {universe[at]} appears more than once", line_no)
         self._store(universe, membership, len(sizes))
 
     def _store(self, universe: np.ndarray, membership: np.ndarray, k: int) -> None:
@@ -550,97 +550,76 @@ def write_partition_file(stream: IO[str], partition: Partition, *,
         stream.write(rows.tobytes().replace(b"\xff", b"").decode("ascii"))
 
 
-_CHUNK_IDS = 1 << 12   # most ids formatted or parsed at once in a partition file
-
-
-def _cell_ids(tokens: list[str], line_no: int) -> np.ndarray:
-    """The ids of one cell line; a bad or negative id raises a ParseError."""
-    try:
-        members = np.array(tokens, dtype=ID_DTYPE)
-    except (ValueError, OverflowError):
-        raise ParseError("bad cell line", line_no) from None
-    if members.size and members.min() < 0:
-        raise ParseError(f"negative vertex id {members.min()}", line_no)
-    return members
-
-
-def _chunk_ids(tokens: list[str], sizes: list[int], line_nos: list[int]) -> np.ndarray:
-    """The ids of consecutive cell lines, end to end, from one np.array call.
-
-    ``sizes`` and ``line_nos`` are the lines' id counts and line numbers. A
-    bad or negative id sends the lines through :func:`_cell_ids` one by one,
-    so the error names the first line that holds one.
-    """
-    try:
-        ids = np.array(tokens, dtype=ID_DTYPE)
-        if not ids.size or ids.min() >= 0:
-            return ids
-    except (ValueError, OverflowError):
-        pass
-    ends = np.cumsum(sizes).tolist()
-    return np.concatenate([_cell_ids(tokens[end - size:end], line_no)
-                           for end, size, line_no in zip(ends, sizes, line_nos)])
+_CHUNK_IDS = 1 << 12   # most ids formatted at once in a partition file
 
 
 def _cell_line_error(line: str, line_no: int, index: int) -> ParseError:
     """The error of a cell line that is not '<index>\\t<ids>' with at least
-    one id, ``index`` being the expected cell index."""
+    one id in [0, 2**63), ``index`` being the expected cell index."""
     parts = line.split("\t", 1)
     if len(parts) != 2:
         return ParseError("expected '<cell_index>\\t<ids>'", line_no)
     try:
         idx = int(parts[0])
-        np.array(parts[1].split(), dtype=ID_DTYPE)
+        ids = np.array(parts[1].split(), dtype=ID_DTYPE)
     except (ValueError, OverflowError):
         return ParseError("bad cell line", line_no)
     if idx != index:
         return ParseError(f"cell index {idx} out of sequence", line_no)
+    if ids.size:
+        return ParseError(f"negative vertex id {ids.min()}", line_no)
     return ParseError("empty cell", line_no)
 
 
 def read_partition_file(stream: IO[str]) -> tuple[Partition, dict[str, str]]:
     """Parse a partition file; returns the partition and its header metadata.
 
-    Cell lines are checked for format, index and size as they come; their ids
-    are parsed in chunks of at most ``_CHUNK_IDS`` ids, or one longer line.
-    The repeat check runs once, over all of them, and names the line of the
-    first cell that holds a repeat.
+    The text is cut into tokens a block of lines at a time by
+    :func:`netpos.textio.tokenize`. Blank lines are skipped, and a line
+    whose first byte is '#' is a comment, whose 'key=value' tokens are the
+    metadata. Every other line is a cell: before its first tab, the cell
+    index as ``int()`` reads it, counting the cells from 0; after the tab,
+    at least one id; the index and every id in [0, 2**63). The first line
+    that is not raises a ParseError naming it. The repeat check runs once,
+    over all cells, and names the line of the first cell that holds a repeat.
     """
+    from .textio import parse_ints, tokenize
     meta: dict[str, str] = {}
-    chunks: list[np.ndarray] = []
-    sizes: list[int] = []
-    line_nos: list[int] = []
-    tokens: list[str] = []    # ids of the cell lines since the last chunk
-    start = 0                 # the first of those lines, as a cell index
-    for line_no, raw in enumerate(stream, 1):
-        parts = raw.split("\t", 1)
-        ids = parts[-1].split()
-        try:
-            plain = len(parts) == 2 and bool(ids) and int(parts[0]) == len(sizes)
-        except ValueError:
-            plain = False
-        if not plain:
-            line = raw.rstrip("\n")
-            if not line.strip():
-                continue
-            if line.startswith("#"):
-                for token in line[1:].split():
-                    if "=" in token:
-                        key, value = token.split("=", 1)
-                        meta[key] = value
-                continue
-        if not plain or tokens and len(tokens) + len(ids) > _CHUNK_IDS:
-            chunks.append(_chunk_ids(tokens, sizes[start:], line_nos[start:]))
-            tokens, start = [], len(sizes)
-        if not plain:   # after any error on an earlier line
-            raise _cell_line_error(line, line_no, len(sizes))
-        if tokens:
-            tokens += ids
-        else:   # a chunk's first line is not copied: it may hold many ids
-            tokens = ids
-        sizes.append(len(ids))
-        line_nos.append(line_no)
-    chunks.append(_chunk_ids(tokens, sizes[start:], line_nos[start:]))
+    empty = np.zeros(0, dtype=ID_DTYPE)
+    ids, sizes, line_nos = [empty], [empty], [empty]
+    lines = cells = 0
+    for raw, byte, starts, stops, ends, count, _ in tokenize(stream.read):
+        heads = np.concatenate(([0], ends[:-1] + 1))     # each line's first byte
+        comment = byte[heads] == 35     # '#'
+        if comment.any():
+            for line in np.flatnonzero(comment).tolist():
+                text = raw[heads[line] + 1:ends[line]].decode("utf-8", "surrogatepass")
+                meta.update(token.split("=", 1) for token in text.split() if "=" in token)
+            keep = np.repeat(~comment, count)
+            starts, stops = starts[keep], stops[keep]
+        rows = np.flatnonzero((count > 0) & ~comment)   # neither blank nor comments
+        count = count[rows]
+        first = np.cumsum(count) - count
+        # each line's first tab, unless a byte 0x1C-0x1F, which str.split()
+        # takes for whitespace but int() refuses, comes first
+        marks = np.flatnonzero((byte == 9) | ((byte >= 0x1C) & (byte <= 0x1F)))
+        tab = np.append(marks, byte.size - 1)[np.searchsorted(marks, heads[rows])]
+        value = parse_ints(raw, byte, starts, stops)
+        # one token before the line's first tab and an id after it; the index
+        # counts the cells; every token is in [0, 2**63)
+        good = ((byte[tab] == 9) & (count > 1)
+                & (np.searchsorted(starts, tab) == first + 1)
+                & (value[first] == cells + np.arange(rows.size))
+                & (np.minimum.reduceat(value, first) >= 0))
+        if not good.all():
+            bad = int(good.argmin())
+            line = raw[heads[rows[bad]]:ends[rows[bad]]].decode("utf-8", "surrogatepass")
+            raise _cell_line_error(line, lines + int(rows[bad]) + 1, cells + bad)
+        ids.append(np.delete(value, first))
+        sizes.append(count - 1)
+        line_nos.append(rows + lines + 1)
+        lines += ends.size
+        cells += rows.size
     part = Partition.__new__(Partition)
-    part._group(np.concatenate(chunks), sizes, line_nos)
+    part._group(np.concatenate(ids), np.concatenate(sizes), np.concatenate(line_nos))
     return part, meta

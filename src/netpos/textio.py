@@ -1,5 +1,5 @@
-"""Text I/O: the block reader of edge lists and event logs, and the byte
-kernels of the chunked writers.
+"""Text I/O: the block tokenizer that reads edge lists, event logs and
+partition files, and the byte kernels of the chunked writers.
 
 Text is handled as UTF-8 bytes in numpy arrays, a block or a chunk of lines at
 a time. A label is its UTF-8 bytes, packed into int64 words on the way in and
@@ -103,26 +103,51 @@ def _blocks(read):
         yield carry + "\n"
 
 
-def _stamps(raw: bytes, byte: np.ndarray, starts: np.ndarray,
-            stops: np.ndarray) -> np.ndarray:
-    """The value of each token as a timestamp, or -1 if not in [0, 2**63).
+def tokenize(read):
+    """Split the text ``read(size)`` returns at ``str.split``'s whitespace, a
+    block of whole lines of about 64K characters at a time.
+
+    Yields one tuple per block: its UTF-8 bytes ``raw``, with 7 zero bytes
+    past the end (room to read a word at any byte); ``byte``, the array of
+    its bytes before them; each token's start and stop in it; and each
+    line's end (the offset of its newline), token count and first token.
+    """
+    for text in _blocks(read):
+        raw = (text if text.isascii() else text.translate(_SPACES)).encode(
+            "utf-8", "surrogatepass") + bytes(7)
+        byte = np.frombuffer(raw, dtype=np.uint8)[:-7]
+        space = np.concatenate(([True], _IS_SPACE[byte]))
+        bounds = np.flatnonzero(space[1:] != space[:-1])
+        del space
+        ends = np.flatnonzero(_IS_NEWLINE[byte])
+        after = np.searchsorted(bounds[0::2], ends)   # the tokens before each end
+        count = np.diff(after, prepend=0)
+        yield raw, byte, bounds[0::2], bounds[1::2], ends, count, after - count
+
+
+def parse_ints(raw: bytes, byte: np.ndarray, starts: np.ndarray,
+               stops: np.ndarray) -> np.ndarray:
+    """The value of each token as an integer, or -1 if not in [0, 2**63).
 
     Tokens of at most 19 ASCII digits are read in int64 one digit position at
-    a time, right-aligned; 2**63 and above wrap negative, since fewer than 20
-    digits stay below 2**64. Any other token, such as '+5' or '1_0', is read
-    by ``int`` alone.
+    a time, right-aligned, 4,096 tokens at a time; 2**63 and above wrap
+    negative, since fewer than 20 digits stay below 2**64. Any other token,
+    such as '+5' or '1_0', is read by ``int`` alone.
     """
-    sizes = stops - starts
-    at = np.arange(-min(int(sizes.max(initial=0)), 19), 0)[:, None]
-    digits = byte[stops + at]
-    digits[at + sizes < 0] = 48     # '0' before each token
-    value = np.zeros(sizes.size, dtype=ID_DTYPE)
-    odd = sizes > 19
-    for row in digits:
-        row = _DIGIT[row]
-        odd |= row > 9
-        value *= 10
-        value += row
+    value = np.zeros(starts.size, dtype=ID_DTYPE)
+    odd = stops - starts > 19
+    step = 1 << 12      # tokens at once, so the digit matrix stays small
+    for lo in range(0, starts.size, step):
+        part = slice(lo, lo + step)
+        sizes = stops[part] - starts[part]
+        at = np.arange(-min(int(sizes.max()), 19), 0)[:, None]
+        digits = byte[stops[part] + at]
+        digits[at + sizes < 0] = 48     # '0' before each token
+        for row in digits:
+            row = _DIGIT[row]
+            odd[part] |= row > 9
+            value[part] *= 10
+            value[part] += row
     value[value < 0] = -1
     for i in np.flatnonzero(odd).tolist():
         try:
@@ -215,22 +240,12 @@ def scan(stream: IO[str] | Iterable[str], fields: tuple[int, ...]):
     keys, times = [np.empty(0, dtype=ID_DTYPE)], [np.empty(0, dtype=ID_DTYPE)]
     wide = {}       # word count above one -> [(token ordinals, words)]
     lines = tokens = 0
-    for text in _blocks(stream.read):
-        raw = (text if text.isascii() else text.translate(_SPACES)).encode(
-            "utf-8", "surrogatepass") + bytes(7)     # room to read a word at any byte
-        byte = np.frombuffer(raw, dtype=np.uint8)[:-7]
-        space = np.concatenate(([True], _IS_SPACE[byte]))
-        bounds = np.flatnonzero(space[1:] != space[:-1])
-        starts, stops = bounds[0::2], bounds[1::2]
-        # the tokens before each line's end, so each line's count and first
-        after = np.searchsorted(starts, np.flatnonzero(_IS_NEWLINE[byte]))
-        count = np.diff(after, prepend=0)
-        first = after - count
+    for raw, byte, starts, stops, _, count, first in tokenize(stream.read):
         data = count > 0    # and not a comment: its first token starts with '#'
         data[data] = ~_IS_HASH[byte[starts[first[data]]]]
         timed = data & (count == 3)
         good = timed | (data & (count == 2)) if 2 in fields else timed
-        stamp = _stamps(raw, byte, starts[first[timed] + 2], stops[first[timed] + 2])
+        stamp = parse_ints(raw, byte, starts[first[timed] + 2], stops[first[timed] + 2])
         wrong = data & ~good
         wrong[timed] = stamp < 0
         if wrong.any():

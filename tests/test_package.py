@@ -102,9 +102,9 @@ def inputs(tmp_path_factory):
      {"graphs", "textio", "partition"}, {"logging", "csv"}),
     (["snapshots", "log", "--cutoffs", "20,50", "-o", "snap"], {"graphs", "textio"},
      set()),
-    # reads and writes no edge list or log, so never compiles the text I/O
-    (["similarity", "g0.part", "g2.part"], {"graphs", "partition", "similarity"},
-     {"csv"}),
+    # reads its partition files on the text I/O's block tokenizer
+    (["similarity", "g0.part", "g2.part"],
+     {"graphs", "textio", "partition", "similarity"}, {"csv"}),
     (["gen", "-n", "20", "--gamma", "2.5", "-o", "h.edges"], {"graphs", "textio"},
      {"csv"}),
     (["centrality", "g.edges", "-o", "c.csv"], {"graphs", "textio", "centrality"},

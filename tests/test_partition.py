@@ -1,8 +1,10 @@
+import gc
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import netpos.partition
@@ -458,45 +460,149 @@ def test_partition_file_matches_reference_writer_and_reader():
         assert len(got) == len(part) and got.cells == part.cells, case
 
 
-@pytest.mark.parametrize("chunk", [1, 2, 5, netpos.partition._CHUNK_IDS])
-def test_partition_file_errors_across_id_chunks(monkeypatch, chunk):
-    # ids are parsed a chunk of lines at a time: a fault found when a chunk
-    # is parsed must still lose to a fault on an earlier line, and win over
-    # one on a later line, whichever chunk either falls in
-    monkeypatch.setattr(netpos.partition, "_CHUNK_IDS", chunk)
+def _reader_outcome(read, text):
+    """What a partition reader makes of ``text``: the partition, or its error
+    message and line number."""
+    try:
+        return read(io.StringIO(text))[0]
+    except ParseError as err:
+        return str(err), err.line_no
+
+
+def _expected_outcome(text):
+    """The reference reader's outcome, but for ids outside [0, 2**63), which
+    the reference passes. Up to its error line, the first cell line that
+    holds one fails: as a bad cell line past int64, and as a negative id once
+    its index is right."""
+    try:
+        want = _reader_outcome(read_partition_file_ref, text)
+    except OverflowError:   # it parsed every line, but an id is past int64
+        want = None
+    last = want[1] if isinstance(want, tuple) else None
+    index = 0
+    for line_no, line in enumerate(text.split("\n")[:last], 1):
+        try:
+            head, ids = line.split("\t", 1)
+            head, ids = int(head), [int(t) for t in ids.split()]
+        except ValueError:
+            continue    # a blank, comment or bad line
+        if not -2**63 <= min(ids, default=0) <= max(ids, default=0) < 2**63:
+            return f"line {line_no}: bad cell line", line_no
+        if head != index:
+            break
+        if min(ids, default=0) < 0:
+            return f"line {line_no}: negative vertex id {min(ids)}", line_no
+        index += 1
+    return want
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 5, 4096])
+def test_partition_file_errors_across_id_chunks(chunk):
+    # the reader parses a block of about 64K characters at a time: a fault in
+    # one block must still lose to a fault on an earlier line, and win over
+    # one on a later line, whichever blocks they fall in. Cells of about
+    # ``chunk`` ids fill some 150K characters around one cell line longer
+    # than a block
     faults = ["{i}\t91 x", "{i}\t-4 92", "{i}\t", "{j}\t93", "x{i}\t94", "{i} 95",
               "{i}\t-5 y", "{j}\t-6 z"]   # ids that no cell holds
-    rng = np.random.default_rng(7)
-    for _ in range(300):
-        lines = []
-        for i in range(int(rng.integers(1, 12))):
-            ids = 100 * i + np.arange(int(rng.integers(1, 4)))
-            lines.append(f"{i}\t" + " ".join(map(str, ids)))
-            if rng.random() < 0.25:
+    rng = np.random.default_rng(chunk)
+    for _ in range(12):
+        sizes = rng.integers(1, 2 * chunk + 1, size=150_000 // (8 * chunk + 3))
+        sizes[rng.integers(sizes.size)] = 9_000        # 72K characters
+        lines, first = [], 1_000_000
+        for i, size in enumerate(sizes.tolist()):
+            lines.append(f"{i}\t" + " ".join(map(str, range(first, first + size))))
+            first += size
+            if rng.random() < 0.1:
                 lines.append("# k=v" if rng.random() < 0.5 else "")
-        for at in rng.choice(len(lines), min(len(lines), int(rng.integers(0, 3))),
-                             replace=False):
+        # up to three faults, in different thirds of the file; or, alone, a
+        # cell that repeats the first id of cell 0, which a fault of format or
+        # value on any line would beat
+        thirds = rng.choice(3, int(rng.integers(0, 4)), replace=False)
+        for third in thirds:
+            at = int(rng.integers(third * len(lines) // 3, (third + 1) * len(lines) // 3))
             i = int(lines[at].split("\t")[0]) if "\t" in lines[at] else 0
             lines[at] = faults[int(rng.integers(len(faults)))].format(i=i, j=i + 1)
+        if not thirds.size:
+            at = int(rng.integers(1, len(lines)))
+            if "\t" in lines[at]:
+                lines[at] += " 1000000"
         text = "".join(line + "\n" for line in lines)
-        want, error = None, None
-        try:
-            want, _ = read_partition_file_ref(io.StringIO(text))
-        except ParseError as err:
-            error = (str(err), err.line_no)
-        # the reference passes negative ids: a line before its error that
-        # holds one fails first
-        for line_no, line in enumerate(lines[:error[1] - 1] if error else lines, 1):
-            cell = [] if line.startswith("#") else [int(t) for t in line.split()[1:]]
-            if cell and min(cell) < 0:
-                error = (f"line {line_no}: negative vertex id {min(cell)}", line_no)
-                break
-        if error:
-            with pytest.raises(ParseError) as err:
-                read_partition_file(io.StringIO(text))
-            assert (str(err.value), err.value.line_no) == error, text
-        else:
-            assert read_partition_file(io.StringIO(text))[0] == want, text
+        want = _expected_outcome(text)
+        got = _reader_outcome(read_partition_file, text)
+        assert got == want, text[:200]
+
+
+_SPELLED_IDS = ["007", "+5", "-0", "1_0", "\u0663", "\uff15", str(2**63 - 1),
+                str(2**63), "1.5", "-3"]
+_CELL_GAPS = [" ", "\t", "\u0085", "\u00a0", "\u3000", "\x1c", "\r"]
+
+
+@st.composite
+def _partition_text(draw):
+    """Partition file text: cell lines with odd id spellings, separators and
+    index fields, comments with and without '=', blank lines. No id is held
+    twice, so the only faults are of format and value."""
+    lines, used, fresh, index = [], set(), 100, 0
+    for kind in draw(st.lists(st.sampled_from(["cell"] * 3 + ["comment", "blank"]),
+                              max_size=8)):
+        if kind == "comment":
+            lines.append("#" + " ".join(draw(st.lists(
+                st.sampled_from(["n=3", "k=v=w", "x", "=", "a=", "é=1"]), max_size=3))))
+            continue
+        if kind == "blank":
+            lines.append("".join(draw(st.lists(st.sampled_from(_CELL_GAPS), max_size=3))))
+            continue
+        ids = []
+        for spelled in draw(st.lists(st.sampled_from(_SPELLED_IDS + [None] * 4),
+                                     max_size=5)):
+            try:
+                value = int(spelled)
+            except (TypeError, ValueError):
+                value = None
+            if spelled is None or value in used:
+                spelled, value, fresh = str(fresh), fresh, fresh + 1
+            used.add(value)
+            ids.append(spelled)
+        head = draw(st.sampled_from([str(index)] * 6 + [
+            f"00{index}", f"+{index}", f" {index}", f"{index} ", str(index + 1), "x",
+            "", f"{index} {index}"]))
+        tab = draw(st.sampled_from(["\t"] * 6 + [" ", " \t", "\t\t"]))
+        gaps = draw(st.lists(st.lists(st.sampled_from(_CELL_GAPS), min_size=1, max_size=2),
+                             min_size=len(ids), max_size=len(ids)))
+        lines.append(head + tab + "".join("".join(g) + t for g, t in zip(gaps, ids)))
+        index += 1
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_partition_text())
+@example(text="0\t5\n1 \x1c\t6\n")      # int() refuses 0x1C-0x1F around the index
+def test_partition_reader_matches_per_line_reference(text):
+    want = _expected_outcome(text)
+    got = _reader_outcome(read_partition_file, text)
+    assert got == want
+
+
+@pytest.mark.parametrize("per_line", [200_000, 1], ids=["one-line", "id-per-line"])
+def test_partition_file_read_peaks_under_96_bytes_per_id(per_line):
+    ids = np.random.default_rng(4).permutation(200_000).tolist()
+    text = "# n=200000\n" + "".join(
+        f"{i}\t{' '.join(map(str, ids[lo:lo + per_line]))}\n"
+        for i, lo in enumerate(range(0, len(ids), per_line)))
+    stream = io.StringIO(text)
+    enabled = gc.isenabled()
+    gc.disable()    # as the CLI runs
+    tracemalloc.start()
+    try:
+        part, _ = read_partition_file(stream)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        if enabled:
+            gc.enable()
+    assert part.n_vertices == 200_000 and len(part) == 200_000 // per_line
+    assert peak <= 96 * 200_000
 
 
 def test_partition_file_errors_match_reference():
