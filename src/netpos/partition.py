@@ -322,15 +322,21 @@ def _epsilon_classes(graph: Graph, active_cell: np.ndarray, cell_of, cell_end,
     neighbours.sort()
     runs = run_offsets(neighbours)
     touched, f, volume = neighbours[runs[:-1]], np.diff(runs), neighbours.size
+    del neighbours, runs
     # no cell can spread more than the largest degree toward the active cell
     fmax = int(f.max()) if volume else 0
     if fmax <= eps:
         return touched[:0], f[:0], volume
     # order the touched vertices by cell, ascending f within each cell
-    cells = cell_of[touched]
-    key = cells * (fmax + 1) + f
+    key = cell_of[touched]
+    key *= fmax + 1
+    key += f
+    del f
     order = key.argsort()
-    key, cells, f, touched = key[order], cells[order], f[order], touched[order]
+    key = key[order]
+    touched = touched[order]
+    del order
+    cells, f = np.divmod(key, fmax + 1)
     runs = run_offsets(cells)
     first, stop = runs[:-1], runs[1:]
     starts = cells[first]

@@ -91,16 +91,19 @@ def format_decimal(values: np.ndarray, ends) -> np.ndarray:
 
 def _blocks(read):
     """The text ``read(size)`` returns, in blocks of whole lines of about 64K
-    characters, each ending in a newline."""
-    carry = ""
+    characters, each ending in a newline. The chunks of a line longer than a
+    block are joined once, when its newline arrives."""
+    pending = []    # the chunks read since the last newline
     for chunk in iter(partial(read, 1 << 16), ""):
-        text = carry + chunk
-        cut = text.rfind("\n") + 1
-        carry = text[cut:]
+        cut = chunk.rfind("\n") + 1
         if cut:
-            yield text[:cut]
-    if carry:
-        yield carry + "\n"
+            pending.append(chunk[:cut])
+            yield "".join(pending)
+            pending.clear()
+        pending.append(chunk[cut:])
+    tail = "".join(pending)
+    if tail:
+        yield tail + "\n"
 
 
 def tokenize(read):
@@ -174,52 +177,59 @@ def _intern(keys: list[np.ndarray], wide: dict) -> tuple[VertexLabelMap, np.ndar
     ``wide`` maps each word count above one to the (token ordinals, words)
     of the tokens that need it. Each word count is one group, sorted once:
     by argsort for one word, by lexsort for more. A label first appears at
-    the least ordinal in its run of equal rows.
+    the least ordinal in its run of equal rows. Each token's run, numbered
+    on from the runs of the groups before, is counted in the buffer of its
+    group's sorted words and stored in the buffer of the joined ``keys``,
+    where the run numbers become the ids at the end, so no token-length
+    array is allocated after the sorts.
     """
-    key = np.concatenate(keys)
+    ids = np.concatenate(keys)      # each token's first word until it is sorted
     keys.clear()
-    total = key.size
-    groups = [(None, key[:, None])]
+    groups = [(None, ids[:, None])]
     if wide:
         groups = [(np.concatenate(o), np.concatenate(w))
                   for o, w in (zip(*parts) for parts in wide.values())]
-        short = np.ones(total, dtype=bool)
+        short = np.ones(ids.size, dtype=bool)
         for ordinal, _ in groups:
             short[ordinal] = False
         short = np.flatnonzero(short)
-        groups.insert(0, (short, key[short, None]))
-    del key
-    runs, firsts, reps = [], [], []
+        groups.insert(0, (short, ids[short, None]))
+    firsts, reps = [], []
+    runs = 0    # in the groups before
     while groups:
         ordinal, words = groups.pop(0)
         order = words[:, 0].argsort() if words.shape[1] == 1 else np.lexsort(words.T)
         words = words[order]
-        start = np.zeros(len(words), dtype=bool)
-        start[:1] = True
-        for column in words.T:
-            start[1:] |= column[1:] != column[:-1]
-        start = np.flatnonzero(start)
+        fresh = np.zeros(len(words), dtype=bool)
+        fresh[:1] = True
+        for column in range(words.shape[1]):
+            fresh[1:] |= words[1:, column] != words[:-1, column]
+        start = np.flatnonzero(fresh)
         reps.append(words[start])
-        del words
         if ordinal is not None:
             order = ordinal[order]
         firsts.append(np.minimum.reduceat(order, start))
-        runs.append((order, start))
+        run = words.reshape(-1)[:len(words)]
+        run[:] = fresh
+        np.cumsum(run, out=run)     # in place: no cast of ``fresh`` to int64
+        run += runs - 1
+        ids[order] = run
+        runs += start.size
+        del words, run, fresh, start, order, ordinal
     rank = np.concatenate(firsts).argsort()
     del firsts
+    if len(reps) == 1:
+        labels = VertexLabelMap._from_pool(*_unpack(reps.pop()[rank]))
+    else:
+        pools, sizes = zip(*map(_unpack, reps))
+        labels = VertexLabelMap._from_pool(b"".join(pools), np.concatenate(sizes))
+        labels = labels._subset(rank)
+    del reps
     new = np.empty(rank.size, dtype=ID_DTYPE)
     new[rank] = np.arange(rank.size)
-    ids = np.empty(total, dtype=ID_DTYPE)
-    for order, start in runs:
-        ids[order] = np.repeat(new[:start.size], np.diff(start, append=order.size))
-        new = new[start.size:]
-    del runs, new
-    if len(reps) == 1:
-        return VertexLabelMap._from_pool(*_unpack(reps.pop()[rank])), ids
-    pools, sizes = zip(*map(_unpack, reps))
-    del reps
-    return (VertexLabelMap._from_pool(b"".join(pools), np.concatenate(sizes))._subset(rank),
-            ids)
+    # in place: under mode "clip", which clips no id here, ``take`` writes
+    # each item after reading its index, where "raise" would buffer a copy
+    return labels, np.take(new, ids, out=ids, mode="clip")
 
 
 def scan(stream: IO[str] | Iterable[str], fields: tuple[int, ...]):

@@ -1,11 +1,13 @@
 """Shared graph and partition builders for the test suite, and the helpers
-only the tests call: label lookup, partition equality and intersection, and
-the per-pair score differences."""
+only the tests call: label lookup, partition equality and intersection, the
+per-pair score differences and memory tracing."""
 
 from __future__ import annotations
 
+import gc
 import io
 import sys
+import tracemalloc
 
 import numpy as np
 
@@ -109,6 +111,24 @@ def edge_set(graph: Graph) -> set[tuple[int, int]]:
     """Each undirected edge of the graph once, as (u, w) with u < w."""
     rows = np.repeat(np.arange(graph.n), graph.degrees)
     return {(u, w) for u, w in zip(rows.tolist(), graph.indices.tolist()) if u < w}
+
+
+def traced(fn):
+    """``fn()``, the memory it leaves allocated and its peak, both above the
+    memory traced when it starts, by tracemalloc, with the cyclic collector
+    off as the CLI runs."""
+    enabled = gc.isenabled()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        if enabled:
+            gc.enable()
+    return result, held - before, peak - before
 
 
 class _Tee(io.BytesIO):

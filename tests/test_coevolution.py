@@ -1,6 +1,5 @@
 import itertools
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +8,7 @@ from netpos import (Partition, coevolution_report, overlap_matrix,
                     pair_difference_histogram, same_position_pairs)
 from netpos.coevolution import _unrank_pair, bin_values
 
-from helpers import discrete_partition, pa_snapshots, pair_difference_values
+from helpers import discrete_partition, pa_snapshots, pair_difference_values, traced
 from oracles import same_position_pairs_reference
 
 
@@ -37,12 +36,7 @@ def test_full_listing_peak_memory():
     # 1,999,000 pairs of one cell: the listing may hold at most 3.6 times
     # its 30.5-MiB result at once
     p = Partition.from_membership(np.zeros(2000, dtype=np.int64))
-    tracemalloc.start()
-    try:
-        pairs = same_position_pairs(p)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    pairs, _, peak = traced(lambda: same_position_pairs(p))
     assert pairs.shape == (1_999_000, 2) and pairs.flags.c_contiguous
     assert pairs[0].tolist() == [0, 1] and pairs[-1].tolist() == [1998, 1999]
     assert peak <= 3.6 * pairs.nbytes
@@ -52,12 +46,7 @@ def test_full_listing_in_chunks_peak_memory():
     # unranking runs on fixed chunks of ranks, so listing the 1,999,000
     # pairs of one 2,000-vertex cell (488 chunks) costs little beyond its result
     p = Partition.from_membership(np.zeros(2000, dtype=np.int64))
-    tracemalloc.start()
-    try:
-        pairs = same_position_pairs(p)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    pairs, _, peak = traced(lambda: same_position_pairs(p))
     first = np.repeat(np.arange(2000), np.arange(1999, -1, -1))
     second = np.concatenate([np.arange(a + 1, 2000) for a in range(2000)])
     assert np.array_equal(pairs, np.column_stack([first, second]))
@@ -201,12 +190,7 @@ def test_pair_difference_in_place_peak_memory():
     rng = np.random.default_rng(1)
     st, sl = rng.normal(size=(2, 5000))
     pairs = rng.integers(0, 5000, size=(1_000_000, 2))
-    tracemalloc.start()
-    try:
-        values = pair_difference_values(pairs, st, sl)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    values, _, peak = traced(lambda: pair_difference_values(pairs, st, sl))
     assert peak <= 26 * len(pairs)
     a, b = pairs[:, 0], pairs[:, 1]
     assert np.array_equal(values, np.abs((st[a] - st[b]) - (sl[a] - sl[b])))
@@ -219,12 +203,7 @@ def test_report_bins_in_chunks_peak_memory():
     scores = {m: rng.normal(size=(2, 5000)) for m in ("x", "y")}
     pairs = rng.integers(0, 5000, size=(1_000_000, 2))
     edges = (-3.0, -0.5, 0.0, 0.25, 1.0, 2.0)
-    tracemalloc.start()
-    try:
-        report = coevolution_report(pairs, scores, bin_edges=edges)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    report, _, peak = traced(lambda: coevolution_report(pairs, scores, bin_edges=edges))
     assert peak <= pairs.nbytes / 4
     for m, (st, sl) in scores.items():
         values = pair_difference_values(pairs, st, sl)

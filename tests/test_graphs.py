@@ -1,7 +1,5 @@
-import gc
 import io
 import itertools
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,9 +12,10 @@ from netpos import (GeneratorConfig, Graph, ParseError, Partition, SnapshotSpec,
                     TemporalEdgeLog, VertexLabelMap, build_snapshots,
                     generate_power_law, load_edge_list, load_temporal_edge_list,
                     reciprocal_projection, save_edge_list)
+from netpos.partition import run_refinement
 from netpos.textio import scan
 
-from helpers import edge_set, er_graph, label_of, log_rows, neighbors
+from helpers import edge_set, er_graph, label_of, log_rows, neighbors, traced
 from oracles import (degree_to_cell, degree_vector, reciprocal_projection_lexsort,
                      reciprocal_reference, save_edge_list_ref, scan_reference,
                      snapshots_lexsort, snapshots_reference, validate_graph,
@@ -164,20 +163,8 @@ def test_reader_matches_reference_across_blocks():
 
 def test_reader_peaks_no_higher_than_reference():
     text = "".join(_random_log(100_000, 60_000, 5))
-    peaks = []
-    enabled = gc.isenabled()
-    gc.disable()    # as the CLI runs
-    try:
-        for read in (scan, scan_reference):
-            tracemalloc.start()
-            try:
-                read(io.StringIO(text), (3,))
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-    finally:
-        if enabled:
-            gc.enable()
+    peaks = [traced(lambda: read(io.StringIO(text), (3,)))[2]
+             for read in (scan, scan_reference)]
     assert peaks[0] <= peaks[1]
 
 
@@ -338,31 +325,11 @@ class _Discard:
         return len(text)
 
 
-def _traced(fn) -> tuple[int, int]:
-    """The memory ``fn()`` leaves allocated and its peak, by tracemalloc,
-    with the cyclic collector off as the CLI runs."""
-    enabled = gc.isenabled()
-    gc.disable()
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        kept = fn()
-        held, peak = tracemalloc.get_traced_memory()
-        del kept
-    finally:
-        tracemalloc.stop()
-        if enabled:
-            gc.enable()
-    return held - before, peak - before
-
-
 def test_loaded_labels_hold_their_bytes_and_offsets_alone():
     # 100k distinct labels: the graph, the UTF-8 bytes and about 8 B of
     # offsets a label stay allocated, and no str per label
     text = io.StringIO("".join(f"u{i} v{i}\n" for i in range(50_000)))
-    loaded = []
-    held, _ = _traced(lambda: loaded.append(load_edge_list(text)))
-    graph, labels = loaded.pop()
+    (graph, labels), held, _ = traced(lambda: load_edge_list(text))
     pool = sum(len(label.encode()) for label in labels.labels)
     csr = graph.indptr.nbytes + graph.indices.nbytes
     assert len(labels) == 100_000
@@ -373,7 +340,7 @@ def test_label_map_write_peak_does_not_grow_with_labels():
     peaks = []
     for n in (3 * netpos.graphs._CHUNK, 30 * netpos.graphs._CHUNK):
         label_map = VertexLabelMap(f"label{i}" for i in range(n))
-        peaks.append(_traced(lambda: label_map.write(_Discard()))[1])
+        peaks.append(traced(lambda: label_map.write(_Discard()))[2])
     assert peaks[1] < 1.2 * peaks[0]
 
 
@@ -510,6 +477,70 @@ def test_snapshot_pipeline_matches_reference_at_scale(resolution):
     cutoffs = tuple(int(np.quantile(times, q)) for q in (0.3, 0.6)) + (int(times.max()),)
     graphs, label_map = build_snapshots(projected, SnapshotSpec(cutoffs))
     assert (graphs, label_map.labels) == snapshots_reference(want, cutoffs)
+
+
+@pytest.fixture(scope="module")
+def directed_log_text():
+    """About 100k directed events over 25k labels, 30k of them answering an
+    earlier link, as text, built as in the at-scale pipeline test above; and
+    cutoffs at 30%, 60% and 100% of the timestamps."""
+    rng = np.random.default_rng(29)
+    k, asked, answered = 25_000, 50_000, 30_000
+    a, b = rng.integers(0, k, asked), rng.integers(0, k, asked)
+    t = rng.integers(10**9, 10**9 + 10**8, asked)
+    back = rng.choice(asked, answered, replace=False)
+    noise = asked - answered
+    source = np.concatenate([a, b[back], rng.integers(0, k, noise)])
+    target = np.concatenate([b, a[back], rng.integers(0, k, noise)])
+    times = np.concatenate([t, t[back] + rng.integers(0, 10**6, answered),
+                            rng.integers(10**9, 10**9 + 10**8, noise)])
+    perm = rng.permutation(source.size)
+    text = "".join(f"u{s} u{d} {x}\n" for s, d, x in
+                   zip(source[perm].tolist(), target[perm].tolist(), times[perm].tolist()))
+    cutoffs = tuple(int(np.quantile(times, q)) for q in (0.3, 0.6)) + (int(times.max()),)
+    return text, SnapshotSpec(cutoffs)
+
+
+def _csr_bytes(graph: Graph) -> int:
+    return graph.indptr.nbytes + graph.indices.nbytes
+
+
+def _label_bytes(labels: VertexLabelMap) -> int:
+    return len(labels._pool) + labels._offsets.nbytes
+
+
+@pytest.mark.parametrize("stage, bound", [
+    ("load_temporal_edge_list", 3.2), ("reciprocal_projection", 2.3),
+    ("build_snapshots", 2.5), ("load_edge_list", 3.2), ("run_refinement", 4.2)])
+def test_snapshot_path_stage_peaks(directed_log_text, stage, bound):
+    # each stage keeps one live copy of each input-sized array, so its peak
+    # above its start stays under ``bound`` times the size named below
+    text, spec = directed_log_text
+    log = load_temporal_edge_list(io.StringIO(text))    # its label ranks not yet kept
+    if stage == "load_temporal_edge_list":      # over the log's columns
+        stream = io.StringIO(text)
+        peak = traced(lambda: load_temporal_edge_list(stream))[2]
+        size = 3 * log.source.nbytes
+    elif stage == "reciprocal_projection":      # over its input's columns
+        peak = traced(lambda: reciprocal_projection(log))[2]
+        size = 3 * log.source.nbytes
+    elif stage == "build_snapshots":            # over the graphs and labels
+        projected = reciprocal_projection(log)
+        (graphs, labels), _, peak = traced(lambda: build_snapshots(projected, spec))
+        size = sum(map(_csr_bytes, graphs)) + _label_bytes(labels)
+    else:
+        graphs, labels = build_snapshots(reciprocal_projection(log), spec)
+        edges = io.StringIO()
+        save_edge_list(graphs[-1], labels, edges)
+        stream = io.StringIO(edges.getvalue())
+        if stage == "load_edge_list":           # over the graph and labels
+            (graph, labels), _, peak = traced(lambda: load_edge_list(stream))
+            size = _csr_bytes(graph) + _label_bytes(labels)
+        else:                                   # at eps 2, over the CSR arrays
+            graph, _ = load_edge_list(stream)
+            peak = traced(lambda: run_refinement(graph, 2))[2]
+            size = _csr_bytes(graph)
+    assert peak < bound * size, (stage, peak / size)
 
 
 def test_temporal_log_validation():

@@ -1,6 +1,4 @@
-import gc
 import io
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,9 +12,10 @@ from netpos import (GeneratorConfig, Graph, ParseError, Partition,
                     generate_power_law, load_temporal_edge_list,
                     read_partition_file, reciprocal_projection,
                     write_partition_file)
+from netpos.textio import _blocks
 
 from helpers import (complete_graph, degree, discrete_partition, edge_set, er_graph,
-                     neighbors, path_graph, star_graph, unit_partition)
+                     neighbors, path_graph, star_graph, traced, unit_partition)
 from oracles import (ActiveList, degree_to_cell, degree_vector,
                      epsilon_spread_dense, equitable_oracle_dense,
                      read_partition_file_ref, split, write_partition_file_ref)
@@ -591,18 +590,24 @@ def test_partition_file_read_peaks_under_96_bytes_per_id(per_line):
         f"{i}\t{' '.join(map(str, ids[lo:lo + per_line]))}\n"
         for i, lo in enumerate(range(0, len(ids), per_line)))
     stream = io.StringIO(text)
-    enabled = gc.isenabled()
-    gc.disable()    # as the CLI runs
-    tracemalloc.start()
-    try:
-        part, _ = read_partition_file(stream)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-        if enabled:
-            gc.enable()
+    (part, _), _, peak = traced(lambda: read_partition_file(stream))
     assert part.n_vertices == 200_000 and len(part) == 200_000 // per_line
     assert peak <= 96 * 200_000
+
+
+def test_partition_file_with_a_cell_line_of_many_blocks_matches_reference():
+    # one cell line of 130k ids spans more than 8 of the tokenizer's
+    # 64K-character blocks, and ends in the middle of one
+    ids = np.random.default_rng(6).permutation(130_000).tolist()
+    line = "0\t" + " ".join(map(str, ids)) + "\n"
+    assert len(line) >= 8 << 16
+    text = "# n=130001 note=long\n" + line + "1\t130000"
+    blocks = list(_blocks(io.StringIO(text).read))
+    assert blocks == ["# n=130001 note=long\n", line, "1\t130000\n"]
+    got, meta = read_partition_file(io.StringIO(text))
+    want, want_meta = read_partition_file_ref(io.StringIO(text))
+    assert got == want and meta == want_meta
+    assert len(got) == 2 and got.n_vertices == 130_001
 
 
 def test_partition_file_errors_match_reference():
