@@ -440,16 +440,26 @@ def reciprocal_projection(log: TemporalEdgeLog) -> TemporalEdgeLog:
     Each pair is oriented with its lower label (in ``str`` order; the lower id
     where the two labels are equal) as source, and rows are in canonical
     (timestamp, source, target) order, so the result is invariant to input
-    order. The label table is kept. Beyond the log, it peaks at about twice
-    the log's three columns, its label ranks included (1.8 times at 983,701
-    events).
+    order. The label table is kept. One argsort of keys that name each
+    row's unordered pair and its direction (below 2**63 for fewer than about
+    2.1e9 labels, as ``_canonical_order``'s rank pairs are for fewer than
+    3e9) finds the pairs seen both ways. Beyond the log, it peaks at about
+    twice the log's three columns, its label ranks included (1.8 times at
+    983,701 events).
     """
     if not log.directed:
         raise ValueError("reciprocal_projection requires a directed log")
     ranks = log.labels.ranks()      # before the temporaries below are live
     k = max(len(log.labels), 1)
-    keys = log.source * k
+    # each row keyed by its unordered pair, lower id first, then a bit that
+    # is set where the row runs from the higher id; the pair key lo * k + hi
+    # is built as lo * (k - 1) + source + target, with no temporary for hi
+    keys = np.minimum(log.source, log.target)
+    keys *= k - 1
+    keys += log.source
     keys += log.target
+    keys *= 2
+    keys += log.source > log.target
     order = keys.argsort()
     keys = keys[order]
     times = log.timestamp[order]
@@ -459,30 +469,14 @@ def reciprocal_projection(log: TemporalEdgeLog) -> TemporalEdgeLog:
     times = np.minimum.reduceat(times, runs)
     keys = keys[runs]
     del runs
-    # each pair from its lower id only, which leaves the self-loops out: the
-    # reverse of each such direction, looked up in ascending order, so that
-    # the binary searches walk ``keys`` forward instead of missing cache at
-    # random; the rows are put in canonical order at the end
-    src, reverse = np.divmod(keys, k)
-    lower = np.flatnonzero(src < reverse)
-    reverse *= k
-    reverse += src
-    del src
-    reverse = reverse[lower]
-    order = reverse.argsort()
-    reverse = reverse[order]
-    lower = lower[order]
-    del order
-    at = np.searchsorted(keys, reverse)
-    np.minimum(at, keys.size - 1, out=at)
-    both = keys[at] == reverse
-    del reverse
-    lower, at = lower[both], at[both]
-    del both
-    src, tgt = np.divmod(keys[lower], k)
+    # a pair seen both ways is now two equal keys in a row; a self-loop has
+    # one direction only, so it is never one of them
+    keys >>= 1
+    at = np.flatnonzero(keys[1:] == keys[:-1])
+    src, tgt = np.divmod(keys[at], k)
     del keys
-    times = np.maximum(times[lower], times[at])
-    del lower, at
+    times = np.maximum(times[at], times[at + 1])
+    del at
     # swap the ends where the target's label sorts first
     swap = np.flatnonzero(ranks[tgt] < ranks[src])
     src[swap], tgt[swap] = tgt[swap], src[swap]
