@@ -147,8 +147,8 @@ class Graph:
     def content_hash(self) -> str:
         h = hashlib.sha256()
         h.update(np.array([self.n, self.m], dtype="<i8").tobytes())
-        h.update(self.indptr.astype("<i8").tobytes())
-        h.update(self.indices.astype("<i8").tobytes())
+        h.update(np.ascontiguousarray(self.indptr, "<i8"))
+        h.update(np.ascontiguousarray(self.indices, "<i8"))
         return "sha256:" + h.hexdigest()
 
     def __eq__(self, other) -> bool:

@@ -11,10 +11,12 @@ classic partition-refinement layout (Paige & Tarjan 1987): one permutation of
 the vertices in which every cell is a contiguous range named by its start
 offset. ``_split_cells`` is the only code that moves vertices, and it moves
 only those that leave their cell's start, so an iteration costs work
-proportional to its splitters' volume. The loop branches on epsilon = 0 in
-four places: which cells are splitters (every pending cell, or the least
-one), how touched vertices are classed, which fragments become pending, and
-how the cells are numbered. ``fast_eep`` returns the partition alone.
+proportional to its splitters' volume; at epsilon > 0, the degrees toward the
+cell at start 0, which only loses members, are kept by subtraction instead.
+The loop branches on epsilon = 0 in four places: which cells are splitters
+(every pending cell, or the least one), how touched vertices are classed,
+which fragments become pending, and how the cells are numbered. ``fast_eep``
+returns the partition alone.
 """
 
 from __future__ import annotations
@@ -214,12 +216,14 @@ def run_refinement(graph: Graph, epsilon,
        which a split fixes by keeping its lowest-f fragment at the cell's
        start and the others after it in ascending-f order.
 
-    Nothing in an iteration costs O(n) or O(number of cells). The counters
-    are the iteration count, the number of cell splits, the number of
-    fragments they created, the cell count, the elapsed time and, under
-    ``collect_work``, the summed volume of the splitters: the adjacency
-    entries gathered, plus those of eps > 0 splitters of at most eps members,
-    which cannot split a cell and are not gathered. Every
+    At eps > 0 the cell at start 0 is never gathered: the degrees toward it
+    are kept by subtraction (``_epsilon_classes``), and a visit of it reads
+    the cells it may split and costs O(n). Nothing else in an iteration costs
+    O(n) or O(number of cells). The counters are the iteration count, the
+    number of cell splits, the number of fragments they created, the cell
+    count, the elapsed time and, under ``collect_work``, the summed volume
+    of the splitters, gathered or not: eps > 0 splitters of at most eps
+    members cannot split a cell and are not gathered either. Every
     ``progress_interval`` iterations it prints an ``iter= active= cells=
     elapsed_ms=`` line on ``sys.stderr``, looked up at each print. The result
     is a pure function of (graph, epsilon).
@@ -235,6 +239,9 @@ def run_refinement(graph: Graph, epsilon,
     # pending starts: an array at eps = 0, else a min-heap with a queued flag
     pending = np.zeros(1, dtype=ID_DTYPE) if eps == 0 else [0]
     queued = np.zeros(n, dtype=bool)   # the unit cell is popped before any push
+    # eps > 0: deg(., C) for the cell C at start 0 as of C's last visit (the
+    # degrees before the first), and the vertices that left C since
+    f0, left = (graph.degrees if eps else None), []
     n_cells = 1
     iterations = splits = fragments = map_work = 0
     cap = cfg.iteration_cap if cfg.iteration_cap is not None else 16 * n + 64
@@ -249,10 +256,12 @@ def run_refinement(graph: Graph, epsilon,
         else:
             active = heapq.heappop(pending)
             queued[active] = False
-            touched, label, volume = _epsilon_classes(
-                graph, perm[active:cell_end[active]], cell_of, cell_end, eps)
+            touched, label, volume = _epsilon_classes(graph, perm, active, cell_of,
+                                                      cell_end, eps, f0, left)
         map_work += volume
         if touched.size:
+            if eps:
+                left.append(touched[cell_of[touched] == 0])
             starts, heads = _split_cells(perm, pos, cell_of, cell_end, mover,
                                          touched, label)
             splits += starts.size
@@ -268,11 +277,14 @@ def run_refinement(graph: Graph, epsilon,
             elapsed_ms = (time.perf_counter() - t0) * 1000.0
             print(f"iter={iterations} active={len(pending)} cells={n_cells} "
                   f"elapsed_ms={elapsed_ms:.1f}", file=sys.stderr)
-    if eps == 0:   # number every cell by its least member
-        starts = cell_end.nonzero()[0]
-        cell_end[starts] = np.minimum.reduceat(perm, starts)
-        cell_of = cell_end[cell_of]
-    partition = Partition.from_membership(cell_of)
+    del f0, left   # so that they do not add to the numbering's peak
+    # number the cells in start order, or at eps = 0 by least member
+    starts = cell_end.nonzero()[0]
+    if eps == 0:
+        starts = starts[np.minimum.reduceat(perm, starts).argsort()]
+    cell_end[starts] = np.arange(starts.size)
+    partition = Partition.__new__(Partition)
+    partition._store(np.arange(n, dtype=ID_DTYPE), cell_end[cell_of], starts.size)
     return partition, RefinementStats(
         iterations, len(partition), time.perf_counter() - t0,
         map_work if cfg.collect_work else 0, splits, fragments)
@@ -301,30 +313,54 @@ def _splitter_classes(graph: Graph, perm, cell_of, cell_end, pending
     return touched[order], label[order], volume
 
 
-def _epsilon_classes(graph: Graph, active_cell: np.ndarray, cell_of, cell_end,
-                     eps: int) -> tuple[np.ndarray, np.ndarray, int]:
+def _epsilon_classes(graph: Graph, perm, active: int, cell_of, cell_end, eps: int,
+                     f0: np.ndarray, left: list) -> tuple[np.ndarray, np.ndarray, int]:
     """The vertices that leave their cell's start, their classes, and the volume.
 
-    A cell splits iff its members' degrees toward the active cell spread more
-    than eps, untouched members counting as f = 0. It is cut greedily in
+    A cell splits iff its members' degrees f toward the active cell spread
+    more than eps, untouched members counting as f = 0. It is cut greedily in
     ascending f: each group runs from its head, the least f not yet grouped,
     to the last f within eps of it, so the groups depend only on the multiset
     of values. The first group stays at the cell's start, with the untouched
     members in a partly touched cell, so only the other groups move and are
     returned. Class ids are distinct and ascend with f within a cell.
+
+    The cell C at start 0 only loses members, so it is never gathered: ``f0``
+    = deg(., C) is kept by subtracting the adjacency of the vertices that
+    left C (``left``, emptied here). Every cell spread at most eps under f0
+    after C's last visit and has only shrunk since, so only the cells that
+    hold a vertex whose f0 changed are read, and only their members above
+    the cell's least f0 + eps go on.
     """
-    if active_cell.size <= eps:
+    cell = perm[active:cell_end[active]]
+    if cell.size <= eps:
         # in a simple graph no vertex has more neighbours in the active cell
         # than it has members, so no cell can spread more than eps
-        volume = graph.indptr[active_cell + 1] - graph.indptr[active_cell]
-        return active_cell[:0], active_cell[:0], int(volume.sum())
-    neighbours, _ = graph.adjacent(active_cell)
-    neighbours.sort()
-    runs = run_offsets(neighbours)
-    touched, f, volume = neighbours[runs[:-1]], np.diff(runs), neighbours.size
-    del neighbours, runs
+        volume = graph.indptr[cell + 1] - graph.indptr[cell]
+        return cell[:0], cell[:0], int(volume.sum())
+    if active:
+        neighbours, _ = graph.adjacent(cell)
+        neighbours.sort()
+        runs = run_offsets(neighbours)
+        touched, f, volume = neighbours[runs[:-1]], np.diff(runs), neighbours.size
+        del neighbours, runs
+    else:
+        starts = np.zeros(1, dtype=ID_DTYPE)   # on the first visit C is the only cell
+        if cell.size < graph.n:
+            neighbours, _ = graph.adjacent(np.concatenate(left))
+            left.clear()
+            np.subtract.at(f0, neighbours, 1)
+            starts = cell_of[neighbours]
+            starts.sort()
+            starts = starts[run_offsets(starts)[:-1]]
+        size = cell_end[starts] - starts
+        touched = perm[ranges(starts, size)]
+        f = f0[touched]
+        low = np.minimum.reduceat(f, size.cumsum() - size)
+        move = f > np.repeat(low + eps, size)
+        touched, f, volume = touched[move], f[move], int(f0.sum())   # vol(C)
     # no cell can spread more than the largest degree toward the active cell
-    fmax = int(f.max()) if volume else 0
+    fmax = int(f.max()) if f.size else 0
     if fmax <= eps:
         return touched[:0], f[:0], volume
     # order the touched vertices by cell, ascending f within each cell

@@ -281,5 +281,8 @@ def scan(stream: IO[str] | Iterable[str], fields: tuple[int, ...]):
                 (tokens + rows, words[starts[rows, None] + cols]
                  | _PAD[np.minimum(sizes[rows, None] - cols, 8)]))
         tokens += at.size
+        # so that no block's arrays stay alive while _intern runs
+        del raw, byte, starts, stops, _, count, first, data, timed, good, wrong, at
+        del sizes, words, width
     labels, ids = _intern(keys, wide)
     return labels, ids.reshape(-1, 2), np.concatenate(times)

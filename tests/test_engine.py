@@ -8,11 +8,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import netpos.partition
 from netpos import (EngineConfig, GeneratorConfig, Graph, IterationLimitError,
                     Partition, VertexLabelMap, coevolution_report, compute_measures,
-                    fast_eep, generate_power_law, load_edge_list, overlap_matrix,
-                    pair_difference_histogram, read_partition_file, run_refinement,
-                    same_position_pairs, write_partition_file)
+                    epsilon_spread, fast_eep, generate_power_law, load_edge_list,
+                    overlap_matrix, pair_difference_histogram, read_partition_file,
+                    run_refinement, same_position_pairs, write_partition_file)
 
 from helpers import (edge_set, er_graph, pa_snapshots, path_graph, star_graph,
                      unit_partition)
@@ -100,20 +101,31 @@ def _disjoint_union(a, b):
 def test_public_map_reduce_loop_matches_fast_eep():
     # an independent refinement loop built from the per-vertex reference pieces;
     # the later inputs have active cells that split several cells at once, some
-    # fully touched and some partly, and isolated vertices (er_graph(60, ...))
+    # fully touched and some partly, and isolated vertices (er_graph(60, ...));
+    # the last two revisit the first cell, whose degrees run_refinement keeps
+    # by subtraction, after it lost at most eps members
     cases = [(er_graph(30, 0.2, seed), (0, 1, 2)) for seed in range(6)]
     sparse = er_graph(60, 0.03, 2)
     assert (sparse.degrees == 0).sum() > 0
     for g in (star_graph(12), _disjoint_union(path_graph(9), star_graph(7)), sparse,
-              generate_power_law(GeneratorConfig(300, 2.3, seed=5))):
+              generate_power_law(GeneratorConfig(300, 2.3, seed=5)),
+              generate_power_law(GeneratorConfig(200, 2.5, seed=2)),
+              generate_power_law(GeneratorConfig(400, 2.5, seed=3))):
         cases.append((g, (0, 1, 2, 3)))
+    few_left = 0   # revisits of the first cell after it lost 1 to eps members
     for case, (g, epsilons) in enumerate(cases):
         for eps in epsilons:
             part = unit_partition(g.n)
             active = ActiveList([0])
             steps = volume = 0
+            first = None   # the first cell's size at its last visit
             while active and len(part) < g.n:
-                ca = part.cells[active.pop_min()]
+                index = active.pop_min()
+                ca = part.cells[index]
+                if index == 0 and eps:
+                    if first is not None and case >= len(cases) - 2:
+                        few_left += 1 <= first - len(ca) <= eps
+                    first = len(ca)
                 f = [degree_to_cell(g, v, ca) for v in range(g.n)]
                 part, split_map = split(part, f, eps)
                 active = active.updated(split_map)
@@ -127,24 +139,35 @@ def test_public_map_reduce_loop_matches_fast_eep():
                 continue
             assert part == got, (case, eps)
             assert (stats.iterations, stats.map_work) == (steps, volume), (case, eps)
+    assert few_left >= 2
 
 
 @pytest.mark.parametrize("eps", [1, 2, 5])
 def test_small_active_cells_skip_the_gather(monkeypatch, eps):
     # no vertex has more neighbours in the active cell than the cell has
     # members, so an active cell of at most eps members cannot split a cell
-    gathered = []
-    adjacent = Graph.adjacent
+    # and is never gathered; the vertices that left the first cell, whose
+    # adjacency is gathered on its revisits, may be fewer
+    cells, gathered = [], []
+    classes, adjacent = netpos.partition._epsilon_classes, Graph.adjacent
+
+    def recording_classes(graph, perm, start, cell_of, cell_end, *rest):
+        cells.append(np.sort(perm[start:cell_end[start]]))
+        return classes(graph, perm, start, cell_of, cell_end, *rest)
 
     def counting_adjacent(self, vertices):
-        gathered.append(len(vertices))
+        if np.array_equal(np.sort(vertices), cells[-1]):   # the active cell
+            gathered.append(len(vertices))
         return adjacent(self, vertices)
 
     g = generate_power_law(GeneratorConfig(2000, 2.3, seed=3))
+    monkeypatch.setattr(netpos.partition, "_epsilon_classes", recording_classes)
     monkeypatch.setattr(Graph, "adjacent", counting_adjacent)
     stats = run_refinement(g, eps, EngineConfig(collect_work=True))[1]
+    assert len(cells) == stats.iterations and min(map(len, cells)) <= eps
     assert gathered and min(gathered) > eps
-    assert len(gathered) < stats.iterations   # the skipped iterations still count
+    # the iterations that gather nothing still count their active cell's volume
+    assert stats.map_work == sum(int(g.degrees[cell].sum()) for cell in cells)
 
 
 # --- refinement order, pinned -------------------------------------------------------
@@ -242,6 +265,31 @@ def test_refinement_order_pinned(name, eps, iterations, map_work, cells, digest,
     assert (stats.iterations, stats.map_work, stats.cells) == \
         (iterations, map_work, cells)
     assert stats.cells == len(part) == 1 + stats.fragments - stats.splits
+
+
+# (eps, iterations, map_work, cells, splits, fragments, SHA-256 of the membership
+# array as little-endian int64) on the 200k-vertex power-law graph, recorded
+# before the degrees toward the first cell were kept by subtraction; the first
+# cell holds most vertices there and is revisited many times
+AT_200K = [
+    (1, 1475, 4118915, 1360, 1009, 2368,
+     "940bca70217d5b07db1aa1ef0b217300fe084afb06347c7caf054584e120e401"),
+    (2, 513, 1380635, 497, 325, 821,
+     "8878021a1a0fda2cd3c1707c3a513464eb20462d7c2f327cb703763b57d52fe7"),
+    (5, 126, 1036701, 124, 54, 177,
+     "d1c0930fbe7f78cb4f5f66772338a7790e1c1417d2ecf49445fed2101cb4f29c"),
+]
+
+
+def test_refinement_at_200k_pinned():
+    g = generate_power_law(GeneratorConfig(200_000, 2.5, seed=7))
+    for eps, *counters, digest in AT_200K:
+        part, stats = run_refinement(g, eps, EngineConfig(collect_work=True))
+        assert [stats.iterations, stats.map_work, stats.cells, stats.splits,
+                stats.fragments] == counters, eps
+        memb = np.ascontiguousarray(part.membership, "<i8")
+        assert hashlib.sha256(memb).hexdigest() == digest, eps
+        assert epsilon_spread(g, part) <= eps
 
 
 # --- Graph.tally over one cell, the map phase of an eps > 0 iteration --------------
