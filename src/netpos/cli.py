@@ -17,7 +17,7 @@ import os
 import resource
 import sys
 import time
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 from . import __version__
@@ -161,7 +161,8 @@ def _parse_cutoff(token: str) -> int:
     dt = datetime.fromisoformat(token)
     if dt.tzinfo is None:
         dt = dt.replace(tzinfo=timezone.utc)
-    return int(dt.timestamp())
+    # floored, not truncated toward zero, so a fraction before 1970 goes down
+    return (dt - datetime(1970, 1, 1, tzinfo=timezone.utc)) // timedelta(seconds=1)
 
 
 def _list_option(convert, valid, requirement: str):

@@ -260,34 +260,34 @@ def overlap_matrix(snapshots: Sequence[Graph], *, epsilons: Sequence[int] = (),
 
     The later partition is restricted to the earlier snapshot's vertex set
     before scoring, so N is the earlier vertex count. Snapshots must share a
-    label map, i.e. vertex ids are nested dense prefixes. A repeated epsilon
-    is scored once, in first-seen order. ``ep``, the coarsest equitable
-    partition, is the eps-0 refinement, so it reuses ``eep:0``'s partitions
-    when 0 is in the grid. ``workers`` is accepted for compatibility and has
-    no effect.
+    label map, i.e. vertex ids are nested dense prefixes. Methods are scored
+    one at a time, holding one method's partitions at once, and a repeated
+    epsilon once, in first-seen order. ``ep`` copies ``eep:0``'s scores when
+    0 is in the grid. ``workers`` is accepted and has no effect.
     """
     for earlier, later in zip(snapshots, snapshots[1:]):
         if earlier.n > later.n:
             raise ValueError("snapshots must be ordered by growing vertex set")
-
-    refined = {e: [fast_eep(g, e) for g in snapshots]
-               for e in dict.fromkeys(int(e) for e in epsilons)}
-    by_method = {f"eep:{e}": parts for e, parts in refined.items()}
+    grid = dict.fromkeys(epsilons)
+    if any(int(e) != e or e < 0 for e in grid):
+        raise ValueError(f"epsilon must be a non-negative integer, got {list(grid)!r}")
+    methods = {f"eep:{int(e)}": int(e) for e in grid}
     if include_equitable:   # the coarsest equitable partition is eep at eps 0
-        by_method["ep"] = refined.get(0) or [fast_eep(g, 0) for g in snapshots]
+        methods["ep"] = 0
     if include_degree:
-        by_method["degree"] = [degree_partition(g) for g in snapshots]
-    if not by_method:
+        methods["degree"] = None
+    if not methods:
         raise ValueError("no partitioning method selected")
-    methods = tuple(by_method)
-    values: dict[tuple[int, int], dict[str, float]] = {}
-    for i in range(len(snapshots)):
-        for j in range(i + 1, len(snapshots)):
-            early_universe = range(snapshots[i].n)
-            cell: dict[str, float] = {}
-            for method in methods:
-                pi = by_method[method][i]
-                pj = restrict_partition(by_method[method][j], early_universe)
-                cell[method] = 100.0 * similarity_score(pi, pj).value
-            values[(i, j)] = cell
-    return OverlapMatrix(methods, len(snapshots), values)
+    count = len(snapshots)
+    values = {(i, j): {} for i in range(count) for j in range(i + 1, count)}
+    for method, e in methods.items():
+        if method == "ep" and 0 in grid:
+            for cell in values.values():
+                cell["ep"] = cell["eep:0"]
+            continue
+        parts = [degree_partition(g) if e is None else fast_eep(g, e) for g in snapshots]
+        for (i, j), cell in values.items():
+            pj = restrict_partition(parts[j], range(snapshots[i].n))
+            cell[method] = 100.0 * similarity_score(parts[i], pj).value
+        del parts   # before the next method refines
+    return OverlapMatrix(tuple(methods), count, values)

@@ -5,9 +5,9 @@ Text is handled as UTF-8 bytes in numpy arrays, a block or a chunk of lines at
 a time. A label is its UTF-8 bytes, packed into int64 words on the way in and
 gathered from a :class:`~netpos.graphs.VertexLabelMap`'s byte pool on the way
 out; 0xFF, which UTF-8 never holds, pads the words and rows, and
-``bytes.replace`` strips it. ``netpos.graphs`` and ``netpos.partition``
-import this module only where they read or write text, so a command that
-does neither never compiles it.
+``bytes.replace`` strips it. This module imports ``netpos.graphs`` at module
+level, so ``graphs`` can import it only inside its functions; ``partition``
+imports it the same way. Every command but ``bench`` and ``--version`` loads it.
 """
 
 from __future__ import annotations

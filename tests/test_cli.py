@@ -348,6 +348,22 @@ def test_snapshots_iso_cutoffs(runner, tmp_path):
     assert "n=2" in result.output
 
 
+@pytest.mark.parametrize("cutoffs, sizes", [
+    ("1969-12-31T23:59:59.5", [[0, 0]]),
+    ("1969-12-31T23:59:59.5,1970-01-01T00:00:00", [[0, 0], [2, 1]])],
+    ids=["event-after-cutoff", "ascending-pair"])
+def test_snapshots_floor_fractional_cutoffs_before_the_epoch(runner, tmp_path, cutoffs,
+                                                            sizes):
+    # unix time -0.5 floors to -1, so the event at t = 0 falls after it
+    log = _write(tmp_path, "log.txt", "a b 0\nb c 5\n")
+    base = str(tmp_path / "snap")
+    result = runner.invoke(main, ["snapshots", log, "--cutoffs", cutoffs, "-o", base])
+    assert result.exit_code == 0, result.output
+    manifest = json.loads(Path(base + ".manifest.json").read_text())
+    assert manifest["options"]["cutoffs"] == [-1, 0][:len(sizes)]
+    assert manifest["extra"]["sizes"] == sizes
+
+
 def test_gen_deterministic(runner, tmp_path):
     out1 = str(tmp_path / "g1.edges")
     out2 = str(tmp_path / "g2.edges")
@@ -399,6 +415,27 @@ def test_coevolve_overlap(runner, tmp_path):
     assert rows[0] == ["earlier", "later", "eep:0", "eep:1", "eep:2", "ep",
                        "degree"]
     assert len(rows) == 2
+
+
+def test_coevolve_overlap_reruns_are_byte_identical(runner, tmp_path):
+    rng = np.random.default_rng(11)
+    log = _write(tmp_path, "log.txt", "".join(
+        f"u{a} u{b} {t}\n" for a, b, t in zip(rng.integers(0, 80, 400).tolist(),
+                                              rng.integers(0, 80, 400).tolist(),
+                                              rng.integers(0, 100, 400).tolist())))
+    base = str(tmp_path / "ov")
+    runs = []
+    for _ in range(2):
+        result = runner.invoke(main, ["coevolve", log, "--cutoffs", "30,60,99",
+                                      "--overlap", "--eps-list", "2,0,1", "-o", base])
+        assert result.exit_code == 0, result.output
+        manifest = json.loads(Path(base + ".manifest.json").read_text())
+        for key in ("elapsed_s", "peak_rss_mb", "started_at"):
+            del manifest[key]
+        runs.append((Path(base + ".overlap.json").read_bytes(),
+                     Path(base + ".overlap.csv").read_bytes(), manifest))
+    assert runs[0] == runs[1]
+    assert len(runs[0][1].splitlines()) == 4    # the header and three pairs
 
 
 COEVOLVE_SHARED = {"log", "cutoffs", "directed", "reciprocal", "overlap"}

@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from netpos import (Partition, coevolution_report, overlap_matrix,
-                    pair_difference_histogram, same_position_pairs)
+from netpos import (GeneratorConfig, Partition, SnapshotSpec, TemporalEdgeLog,
+                    build_snapshots, coevolution_report, generate_power_law,
+                    overlap_matrix, pair_difference_histogram, same_position_pairs)
 from netpos.coevolution import _unrank_pair, bin_values
 
 from helpers import discrete_partition, pa_snapshots, pair_difference_values, traced
@@ -333,6 +334,36 @@ def test_overlap_scores_a_repeated_epsilon_once(monkeypatch):
     assert matrix.methods == ("eep:2", "eep:0", "eep:1")
     assert list(matrix.values[(0, 1)]) == ["eep:2", "eep:0", "eep:1"]
     assert calls == [2, 2, 0, 0, 1, 1]  # one refinement per snapshot and epsilon
+
+
+@pytest.mark.parametrize("bad", [1.5, -1])
+def test_overlap_rejects_a_non_integer_or_negative_epsilon(monkeypatch, bad):
+    import netpos.coevolution as coevolution
+    g1, g2 = pa_snapshots(40, 60, seed=2)
+    calls = []
+    monkeypatch.setattr(coevolution, "fast_eep", lambda graph, eps: calls.append(eps))
+    with pytest.raises(ValueError, match="epsilon must be a non-negative integer"):
+        overlap_matrix([g1, g2], epsilons=[1, bad])
+    assert calls == []   # refused before any refinement
+
+
+def test_overlap_holds_one_method_at_a_time():
+    # three nested snapshots of a 20k-vertex power-law graph, its edges
+    # appearing in a seeded order: scored one method at a time, the whole
+    # grid peaks near one method, not at eleven methods' partitions
+    g = generate_power_law(GeneratorConfig(20_000, 2.5, seed=7))
+    rows = np.repeat(np.arange(g.n), g.degrees)
+    keep = g.indices > rows
+    times = np.random.default_rng(3).permutation(int(keep.sum()))
+    log = TemporalEdgeLog(rows[keep], g.indices[keep], times,
+                          [str(v) for v in range(g.n)], directed=False)
+    m = times.size
+    snapshots, _ = build_snapshots(log, SnapshotSpec((m // 3, 2 * m // 3, m - 1)))
+    assert snapshots[0].n < snapshots[1].n < snapshots[2].n
+    one = traced(lambda: overlap_matrix(snapshots, epsilons=[1]))[2]
+    grid = traced(lambda: overlap_matrix(snapshots, epsilons=range(9),
+                                         include_equitable=True, include_degree=True))[2]
+    assert grid <= 2 * one, grid / one
 
 
 def test_overlap_requires_growing_snapshots():
