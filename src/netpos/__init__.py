@@ -16,11 +16,11 @@ import importlib
 __version__ = "0.1.0"
 
 _EXPORTS = {
+    "textio": ("ParseError", "VertexLabelMap", "save_edge_list"),
     "graphs": (
-        "GeneratorConfig", "Graph", "ParseError", "SnapshotSpec",
-        "TemporalEdgeLog", "VertexLabelMap", "build_snapshots",
-        "generate_power_law", "load_edge_list", "load_temporal_edge_list",
-        "reciprocal_projection", "save_edge_list",
+        "GeneratorConfig", "Graph", "SnapshotSpec", "TemporalEdgeLog",
+        "build_snapshots", "generate_power_law", "load_edge_list",
+        "load_temporal_edge_list", "reciprocal_projection",
     ),
     "partition": (
         "EngineConfig", "IterationLimitError", "Partition", "RefinementStats",

@@ -54,7 +54,7 @@ class _Refused(Exception):
 
 
 def _parse_errors():
-    from .graphs import ParseError
+    from .textio import ParseError
     return ParseError, OSError
 
 
@@ -84,7 +84,7 @@ def _read(path, reader, **options):
         try:
             return reader(fh, **options)
         except UnicodeDecodeError as exc:
-            from .graphs import ParseError
+            from .textio import ParseError
             raise ParseError(f"{path}: not valid UTF-8 (byte "
                              f"0x{exc.object[exc.start]:02x}: {exc.reason})") from None
 
@@ -120,13 +120,13 @@ def _finish_manifest(manifest: dict, t0: float, manifest_out,
 # usage error (exit 2) raised before any input is read.
 
 
-def _file(exists: bool = False, writable: bool = False):
+def _file(writable: bool = False):
     """Converter of a file path: a directory, or an existing file that cannot
     be read (or written, if ``writable``), is refused, and a missing path too
-    if ``exists``."""
+    unless ``writable``."""
     def convert(text: str) -> str:
         if not os.path.exists(text):
-            if exists:
+            if not writable:
                 raise argparse.ArgumentTypeError(f"{text!r} does not exist")
             return text
         if os.path.isdir(text):
@@ -267,15 +267,15 @@ def _load_snapshots(log_path, cuts, directed: bool, reciprocal: bool):
 
 
 @_command(
-    _arg("input_path", metavar="EDGELIST", type=_file(exists=True)),
+    _arg("input_path", metavar="EDGELIST", type=_file()),
     _arg("-e", "--epsilon", type=_at_least(0), default=0, metavar="INTEGER RANGE",
          help="Degree-spread tolerance.  [default: %(default)s; x>=0]"),
     _arg("--method", choices=_METHODS, default="eep",
          metavar="[eep|ep-oracle|degree]", help="[default: %(default)s]"),
     _arg("-o", "--output", required=True, type=_file(writable=True), metavar="FILE"),
-    _arg("--labels-out", type=_file(), metavar="FILE",
+    _arg("--labels-out", type=_file(writable=True), metavar="FILE",
          help="Label map path [default: OUTPUT.labels]."),
-    _arg("--manifest-out", type=_file(), metavar="FILE",
+    _arg("--manifest-out", type=_file(writable=True), metavar="FILE",
          help="Manifest path [default: OUTPUT.manifest.json]."),
     _arg("--progress-interval", type=_at_least(0), default=0, metavar="INTEGER RANGE",
          help="Log a key=value progress line every N iterations.  [x>=0]"),
@@ -307,13 +307,13 @@ def partition(input_path, epsilon, method, output, labels_out, manifest_out,
 
 
 @_command(
-    _arg("partition1", metavar="PARTITION1", type=_file(exists=True)),
-    _arg("partition2", metavar="PARTITION2", type=_file(exists=True)),
-    _arg("--labels", type=_file(exists=True), metavar="FILE",
+    _arg("partition1", metavar="PARTITION1", type=_file()),
+    _arg("partition2", metavar="PARTITION2", type=_file()),
+    _arg("--labels", type=_file(), metavar="FILE",
          help="Shared label map, recorded in the report."),
     _arg("--format", dest="fmt", choices=("text", "json"), default="text",
          metavar="[text|json]", help="[default: %(default)s]"),
-    _arg("--manifest-out", type=_file(), metavar="FILE"),
+    _arg("--manifest-out", type=_file(writable=True), metavar="FILE"),
 )
 def similarity(partition1, partition2, labels, fmt, manifest_out):
     """Score the positional overlap of two partitions of the same vertices."""
@@ -354,14 +354,14 @@ def similarity(partition1, partition2, labels, fmt, manifest_out):
 
 
 @_command(
-    _arg("input_path", metavar="EDGELIST", type=_file(exists=True)),
+    _arg("input_path", metavar="EDGELIST", type=_file()),
     _arg("--measures", dest="names", type=_MEASURE_NAMES, default=_ALL_MEASURES,
          metavar="TEXT", help="Comma-separated measure names.  [default: %(default)s]"),
     _arg("--format", dest="fmt", choices=("csv", "jsonl"), default="csv",
          metavar="[csv|jsonl]", help="[default: %(default)s]"),
-    _arg("-o", "--output", type=_file(), default="-", metavar="FILE",
+    _arg("-o", "--output", type=_file(writable=True), default="-", metavar="FILE",
          help="[default: %(default)s]"),
-    _arg("--manifest-out", type=_file(), metavar="FILE"),
+    _arg("--manifest-out", type=_file(writable=True), metavar="FILE"),
 )
 def centrality(input_path, names, fmt, output, manifest_out):
     """Emit per-vertex centrality scores, one record per vertex."""
@@ -399,7 +399,7 @@ def centrality(input_path, names, fmt, output, manifest_out):
 
 
 @_command(
-    _arg("log_path", metavar="TEMPORAL_EDGELIST", type=_file(exists=True)),
+    _arg("log_path", metavar="TEMPORAL_EDGELIST", type=_file()),
     _arg("--cutoffs", required=True, type=_CUTOFFS, metavar="TEXT",
          help="Comma-separated unix timestamps or ISO-8601 dates."),
     _arg("--directed", action="store_true", help="Treat log events as directed links."),
@@ -408,11 +408,11 @@ def centrality(input_path, names, fmt, output, manifest_out):
          help="Project directed events to reciprocated undirected edges."),
     _arg("-o", "--output-base", required=True, metavar="TEXT",
          help="Snapshots land at BASE.<i>.edges plus BASE.labels."),
-    _arg("--manifest-out", type=_file(), metavar="FILE"),
+    _arg("--manifest-out", type=_file(writable=True), metavar="FILE"),
 )
 def snapshots(log_path, cutoffs, directed, reciprocal, output_base, manifest_out):
     """Build nested cumulative graph snapshots from a timestamped edge log."""
-    from .graphs import save_edge_list
+    from .textio import save_edge_list
     t0 = time.perf_counter()
     manifest = _start_manifest(
         "snapshots", dict(log=log_path, cutoffs=cutoffs, directed=directed,
@@ -437,7 +437,7 @@ def snapshots(log_path, cutoffs, directed, reciprocal, output_base, manifest_out
 
 
 @_command(
-    _arg("log_path", metavar="TEMPORAL_EDGELIST", type=_file(exists=True)),
+    _arg("log_path", metavar="TEMPORAL_EDGELIST", type=_file()),
     _arg("--cutoffs", required=True, type=_CUTOFFS, metavar="TEXT",
          help="Two (histogram mode) or more (--overlap) cutoffs."),
     _arg("--directed", action="store_true"),
@@ -463,7 +463,7 @@ def snapshots(log_path, cutoffs, directed, reciprocal, output_base, manifest_out
     _arg("--eps-list", type=_EPSILONS, default="0,1,2,3,4,5,6,7,8", metavar="TEXT",
          help="Epsilon grid for --overlap.  [default: %(default)s]"),
     _arg("-o", "--output-base", required=True, metavar="TEXT"),
-    _arg("--manifest-out", type=_file(), metavar="FILE"),
+    _arg("--manifest-out", type=_file(writable=True), metavar="FILE"),
 )
 def coevolve(log_path, cutoffs, directed, reciprocal, method, epsilon, names,
              bin_edges, cap, full_pairs, seed, overlap, eps_list, output_base,
@@ -551,24 +551,21 @@ def coevolve(log_path, cutoffs, directed, reciprocal, method, epsilon, names,
          help="Power-law exponent, > 1."),
     _arg("--seed", type=int, default=0, metavar="INTEGER", help="[default: %(default)s]"),
     _arg("-o", "--output", required=True, type=_file(writable=True), metavar="FILE"),
-    _arg("--manifest-out", type=_file(), metavar="FILE"),
+    _arg("--manifest-out", type=_file(writable=True), metavar="FILE"),
 )
 def gen(n, gamma, seed, output, manifest_out):
     """Generate a random power-law graph (erased configuration model)."""
     import numpy as np
-    from .graphs import (GeneratorConfig, VertexLabelMap, generate_power_law,
-                         save_edge_list)
-    from .textio import format_decimal
+    from .graphs import GeneratorConfig, generate_power_law
+    from .textio import PAD_BYTE, VertexLabelMap, format_decimal, save_edge_list, unpad
     t0 = time.perf_counter()
     if not gamma > 1:  # rejects nan
         raise _UsageError("gamma must be > 1")
     manifest = _start_manifest("gen", dict(n=n, gamma=gamma, seed=seed,
                                            output=output), seed=seed)
     graph = generate_power_law(GeneratorConfig(n=n, gamma=gamma, seed=seed))
-    digits = format_decimal(np.arange(graph.n), 0xFF)   # label v is str(v)
-    labels = VertexLabelMap._from_pool(digits.tobytes().replace(b"\xff", b""),
-                                       np.count_nonzero(digits != 0xFF, axis=1))
-    del digits
+    # label v is str(v)
+    labels = VertexLabelMap._from_pool(*unpad(format_decimal(np.arange(graph.n), PAD_BYTE)))
     with open(output, "w", encoding="utf-8") as fh:
         save_edge_list(graph, labels, fh)
     manifest["outputs"] = {"edges": output}
@@ -591,7 +588,7 @@ def gen(n, gamma, seed, output, manifest_out):
          help="[default: %(default)s; x>=1]"),
     _arg("--seed", type=int, default=0, metavar="INTEGER", help="[default: %(default)s]"),
     _arg("-o", "--output", required=True, type=_file(writable=True), metavar="FILE"),
-    _arg("--manifest-out", type=_file(), metavar="FILE"),
+    _arg("--manifest-out", type=_file(writable=True), metavar="FILE"),
 )
 def bench(sizes, gammas, eps, repeats, seed, output, manifest_out):
     """Time the refinement over a (size, gamma, epsilon) grid."""

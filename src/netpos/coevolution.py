@@ -15,7 +15,7 @@ import numpy as np
 
 from .graphs import ID_DTYPE, Graph
 from .partition import Partition, degree_partition, fast_eep
-from .similarity import restrict_partition, similarity_score
+from .similarity import similarity_score
 
 DEFAULT_BIN_EDGES = tuple(float(x) for x in range(11))  # [0,1) .. [9,10) + overflow
 DEFAULT_PAIR_CAP = 1_000_000
@@ -258,9 +258,9 @@ def overlap_matrix(snapshots: Sequence[Graph], *, epsilons: Sequence[int] = (),
                    workers: int = 1) -> OverlapMatrix:
     """Score every snapshot pair (i < j) under each partitioning method.
 
-    The later partition is restricted to the earlier snapshot's vertex set
-    before scoring, so N is the earlier vertex count. Snapshots must share a
-    label map, i.e. vertex ids are nested dense prefixes. Methods are scored
+    The later partition is cut to the earlier snapshot's vertices before
+    scoring, so N is the earlier vertex count. Snapshots must share a label
+    map, i.e. vertex ids are nested dense prefixes [0, n). Methods are scored
     one at a time, holding one method's partitions at once, and a repeated
     epsilon once, in first-seen order. ``ep`` copies ``eep:0``'s scores when
     0 is in the grid. ``workers`` is accepted and has no effect.
@@ -287,7 +287,7 @@ def overlap_matrix(snapshots: Sequence[Graph], *, epsilons: Sequence[int] = (),
             continue
         parts = [degree_partition(g) if e is None else fast_eep(g, e) for g in snapshots]
         for (i, j), cell in values.items():
-            pj = restrict_partition(parts[j], range(snapshots[i].n))
+            pj = Partition.from_membership(parts[j].membership[:snapshots[i].n])
             cell[method] = 100.0 * similarity_score(parts[i], pj).value
         del parts   # before the next method refines
     return OverlapMatrix(tuple(methods), count, values)

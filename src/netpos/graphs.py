@@ -1,9 +1,9 @@
 """Graph model and ingestion: edge lists, temporal logs, snapshots, generation.
 
 Vertices carry dense integer ids internally; external string labels live in a
-:class:`VertexLabelMap`, as one UTF-8 byte pool. Graphs are undirected,
-simple, and immutable once built. The text reader and the byte kernels of
-the writers are in :mod:`netpos.textio`.
+:class:`~netpos.textio.VertexLabelMap`, as one UTF-8 byte pool. Graphs are
+undirected, simple, and immutable once built. The label map, the text reader
+and the edge-list writer are in :mod:`netpos.textio`.
 """
 
 from __future__ import annotations
@@ -13,10 +13,7 @@ from typing import IO, Iterable
 
 import numpy as np
 
-ID_DTYPE = np.int64
-_CHUNK = 1 << 12    # most labels or lines formatted at once
-# _HIGH[r] keeps the first r bytes of a big-endian word read as a number
-_HIGH = np.array([2**64 - 2**(64 - 8 * r) for r in range(9)], dtype=np.uint64)
+from .textio import ID_DTYPE, VertexLabelMap, scan
 
 
 def ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
@@ -36,16 +33,6 @@ def run_offsets(values: np.ndarray) -> np.ndarray:
     edge[0] = edge[size] = True
     np.not_equal(values[1:], values[:-1], out=edge[1:size])
     return edge.nonzero()[0]
-
-
-class ParseError(ValueError):
-    """Malformed input; the message carries the 1-based line number."""
-
-    def __init__(self, message: str, line_no: int | None = None):
-        if line_no is not None:
-            message = f"line {line_no}: {message}"
-        super().__init__(message)
-        self.line_no = line_no
 
 
 class Graph:
@@ -165,148 +152,6 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-def _encode(labels: tuple[str, ...]) -> tuple[bytes, np.ndarray]:
-    """The UTF-8 bytes of ``labels`` end to end, and the bytes of each."""
-    text = "".join(labels)
-    pool = text.encode("utf-8", "surrogatepass")
-    sizes = np.fromiter(map(len, labels), ID_DTYPE, len(labels))
-    if len(pool) != len(text):
-        # from characters to bytes: a character starts at each byte that is
-        # not 10xxxxxx
-        heads = np.append(np.flatnonzero(np.frombuffer(pool, np.uint8) & 0xC0 != 0x80),
-                          len(pool))
-        sizes = np.diff(heads[np.concatenate(([0], sizes.cumsum()))])
-    return pool, sizes
-
-
-class VertexLabelMap:
-    """Dense id -> external label table, stable for the life of a run.
-
-    The labels are one UTF-8 byte pool: label i is ``pool[offsets[i]:offsets[i
-    + 1]]``, and 8 zero bytes follow the last, so that 8 bytes can be read
-    from any label's start. ``labels``, the ``str`` tuple, is decoded on first
-    access. Built from ``str`` labels, a repeated label keeps its first id.
-    """
-
-    __slots__ = ("_pool", "_offsets", "_labels", "_ranks")
-
-    def __init__(self, labels: Iterable[str] = ()):
-        self._store(*_encode(tuple(dict.fromkeys(labels))))
-
-    @classmethod
-    def _table(cls, labels: Iterable[str]) -> VertexLabelMap:
-        """The map of ``labels`` as given, repeats included."""
-        return cls._from_pool(*_encode(tuple(labels)))
-
-    @classmethod
-    def _from_pool(cls, pool: bytes, sizes: np.ndarray) -> VertexLabelMap:
-        """The map of the labels of ``sizes`` bytes each, end to end in ``pool``."""
-        self = cls.__new__(cls)
-        self._store(pool, sizes)
-        return self
-
-    def _store(self, pool: bytes, sizes: np.ndarray) -> None:
-        offsets = np.zeros(sizes.size + 1, dtype=ID_DTYPE)
-        np.cumsum(sizes, out=offsets[1:])
-        offsets.setflags(write=False)
-        self._pool, self._offsets = pool + bytes(8), offsets
-        self._labels = self._ranks = None
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        """The labels as ``str``, by id: decoded on first access, then kept."""
-        if self._labels is None:
-            end = int(self._offsets[-1])
-            text = str(memoryview(self._pool)[:end], "utf-8", "surrogatepass")
-            cuts = self._offsets
-            if len(text) != end:    # byte offsets to character offsets
-                heads = np.frombuffer(self._pool, np.uint8, end) & 0xC0 != 0x80
-                cuts = np.concatenate(([0], heads.cumsum()))[cuts]
-            cuts = cuts.tolist()
-            self._labels = tuple(map(text.__getitem__, map(slice, cuts[:-1], cuts[1:])))
-        return self._labels
-
-    def __len__(self) -> int:
-        return self._offsets.size - 1
-
-    def ranks(self) -> np.ndarray:
-        """Each label's place in code-point order, equal labels by id.
-
-        UTF-8 byte order is code-point order (RFC 3629), lone surrogates
-        encoded by 'surrogatepass' included, so labels are compared as bytes,
-        8 at a time: as big-endian words, zero past the label's end, then by
-        the label's bytes left from the word on, capped at 9, which puts a
-        label before a longer one whose next bytes are zero. Only labels that
-        tie on a word and have bytes past it are sorted again, on the next
-        word. Computed once.
-        """
-        if self._ranks is None:
-            starts, sizes = self._offsets[:-1], np.diff(self._offsets)
-            words = np.ndarray(len(self._pool) - 7, ">u8", self._pool, 0, (1,))
-            order = np.arange(sizes.size)
-            rows = np.arange(sizes.size if sizes.size > 1 else 0)   # places still tied
-            group = ()      # the key of their tie groups, after the first word
-            at = 0
-            while rows.size:
-                ids = order[rows]
-                left = np.minimum(sizes[ids] - at, 9)
-                word = words[starts[ids] + at] & _HIGH[np.minimum(left, 8)]
-                by = np.lexsort((left, word, *group))     # groups keep their places
-                order[rows] = ids[by]
-                del ids
-                left, word = left[by], word[by]
-                del by
-                new = np.ones(rows.size, dtype=bool)
-                new[1:] = (word[1:] != word[:-1]) | (left[1:] != left[:-1])
-                if group:
-                    new[1:] |= group[0][1:] != group[0][:-1]
-                del word
-                heads = np.flatnonzero(new)
-                count = np.diff(heads, append=rows.size)
-                tied = (np.repeat(count, count) > 1) & (left > 8)
-                rows, group = rows[tied], (np.repeat(heads, count)[tied],)
-                at += 8
-            self._ranks = np.empty_like(order)
-            self._ranks[order] = np.arange(order.size)
-        return self._ranks
-
-    def _text(self, ids: np.ndarray, ends) -> bytes:
-        """The labels of ``ids`` end to end, each followed by its byte of ``ends``."""
-        from .textio import gather
-        starts = self._offsets[ids]
-        return gather(self._pool, starts, self._offsets[ids + 1] - starts, ends)
-
-    def _subset(self, ids: np.ndarray) -> VertexLabelMap:
-        """The map of the labels of ``ids``, in that order."""
-        text = b"".join(self._text(ids[at:at + _CHUNK], 0xFF)
-                        for at in range(0, ids.size, _CHUNK))
-        return VertexLabelMap._from_pool(text, self._offsets[ids + 1] - self._offsets[ids])
-
-    def write(self, stream: IO[str]) -> None:
-        """Write one '<id>\\t<label>' line per id, ascending, a chunk of ids at a
-        time."""
-        from .textio import format_decimal, gather
-        offsets = self._offsets
-        ends = np.tile(np.array([0xFF, 10], dtype=np.uint8), _CHUNK)
-        for lo in range(0, len(self), _CHUNK):
-            ids = np.arange(lo, min(lo + _CHUNK, len(self)))
-            digits = format_decimal(ids, 9)     # each '<id>\t', padded
-            first, last = int(offsets[lo]), int(offsets[ids[-1] + 1])
-            source = digits.tobytes() + self._pool[first:last + 8]
-            # the line's two strings in ``source``: its id's row and its label
-            starts, sizes = np.empty((2, ids.size, 2), dtype=ID_DTYPE)
-            starts[:, 0] = (ids - lo) * digits.shape[1]
-            starts[:, 1] = offsets[ids] + (digits.size - first)
-            sizes[:, 0] = digits.shape[1]
-            sizes[:, 1] = offsets[ids + 1] - offsets[ids]
-            text = gather(source, starts.ravel(), sizes.ravel(), ends[:2 * ids.size])
-            stream.write(text.decode("utf-8", "surrogatepass"))
-
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            self.write(fh)
-
-
 class TemporalEdgeLog:
     """Timestamped edge events as three read-only int64 columns.
 
@@ -377,29 +222,13 @@ def load_edge_list(stream: IO[str] | Iterable[str]) -> tuple[Graph, VertexLabelM
     used. Duplicate edges collapse; self-loops are dropped and counted on the
     returned graph.
     """
-    from .textio import scan
     labels, edges, _ = scan(stream, (2, 3))
     return Graph.from_edges(len(labels), edges), labels
-
-
-def save_edge_list(graph: Graph, labels: VertexLabelMap, stream: IO[str]) -> None:
-    """Write each edge once, as 'u w' with u < w, rows ascending, a chunk of
-    edges at a time."""
-    stream.write(f"# vertices={graph.n} edges={graph.m}\n")
-    rows = np.repeat(np.arange(graph.n, dtype=ID_DTYPE), graph.degrees)
-    upper = graph.indices > rows
-    ends = np.column_stack([rows[upper], graph.indices[upper]]).ravel()
-    del rows, upper
-    line = np.tile(np.array([32, 10], dtype=np.uint8), _CHUNK)     # ' ', '\n'
-    for at in range(0, ends.size, 2 * _CHUNK):
-        ids = ends[at:at + 2 * _CHUNK]
-        stream.write(labels._text(ids, line[:ids.size]).decode("utf-8", "surrogatepass"))
 
 
 def load_temporal_edge_list(stream: IO[str] | Iterable[str], *,
                             directed: bool = True) -> TemporalEdgeLog:
     """Read '<label> <label> <unix-timestamp>' lines into a TemporalEdgeLog."""
-    from .textio import scan
     labels, edges, times = scan(stream, (3,))
     edges.setflags(write=False)     # kept by the log, not copied
     times.setflags(write=False)

@@ -28,7 +28,8 @@ from typing import IO, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .graphs import ID_DTYPE, Graph, ParseError, ranges, run_offsets
+from .graphs import Graph, ranges, run_offsets
+from .textio import ID_DTYPE, ParseError, format_decimal, parse_ints, tokenize, unpad
 
 
 class IterationLimitError(RuntimeError):
@@ -574,7 +575,6 @@ def write_partition_file(stream: IO[str], partition: Partition, *,
     graph hash) plus the cell count. The lines are formatted ``_CHUNK_IDS``
     ids at a time, each chunk's cell indexes among them.
     """
-    from .textio import format_decimal
     meta = dict(header or {})
     meta.setdefault("cells", len(partition))
     stream.write("# " + " ".join(f"{k}={v}" for k, v in meta.items()) + "\n")
@@ -589,7 +589,7 @@ def write_partition_file(stream: IO[str], partition: Partition, *,
         heads = firsts[c0:c1] - lo
         rows = format_decimal(np.insert(members[lo:hi], heads, np.arange(c0, c1)),
                               np.insert(after, heads, 9))
-        stream.write(rows.tobytes().replace(b"\xff", b"").decode("ascii"))
+        stream.write(unpad(rows)[0].decode("ascii"))
 
 
 _CHUNK_IDS = 1 << 12   # most ids formatted at once in a partition file
@@ -625,7 +625,6 @@ def read_partition_file(stream: IO[str]) -> tuple[Partition, dict[str, str]]:
     that is not raises a ParseError naming it. The repeat check runs once,
     over all cells, and names the line of the first cell that holds a repeat.
     """
-    from .textio import parse_ints, tokenize
     meta: dict[str, str] = {}
     empty = np.zeros(0, dtype=ID_DTYPE)
     ids, sizes, line_nos = [empty], [empty], [empty]

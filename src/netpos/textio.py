@@ -1,13 +1,13 @@
-"""Text I/O: the block tokenizer that reads edge lists, event logs and
-partition files, and the byte kernels of the chunked writers.
+"""Text I/O: the label map, the block tokenizer that reads edge lists, event
+logs and partition files, and the byte kernels of the chunked writers.
 
 Text is handled as UTF-8 bytes in numpy arrays, a block or a chunk of lines at
 a time. A label is its UTF-8 bytes, packed into int64 words on the way in and
-gathered from a :class:`~netpos.graphs.VertexLabelMap`'s byte pool on the way
-out; 0xFF, which UTF-8 never holds, pads the words and rows, and
-``bytes.replace`` strips it. This module imports ``netpos.graphs`` at module
-level, so ``graphs`` can import it only inside its functions; ``partition``
-imports it the same way. Every command but ``bench`` and ``--version`` loads it.
+gathered from a :class:`VertexLabelMap`'s byte pool on the way out; 0xFF
+(``PAD_BYTE``), which UTF-8 never holds, pads the words and rows, and
+``bytes.replace`` strips it. No other module handles the padding. This module
+imports no other netpos module; ``graphs`` and ``partition`` import it at
+module level, so every command but ``--version`` loads it.
 """
 
 from __future__ import annotations
@@ -19,7 +19,10 @@ from typing import IO, Iterable
 
 import numpy as np
 
-from .graphs import ID_DTYPE, ParseError, VertexLabelMap
+ID_DTYPE = np.int64
+_CHUNK = 1 << 12    # most labels or lines formatted at once
+# _HIGH[r] keeps the first r bytes of a big-endian word read as a number
+_HIGH = np.array([2**64 - 2**(64 - 8 * r) for r in range(9)], dtype=np.uint64)
 
 # Bytes are classified by lookups in these tables, which share one numpy
 # kernel. str.split()'s whitespace is the ASCII bytes of _IS_SPACE and the
@@ -39,6 +42,18 @@ _PAD = np.frombuffer(b"".join(bytes(r) + b"\xff" * (8 - r) for r in range(9)),
 # _UNIT[r] is 1 at byte r of a word and 0 elsewhere (everywhere for r = 8)
 _UNIT = np.frombuffer(b"".join(bytes(r) + b"\x01" + bytes(7 - r) for r in range(8))
                       + bytes(8), dtype=ID_DTYPE)
+# as an end byte of ``gather`` or ``format_decimal``, 0xFF adds none
+PAD_BYTE = 0xFF
+
+
+class ParseError(ValueError):
+    """Malformed input; the message carries the 1-based line number."""
+
+    def __init__(self, message: str, line_no: int | None = None):
+        if line_no is not None:
+            message = f"line {line_no}: {message}"
+        super().__init__(message)
+        self.line_no = line_no
 
 
 def gather(pool: bytes, starts: np.ndarray, sizes: np.ndarray, ends) -> bytes:
@@ -72,7 +87,7 @@ def gather(pool: bytes, starts: np.ndarray, sizes: np.ndarray, ends) -> bytes:
 
 def format_decimal(values: np.ndarray, ends) -> np.ndarray:
     """One row of uint8 per value (>= 0): its decimal digits right-aligned
-    after 0xFF padding, which ``bytes.replace`` strips, then its byte of
+    after 0xFF padding, which :func:`unpad` strips, then its byte of
     ``ends``."""
     width = len(str(int(values.max(initial=0))))
     rows = np.empty((values.size, width + 1), dtype=np.uint8)
@@ -87,6 +102,170 @@ def format_decimal(values: np.ndarray, ends) -> np.ndarray:
         rows[:, column] = digit
         rest = quotient
     return rows
+
+
+def unpad(rows: np.ndarray) -> tuple[bytes, np.ndarray]:
+    """The bytes of the rows of ``rows``, a 2-D array, end to end with their
+    0xFF padding stripped, and each row's size in bytes without it."""
+    keep = rows.view(np.uint8) != 0xFF
+    # a row sum: twice as fast as count_nonzero on rows of a few bytes
+    sizes = np.einsum("ij->i", keep, dtype=ID_DTYPE)
+    del keep
+    return rows.tobytes().replace(b"\xff", b""), sizes
+
+
+def _encode(labels: tuple[str, ...]) -> tuple[bytes, np.ndarray]:
+    """The UTF-8 bytes of ``labels`` end to end, and the bytes of each."""
+    text = "".join(labels)
+    pool = text.encode("utf-8", "surrogatepass")
+    sizes = np.fromiter(map(len, labels), ID_DTYPE, len(labels))
+    if len(pool) != len(text):
+        # from characters to bytes: a character starts at each byte that is
+        # not 10xxxxxx
+        heads = np.append(np.flatnonzero(np.frombuffer(pool, np.uint8) & 0xC0 != 0x80),
+                          len(pool))
+        sizes = np.diff(heads[np.concatenate(([0], sizes.cumsum()))])
+    return pool, sizes
+
+
+class VertexLabelMap:
+    """Dense id -> external label table, stable for the life of a run.
+
+    The labels are one UTF-8 byte pool: label i is ``pool[offsets[i]:offsets[i
+    + 1]]``, and 8 zero bytes follow the last, so that 8 bytes can be read
+    from any label's start. ``labels``, the ``str`` tuple, is decoded on first
+    access. Built from ``str`` labels, a repeated label keeps its first id.
+    """
+
+    __slots__ = ("_pool", "_offsets", "_labels", "_ranks")
+
+    def __init__(self, labels: Iterable[str] = ()):
+        self._store(*_encode(tuple(dict.fromkeys(labels))))
+
+    @classmethod
+    def _table(cls, labels: Iterable[str]) -> VertexLabelMap:
+        """The map of ``labels`` as given, repeats included."""
+        return cls._from_pool(*_encode(tuple(labels)))
+
+    @classmethod
+    def _from_pool(cls, pool: bytes, sizes: np.ndarray) -> VertexLabelMap:
+        """The map of the labels of ``sizes`` bytes each, end to end in ``pool``."""
+        self = cls.__new__(cls)
+        self._store(pool, sizes)
+        return self
+
+    def _store(self, pool: bytes, sizes: np.ndarray) -> None:
+        offsets = np.zeros(sizes.size + 1, dtype=ID_DTYPE)
+        np.cumsum(sizes, out=offsets[1:])
+        offsets.setflags(write=False)
+        self._pool, self._offsets = pool + bytes(8), offsets
+        self._labels = self._ranks = None
+
+    @property
+    def labels(self) -> tuple[str, ...]:
+        """The labels as ``str``, by id: decoded on first access, then kept."""
+        if self._labels is None:
+            end = int(self._offsets[-1])
+            text = str(memoryview(self._pool)[:end], "utf-8", "surrogatepass")
+            cuts = self._offsets
+            if len(text) != end:    # byte offsets to character offsets
+                heads = np.frombuffer(self._pool, np.uint8, end) & 0xC0 != 0x80
+                cuts = np.concatenate(([0], heads.cumsum()))[cuts]
+            cuts = cuts.tolist()
+            self._labels = tuple(map(text.__getitem__, map(slice, cuts[:-1], cuts[1:])))
+        return self._labels
+
+    def __len__(self) -> int:
+        return self._offsets.size - 1
+
+    def ranks(self) -> np.ndarray:
+        """Each label's place in code-point order, equal labels by id.
+
+        UTF-8 byte order is code-point order (RFC 3629), lone surrogates
+        encoded by 'surrogatepass' included, so labels are compared as bytes,
+        8 at a time: as big-endian words, zero past the label's end, then by
+        the label's bytes left from the word on, capped at 9, which puts a
+        label before a longer one whose next bytes are zero. Only labels that
+        tie on a word and have bytes past it are sorted again, on the next
+        word. Computed once.
+        """
+        if self._ranks is None:
+            starts, sizes = self._offsets[:-1], np.diff(self._offsets)
+            words = np.ndarray(len(self._pool) - 7, ">u8", self._pool, 0, (1,))
+            order = np.arange(sizes.size)
+            rows = np.arange(sizes.size if sizes.size > 1 else 0)   # places still tied
+            group = ()      # the key of their tie groups, after the first word
+            at = 0
+            while rows.size:
+                ids = order[rows]
+                left = np.minimum(sizes[ids] - at, 9)
+                word = words[starts[ids] + at] & _HIGH[np.minimum(left, 8)]
+                by = np.lexsort((left, word, *group))     # groups keep their places
+                order[rows] = ids[by]
+                del ids
+                left, word = left[by], word[by]
+                del by
+                new = np.ones(rows.size, dtype=bool)
+                new[1:] = (word[1:] != word[:-1]) | (left[1:] != left[:-1])
+                if group:
+                    new[1:] |= group[0][1:] != group[0][:-1]
+                del word
+                heads = np.flatnonzero(new)
+                count = np.diff(heads, append=rows.size)
+                tied = (np.repeat(count, count) > 1) & (left > 8)
+                rows, group = rows[tied], (np.repeat(heads, count)[tied],)
+                at += 8
+            self._ranks = np.empty_like(order)
+            self._ranks[order] = np.arange(order.size)
+        return self._ranks
+
+    def _text(self, ids: np.ndarray, ends) -> bytes:
+        """The labels of ``ids`` end to end, each followed by its byte of ``ends``."""
+        starts = self._offsets[ids]
+        return gather(self._pool, starts, self._offsets[ids + 1] - starts, ends)
+
+    def _subset(self, ids: np.ndarray) -> VertexLabelMap:
+        """The map of the labels of ``ids``, in that order."""
+        text = b"".join(self._text(ids[at:at + _CHUNK], 0xFF)
+                        for at in range(0, ids.size, _CHUNK))
+        return VertexLabelMap._from_pool(text, self._offsets[ids + 1] - self._offsets[ids])
+
+    def write(self, stream: IO[str]) -> None:
+        """Write one '<id>\\t<label>' line per id, ascending, a chunk of ids at a
+        time."""
+        offsets = self._offsets
+        ends = np.tile(np.array([0xFF, 10], dtype=np.uint8), _CHUNK)
+        for lo in range(0, len(self), _CHUNK):
+            ids = np.arange(lo, min(lo + _CHUNK, len(self)))
+            digits = format_decimal(ids, 9)     # each '<id>\t', padded
+            first, last = int(offsets[lo]), int(offsets[ids[-1] + 1])
+            source = digits.tobytes() + self._pool[first:last + 8]
+            # the line's two strings in ``source``: its id's row and its label
+            starts, sizes = np.empty((2, ids.size, 2), dtype=ID_DTYPE)
+            starts[:, 0] = (ids - lo) * digits.shape[1]
+            starts[:, 1] = offsets[ids] + (digits.size - first)
+            sizes[:, 0] = digits.shape[1]
+            sizes[:, 1] = offsets[ids + 1] - offsets[ids]
+            text = gather(source, starts.ravel(), sizes.ravel(), ends[:2 * ids.size])
+            stream.write(text.decode("utf-8", "surrogatepass"))
+
+    def save(self, path) -> None:
+        with open(path, "w", encoding="utf-8") as fh:
+            self.write(fh)
+
+
+def save_edge_list(graph, labels: VertexLabelMap, stream: IO[str]) -> None:
+    """Write each edge of ``graph``, a :class:`~netpos.graphs.Graph`, once, as
+    'u w' with u < w, rows ascending, a chunk of edges at a time."""
+    stream.write(f"# vertices={graph.n} edges={graph.m}\n")
+    rows = np.repeat(np.arange(graph.n, dtype=ID_DTYPE), graph.degrees)
+    upper = graph.indices > rows
+    ends = np.column_stack([rows[upper], graph.indices[upper]]).ravel()
+    del rows, upper
+    line = np.tile(np.array([32, 10], dtype=np.uint8), _CHUNK)     # ' ', '\n'
+    for at in range(0, ends.size, 2 * _CHUNK):
+        ids = ends[at:at + 2 * _CHUNK]
+        stream.write(labels._text(ids, line[:ids.size]).decode("utf-8", "surrogatepass"))
 
 
 def _blocks(read):
@@ -161,14 +340,6 @@ def parse_ints(raw: bytes, byte: np.ndarray, starts: np.ndarray,
     return value
 
 
-def _unpack(words: np.ndarray) -> tuple[bytes, np.ndarray]:
-    """The labels packed in the rows of ``words``, end to end, and their sizes."""
-    pad = words.view(np.uint8).reshape(len(words), 8 * words.shape[1]) == 0xFF
-    sizes = pad.shape[1] - np.count_nonzero(pad, axis=1)
-    del pad
-    return words.tobytes().replace(b"\xff", b""), sizes
-
-
 def _intern(keys: list[np.ndarray], wide: dict) -> tuple[VertexLabelMap, np.ndarray]:
     """The map of the labels in order of first appearance, and the id of each
     token.
@@ -219,9 +390,9 @@ def _intern(keys: list[np.ndarray], wide: dict) -> tuple[VertexLabelMap, np.ndar
     rank = np.concatenate(firsts).argsort()
     del firsts
     if len(reps) == 1:
-        labels = VertexLabelMap._from_pool(*_unpack(reps.pop()[rank]))
+        labels = VertexLabelMap._from_pool(*unpad(reps.pop()[rank]))
     else:
-        pools, sizes = zip(*map(_unpack, reps))
+        pools, sizes = zip(*map(unpad, reps))
         labels = VertexLabelMap._from_pool(b"".join(pools), np.concatenate(sizes))
         labels = labels._subset(rank)
     del reps

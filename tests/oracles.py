@@ -31,7 +31,7 @@ import numpy as np
 
 from netpos import (Graph, Partition, SnapshotSpec, TemporalEdgeLog,
                     VertexLabelMap)
-from netpos.graphs import ID_DTYPE, ParseError
+from netpos.textio import ID_DTYPE, ParseError
 from netpos.partition import _check_epsilon
 from netpos.similarity import UniverseMismatchError, _common_universe
 

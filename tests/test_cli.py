@@ -417,25 +417,59 @@ def test_coevolve_overlap(runner, tmp_path):
     assert len(rows) == 2
 
 
-def test_coevolve_overlap_reruns_are_byte_identical(runner, tmp_path):
+# name -> (arguments, the output files, the manifest file or None where the
+# manifest is printed in the JSON on stdout); ``{tmp}`` is the test's directory
+RERUNS = {
+    "partition-eps0": (["partition", "{tmp}/g.edges", "-e", "0", "-o", "{tmp}/p.part"],
+                       ["p.part", "p.part.labels"], "p.part.manifest.json"),
+    "partition-eps2": (["partition", "{tmp}/g.edges", "-e", "2", "-o", "{tmp}/p.part"],
+                       ["p.part", "p.part.labels"], "p.part.manifest.json"),
+    "snapshots": (["snapshots", "{tmp}/log.txt", "--cutoffs", "30,60,99", "--directed",
+                   "--reciprocal", "-o", "{tmp}/s"],
+                  ["s.0.edges", "s.1.edges", "s.2.edges", "s.labels"], "s.manifest.json"),
+    "gen": (["gen", "-n", "300", "--gamma", "2.5", "--seed", "3", "-o", "{tmp}/h.edges"],
+            ["h.edges"], "h.edges.manifest.json"),
+    "centrality": (["centrality", "{tmp}/g.edges", "--measures", "degree,shapley",
+                    "-o", "{tmp}/c.csv"], ["c.csv"], "c.csv.manifest.json"),
+    "coevolve-histogram": (["coevolve", "{tmp}/log.txt", "--cutoffs", "50,99",
+                            "-o", "{tmp}/co"],
+                           ["co.report.json", "co.report.csv"], "co.manifest.json"),
+    "coevolve-overlap": (["coevolve", "{tmp}/log.txt", "--cutoffs", "30,60,99",
+                          "--overlap", "--eps-list", "2,0,1", "-o", "{tmp}/ov"],
+                         ["ov.overlap.json", "ov.overlap.csv"], "ov.manifest.json"),
+    "similarity-json": (["similarity", "{tmp}/g0.part", "{tmp}/g2.part",
+                         "--format", "json"], [], None),
+}
+
+
+@pytest.mark.parametrize("args, outputs, manifest", RERUNS.values(), ids=RERUNS)
+def test_reruns_are_byte_identical(runner, tmp_path, args, outputs, manifest):
     rng = np.random.default_rng(11)
-    log = _write(tmp_path, "log.txt", "".join(
-        f"u{a} u{b} {t}\n" for a, b, t in zip(rng.integers(0, 80, 400).tolist(),
-                                              rng.integers(0, 80, 400).tolist(),
-                                              rng.integers(0, 100, 400).tolist())))
-    base = str(tmp_path / "ov")
+    events = list(zip(rng.integers(0, 80, 400).tolist(),
+                      rng.integers(0, 80, 400).tolist(),
+                      rng.integers(0, 100, 400).tolist()))
+    _write(tmp_path, "log.txt", "".join(f"u{a} u{b} {t}\n" for a, b, t in events))
+    edges = _write(tmp_path, "g.edges", "".join(f"u{a} u{b}\n" for a, b, _ in events))
+    for eps in ("0", "2"):
+        assert runner.invoke(main, ["partition", edges, "-e", eps,
+                                    "-o", str(tmp_path / f"g{eps}.part")]).exit_code == 0
     runs = []
     for _ in range(2):
-        result = runner.invoke(main, ["coevolve", log, "--cutoffs", "30,60,99",
-                                      "--overlap", "--eps-list", "2,0,1", "-o", base])
+        result = runner.invoke(main, [arg.format(tmp=tmp_path) for arg in args])
         assert result.exit_code == 0, result.output
-        manifest = json.loads(Path(base + ".manifest.json").read_text())
+        texts = [(tmp_path / name).read_bytes() for name in outputs]
+        if manifest:
+            record = json.loads((tmp_path / manifest).read_text())
+        else:
+            payload = json.loads(result.stdout)
+            record = payload.pop("manifest")
+            texts.append(json.dumps(payload, sort_keys=True).encode())
+        assert all(texts)
         for key in ("elapsed_s", "peak_rss_mb", "started_at"):
-            del manifest[key]
-        runs.append((Path(base + ".overlap.json").read_bytes(),
-                     Path(base + ".overlap.csv").read_bytes(), manifest))
+            del record[key]
+        record["extra"].pop("refine_elapsed_s", None)   # a wall-clock time too
+        runs.append((texts, record))
     assert runs[0] == runs[1]
-    assert len(runs[0][1].splitlines()) == 4    # the header and three pairs
 
 
 COEVOLVE_SHARED = {"log", "cutoffs", "directed", "reciprocal", "overlap"}
@@ -534,6 +568,38 @@ def test_bad_list_option_usage_error(runner, tmp_path, args):
     result = runner.invoke(main, [log if a == "LOG" else a for a in args]
                            + ["-o", str(out)])
     assert result.exit_code == 2, result.output
+    assert not list(tmp_path.glob("out*"))
+
+
+@pytest.mark.parametrize("args", [
+    ["partition", "{bad}", "-o", "{tmp}/out.part", "--labels-out", "{ro}"],
+    ["partition", "{bad}", "-o", "{tmp}/out.part", "--manifest-out", "{ro}"],
+    ["similarity", "{bad}", "{bad}", "--manifest-out", "{ro}"],
+    ["centrality", "{bad}", "-o", "{ro}"],
+    ["centrality", "{bad}", "-o", "{tmp}/out.csv", "--manifest-out", "{ro}"],
+    ["snapshots", "{bad}", "--cutoffs", "20", "-o", "{tmp}/out",
+     "--manifest-out", "{ro}"],
+    ["coevolve", "{bad}", "--cutoffs", "20,50", "-o", "{tmp}/out",
+     "--manifest-out", "{ro}"],
+    ["gen", "-n", "10", "--gamma", "2.5", "-o", "{tmp}/out.edges",
+     "--manifest-out", "{ro}"],
+    ["bench", "--sizes", "20", "-o", "{tmp}/out.csv", "--manifest-out", "{ro}"],
+], ids=["partition-labels", "partition-manifest", "similarity-manifest",
+        "centrality-output", "centrality-manifest", "snapshots-manifest",
+        "coevolve-manifest", "gen-manifest", "bench-manifest"])
+def test_output_paths_are_checked_for_writing(runner, tmp_path, monkeypatch, args):
+    # the input does not parse, so exit 2 rather than 3 shows the path was
+    # refused before any input was read; root may write any file, so the
+    # permission check itself is faked
+    bad = _write(tmp_path, "bad.edges", "broken\n")
+    read_only = _write(tmp_path, "read-only", "")
+    access = os.access
+    monkeypatch.setattr(os, "access", lambda path, mode: access(path, mode) and not (
+        path == read_only and mode & os.W_OK))
+    result = runner.invoke(main, [a.format(bad=bad, ro=read_only, tmp=tmp_path)
+                                  for a in args])
+    assert result.exit_code == 2, result.output
+    assert "is not writable" in result.output
     assert not list(tmp_path.glob("out*"))
 
 

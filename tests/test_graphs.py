@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import netpos.graphs
+import netpos.textio
 
 from netpos import (GeneratorConfig, Graph, ParseError, Partition, SnapshotSpec,
                     TemporalEdgeLog, VertexLabelMap, build_snapshots,
@@ -298,9 +298,9 @@ def test_label_and_edge_writers_match_per_line_references(labels, data):
     n = len(label_map)
     pairs = st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=50)
     graph = Graph.from_edges(n, data.draw(pairs) if n else [])   # isolated ends too
-    for chunk in (1, 3, netpos.graphs._CHUNK):
+    for chunk in (1, 3, netpos.textio._CHUNK):
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(netpos.graphs, "_CHUNK", chunk)
+            patch.setattr(netpos.textio, "_CHUNK", chunk)
             got, want = _write_both(lambda fh: label_map.write(fh),
                                     lambda fh: write_labels_ref(label_map, fh))
             assert got == want
@@ -338,7 +338,7 @@ def test_loaded_labels_hold_their_bytes_and_offsets_alone():
 
 def test_label_map_write_peak_does_not_grow_with_labels():
     peaks = []
-    for n in (3 * netpos.graphs._CHUNK, 30 * netpos.graphs._CHUNK):
+    for n in (3 * netpos.textio._CHUNK, 30 * netpos.textio._CHUNK):
         label_map = VertexLabelMap(f"label{i}" for i in range(n))
         peaks.append(traced(lambda: label_map.write(_Discard()))[2])
     assert peaks[1] < 1.2 * peaks[0]

@@ -16,10 +16,10 @@ from netpos.cli import main
 from helpers import CliRunner
 
 EXPORTS = {
-    "graphs": {"GeneratorConfig", "Graph", "ParseError", "SnapshotSpec",
-               "TemporalEdgeLog", "VertexLabelMap", "build_snapshots",
-               "generate_power_law", "load_edge_list", "load_temporal_edge_list",
-               "reciprocal_projection", "save_edge_list"},
+    "textio": {"ParseError", "VertexLabelMap", "save_edge_list"},
+    "graphs": {"GeneratorConfig", "Graph", "SnapshotSpec", "TemporalEdgeLog",
+               "build_snapshots", "generate_power_law", "load_edge_list",
+               "load_temporal_edge_list", "reciprocal_projection"},
     "partition": {"EngineConfig", "IterationLimitError", "Partition",
                   "RefinementStats", "SignatureCollisionError", "degree_partition",
                   "epsilon_spread", "equitable_oracle", "fast_eep",
@@ -111,9 +111,12 @@ def inputs(tmp_path_factory):
      {"logging"}),
     (["coevolve", "log", "--cutoffs", "20,40,50", "--overlap", "-o", "ov"],
      {"graphs", "textio", "partition", "similarity", "coevolution"}, {"logging"}),
+    # generates its graphs, but ``graphs`` imports ``textio`` at module level
+    (["bench", "--sizes", "20", "-o", "b.csv"], {"graphs", "textio", "partition"},
+     {"logging"}),
     (["--version"], set(), {"numpy", "logging", "csv"}),
 ], ids=["partition", "partition-progress", "snapshots", "similarity", "gen",
-        "centrality", "coevolve-overlap", "version"])
+        "centrality", "coevolve-overlap", "bench", "version"])
 def test_command_loads_only_its_modules(inputs, args, netpos_modules, absent):
     loaded = _modules_after(inputs, _LOADED, *args)
     want = {"netpos", "netpos.cli"} | {f"netpos.{m}" for m in netpos_modules}
@@ -145,4 +148,28 @@ def test_no_module_imports_a_private_name_from_a_sibling():
                 found += [f"{path.name}: {alias.name}" for alias in node.names
                           if alias.name.startswith("_")
                           and not alias.name.endswith("__")]
+    assert found == []
+
+
+def test_imports_run_one_way_down_to_textio():
+    # textio is the bottom of the package: it imports no netpos module, and
+    # only the CLI, which loads each command's modules on use, imports a
+    # sibling inside a function
+    found = []
+    for path in sorted(Path(netpos.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        nested = {id(node) for scope in ast.walk(tree)
+                  if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  for node in ast.walk(scope)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""] if not node.level else ["netpos"]
+            elif isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            else:
+                continue
+            inside = id(node) in nested and path.name != "cli.py"
+            if any(m.split(".")[0] == "netpos" for m in modules) and (
+                    path.name == "textio.py" or inside):
+                found.append(f"{path.name}:{node.lineno}")
     assert found == []
