@@ -1,14 +1,18 @@
 """Command-line surface: partition, similarity, centrality, coevolve,
 snapshots, gen, and bench.
 
-Every run emits a JSON manifest (command, resolved options, input hashes,
-seeds, version, timings) sufficient to reproduce it bit-for-bit apart from
-wall-clock times. Exit codes: 0 success, 2 usage, 3 parse/IO, 4 integrity.
+Each command runs its work in one ``with _manifest(...)`` block, which owns
+the clock and, only if the run succeeds, writes the JSON manifest (command,
+resolved options, input hashes, seeds, version, timings) to ``--manifest-out``
+or beside the output; it reproduces the run bit-for-bit apart from wall-clock
+times. Every option value, paths included, is checked before any input is
+read. Exit codes: 0 success, 2 usage, 3 parse/IO, 4 integrity.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import hashlib
 import json
@@ -94,25 +98,25 @@ def _write_json(path, payload) -> None:
                           encoding="utf-8")
 
 
-def _start_manifest(command: str, options: dict, inputs: dict | None = None,
-                    seed: int | None = None) -> dict:
-    """A run manifest, the dict written as JSON; the command fills its
-    ``outputs`` and ``extra``, and ``_finish_manifest`` its time and memory."""
+@contextlib.contextmanager
+def _manifest(command: str, options: dict, manifest_out, output,
+              inputs: dict | None = None, seed: int | None = None):
+    """One run: yields its manifest, the dict written as JSON, for the block to
+    fill ``outputs`` and ``extra``. Only if the block returns are its time and
+    memory recorded and the manifest written, to ``manifest_out`` or else
+    beside ``output`` as ``OUTPUT.manifest.json`` (none if both are None)."""
+    t0 = time.perf_counter()
     hashes = {name: _sha256_file(p) for name, p in (inputs or {}).items()}
-    return dict(command=command, options=options, input_hashes=hashes, seed=seed,
-                version=__version__,
-                started_at=datetime.now(timezone.utc).isoformat(),
-                elapsed_s=0.0, peak_rss_mb=0.0, outputs={}, extra={})
-
-
-def _finish_manifest(manifest: dict, t0: float, manifest_out,
-                     default_path) -> None:
+    manifest = dict(command=command, options=options, input_hashes=hashes, seed=seed,
+                    version=__version__,
+                    started_at=datetime.now(timezone.utc).isoformat(),
+                    elapsed_s=0.0, peak_rss_mb=0.0, outputs={}, extra={})
+    yield manifest
     manifest["elapsed_s"] = time.perf_counter() - t0
     # this process's own high-water mark; Linux reports ru_maxrss in KiB
     manifest["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    path = manifest_out or default_path
-    if path:
-        _write_json(path, manifest)
+    if manifest_out or output:
+        _write_json(manifest_out or output + ".manifest.json", manifest)
 
 
 # --- option values ------------------------------------------------------------
@@ -120,15 +124,29 @@ def _finish_manifest(manifest: dict, t0: float, manifest_out,
 # usage error (exit 2) raised before any input is read.
 
 
+def _new_path(text: str) -> str:
+    """Converter of a path a run will create: its directory must exist and be
+    writable."""
+    folder = os.path.dirname(text) or "."
+    if not os.path.isdir(folder):
+        state = "is not a directory" if os.path.exists(folder) else "does not exist"
+        raise argparse.ArgumentTypeError(f"{folder!r} {state}")
+    if not os.access(folder, os.W_OK | os.X_OK):
+        raise argparse.ArgumentTypeError(f"{folder!r} is not writable")
+    return text
+
+
 def _file(writable: bool = False):
     """Converter of a file path: a directory, or an existing file that cannot
-    be read (or written, if ``writable``), is refused, and a missing path too
-    unless ``writable``."""
+    be read (or written, if ``writable``), is refused; so is a missing path,
+    unless ``writable`` and :func:`_new_path` takes it. An output ``-`` is stdout."""
     def convert(text: str) -> str:
+        if writable and text == "-":
+            return text
         if not os.path.exists(text):
             if not writable:
                 raise argparse.ArgumentTypeError(f"{text!r} does not exist")
-            return text
+            return _new_path(text)
         if os.path.isdir(text):
             raise argparse.ArgumentTypeError(f"{text!r} is a directory")
         if not os.access(text, os.R_OK | (os.W_OK if writable else 0)):
@@ -213,30 +231,41 @@ _METHODS = ("eep", "ep-oracle", "degree")
 _COMMANDS: dict[str, tuple] = {}
 
 
-def _command(*arguments):
-    """Register the decorated function as the command of its name, taking
-    ``arguments``, each the (names, keywords) of one ``add_argument`` call."""
-    def register(fn):
-        _COMMANDS[fn.__name__] = (fn, arguments)
-        return fn
-    return register
-
-
 def _arg(*names, **keywords):
     return names, keywords
 
 
+# every command takes it, after its own arguments
+_MANIFEST_OUT = _arg("--manifest-out", type=_file(writable=True), metavar="FILE",
+                     help="Manifest path, written only if the run succeeds  "
+                          "[default: OUTPUT.manifest.json or BASE.manifest.json; "
+                          "none if the output is stdout].")
+
+
+def _command(*arguments):
+    """Register the decorated function as the command of its name, taking
+    ``arguments``, each the (names, keywords) of one ``add_argument`` call."""
+    def register(fn):
+        _COMMANDS[fn.__name__] = (fn, (*arguments, _MANIFEST_OUT))
+        return fn
+    return register
+
+
 def _partition(graph, method: str, epsilon: int, progress_interval: int = 0):
-    """Partition ``graph`` by ``method``; returns it with its manifest counters."""
+    """Partition ``graph`` by ``method``; returns it, its manifest counters and
+    the epsilon it was refined at: 0 for ``ep-oracle``, the coarsest equitable
+    partition."""
     from .partition import EngineConfig, degree_partition, run_refinement
     if method == "degree":
         part = degree_partition(graph)
-        return part, dict(cells=len(part))
+        return part, dict(cells=len(part)), epsilon
+    if method == "ep-oracle":
+        epsilon = 0
     cfg = EngineConfig(progress_interval=progress_interval, collect_work=True)
     part, stats = run_refinement(graph, epsilon, cfg)
     return part, dict(iterations=stats.iterations, cells=stats.cells,
                       splits=stats.splits, fragments=stats.fragments,
-                      map_work=stats.map_work, refine_elapsed_s=stats.elapsed_s)
+                      map_work=stats.map_work, refine_elapsed_s=stats.elapsed_s), epsilon
 
 
 def _refuse_slow_betweenness(graph, names) -> None:
@@ -275,8 +304,6 @@ def _load_snapshots(log_path, cuts, directed: bool, reciprocal: bool):
     _arg("-o", "--output", required=True, type=_file(writable=True), metavar="FILE"),
     _arg("--labels-out", type=_file(writable=True), metavar="FILE",
          help="Label map path [default: OUTPUT.labels]."),
-    _arg("--manifest-out", type=_file(writable=True), metavar="FILE",
-         help="Manifest path [default: OUTPUT.manifest.json]."),
     _arg("--progress-interval", type=_at_least(0), default=0, metavar="INTEGER RANGE",
          help="Log a key=value progress line every N iterations.  [x>=0]"),
 )
@@ -285,24 +312,19 @@ def partition(input_path, epsilon, method, output, labels_out, manifest_out,
     """Partition a graph into positions and write a partition file."""
     from .graphs import load_edge_list
     from .partition import write_partition_file
-    t0 = time.perf_counter()
-    options = dict(input=input_path, epsilon=epsilon, method=method,
-                   output=output)
-    manifest = _start_manifest("partition", options, {"input": input_path})
-    if method == "ep-oracle":   # the coarsest equitable partition is refined at 0
-        epsilon = 0
-
-    graph, labels = _read(input_path, load_edge_list)
-    part, manifest["extra"] = _partition(graph, method, epsilon, progress_interval)
-
-    header = {"n": graph.n, "epsilon": epsilon, "algorithm": method,
-              "graph_hash": graph.content_hash()}
-    with open(output, "w", encoding="utf-8") as fh:
-        write_partition_file(fh, part, header=header)
-    labels_path = labels_out or output + ".labels"
-    labels.save(labels_path)
-    manifest["outputs"] = {"partition": output, "labels": labels_path}
-    _finish_manifest(manifest, t0, manifest_out, output + ".manifest.json")
+    options = dict(input=input_path, epsilon=epsilon, method=method, output=output)
+    with _manifest("partition", options, manifest_out, output,
+                   {"input": input_path}) as manifest:
+        graph, labels = _read(input_path, load_edge_list)
+        part, manifest["extra"], epsilon = _partition(graph, method, epsilon,
+                                                      progress_interval)
+        header = {"n": graph.n, "epsilon": epsilon, "algorithm": method,
+                  "graph_hash": graph.content_hash()}
+        with open(output, "w", encoding="utf-8") as fh:
+            write_partition_file(fh, part, header=header)
+        labels_path = labels_out or output + ".labels"
+        labels.save(labels_path)
+        manifest["outputs"] = {"partition": output, "labels": labels_path}
     print(f"cells={len(part)} n={graph.n} m={graph.m} -> {output}")
 
 
@@ -313,44 +335,27 @@ def partition(input_path, epsilon, method, output, labels_out, manifest_out,
          help="Shared label map, recorded in the report."),
     _arg("--format", dest="fmt", choices=("text", "json"), default="text",
          metavar="[text|json]", help="[default: %(default)s]"),
-    _arg("--manifest-out", type=_file(writable=True), metavar="FILE"),
 )
 def similarity(partition1, partition2, labels, fmt, manifest_out):
     """Score the positional overlap of two partitions of the same vertices."""
     from .partition import read_partition_file
     from .similarity import similarity_score
-    t0 = time.perf_counter()
-    inputs = {"partition1": partition1, "partition2": partition2}
-    if labels:
-        inputs["labels"] = labels
-    manifest = _start_manifest(
-        "similarity",
-        dict(partition1=partition1, partition2=partition2, labels=labels),
-        inputs)
-
-    p1, meta1 = _read(partition1, read_partition_file)
-    p2, meta2 = _read(partition2, read_partition_file)
-    score = similarity_score(p1, p2)
-
-    payload = {
-        "value": score.value,
-        "cells_1": score.cells_a,
-        "cells_2": score.cells_b,
-        "cells_intersection": score.cells_intersection,
-        "universe_size": score.universe_size,
-        "direct_form": score.direct_form,
-        "harmonic_form": score.harmonic_form,
-        "headers": {"partition1": meta1, "partition2": meta2},
-    }
-    manifest["extra"] = {"value": score.value}
-    _finish_manifest(manifest, t0, manifest_out, None)
+    options = dict(partition1=partition1, partition2=partition2, labels=labels)
+    inputs = {name: path for name, path in options.items() if path}
+    with _manifest("similarity", options, manifest_out, None, inputs) as manifest:
+        p1, meta1 = _read(partition1, read_partition_file)
+        p2, meta2 = _read(partition2, read_partition_file)
+        score = similarity_score(p1, p2)
+        manifest["extra"] = {"value": score.value}
+    payload = dict(value=score.value, cells_1=score.cells_a, cells_2=score.cells_b,
+                   cells_intersection=score.cells_intersection,
+                   universe_size=score.universe_size, direct_form=score.direct_form,
+                   harmonic_form=score.harmonic_form)
     if fmt == "json":
-        payload["manifest"] = manifest
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(json.dumps(dict(payload, headers={"partition1": meta1, "partition2": meta2},
+                              manifest=manifest), indent=2, sort_keys=True))
     else:
-        for key in ("value", "cells_1", "cells_2", "cells_intersection",
-                    "universe_size", "direct_form", "harmonic_form"):
-            print(f"{key}={payload[key]}")
+        print("\n".join(f"{key}={value}" for key, value in payload.items()))
 
 
 @_command(
@@ -361,41 +366,34 @@ def similarity(partition1, partition2, labels, fmt, manifest_out):
          metavar="[csv|jsonl]", help="[default: %(default)s]"),
     _arg("-o", "--output", type=_file(writable=True), default="-", metavar="FILE",
          help="[default: %(default)s]"),
-    _arg("--manifest-out", type=_file(writable=True), metavar="FILE"),
 )
 def centrality(input_path, names, fmt, output, manifest_out):
     """Emit per-vertex centrality scores, one record per vertex."""
     import csv
     from .centrality import CONVENTIONS, compute_measures
     from .graphs import load_edge_list
-    t0 = time.perf_counter()
-    manifest = _start_manifest(
-        "centrality", dict(input=input_path, measures=names, output=output),
-        {"input": input_path})
-    manifest["extra"]["conventions"] = {m: CONVENTIONS[m] for m in names}
+    to_file = output != "-"
+    with _manifest("centrality", dict(input=input_path, measures=names, output=output),
+                   manifest_out, output if to_file else None,
+                   {"input": input_path}) as manifest:
+        manifest["extra"]["conventions"] = {m: CONVENTIONS[m] for m in names}
+        graph, labels = _read(input_path, load_edge_list)
+        _refuse_slow_betweenness(graph, names)
+        vectors = compute_measures(graph, names)
 
-    graph, labels = _read(input_path, load_edge_list)
-    _refuse_slow_betweenness(graph, names)
-    vectors = compute_measures(graph, names)
-
-    # one row per vertex, zipped from the label tuple and the score columns
-    rows = zip(labels.labels, *(vectors[m].scores.tolist() for m in names))
-    sink = sys.stdout if output == "-" else open(output, "w", encoding="utf-8")
-    try:
-        if fmt == "csv":
-            writer = csv.writer(sink)
-            writer.writerow(["label"] + names)
-            writer.writerows(rows)
-        else:
-            keys = ["label"] + names
-            sink.writelines(json.dumps(dict(zip(keys, row))) + "\n" for row in rows)
-    finally:
-        if sink is not sys.stdout:
-            sink.close()
-    if output != "-":
-        manifest["outputs"] = {"scores": output}
-    _finish_manifest(manifest, t0, manifest_out,
-                     None if output == "-" else output + ".manifest.json")
+        # one row per vertex, zipped from the label tuple and the score columns
+        rows = zip(labels.labels, *(vectors[m].scores.tolist() for m in names))
+        with (open(output, "w", encoding="utf-8") if to_file
+              else contextlib.nullcontext(sys.stdout)) as sink:
+            if fmt == "csv":
+                writer = csv.writer(sink)
+                writer.writerow(["label"] + names)
+                writer.writerows(rows)
+            else:
+                keys = ["label"] + names
+                sink.writelines(json.dumps(dict(zip(keys, row))) + "\n" for row in rows)
+        if to_file:
+            manifest["outputs"] = {"scores": output}
 
 
 @_command(
@@ -406,34 +404,26 @@ def centrality(input_path, names, fmt, output, manifest_out):
     _arg("--undirected", dest="directed", action="store_false"),
     _arg("--reciprocal", action="store_true",
          help="Project directed events to reciprocated undirected edges."),
-    _arg("-o", "--output-base", required=True, metavar="TEXT",
+    _arg("-o", "--output-base", required=True, type=_new_path, metavar="TEXT",
          help="Snapshots land at BASE.<i>.edges plus BASE.labels."),
-    _arg("--manifest-out", type=_file(writable=True), metavar="FILE"),
 )
 def snapshots(log_path, cutoffs, directed, reciprocal, output_base, manifest_out):
     """Build nested cumulative graph snapshots from a timestamped edge log."""
     from .textio import save_edge_list
-    t0 = time.perf_counter()
-    manifest = _start_manifest(
-        "snapshots", dict(log=log_path, cutoffs=cutoffs, directed=directed,
-                          reciprocal=reciprocal, output_base=output_base),
-        {"log": log_path})
-    graphs, labels = _load_snapshots(log_path, cutoffs, directed, reciprocal)
-
-    outputs = {}
-    for i, graph in enumerate(graphs):
-        path = f"{output_base}.{i}.edges"
-        with open(path, "w", encoding="utf-8") as fh:
-            save_edge_list(graph, labels, fh)
-        outputs[f"snapshot_{i}"] = path
-        print(f"snapshot {i}: cutoff={cutoffs[i]} n={graph.n} m={graph.m}")
-    labels_path = f"{output_base}.labels"
-    labels.save(labels_path)
-    outputs["labels"] = labels_path
-    manifest["outputs"] = outputs
-    manifest["extra"] = {"sizes": [[g.n, g.m] for g in graphs]}
-    _finish_manifest(manifest, t0, manifest_out,
-                     f"{output_base}.manifest.json")
+    options = dict(log=log_path, cutoffs=cutoffs, directed=directed,
+                   reciprocal=reciprocal, output_base=output_base)
+    with _manifest("snapshots", options, manifest_out, output_base,
+                   {"log": log_path}) as manifest:
+        graphs, labels = _load_snapshots(log_path, cutoffs, directed, reciprocal)
+        outputs = manifest["outputs"]
+        for i, graph in enumerate(graphs):
+            outputs[f"snapshot_{i}"] = path = f"{output_base}.{i}.edges"
+            with open(path, "w", encoding="utf-8") as fh:
+                save_edge_list(graph, labels, fh)
+            print(f"snapshot {i}: cutoff={cutoffs[i]} n={graph.n} m={graph.m}")
+        outputs["labels"] = f"{output_base}.labels"
+        labels.save(outputs["labels"])
+        manifest["extra"] = {"sizes": [[g.n, g.m] for g in graphs]}
 
 
 @_command(
@@ -462,8 +452,7 @@ def snapshots(log_path, cutoffs, directed, reciprocal, output_base, manifest_out
               "building histograms."),
     _arg("--eps-list", type=_EPSILONS, default="0,1,2,3,4,5,6,7,8", metavar="TEXT",
          help="Epsilon grid for --overlap.  [default: %(default)s]"),
-    _arg("-o", "--output-base", required=True, metavar="TEXT"),
-    _arg("--manifest-out", type=_file(writable=True), metavar="FILE"),
+    _arg("-o", "--output-base", required=True, type=_new_path, metavar="TEXT"),
 )
 def coevolve(log_path, cutoffs, directed, reciprocal, method, epsilon, names,
              bin_edges, cap, full_pairs, seed, overlap, eps_list, output_base,
@@ -476,7 +465,6 @@ def coevolve(log_path, cutoffs, directed, reciprocal, method, epsilon, names,
         import numpy as np
         from .centrality import CONVENTIONS, compute_measures
         from .coevolution import coevolution_report, same_position_pairs
-    t0 = time.perf_counter()
     if len(cutoffs) != 2 and not (overlap and len(cutoffs) > 2):
         raise _UsageError("histogram mode takes exactly two cutoffs, "
                          "--overlap two or more")
@@ -486,62 +474,54 @@ def coevolve(log_path, cutoffs, directed, reciprocal, method, epsilon, names,
     options.update(dict(eps_list=eps_list) if overlap else dict(
         method=method, epsilon=epsilon, measures=names, bin_edges=bin_edges,
         cap=cap, full_pairs=full_pairs, seed=seed))
-    manifest = _start_manifest("coevolve", options, {"log": log_path},
-                               seed=None if overlap else seed)
-    graphs, _ = _load_snapshots(log_path, cutoffs, directed, reciprocal)
+    kind = "overlap" if overlap else "report"
+    json_path, csv_path = f"{output_base}.{kind}.json", f"{output_base}.{kind}.csv"
+    with _manifest("coevolve", options, manifest_out, output_base, {"log": log_path},
+                   seed=None if overlap else seed) as manifest:
+        graphs, _ = _load_snapshots(log_path, cutoffs, directed, reciprocal)
+        if overlap:
+            result = overlap_matrix(graphs, epsilons=eps_list,
+                                    include_equitable=True, include_degree=True)
+            header = ["earlier", "later"] + list(result.methods)
+            rows = ([i, j] + [f"{scores[m]:.6f}" for m in result.methods]
+                    for (i, j), scores in sorted(result.values.items()))
+            summary = f"overlap matrix over {len(graphs)} snapshots"
+        else:
+            early, late = graphs
+            _refuse_slow_betweenness(late, names)
+            part, _, epsilon = _partition(early, method, epsilon)
+            sizes = np.bincount(part.membership)
+            population = int((sizes * (sizes - 1) // 2).sum())
+            if full_pairs and population > MAX_FULL_PAIRS:
+                raise _Refused(f"--full-pairs would list {population} same-position "
+                               f"pairs, above the limit of {MAX_FULL_PAIRS}; sample "
+                               f"them with --cap")
+            pairs = same_position_pairs(part, cap=None if full_pairs else cap, seed=seed)
+            scores_early = compute_measures(early, names)
+            scores_late = compute_measures(late, names)
+            result = coevolution_report(
+                pairs,
+                {m: (scores_early[m].scores, scores_late[m].scores) for m in names},
+                bin_edges=bin_edges,
+                sampling={"population_pairs": population,
+                          "cap": None if full_pairs else cap,
+                          "sampled": len(pairs) < population, "seed": seed},
+                metadata={"method": method, "epsilon": epsilon,
+                          "cutoffs": cutoffs, "positions": len(part),
+                          "conventions": {m: CONVENTIONS[m] for m in names}})
+            header = ["bin_lo", "bin_hi", "measure", "count", "pct"]
+            rows = ([lo, hi, measure, count, f"{pct:.6f}"]
+                    for lo, hi, measure, count, pct in result.csv_rows())
+            manifest["extra"] = {"pairs": len(pairs), "positions": len(part)}
+            summary = f"pairs={len(pairs)} positions={len(part)}"
 
-    if overlap:
-        matrix = overlap_matrix(graphs, epsilons=eps_list,
-                                include_equitable=True, include_degree=True)
-        json_path = f"{output_base}.overlap.json"
-        _write_json(json_path, matrix.to_json_dict())
-        csv_path = f"{output_base}.overlap.csv"
+        _write_json(json_path, result.to_json_dict())
         with open(csv_path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["earlier", "later"] + list(matrix.methods))
-            for (i, j), scores in sorted(matrix.values.items()):
-                writer.writerow([i, j] + [f"{scores[m]:.6f}" for m in matrix.methods])
-        manifest["outputs"] = {"overlap_json": json_path, "overlap_csv": csv_path}
-        _finish_manifest(manifest, t0, manifest_out,
-                         f"{output_base}.manifest.json")
-        print(f"overlap matrix over {len(graphs)} snapshots -> {csv_path}")
-        return
-
-    early, late = graphs
-    _refuse_slow_betweenness(late, names)
-    if method == "ep-oracle":   # the coarsest equitable partition is refined at 0
-        epsilon = 0
-    part, _ = _partition(early, method, epsilon)
-    sizes = np.bincount(part.membership)
-    population = int((sizes * (sizes - 1) // 2).sum())
-    if full_pairs and population > MAX_FULL_PAIRS:
-        raise _Refused(f"--full-pairs would list {population} same-position pairs, "
-                       f"above the limit of {MAX_FULL_PAIRS}; sample them with --cap")
-    pairs = same_position_pairs(part, cap=None if full_pairs else cap, seed=seed)
-    scores_early = compute_measures(early, names)
-    scores_late = compute_measures(late, names)
-    report = coevolution_report(
-        pairs,
-        {m: (scores_early[m].scores, scores_late[m].scores) for m in names},
-        bin_edges=bin_edges,
-        sampling={"population_pairs": population, "cap": None if full_pairs else cap,
-                  "sampled": len(pairs) < population, "seed": seed},
-        metadata={"method": method, "epsilon": epsilon,
-                  "cutoffs": cutoffs, "positions": len(part),
-                  "conventions": {m: CONVENTIONS[m] for m in names}})
-
-    json_path = f"{output_base}.report.json"
-    _write_json(json_path, report.to_json_dict())
-    csv_path = f"{output_base}.report.csv"
-    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bin_lo", "bin_hi", "measure", "count", "pct"])
-        for lo, hi, measure, count, pct in report.csv_rows():
-            writer.writerow([lo, hi, measure, count, f"{pct:.6f}"])
-    manifest["outputs"] = {"report_json": json_path, "report_csv": csv_path}
-    manifest["extra"] = {"pairs": len(pairs), "positions": len(part)}
-    _finish_manifest(manifest, t0, manifest_out, f"{output_base}.manifest.json")
-    print(f"pairs={len(pairs)} positions={len(part)} -> {csv_path}")
+            writer.writerow(header)
+            writer.writerows(rows)
+        manifest["outputs"] = {f"{kind}_json": json_path, f"{kind}_csv": csv_path}
+    print(f"{summary} -> {csv_path}")
 
 
 @_command(
@@ -551,29 +531,23 @@ def coevolve(log_path, cutoffs, directed, reciprocal, method, epsilon, names,
          help="Power-law exponent, > 1."),
     _arg("--seed", type=int, default=0, metavar="INTEGER", help="[default: %(default)s]"),
     _arg("-o", "--output", required=True, type=_file(writable=True), metavar="FILE"),
-    _arg("--manifest-out", type=_file(writable=True), metavar="FILE"),
 )
 def gen(n, gamma, seed, output, manifest_out):
     """Generate a random power-law graph (erased configuration model)."""
-    import numpy as np
     from .graphs import GeneratorConfig, generate_power_law
-    from .textio import PAD_BYTE, VertexLabelMap, format_decimal, save_edge_list, unpad
-    t0 = time.perf_counter()
+    from .textio import VertexLabelMap, save_edge_list
     if not gamma > 1:  # rejects nan
         raise _UsageError("gamma must be > 1")
-    manifest = _start_manifest("gen", dict(n=n, gamma=gamma, seed=seed,
-                                           output=output), seed=seed)
-    graph = generate_power_law(GeneratorConfig(n=n, gamma=gamma, seed=seed))
-    # label v is str(v)
-    labels = VertexLabelMap._from_pool(*unpad(format_decimal(np.arange(graph.n), PAD_BYTE)))
-    with open(output, "w", encoding="utf-8") as fh:
-        save_edge_list(graph, labels, fh)
-    manifest["outputs"] = {"edges": output}
-    manifest["extra"] = {"n": graph.n, "m": graph.m,
-                         "self_loops_erased": graph.self_loops_dropped,
-                         "multi_edges_erased": graph.duplicates_collapsed,
-                         "graph_hash": graph.content_hash()}
-    _finish_manifest(manifest, t0, manifest_out, output + ".manifest.json")
+    with _manifest("gen", dict(n=n, gamma=gamma, seed=seed, output=output),
+                   manifest_out, output, seed=seed) as manifest:
+        graph = generate_power_law(GeneratorConfig(n=n, gamma=gamma, seed=seed))
+        with open(output, "w", encoding="utf-8") as fh:
+            save_edge_list(graph, VertexLabelMap.decimal(graph.n), fh)
+        manifest["outputs"] = {"edges": output}
+        manifest["extra"] = {"n": graph.n, "m": graph.m,
+                             "self_loops_erased": graph.self_loops_dropped,
+                             "multi_edges_erased": graph.duplicates_collapsed,
+                             "graph_hash": graph.content_hash()}
     print(f"n={graph.n} m={graph.m} -> {output}")
 
 
@@ -588,18 +562,16 @@ def gen(n, gamma, seed, output, manifest_out):
          help="[default: %(default)s; x>=1]"),
     _arg("--seed", type=int, default=0, metavar="INTEGER", help="[default: %(default)s]"),
     _arg("-o", "--output", required=True, type=_file(writable=True), metavar="FILE"),
-    _arg("--manifest-out", type=_file(writable=True), metavar="FILE"),
 )
 def bench(sizes, gammas, eps, repeats, seed, output, manifest_out):
     """Time the refinement over a (size, gamma, epsilon) grid."""
     import csv
     from .graphs import GeneratorConfig, generate_power_law
     from .partition import EngineConfig, run_refinement
-    t0 = time.perf_counter()
-    manifest = _start_manifest("bench", dict(sizes=sizes, gammas=gammas, eps=eps,
-                                             repeats=repeats, seed=seed,
-                                             output=output), seed=seed)
-    with open(output, "w", encoding="utf-8", newline="") as fh:
+    options = dict(sizes=sizes, gammas=gammas, eps=eps, repeats=repeats, seed=seed,
+                   output=output)
+    with _manifest("bench", options, manifest_out, output, seed=seed) as manifest, \
+            open(output, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["n", "gamma", "epsilon", "repeat", "elapsed_s",
                          "iterations", "cells", "splits", "fragments", "map_work"])
@@ -618,8 +590,7 @@ def bench(sizes, gammas, eps, repeats, seed, output, manifest_out):
                         print(f"n={n} gamma={gamma} eps={epsilon} "
                               f"rep={rep} t={stats.elapsed_s:.3f}s "
                               f"iters={stats.iterations} cells={stats.cells}")
-    manifest["outputs"] = {"csv": output}
-    _finish_manifest(manifest, t0, manifest_out, output + ".manifest.json")
+        manifest["outputs"] = {"csv": output}
 
 
 # --- entry points -------------------------------------------------------------

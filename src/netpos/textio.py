@@ -148,6 +148,11 @@ class VertexLabelMap:
         return cls._from_pool(*_encode(tuple(labels)))
 
     @classmethod
+    def decimal(cls, n: int) -> VertexLabelMap:
+        """The map of the labels ``str(v)`` for v < ``n``, each v its own id."""
+        return cls._from_pool(*unpad(format_decimal(np.arange(n), PAD_BYTE)))
+
+    @classmethod
     def _from_pool(cls, pool: bytes, sizes: np.ndarray) -> VertexLabelMap:
         """The map of the labels of ``sizes`` bytes each, end to end in ``pool``."""
         self = cls.__new__(cls)

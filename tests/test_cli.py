@@ -571,49 +571,79 @@ def test_bad_list_option_usage_error(runner, tmp_path, args):
     assert not list(tmp_path.glob("out*"))
 
 
-@pytest.mark.parametrize("args", [
-    ["partition", "{bad}", "-o", "{tmp}/out.part", "--labels-out", "{ro}"],
-    ["partition", "{bad}", "-o", "{tmp}/out.part", "--manifest-out", "{ro}"],
-    ["similarity", "{bad}", "{bad}", "--manifest-out", "{ro}"],
-    ["centrality", "{bad}", "-o", "{ro}"],
-    ["centrality", "{bad}", "-o", "{tmp}/out.csv", "--manifest-out", "{ro}"],
-    ["snapshots", "{bad}", "--cutoffs", "20", "-o", "{tmp}/out",
-     "--manifest-out", "{ro}"],
-    ["coevolve", "{bad}", "--cutoffs", "20,50", "-o", "{tmp}/out",
-     "--manifest-out", "{ro}"],
-    ["gen", "-n", "10", "--gamma", "2.5", "-o", "{tmp}/out.edges",
-     "--manifest-out", "{ro}"],
-    ["bench", "--sizes", "20", "-o", "{tmp}/out.csv", "--manifest-out", "{ro}"],
+@pytest.mark.parametrize("args, message", [
+    (["partition", "{bad}", "-o", "{tmp}/out.part", "--labels-out", "{ro}"],
+     "is not writable"),
+    (["partition", "{bad}", "-o", "{tmp}/out.part", "--manifest-out", "{ro}"],
+     "is not writable"),
+    (["similarity", "{bad}", "{bad}", "--manifest-out", "{ro}"], "is not writable"),
+    (["centrality", "{bad}", "-o", "{ro}"], "is not writable"),
+    (["centrality", "{bad}", "-o", "{tmp}/out.csv", "--manifest-out", "{ro}"],
+     "is not writable"),
+    (["snapshots", "{bad}", "--cutoffs", "20", "-o", "{tmp}/out",
+      "--manifest-out", "{ro}"], "is not writable"),
+    (["coevolve", "{bad}", "--cutoffs", "20,50", "-o", "{tmp}/out",
+      "--manifest-out", "{ro}"], "is not writable"),
+    (["gen", "-n", "10", "--gamma", "2.5", "-o", "{tmp}/out.edges",
+      "--manifest-out", "{ro}"], "is not writable"),
+    (["bench", "--sizes", "20", "-o", "{tmp}/out.csv", "--manifest-out", "{ro}"],
+     "is not writable"),
+    # a path to be created: its directory must exist, be one and be writable
+    (["partition", "{bad}", "-o", "{tmp}/missing/out.part"], "does not exist"),
+    (["snapshots", "{bad}", "--cutoffs", "20", "-o", "{tmp}/missing/out"],
+     "does not exist"),
+    (["coevolve", "{bad}", "--cutoffs", "20,50", "-o", "{tmp}/missing/out"],
+     "does not exist"),
+    (["partition", "{bad}", "-o", "{bad}/out.part"], "is not a directory"),
+    (["partition", "{bad}", "-o", "{tmp}/out.part", "--labels-out", "{rodir}/out.labels"],
+     "is not writable"),
+    (["similarity", "{bad}", "{bad}", "--manifest-out", "{rodir}/out.json"],
+     "is not writable"),
+    (["snapshots", "{bad}", "--cutoffs", "20", "-o", "{rodir}/out"], "is not writable"),
+    (["coevolve", "{bad}", "--cutoffs", "20,50", "-o", "{rodir}/out"],
+     "is not writable"),
+    (["gen", "-n", "10", "--gamma", "2.5", "-o", "{rodir}/out.edges"], "is not writable"),
 ], ids=["partition-labels", "partition-manifest", "similarity-manifest",
         "centrality-output", "centrality-manifest", "snapshots-manifest",
-        "coevolve-manifest", "gen-manifest", "bench-manifest"])
-def test_output_paths_are_checked_for_writing(runner, tmp_path, monkeypatch, args):
+        "coevolve-manifest", "gen-manifest", "bench-manifest",
+        "partition-missing-dir", "snapshots-missing-dir", "coevolve-missing-dir",
+        "partition-file-as-dir", "partition-labels-read-only-dir",
+        "similarity-manifest-read-only-dir", "snapshots-read-only-dir",
+        "coevolve-read-only-dir", "gen-read-only-dir"])
+def test_output_paths_are_checked_for_writing(runner, tmp_path, monkeypatch, args,
+                                              message):
     # the input does not parse, so exit 2 rather than 3 shows the path was
     # refused before any input was read; root may write any file, so the
     # permission check itself is faked
     bad = _write(tmp_path, "bad.edges", "broken\n")
     read_only = _write(tmp_path, "read-only", "")
+    read_only_dir = tmp_path / "read-only-dir"
+    read_only_dir.mkdir()
     access = os.access
     monkeypatch.setattr(os, "access", lambda path, mode: access(path, mode) and not (
-        path == read_only and mode & os.W_OK))
-    result = runner.invoke(main, [a.format(bad=bad, ro=read_only, tmp=tmp_path)
-                                  for a in args])
+        path in (read_only, str(read_only_dir)) and mode & os.W_OK))
+    result = runner.invoke(main, [a.format(bad=bad, ro=read_only, rodir=read_only_dir,
+                                           tmp=tmp_path) for a in args])
     assert result.exit_code == 2, result.output
-    assert "is not writable" in result.output
-    assert not list(tmp_path.glob("out*"))
+    assert message in result.output
+    assert not list(tmp_path.rglob("out*"))
 
 
-def test_option_value_may_start_with_a_dash(runner, tmp_path):
+def test_option_value_may_start_with_a_dash(runner, tmp_path, monkeypatch):
     # a value binds to the option before it even when it looks like an option
     log = _write(tmp_path, "log.txt",
                  "a b 10\nb c 10\nc d 10\nd e 40\na c 40\nb e 40\n")
     base = str(tmp_path / "coe")
+    monkeypatch.chdir(tmp_path)
     result = runner.invoke(main, ["coevolve", log, "--cutoffs", "20,50", "--measures",
-                                  "degree", "--bin-edges", "-1,0,1", "-o", base])
+                                  "degree", "--bin-edges", "-1,0,1", "-o", base,
+                                  "--manifest-out", "-m.json"])
     assert result.exit_code == 0, result.output
     report = json.loads(Path(base + ".report.json").read_text())
     assert report["bin_edges"] == [-1.0, 0.0, 1.0] and report["total_pairs"] > 0
     assert report["counts"]["degree"][0] == 0   # no difference is below 0
+    assert json.loads((tmp_path / "-m.json").read_text())["command"] == "coevolve"
+    assert not Path(base + ".manifest.json").exists()
 
 
 OPTION_NAMES = {
@@ -746,12 +776,16 @@ def test_import_and_click_runner_never_freeze(runner, tmp_path):
 @pytest.mark.parametrize("args, code", [
     (["partition", "--no-such-option"], 2),
     (["partition", "bad.edges", "-o", "out.part"], 3),
-    (["gen", "-n", "10", "--gamma", "2.5", "-o", "missing/g.edges"], 3),
+    # refused while the line is parsed, before the graph is generated
+    (["gen", "-n", "10", "--gamma", "2.5", "-o", "missing/g.edges"], 2),
+    # the manifest's default path is a directory: an IO error after the work
+    (["gen", "-n", "10", "--gamma", "2.5", "-o", "taken.edges"], 3),
     (["snapshots", "bad.log", "--cutoffs", "5", "-o", "x"], 3),
-], ids=["usage", "parse-error", "missing-output-dir", "not-utf8"])
+], ids=["usage", "parse-error", "missing-output-dir", "io-error", "not-utf8"])
 def test_process_exit_codes(tmp_path, args, code):
     _write(tmp_path, "bad.edges", "a b c d\n")
     (tmp_path / "bad.log").write_bytes(b"a b 1\n\xff\xfe c 2\n")
+    (tmp_path / "taken.edges.manifest.json").mkdir()
     result = _python(tmp_path, "-m", "netpos.cli", *args)
     assert result.returncode == code, result.stderr
     assert result.stderr and "Traceback" not in result.stderr

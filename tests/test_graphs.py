@@ -261,6 +261,14 @@ def test_label_map_roundtrip_and_validation():
     assert empty.getvalue() == ""
 
 
+@pytest.mark.parametrize("n", [0, 1, 10, 1_001])
+def test_decimal_labels_are_the_str_of_each_id(n):
+    got, want = VertexLabelMap.decimal(n), VertexLabelMap(str(v) for v in range(n))
+    assert got.labels == want.labels and got._pool == want._pool
+    assert got._offsets.tolist() == want._offsets.tolist()
+    assert got.ranks().tolist() == want.ranks().tolist()
+
+
 # any text, lone surrogates included, and labels that differ only past a
 # word, by a NUL, by a prefix, or in the planes UTF-8 encodes differently
 _TEXT = st.text(st.characters(exclude_categories=()), max_size=12)

@@ -173,3 +173,21 @@ def test_imports_run_one_way_down_to_textio():
                     path.name == "textio.py" or inside):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_cli_run_lifecycle_has_one_owner():
+    # the clock, the memory reading and the manifest write live in the one
+    # ``_manifest`` block every command runs in, and ``--manifest-out`` is
+    # declared once for all of them
+    cli = Path(netpos.__file__).parent / "cli.py"
+    tree = ast.parse(cli.read_text(encoding="utf-8"))
+    readers = set()
+    for scope in ast.walk(tree):
+        if isinstance(scope, ast.FunctionDef):
+            readers |= {scope.name for node in ast.walk(scope)
+                        if isinstance(node, ast.Attribute)
+                        and (node.attr, getattr(node.value, "id", None))
+                        in {("perf_counter", "time"), ("getrusage", "resource")}}
+    declared = [node.lineno for node in ast.walk(tree)
+                if isinstance(node, ast.Constant) and node.value == "--manifest-out"]
+    assert readers == {"_manifest"} and len(declared) == 1
