@@ -12,6 +12,7 @@ read. Exit codes: 0 success, 2 usage, 3 parse/IO, 4 integrity.
 from __future__ import annotations
 
 import argparse
+import atexit
 import contextlib
 import gc
 import hashlib
@@ -678,22 +679,21 @@ def main(argv: list[str] | None = None) -> int:
 
 def run():
     """Process entry point: run :func:`main` with the cyclic collector off,
-    then freeze the heap on the way out, restore the collector's state and
-    exit with ``main``'s code."""
-    enabled = gc.isenabled()
+    then the atexit handlers, flush stdout and stderr and end the process with
+    ``main``'s code (120 if a flush fails, as in CPython's own shutdown)."""
     # a command's work makes no reference cycles, so the collections that
     # would otherwise run, most of them while numpy loads, would find nothing
     gc.disable()
-    try:
-        code = main()
-    finally:
-        # everything still alive dies with the process, so the final
-        # collections need not walk it: numpy's module graph would otherwise
-        # be torn down object by object
-        gc.freeze()
-        if enabled:
-            gc.enable()
-    sys.exit(code)
+    code = main()
+    # everything still alive dies with the process, so the interpreter is not
+    # torn down: that would free numpy's module graph object by object
+    atexit._run_exitfuncs()
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except OSError:     # the reader is gone
+            code = 120
+    os._exit(code)
 
 
 if __name__ == "__main__":

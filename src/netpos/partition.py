@@ -29,7 +29,7 @@ from typing import IO, Iterable, Mapping, Sequence
 import numpy as np
 
 from .graphs import Graph, ranges, run_offsets
-from .textio import ID_DTYPE, ParseError, format_decimal, parse_ints, tokenize, unpad
+from .textio import ID_DTYPE, ParseError, format_decimal, parse_ints, strip, tokenize
 
 
 class IterationLimitError(RuntimeError):
@@ -589,7 +589,7 @@ def write_partition_file(stream: IO[str], partition: Partition, *,
         heads = firsts[c0:c1] - lo
         rows = format_decimal(np.insert(members[lo:hi], heads, np.arange(c0, c1)),
                               np.insert(after, heads, 9))
-        stream.write(unpad(rows)[0].decode("ascii"))
+        stream.write(strip(rows).decode("ascii"))
 
 
 _CHUNK_IDS = 1 << 12   # most ids formatted at once in a partition file

@@ -5,7 +5,8 @@ Text is handled as UTF-8 bytes in numpy arrays, a block or a chunk of lines at
 a time. A label is its UTF-8 bytes, packed into int64 words on the way in and
 gathered from a :class:`VertexLabelMap`'s byte pool on the way out; 0xFF
 (``PAD_BYTE``), which UTF-8 never holds, pads the words and rows, and
-``bytes.replace`` strips it. No other module handles the padding. This module
+:func:`strip` alone removes it. Bytes are classified at memory speed by
+``bytes.translate`` and compares, not by numpy table gathers. This module
 imports no other netpos module; ``graphs`` and ``partition`` import it at
 module level, so every command but ``--version`` loads it.
 """
@@ -24,15 +25,9 @@ _CHUNK = 1 << 12    # most labels or lines formatted at once
 # _HIGH[r] keeps the first r bytes of a big-endian word read as a number
 _HIGH = np.array([2**64 - 2**(64 - 8 * r) for r in range(9)], dtype=np.uint64)
 
-# Bytes are classified by lookups in these tables, which share one numpy
-# kernel. str.split()'s whitespace is the ASCII bytes of _IS_SPACE and the
-# characters of _SPACES, which become spaces before a block is encoded.
-_IS_SPACE = np.frombuffer(bytes(b in b"\t\n\v\f\r\x1c\x1d\x1e\x1f "
-                                for b in range(256)), dtype=bool)
-_IS_NEWLINE = np.frombuffer(bytes(b == 10 for b in range(256)), dtype=bool)
-_IS_HASH = np.frombuffer(bytes(b == 35 for b in range(256)), dtype=bool)
-_DIGIT = np.array([b - 48 if 48 <= b < 58 else 10 for b in range(256)],
-                  dtype=ID_DTYPE)      # a byte's digit value; 10 for no digit
+# str.split()'s whitespace: the ASCII bytes this bytes.translate table maps to
+# 1, and the characters of _SPACES, which become spaces before a block is encoded
+_IS_SPACE = bytes(b in b"\t\n\v\f\r\x1c\x1d\x1e\x1f " for b in range(256))
 _SPACES = dict.fromkeys([0x85, 0xA0, 0x1680, *range(0x2000, 0x200B), 0x2028,
                          0x2029, 0x202F, 0x205F, 0x3000], " ")
 # _PAD[r] sets each byte of a word past its first r to 0xFF, which UTF-8 never
@@ -63,7 +58,7 @@ def gather(pool: bytes, starts: np.ndarray, sizes: np.ndarray, ends) -> bytes:
     ``pool`` holds 8 bytes past its last string. A string of s bytes is read
     as s // 8 + 1 words, 8 bytes apart from its start; the bytes of its last
     word past its end become 0xFF, but for the first, which becomes its end
-    byte, and ``bytes.replace`` strips the rest. The temporaries take a few
+    byte, and :func:`strip` removes the rest. The temporaries take a few
     int64 a word, whatever the string sizes.
     """
     count = sizes // 8 + 1
@@ -82,7 +77,12 @@ def gather(pool: bytes, starts: np.ndarray, sizes: np.ndarray, ends) -> bytes:
     lower = np.repeat(lower, count)
     lower *= _UNIT[left]
     words -= lower
-    return words.tobytes().replace(b"\xff", b"")
+    return strip(words)
+
+
+def strip(array: np.ndarray) -> bytes:
+    """The bytes of ``array`` without its 0xFF padding."""
+    return array.tobytes().translate(None, b"\xff")
 
 
 def format_decimal(values: np.ndarray, ends) -> np.ndarray:
@@ -107,11 +107,9 @@ def format_decimal(values: np.ndarray, ends) -> np.ndarray:
 def unpad(rows: np.ndarray) -> tuple[bytes, np.ndarray]:
     """The bytes of the rows of ``rows``, a 2-D array, end to end with their
     0xFF padding stripped, and each row's size in bytes without it."""
-    keep = rows.view(np.uint8) != 0xFF
     # a row sum: twice as fast as count_nonzero on rows of a few bytes
-    sizes = np.einsum("ij->i", keep, dtype=ID_DTYPE)
-    del keep
-    return rows.tobytes().replace(b"\xff", b""), sizes
+    sizes = np.einsum("ij->i", rows.view(np.uint8) != 0xFF, dtype=ID_DTYPE)
+    return strip(rows), sizes
 
 
 def _encode(labels: tuple[str, ...]) -> tuple[bytes, np.ndarray]:
@@ -303,10 +301,11 @@ def tokenize(read):
         raw = (text if text.isascii() else text.translate(_SPACES)).encode(
             "utf-8", "surrogatepass") + bytes(7)
         byte = np.frombuffer(raw, dtype=np.uint8)[:-7]
-        space = np.concatenate(([True], _IS_SPACE[byte]))
-        bounds = np.flatnonzero(space[1:] != space[:-1])
+        # whitespace before the block, then each byte's class
+        space = np.frombuffer(b"\x01" + raw.translate(_IS_SPACE), dtype=bool)
+        bounds = np.flatnonzero(space[1:byte.size + 1] != space[:byte.size])
         del space
-        ends = np.flatnonzero(_IS_NEWLINE[byte])
+        ends = np.flatnonzero(byte == 10)
         after = np.searchsorted(bounds[0::2], ends)   # the tokens before each end
         count = np.diff(after, prepend=0)
         yield raw, byte, bounds[0::2], bounds[1::2], ends, count, after - count
@@ -318,8 +317,9 @@ def parse_ints(raw: bytes, byte: np.ndarray, starts: np.ndarray,
 
     Tokens of at most 19 ASCII digits are read in int64 one digit position at
     a time, right-aligned, 4,096 tokens at a time; 2**63 and above wrap
-    negative, since fewer than 20 digits stay below 2**64. Any other token,
-    such as '+5' or '1_0', is read by ``int`` alone.
+    negative, since fewer than 20 digits stay below 2**64. A byte less 48
+    wraps above 9 in uint8 unless it is a digit. Any other token, such as
+    '+5' or '1_0', is read by ``int`` alone.
     """
     value = np.zeros(starts.size, dtype=ID_DTYPE)
     odd = stops - starts > 19
@@ -329,9 +329,9 @@ def parse_ints(raw: bytes, byte: np.ndarray, starts: np.ndarray,
         sizes = stops[part] - starts[part]
         at = np.arange(-min(int(sizes.max()), 19), 0)[:, None]
         digits = byte[stops[part] + at]
-        digits[at + sizes < 0] = 48     # '0' before each token
+        digits -= 48
+        digits[at + sizes < 0] = 0      # before each token
         for row in digits:
-            row = _DIGIT[row]
             odd[part] |= row > 9
             value[part] *= 10
             value[part] += row
@@ -428,7 +428,7 @@ def scan(stream: IO[str] | Iterable[str], fields: tuple[int, ...]):
     lines = tokens = 0
     for raw, byte, starts, stops, _, count, first in tokenize(stream.read):
         data = count > 0    # and not a comment: its first token starts with '#'
-        data[data] = ~_IS_HASH[byte[starts[first[data]]]]
+        data[data] = byte[starts[first[data]]] != 35
         timed = data & (count == 3)
         good = timed | (data & (count == 2)) if 2 in fields else timed
         stamp = parse_ints(raw, byte, starts[first[timed] + 2], stops[first[timed] + 2])

@@ -1,3 +1,4 @@
+import atexit
 import csv
 import gc
 import io
@@ -674,59 +675,78 @@ def test_help_lists_every_option(runner, command):
         assert all(name in result.stdout for name in OPTION_NAMES if name)
 
 
+class _FlushRecorder(io.StringIO):
+    def __init__(self, events, name):
+        super().__init__()
+        self.events, self.name = events, name
+
+    def flush(self):
+        self.events.append(f"flush {self.name}")
+
+
+def _record_exit(monkeypatch):
+    """The steps of ``netpos.cli.run``'s exit, recorded in order: the atexit
+    handlers, each standard stream's flush and ``os._exit``, which returns.
+    Called in the test's body: output capture resets the streams after setup."""
+    events = []
+    monkeypatch.setattr(atexit, "_run_exitfuncs", lambda: events.append("atexit"))
+    for name in ("stdout", "stderr"):
+        monkeypatch.setattr(sys, name, _FlushRecorder(events, name))
+    monkeypatch.setattr(os, "_exit", lambda code: events.append(("exit", code)))
+    return events
+
+
 @pytest.mark.parametrize("args, code", [
     (["--version"], 0),
     (["partition", "BAD", "-o", "OUT"], 3),
 ], ids=["version", "parse-error"])
-def test_run_freezes_once_after_main(tmp_path, monkeypatch, args, code):
-    events = []
+def test_run_exits_after_atexit_and_flush(tmp_path, monkeypatch, args, code):
+    exit_events = _record_exit(monkeypatch)
     group = netpos.cli.main
 
     def recording_main():
         try:
             return group()
         finally:
-            events.append("main")
+            exit_events.append("main")
 
     monkeypatch.setattr(netpos.cli, "main", recording_main)
-    monkeypatch.setattr(gc, "freeze", lambda: events.append("freeze"))
+    monkeypatch.setattr(gc, "disable", lambda: exit_events.append("gc off"))
     bad = _write(tmp_path, "bad.edges", "a b c d\n")
     monkeypatch.setattr(sys, "argv", ["netpos"] + [
         {"BAD": bad, "OUT": str(tmp_path / "out.part")}.get(a, a) for a in args])
-    with pytest.raises(SystemExit) as exc:
-        netpos.cli.run()
-    assert exc.value.code == code
-    assert events == ["main", "freeze"]
+    assert netpos.cli.run() is None     # os._exit returns here
+    assert exit_events == ["gc off", "main", "atexit", "flush stdout",
+                           "flush stderr", ("exit", code)]
 
 
-def _python(tmp_path, *args):
+def _python(tmp_path, *args, stdout=subprocess.PIPE, **env):
     src = Path(netpos.cli.__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=str(src))
-    return subprocess.run([sys.executable, *args], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, timeout=120)
+    env = dict(os.environ, PYTHONPATH=str(src), **env)
+    return subprocess.run([sys.executable, *args], cwd=tmp_path, env=env, stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, timeout=120)
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
 def test_run_turns_the_collector_off_around_main_only(monkeypatch, enabled):
-    during = []
+    # the collector stays off from main until the process ends
+    exit_events = _record_exit(monkeypatch)
     group = netpos.cli.main
 
     def recording_main():
-        during.append(gc.isenabled())
-        group()
+        exit_events.append(("main", gc.isenabled()))
+        return group()
 
     monkeypatch.setattr(netpos.cli, "main", recording_main)
-    monkeypatch.setattr(gc, "freeze", lambda: None)   # keep this process's heap
     monkeypatch.setattr(sys, "argv", ["netpos", "--version"])
     was = gc.isenabled()
     (gc.enable if enabled else gc.disable)()
     try:
-        with pytest.raises(SystemExit):
-            netpos.cli.run()
-        after = gc.isenabled()
+        netpos.cli.run()
     finally:
         (gc.enable if was else gc.disable)()
-    assert during == [False] and after is enabled
+    assert exit_events == [("main", False), "atexit", "flush stdout",
+                           "flush stderr", ("exit", 0)]
 
 
 def test_main_never_touches_the_collector(runner, tmp_path, monkeypatch):
@@ -793,7 +813,7 @@ def test_process_exit_codes(tmp_path, args, code):
 
 def test_process_flushes_its_outputs(tmp_path):
     # the stdout line, the edge list and the manifest are each whole after
-    # the process froze its heap and exited
+    # the process ended without tearing the interpreter down
     result = _python(tmp_path, "-m", "netpos.cli", "gen", "-n", "50", "--gamma",
                      "2.5", "--seed", "1", "-o", "g.edges")
     assert result.returncode == 0, result.stderr
@@ -803,6 +823,54 @@ def test_process_flushes_its_outputs(tmp_path):
     assert result.stdout == f"n=50 m={m} -> g.edges\n"
     manifest = json.loads((tmp_path / "g.edges.manifest.json").read_text())
     assert manifest["extra"]["m"] == m
+
+
+def _two_partitions(tmp_path):
+    return (_write(tmp_path, "a.part", "# n=8\n0\t1 2 3\n1\t4 5\n2\t6 7 8\n"),
+            _write(tmp_path, "b.part", "# n=8\n0\t1 2\n1\t3 4 5\n2\t6 7\n3\t8\n"))
+
+
+def test_process_writes_the_whole_json_to_a_redirected_stdout(tmp_path):
+    with open(tmp_path / "out.json", "w") as out:
+        result = _python(tmp_path, "-m", "netpos.cli", "similarity",
+                         *_two_partitions(tmp_path), "--format", "json", stdout=out)
+    assert result.returncode == 0, result.stderr
+    payload = json.loads((tmp_path / "out.json").read_text())
+    assert payload["value"] == pytest.approx(0.675, abs=1e-12)
+    assert payload["manifest"]["command"] == "similarity"
+
+
+@pytest.mark.parametrize("unbuffered, code", [(False, 120), (True, 3)],
+                         ids=["buffered", "unbuffered"])
+def test_process_exits_120_when_stdout_cannot_be_flushed(tmp_path, unbuffered, code):
+    # the pipe's read end is closed before the process starts. A buffered
+    # stdout holds the JSON until the flush after main, which fails as it
+    # does in CPython's own shutdown; an unbuffered one fails in the command,
+    # an IO error
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        result = _python(tmp_path, "-m", "netpos.cli", "similarity",
+                         *_two_partitions(tmp_path), "--format", "json", stdout=write,
+                         PYTHONUNBUFFERED="1" if unbuffered else "")
+    finally:
+        os.close(write)
+    assert result.returncode == code, result.stderr
+    assert "Traceback" not in result.stderr
+
+
+_ATEXIT_FIRST = """\
+import atexit, runpy, sys
+atexit.register(print, "atexit handler ran")
+sys.argv[0] = "netpos"
+runpy.run_module("netpos.cli", run_name="__main__")
+"""
+
+
+def test_process_runs_atexit_handlers_registered_before_run(tmp_path):
+    result = _python(tmp_path, "-c", _ATEXIT_FIRST, "--version")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == f"netpos, version {netpos.__version__}\natexit handler ran\n"
 
 
 def test_console_script_is_the_freezing_entry_point():

@@ -135,6 +135,62 @@ def test_reader_reports_the_first_error_in_file_order(lines, message):
     assert want == message if message else isinstance(want, tuple)
 
 
+# every ASCII character, and each non-ASCII one that str.split() takes for
+# whitespace
+_EVERY_CLASS = [chr(b) for b in range(128)] + sorted(map(chr, netpos.textio._SPACES))
+
+
+def _loaded(load, text):
+    """What ``load`` makes of ``text``, as the labels, the (source, target)
+    pairs and the timestamps, or its error message."""
+    try:
+        got = load(io.StringIO(text))
+    except ParseError as exc:
+        return str(exc)
+    if isinstance(got, TemporalEdgeLog):
+        return (list(got.labels.labels), np.column_stack([got.source, got.target]).tolist(),
+                got.timestamp.tolist())
+    graph, labels = got
+    return list(labels.labels), sorted(edge_set(graph)), None
+
+
+def test_every_byte_class_reads_as_str_split_does():
+    for c in _EVERY_CLASS:
+        for text in (f"a{c}b{c}1\n{c}c{c}d{c}2{c}\ne f 3\n",     # a separator
+                     f"a{c} {c}b 1\nx{c}y z{c}{c} 2\n{c}#e f 3\n"):     # in a label
+            for load, fields in ((load_edge_list, (2, 3)), (load_temporal_edge_list, (3,))):
+                try:
+                    labels, ends, times = scan_reference(io.StringIO(text), fields)
+                except ParseError as exc:
+                    want = str(exc)
+                else:
+                    want = ((labels, ends.tolist(), times.tolist()) if fields == (3,)
+                            else (labels, sorted(edge_set(Graph.from_edges(len(labels), ends))),
+                                  None))
+                assert _loaded(load, text) == want, (hex(ord(c)), text, load.__name__)
+
+
+_RUNS = ["5", "12", "1" * 18, "1" * 19, "9" * 19, "1" * 20, "0" * 20]
+
+
+def test_parse_ints_matches_int_for_every_ascii_non_digit():
+    tokens = list(_RUNS)
+    for c in (chr(b) for b in range(128) if not chr(b).isdigit()):
+        tokens += [t for run in _RUNS for t in (c + run, run[0] + c + run[1:], run + c)]
+    raw = "".join(tokens).encode("ascii")
+    stops = np.cumsum([len(t) for t in tokens])
+    got = netpos.textio.parse_ints(raw + bytes(7), np.frombuffer(raw, np.uint8),
+                                   stops - [len(t) for t in tokens], stops)
+    want = []
+    for token in tokens:
+        try:
+            value = int(token)
+        except ValueError:
+            value = -1
+        want.append(value if 0 <= value < 2**63 else -1)
+    assert got.tolist() == want
+
+
 def _random_log(events: int, labels: int, seed: int) -> list[str]:
     rng = np.random.default_rng(seed)
     ends = rng.integers(0, labels, size=(events, 2)).tolist()

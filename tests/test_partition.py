@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import netpos.partition
+import netpos.textio
 from netpos import (GeneratorConfig, Graph, ParseError, Partition,
                     SignatureCollisionError, SnapshotSpec, build_snapshots,
                     degree_partition, epsilon_spread, equitable_oracle, fast_eep,
@@ -581,6 +582,16 @@ def test_partition_reader_matches_per_line_reference(text):
     want = _expected_outcome(text)
     got = _reader_outcome(read_partition_file, text)
     assert got == want
+
+
+def test_partition_reader_matches_reference_for_every_byte_class():
+    # each ASCII character, and each non-ASCII one that str.split() takes for
+    # whitespace, between ids and inside the index and the ids
+    for c in [chr(b) for b in range(128)] + sorted(map(chr, netpos.textio._SPACES)):
+        for text in (f"# n=9{c}k=v\n0\t1{c}2\n1\t3{c}4{c}\n{c}2\t5\n",
+                     f"0{c}\t1 2\n1\t3{c}4 5{c}\n2\t{c}6\n"):
+            assert _reader_outcome(read_partition_file, text) == _expected_outcome(text), \
+                (hex(ord(c)), text)
 
 
 @pytest.mark.parametrize("per_line", [200_000, 1], ids=["one-line", "id-per-line"])
