@@ -14,7 +14,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .graphs import ID_DTYPE, Graph
-from .partition import Partition, degree_partition, fast_eep
+from .partition import Partition, check_epsilon, degree_partition, fast_eep
 from .similarity import similarity_score
 
 DEFAULT_BIN_EDGES = tuple(float(x) for x in range(11))  # [0,1) .. [9,10) + overflow
@@ -268,10 +268,8 @@ def overlap_matrix(snapshots: Sequence[Graph], *, epsilons: Sequence[int] = (),
     for earlier, later in zip(snapshots, snapshots[1:]):
         if earlier.n > later.n:
             raise ValueError("snapshots must be ordered by growing vertex set")
-    grid = dict.fromkeys(epsilons)
-    if any(int(e) != e or e < 0 for e in grid):
-        raise ValueError(f"epsilon must be a non-negative integer, got {list(grid)!r}")
-    methods = {f"eep:{int(e)}": int(e) for e in grid}
+    grid = dict.fromkeys(check_epsilon(e) for e in epsilons)
+    methods = {f"eep:{e}": e for e in grid}
     if include_equitable:   # the coarsest equitable partition is eep at eps 0
         methods["ep"] = 0
     if include_degree:
@@ -287,7 +285,7 @@ def overlap_matrix(snapshots: Sequence[Graph], *, epsilons: Sequence[int] = (),
             continue
         parts = [degree_partition(g) if e is None else fast_eep(g, e) for g in snapshots]
         for (i, j), cell in values.items():
-            pj = Partition.from_membership(parts[j].membership[:snapshots[i].n])
+            pj = parts[j].prefix(snapshots[i].n)
             cell[method] = 100.0 * similarity_score(parts[i], pj).value
         del parts   # before the next method refines
     return OverlapMatrix(tuple(methods), count, values)

@@ -20,7 +20,7 @@ def ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
     """Concatenated index ranges [starts_i, starts_i + lens_i), in order."""
     shift = starts - lens.cumsum()
     shift += lens
-    flat = np.repeat(shift, lens)
+    flat = shift.repeat(lens)
     del shift
     flat += np.arange(flat.size, dtype=ID_DTYPE)
     return flat
@@ -121,7 +121,7 @@ class Graph:
         """
         key, lens = self.adjacent(sources)
         key *= self.n
-        key += np.repeat(groups, lens)
+        key += groups.repeat(lens)
         del lens
         key.sort()
         runs = run_offsets(key)
@@ -129,7 +129,7 @@ class Graph:
 
     @property
     def degrees(self) -> np.ndarray:
-        return np.diff(self.indptr)
+        return self.indptr[1:] - self.indptr[:-1]
 
     def content_hash(self) -> str:
         h = hashlib.sha256()

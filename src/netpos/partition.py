@@ -49,9 +49,17 @@ class SignatureCollisionError(RuntimeError):
     """Two distinct degree signatures share a 64-bit hash; refinement refuses them."""
 
 
-def _check_epsilon(epsilon) -> int:
-    eps = int(epsilon)
-    if eps != epsilon or eps < 0:
+_COLLISION = "two distinct degree signatures share a 64-bit hash; refusing to merge them"
+
+
+def check_epsilon(epsilon) -> int:
+    """``epsilon`` as an int; a ValueError unless it is a non-negative integer."""
+    try:
+        eps = int(epsilon)
+        good = eps == epsilon and eps >= 0
+    except (OverflowError, ValueError):   # inf, nan
+        good = False
+    if not good:
         raise ValueError(f"epsilon must be a non-negative integer, got {epsilon!r}")
     return eps
 
@@ -154,6 +162,26 @@ class Partition:
             raise ValueError("partition universe is not the dense range [0, n)")
         return self.membership
 
+    def prefix(self, n: int) -> "Partition":
+        """Every cell cut to the ids [0, n), the empty ones dropped, in cell order.
+
+        The universe must be a dense range holding [0, n). A kept cell's new
+        index is the number of kept cells before it: no sort, unlike
+        ``from_membership`` of the cut membership, which it equals.
+        """
+        size = self.universe.size
+        if n > size:
+            raise ValueError(f"a prefix of {n} ids exceeds the {size}-vertex universe")
+        memb = self.membership_array(size)[:n]
+        kept = np.zeros(self._k, dtype=bool)
+        kept[memb] = True
+        index = kept.cumsum()
+        index -= 1
+        part = Partition.__new__(Partition)
+        part._store(np.arange(n, dtype=ID_DTYPE), index[memb],
+                    int(index[-1]) + 1 if n else 0)
+        return part
+
 
 class EngineConfig:
     """Knobs of a refinement run.
@@ -208,7 +236,8 @@ def run_refinement(graph: Graph, epsilon,
     1. Splitters: at eps = 0 every pending cell, so an iteration is a round;
        at eps > 0 the pending cell with the least start, off a min-heap.
     2. Classes: at eps = 0 the (cell, sorted (splitter, count) list)
-       signatures of ``_splitter_classes``; at eps > 0 the greedy eps-groups
+       signatures of ``_splitter_classes``, in round 1 the degree classes of
+       ``_degree_classes``, with no tally; at eps > 0 the greedy eps-groups
        of ``_epsilon_classes`` over the degrees toward the active cell.
     3. New pending cells: at eps = 0 every fragment but the largest of its
        cell (``_all_but_largest``, Hopcroft's rule); at eps > 0 every fragment.
@@ -229,7 +258,7 @@ def run_refinement(graph: Graph, epsilon,
     elapsed_ms=`` line on ``sys.stderr``, looked up at each print. The result
     is a pure function of (graph, epsilon).
     """
-    eps = _check_epsilon(epsilon)
+    eps = check_epsilon(epsilon)
     cfg = config or EngineConfig()
     t0 = time.perf_counter()
     n = graph.n
@@ -298,8 +327,12 @@ def _splitter_classes(graph: Graph, perm, cell_of, cell_end, pending
     A round counts the (touched vertex, splitter) pairs with ``Graph.tally``;
     a class is a (cell, sorted (splitter, count) list) signature (Cardon &
     Crochemore 1982), with ids from ``_signature_classes``. Untouched members
-    of a touched cell form one more class in ``_split_cells``.
+    of a touched cell form one more class in ``_split_cells``. The first
+    round, whose one splitter is the unit cell, needs no tally: its classes
+    are the degree classes (``_degree_classes``).
     """
+    if cell_end[0] == graph.n:
+        return _degree_classes(graph)
     members = perm[ranges(pending, cell_end[pending] - pending)]
     (touched, token), count, volume = graph.tally(members, cell_of[members])
     del members
@@ -312,6 +345,36 @@ def _splitter_classes(graph: Graph, perm, cell_of, cell_end, pending
     label = _signature_classes(own, token, bounds)
     order = (own * label.size + label).argsort()   # by cell, then class
     return touched[order], label[order], volume
+
+
+def _degree_classes(graph: Graph) -> tuple[np.ndarray, np.ndarray, int]:
+    """The first round's touched vertices, their classes, and the volume 2m.
+
+    A vertex of degree d > 0 has the signature (0, [(0, d)]), whose
+    ``_signature_classes`` digest is ``_mix64(d) + 1``. The classes are the
+    degrees ranked by that digest, a digest two degrees share raising
+    SignatureCollisionError, so they and their order are the tally's. The
+    vertices come grouped by class from one sort of class * n + vertex;
+    isolated vertices, ranked -1, sort first and are left untouched.
+    """
+    n, degrees = graph.n, graph.degrees
+    count = np.bincount(degrees)
+    isolated, count[0] = count[0], 0
+    distinct = count.nonzero()[0]
+    digest = _mix64(distinct.view(np.uint64))
+    digest += np.uint64(1)
+    order = digest.argsort()
+    digest = digest[order]
+    if (digest[1:] == digest[:-1]).any():
+        raise SignatureCollisionError(_COLLISION)
+    rank = np.full(count.size, -1, dtype=ID_DTYPE)
+    rank[distinct[order]] = np.arange(distinct.size)
+    key = rank[degrees]
+    key *= n
+    key += np.arange(n, dtype=ID_DTYPE)
+    key.sort()
+    label, touched = np.divmod(key[isolated:], n)
+    return touched, label, graph.indices.size
 
 
 def _epsilon_classes(graph: Graph, perm, active: int, cell_of, cell_end, eps: int,
@@ -343,7 +406,7 @@ def _epsilon_classes(graph: Graph, perm, active: int, cell_of, cell_end, eps: in
         neighbours, _ = graph.adjacent(cell)
         neighbours.sort()
         runs = run_offsets(neighbours)
-        touched, f, volume = neighbours[runs[:-1]], np.diff(runs), neighbours.size
+        touched, f, volume = neighbours[runs[:-1]], runs[1:] - runs[:-1], neighbours.size
         del neighbours, runs
     else:
         starts = np.zeros(1, dtype=ID_DTYPE)   # on the first visit C is the only cell
@@ -358,7 +421,7 @@ def _epsilon_classes(graph: Graph, perm, active: int, cell_of, cell_end, eps: in
         touched = perm[ranges(starts, size)]
         f = f0[touched]
         low = np.minimum.reduceat(f, size.cumsum() - size)
-        move = f > np.repeat(low + eps, size)
+        move = f > (low + eps).repeat(size)
         touched, f, volume = touched[move], f[move], int(f0.sum())   # vol(C)
     # no cell can spread more than the largest degree toward the active cell
     fmax = int(f.max()) if f.size else 0
@@ -384,13 +447,13 @@ def _epsilon_classes(graph: Graph, perm, active: int, cell_of, cell_end, eps: in
     spread = f[stop - 1] - low > eps
     # the group within eps of the minimum stays at the cell's start, so the
     # movers of a spreading cell start after it
-    lo = np.searchsorted(key, starts * (fmax + 1) + low + eps, side="right")[spread]
+    lo = key.searchsorted(starts * (fmax + 1) + low + eps, side="right")[spread]
     head, end = lo, stop[spread]
     moves = ranges(lo, end - lo)
     is_head = np.zeros(f.size, dtype=bool)
     while head.size:   # the next group head of every cell at once
         is_head[head] = True
-        head = np.searchsorted(key, key[head] + eps, side="right")
+        head = key.searchsorted(key[head] + eps, side="right")
         more = head < end
         head, end = head[more], end[more]
     return touched[moves], is_head[moves].cumsum(), volume
@@ -408,14 +471,16 @@ def _split_cells(perm, pos, cell_of, cell_end, mover, touched, label
     fragments, both ascending.
     """
     own = cell_of[touched]
-    edge = np.diff(label, prepend=-1) != 0         # where each class starts
+    edge = np.empty(label.size, dtype=bool)        # where each class starts
+    edge[:1] = True
+    np.not_equal(label[1:], label[:-1], out=edge[1:])
     # a touched cell (a run of ``own``) splits if it holds two classes
     runs = run_offsets(own)
     first, count = runs[:-1], runs[1:] - runs[:-1]
     starts = own[first]
     untouched = cell_end[starts] - starts - count
     split = np.add.reduceat(edge, first) + (untouched > 0) > 1
-    keep = np.repeat(split, count)
+    keep = split.repeat(count)
     movers, edge = touched[keep], edge[keep]
     starts, count, untouched = starts[split], count[split], untouched[split]
     tail = starts + untouched
@@ -423,7 +488,7 @@ def _split_cells(perm, pos, cell_of, cell_end, mover, touched, label
     # swap the movers into [tail, end) of their cells; members there that
     # stay fill the holes the movers leave, cell by cell in both lists
     at = pos[movers]
-    holes = at[at < np.repeat(tail, count)]
+    holes = at[at < tail.repeat(count)]
     mover[movers] = True
     held = perm[slots]
     displaced = held[~mover[held]]
@@ -434,12 +499,17 @@ def _split_cells(perm, pos, cell_of, cell_end, mover, touched, label
     pos[movers] = slots
     # each class of movers becomes a fragment at its first slot
     heads = edge.nonzero()[0]
-    head, size = slots[heads], np.diff(heads, append=movers.size)
-    cell_of[movers] = np.repeat(head, size)
+    size = np.empty_like(heads)
+    np.subtract(heads[1:], heads[:-1], out=size[:-1])
+    size[-1:] = movers.size - heads[-1:]
+    head = slots[heads]
+    cell_of[movers] = head.repeat(size)
     cell_end[head] = head + size
     kept = untouched > 0
     cell_end[starts[kept]] = tail[kept]
-    return starts, np.sort(np.concatenate((starts[kept], head)))
+    heads = np.concatenate((starts[kept], head))
+    heads.sort()
+    return starts, heads
 
 
 def _all_but_largest(cell_end, starts, heads) -> np.ndarray:
@@ -449,10 +519,12 @@ def _all_but_largest(cell_end, starts, heads) -> np.ndarray:
     deg(v, rest of the cell), so the largest fragment need not split others.
     """
     size = cell_end[heads] - heads
-    lead = np.searchsorted(heads, starts)   # each cell's first fragment
-    big = np.maximum.reduceat(size, lead).repeat(np.diff(lead, append=size.size))
-    big = np.flatnonzero(size == big)
-    return np.delete(heads, big[np.searchsorted(big, lead)])
+    lead = heads.searchsorted(starts)   # each cell's first fragment
+    big = np.maximum.reduceat(size, lead)[starts.searchsorted(heads, "right") - 1]
+    big = (size == big).nonzero()[0]
+    keep = np.ones(heads.size, dtype=bool)
+    keep[big[big.searchsorted(lead)]] = False
+    return heads[keep]
 
 
 def fast_eep(graph: Graph, epsilon) -> Partition:
@@ -487,7 +559,7 @@ def _signature_classes(own: np.ndarray, token: np.ndarray,
     """
     lens = bounds[1:] - bounds[:-1]
     weight = np.zeros(token.size + 1, dtype=np.uint64)   # prefix sums of weights
-    np.cumsum(_mix64(token.view(np.uint64)), out=weight[1:])
+    _mix64(token.view(np.uint64)).cumsum(out=weight[1:])
     digest = weight[bounds[1:]] - weight[bounds[:-1]]
     digest += own.view(np.uint64) * np.uint64(0x9E3779B97F4A7C15) + lens.view(np.uint64)
     del weight
@@ -498,12 +570,11 @@ def _signature_classes(own: np.ndarray, token: np.ndarray,
     leader = order[runs[:-1]][label]
     del digest, order, runs
     # each token's partner: the token at the same offset in the leader's list
-    partner = np.repeat(bounds[leader] - bounds[:-1], lens)
+    partner = (bounds[leader] - bounds[:-1]).repeat(lens)
     partner += np.arange(token.size)
-    if not (np.array_equal(own[leader], own) and np.array_equal(lens[leader], lens)
-            and np.array_equal(token[partner], token)):
-        raise SignatureCollisionError("two distinct degree signatures share a "
-                                      "64-bit hash; refusing to merge them")
+    if not ((own[leader] == own).all() and (lens[leader] == lens).all()
+            and (token[partner] == token).all()):
+        raise SignatureCollisionError(_COLLISION)
     return label
 
 

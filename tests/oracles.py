@@ -32,7 +32,7 @@ import numpy as np
 from netpos import (Graph, Partition, SnapshotSpec, TemporalEdgeLog,
                     VertexLabelMap)
 from netpos.textio import ID_DTYPE, ParseError
-from netpos.partition import _check_epsilon
+from netpos.partition import check_epsilon
 from netpos.similarity import UniverseMismatchError, _common_universe
 
 from helpers import neighbors
@@ -194,7 +194,7 @@ def split(partition: Partition, f, epsilon) -> tuple[Partition, dict[int, tuple[
     ``f`` may be an array indexed by vertex id or a mapping; values must be
     non-negative integers defined for every vertex of the partition.
     """
-    eps = _check_epsilon(epsilon)
+    eps = check_epsilon(epsilon)
     new_cells: list[tuple[int, ...]] = []
     split_map: dict[int, tuple[int, ...]] = {}
     for old, cell in enumerate(partition.cells):

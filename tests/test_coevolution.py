@@ -336,7 +336,7 @@ def test_overlap_scores_a_repeated_epsilon_once(monkeypatch):
     assert calls == [2, 2, 0, 0, 1, 1]  # one refinement per snapshot and epsilon
 
 
-@pytest.mark.parametrize("bad", [1.5, -1])
+@pytest.mark.parametrize("bad", [1.5, -1, float("inf"), float("nan")])
 def test_overlap_rejects_a_non_integer_or_negative_epsilon(monkeypatch, bad):
     import netpos.coevolution as coevolution
     g1, g2 = pa_snapshots(40, 60, seed=2)

@@ -10,7 +10,8 @@ import pytest
 
 import netpos.partition
 from netpos import (EngineConfig, GeneratorConfig, Graph, IterationLimitError,
-                    Partition, VertexLabelMap, coevolution_report, compute_measures,
+                    Partition, SignatureCollisionError, VertexLabelMap,
+                    coevolution_report, compute_measures,
                     epsilon_spread, fast_eep, generate_power_law, load_edge_list,
                     overlap_matrix, pair_difference_histogram, read_partition_file,
                     run_refinement, same_position_pairs, write_partition_file)
@@ -268,10 +269,13 @@ def test_refinement_order_pinned(name, eps, iterations, map_work, cells, digest,
 
 
 # (eps, iterations, map_work, cells, splits, fragments, SHA-256 of the membership
-# array as little-endian int64) on the 200k-vertex power-law graph, recorded
-# before the degrees toward the first cell were kept by subtraction; the first
-# cell holds most vertices there and is revisited many times
+# array as little-endian int64) on the 200k-vertex power-law graph. The eps > 0
+# rows were recorded before the degrees toward the first cell were kept by
+# subtraction; the first cell holds most vertices there and is revisited many
+# times. The eps = 0 row was recorded while round 1 still tallied its 2m entries
 AT_200K = [
+    (0, 8, 1071194, 66197, 6008, 72204,
+     "3343513de33ea12bf5d726ed423fcf3f6306a2417ea03247671ca1c7538fe478"),
     (1, 1475, 4118915, 1360, 1009, 2368,
      "940bca70217d5b07db1aa1ef0b217300fe084afb06347c7caf054584e120e401"),
     (2, 513, 1380635, 497, 325, 821,
@@ -290,6 +294,61 @@ def test_refinement_at_200k_pinned():
         memb = np.ascontiguousarray(part.membership, "<i8")
         assert hashlib.sha256(memb).hexdigest() == digest, eps
         assert epsilon_spread(g, part) <= eps
+
+
+# --- round 1 at eps = 0: the degree classes, without a tally ----------------------
+
+
+def _unit_state(n):
+    """perm, cell_of, cell_end and pending of the unit partition, as refinement starts."""
+    cell_end = np.zeros(n, dtype=np.int64)
+    cell_end[0] = n
+    return np.arange(n), np.zeros(n, dtype=np.int64), cell_end, np.zeros(1, dtype=np.int64)
+
+
+def _tallied_round(graph):
+    """The touched vertices, classes and volume of a round over the unit cell,
+    counted as every later round counts them: ``Graph.tally``, then
+    ``_signature_classes`` over the (splitter, count) lists."""
+    perm, cell_of, _, _ = _unit_state(graph.n)
+    (touched, token), count, volume = graph.tally(perm, cell_of)
+    bounds = np.arange(touched.size + 1)   # one (splitter 0, count) pair each
+    label = netpos.partition._signature_classes(cell_of[touched],
+                                                token * (graph.n + 1) + count, bounds)
+    order = label.argsort(kind="stable")
+    return touched[order], label[order], volume
+
+
+def _classes(touched, label):
+    """The vertex set of each class, in class order; classes must be contiguous."""
+    bounds = np.flatnonzero(np.diff(label, prepend=-1, append=-1))
+    assert np.unique(label).size == bounds.size - 1
+    return [sorted(touched[a:b].tolist()) for a, b in zip(bounds, bounds[1:])]
+
+
+def _cycle(n):
+    return Graph.from_edges(n, [(v, (v + 1) % n) for v in range(n)])
+
+
+@pytest.mark.parametrize("name", ["er-400-0.004", "cycle-300", "power_law-2000-2.1"])
+def test_round_one_is_the_tallied_round(monkeypatch, name):
+    g = _cycle(300) if name == "cycle-300" else _pinned_graph(name)
+    touched, label, volume = netpos.partition._splitter_classes(g, *_unit_state(g.n))
+    want_touched, want_label, want_volume = _tallied_round(g)
+    assert volume == want_volume == g.indices.size
+    assert _classes(touched, label) == _classes(want_touched, want_label)
+    assert label.tolist() == sorted(label.tolist())
+    # isolated vertices are untouched; a cycle is one class
+    assert touched.size == int((g.degrees > 0).sum())
+    assert len(_classes(touched, label)) == np.unique(g.degrees[g.degrees > 0]).size
+    # with every token weighing 0, distinct degrees share a digest
+    monkeypatch.setattr(netpos.partition, "_mix64", np.zeros_like)
+    if name == "cycle-300":
+        assert _classes(*netpos.partition._splitter_classes(g, *_unit_state(g.n))[:2]) \
+            == [list(range(g.n))]
+    else:
+        with pytest.raises(SignatureCollisionError, match="hash"):
+            netpos.partition._splitter_classes(g, *_unit_state(g.n))
 
 
 # --- Graph.tally over one cell, the map phase of an eps > 0 iteration --------------

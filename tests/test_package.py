@@ -191,3 +191,32 @@ def test_cli_run_lifecycle_has_one_owner():
     declared = [node.lineno for node in ast.walk(tree)
                 if isinstance(node, ast.Constant) and node.value == "--manifest-out"]
     assert readers == {"_manifest"} and len(declared) == 1
+
+
+# the refinement loop's helpers, by module; each runs once or more per iteration
+LOOP_HELPERS = {
+    "partition.py": {"run_refinement", "_splitter_classes", "_degree_classes",
+                     "_epsilon_classes", "_split_cells", "_all_but_largest",
+                     "_mix64", "_signature_classes"},
+    "graphs.py": {"ranges", "run_offsets", "adjacent", "tally", "degrees"},
+}
+# numpy functions written in Python around one array method or ufunc call;
+# at a few hundred vertices their own overhead outweighs the work they do
+WRAPPERS = {"diff", "delete", "append", "insert", "repeat", "searchsorted",
+            "flatnonzero", "array_equal", "cumsum", "sort"}
+
+
+def test_refinement_loop_calls_no_python_level_numpy_wrapper():
+    found, seen = [], set()
+    for module, helpers in LOOP_HELPERS.items():
+        tree = ast.parse((Path(netpos.__file__).parent / module).read_text(encoding="utf-8"))
+        for scope in ast.walk(tree):
+            if isinstance(scope, ast.FunctionDef) and scope.name in helpers:
+                seen.add((module, scope.name))
+                found += [f"{module}:{node.lineno} np.{node.func.attr}"
+                          for node in ast.walk(scope) if isinstance(node, ast.Call)
+                          and isinstance(node.func, ast.Attribute)
+                          and getattr(node.func.value, "id", None) == "np"
+                          and node.func.attr in WRAPPERS]
+    assert seen == {(m, h) for m, helpers in LOOP_HELPERS.items() for h in helpers}
+    assert found == []

@@ -236,6 +236,13 @@ def test_fast_eep_rejects_negative_epsilon():
         fast_eep(P4, -1)
 
 
+@pytest.mark.parametrize("bad", [float("inf"), float("nan"), 1.5])
+def test_fast_eep_rejects_a_non_integer_epsilon(bad):
+    # the documented message, not int()'s OverflowError or ValueError
+    with pytest.raises(ValueError, match="epsilon must be a non-negative integer"):
+        fast_eep(P4, bad)
+
+
 def test_fast_eep_empty_graph():
     assert fast_eep(Graph.from_edges(0, []), 0).cells == ()
 
@@ -646,3 +653,17 @@ def test_partition_file_errors_match_reference():
         else:
             assert read_partition_file(io.StringIO(text))[0] == want, text
     assert failures > len(texts) // 2
+
+
+def test_prefix_equals_the_cut_membership_regrouped():
+    rng = np.random.default_rng(5)
+    for n in (0, 1, 7, 300):
+        part = Partition.from_membership(rng.integers(0, max(n // 3, 1), n))
+        for cut in sorted({0, n // 2, n}):
+            want = Partition.from_membership(part.membership[:cut])
+            got = part.prefix(cut)
+            assert got == want and len(got) == len(want)
+    with pytest.raises(ValueError, match="exceeds"):
+        Partition.from_membership([0, 1]).prefix(3)
+    with pytest.raises(ValueError, match="dense range"):
+        Partition([[5], [7]]).prefix(1)
