@@ -285,7 +285,8 @@ def overlap_matrix(snapshots: Sequence[Graph], *, epsilons: Sequence[int] = (),
             continue
         parts = [degree_partition(g) if e is None else fast_eep(g, e) for g in snapshots]
         for (i, j), cell in values.items():
-            pj = parts[j].prefix(snapshots[i].n)
+            pj = Partition.from_membership(parts[j].membership[:snapshots[i].n],
+                                           len(parts[j]))
             cell[method] = 100.0 * similarity_score(parts[i], pj).value
         del parts   # before the next method refines
     return OverlapMatrix(tuple(methods), count, values)

@@ -110,18 +110,36 @@ class Partition:
         self.universe, self.membership, self._k = universe, membership, k
 
     @classmethod
-    def _from_labels(cls, universe: np.ndarray, labels: np.ndarray) -> "Partition":
-        """Group ascending, distinct ``universe`` ids by label, cells in label order."""
-        keys, membership = np.unique(labels, return_inverse=True)
+    def _from_labels(cls, universe: np.ndarray, labels: np.ndarray,
+                     bound: int | None = None) -> "Partition":
+        """Group ascending, distinct ``universe`` ids by label, cells in label order.
+
+        Labels known to lie in [0, ``bound``) are ranked by counting the ones
+        in use, with no sort; others by ``np.unique``.
+        """
+        if bound is None:
+            keys, membership = np.unique(labels, return_inverse=True)
+            membership, k = membership.astype(ID_DTYPE, copy=False), keys.size
+        else:
+            rank = np.zeros(bound, dtype=ID_DTYPE)
+            rank[labels] = 1
+            rank.cumsum(out=rank)
+            k = int(rank[-1]) if bound else 0
+            rank -= 1
+            membership = rank[labels]
         part = cls.__new__(cls)
-        part._store(universe, membership.astype(ID_DTYPE, copy=False), keys.size)
+        part._store(universe, membership, k)
         return part
 
     @classmethod
-    def from_membership(cls, membership: Sequence[int]) -> "Partition":
-        """Group vertex ids [0, len) by their membership value, ascending."""
+    def from_membership(cls, membership: Sequence[int],
+                        bound: int | None = None) -> "Partition":
+        """Group vertex ids [0, len) by their membership value, ascending.
+
+        With ``bound``, every value must lie in [0, bound).
+        """
         memb = np.asarray(membership, dtype=ID_DTYPE)
-        return cls._from_labels(np.arange(memb.size, dtype=ID_DTYPE), memb)
+        return cls._from_labels(np.arange(memb.size, dtype=ID_DTYPE), memb, bound)
 
     def __len__(self) -> int:
         """Number of cells (the |pi| of the similarity score)."""
@@ -161,26 +179,6 @@ class Partition:
         if u.size != n or (n and (u[0] != 0 or u[-1] != n - 1)):
             raise ValueError("partition universe is not the dense range [0, n)")
         return self.membership
-
-    def prefix(self, n: int) -> "Partition":
-        """Every cell cut to the ids [0, n), the empty ones dropped, in cell order.
-
-        The universe must be a dense range holding [0, n). A kept cell's new
-        index is the number of kept cells before it: no sort, unlike
-        ``from_membership`` of the cut membership, which it equals.
-        """
-        size = self.universe.size
-        if n > size:
-            raise ValueError(f"a prefix of {n} ids exceeds the {size}-vertex universe")
-        memb = self.membership_array(size)[:n]
-        kept = np.zeros(self._k, dtype=bool)
-        kept[memb] = True
-        index = kept.cumsum()
-        index -= 1
-        part = Partition.__new__(Partition)
-        part._store(np.arange(n, dtype=ID_DTYPE), index[memb],
-                    int(index[-1]) + 1 if n else 0)
-        return part
 
 
 class EngineConfig:
@@ -353,11 +351,12 @@ def _degree_classes(graph: Graph) -> tuple[np.ndarray, np.ndarray, int]:
     A vertex of degree d > 0 has the signature (0, [(0, d)]), whose
     ``_signature_classes`` digest is ``_mix64(d) + 1``. The classes are the
     degrees ranked by that digest, a digest two degrees share raising
-    SignatureCollisionError, so they and their order are the tally's. The
-    vertices come grouped by class from one sort of class * n + vertex;
-    isolated vertices, ranked -1, sort first and are left untouched.
+    SignatureCollisionError, so they and their order are the tally's. One
+    stable sort of the ranks, held in the smallest unsigned type (radix-sorted
+    up to 16 bits), groups the vertices by class, ascending within each;
+    isolated vertices, ranked 0, sort first and are left untouched.
     """
-    n, degrees = graph.n, graph.degrees
+    degrees = graph.degrees
     count = np.bincount(degrees)
     isolated, count[0] = count[0], 0
     distinct = count.nonzero()[0]
@@ -367,13 +366,13 @@ def _degree_classes(graph: Graph) -> tuple[np.ndarray, np.ndarray, int]:
     digest = digest[order]
     if (digest[1:] == digest[:-1]).any():
         raise SignatureCollisionError(_COLLISION)
-    rank = np.full(count.size, -1, dtype=ID_DTYPE)
-    rank[distinct[order]] = np.arange(distinct.size)
+    rank = np.zeros(count.size, dtype=np.min_scalar_type(distinct.size))
+    rank[distinct[order]] = np.arange(1, distinct.size + 1)
     key = rank[degrees]
-    key *= n
-    key += np.arange(n, dtype=ID_DTYPE)
-    key.sort()
-    label, touched = np.divmod(key[isolated:], n)
+    del degrees
+    touched = key.argsort(kind="stable")[isolated:]
+    label = key[touched].astype(ID_DTYPE)
+    label -= 1
     return touched, label, graph.indices.size
 
 

@@ -98,4 +98,5 @@ def restrict_partition(partition: Partition, keep: Iterable[int]) -> Partition:
         raise ValueError(f"keep set contains vertices outside the partition "
                          f"universe, e.g. {outside.min()}")
     mask = np.isin(partition.universe, keep_ids)
-    return Partition._from_labels(partition.universe[mask], partition.membership[mask])
+    return Partition._from_labels(partition.universe[mask], partition.membership[mask],
+                                  len(partition))

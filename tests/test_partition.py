@@ -655,15 +655,13 @@ def test_partition_file_errors_match_reference():
     assert failures > len(texts) // 2
 
 
-def test_prefix_equals_the_cut_membership_regrouped():
+def test_a_bounded_membership_is_grouped_as_an_unbounded_one():
     rng = np.random.default_rng(5)
     for n in (0, 1, 7, 300):
         part = Partition.from_membership(rng.integers(0, max(n // 3, 1), n))
         for cut in sorted({0, n // 2, n}):
             want = Partition.from_membership(part.membership[:cut])
-            got = part.prefix(cut)
+            got = Partition.from_membership(part.membership[:cut], len(part))
             assert got == want and len(got) == len(want)
-    with pytest.raises(ValueError, match="exceeds"):
-        Partition.from_membership([0, 1]).prefix(3)
-    with pytest.raises(ValueError, match="dense range"):
-        Partition([[5], [7]]).prefix(1)
+    with pytest.raises(IndexError):
+        Partition.from_membership([0, 3], 3)
