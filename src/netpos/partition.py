@@ -139,6 +139,8 @@ class Partition:
         With ``bound``, every value must lie in [0, bound).
         """
         memb = np.asarray(membership, dtype=ID_DTYPE)
+        if bound is not None and memb.size and (memb.min() < 0 or memb.max() >= bound):
+            raise ValueError(f"membership values must lie in [0, {bound})")
         return cls._from_labels(np.arange(memb.size, dtype=ID_DTYPE), memb, bound)
 
     def __len__(self) -> int:

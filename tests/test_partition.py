@@ -663,5 +663,6 @@ def test_a_bounded_membership_is_grouped_as_an_unbounded_one():
             want = Partition.from_membership(part.membership[:cut])
             got = Partition.from_membership(part.membership[:cut], len(part))
             assert got == want and len(got) == len(want)
-    with pytest.raises(IndexError):
-        Partition.from_membership([0, 3], 3)
+    for bad in ([0, 3], [-1, 0]):
+        with pytest.raises(ValueError, match=r"lie in \[0, 3\)"):
+            Partition.from_membership(bad, 3)
