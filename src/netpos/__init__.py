@@ -17,9 +17,9 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "textio": ("ParseError", "VertexLabelMap", "save_edge_list"),
-    "graphs": (
-        "GeneratorConfig", "Graph", "SnapshotSpec", "TemporalEdgeLog",
-        "build_snapshots", "generate_power_law", "load_edge_list",
+    "graphs": ("GeneratorConfig", "Graph", "generate_power_law", "load_edge_list"),
+    "temporal": (
+        "SnapshotSpec", "TemporalEdgeLog", "build_snapshots",
         "load_temporal_edge_list", "reciprocal_projection",
     ),
     "partition": (

@@ -7,8 +7,8 @@ gathered from a :class:`VertexLabelMap`'s byte pool on the way out; 0xFF
 (``PAD_BYTE``), which UTF-8 never holds, pads the words and rows, and
 :func:`strip` alone removes it. Bytes are classified at memory speed by
 ``bytes.translate`` and compares, not by numpy table gathers. This module
-imports no other netpos module; ``graphs`` and ``partition`` import it at
-module level, so every command but ``--version`` loads it.
+imports no other netpos module; ``graphs``, ``temporal`` and ``partition``
+import it at module level, so every command but ``--version`` loads it.
 """
 
 from __future__ import annotations

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import netpos.cli
+import netpos.commands
 import netpos.partition
 from netpos import (CONVENTIONS, DEFAULT_BIN_EDGES, DEFAULT_PAIR_CAP,
                     compute_measures, equitable_oracle, load_edge_list)
@@ -277,7 +278,7 @@ PENDANT_EDGES = "a b\nb c\na c\nc d\nd e\nd f\n"
 
 @pytest.mark.parametrize("limit, code", [(27, 0), (26, 4)])
 def test_centrality_betweenness_work_limit(runner, tmp_path, monkeypatch, limit, code):
-    monkeypatch.setattr(netpos.cli, "MAX_BETWEENNESS_WORK", limit)
+    monkeypatch.setattr(netpos.commands, "MAX_BETWEENNESS_WORK", limit)
     edges = _write(tmp_path, "pendant.edges", PENDANT_EDGES)
     out = tmp_path / "scores.csv"
     result = runner.invoke(main, ["centrality", edges, "-o", str(out)])
@@ -295,7 +296,7 @@ def test_centrality_betweenness_work_limit_passes_large_tree(runner, tmp_path):
     # a random tree far above the limit by n * (n + 2m) has no 2-core at all
     n = 100_000
     parents = np.random.default_rng(5).integers(0, np.arange(1, n))
-    assert n * (n + 2 * (n - 1)) > netpos.cli.MAX_BETWEENNESS_WORK
+    assert n * (n + 2 * (n - 1)) > netpos.commands.MAX_BETWEENNESS_WORK
     edges = _write(tmp_path, "tree.edges",
                    "".join(f"{p} {v}\n" for v, p in enumerate(parents, 1)))
     out = tmp_path / "scores.csv"
@@ -309,7 +310,7 @@ def test_centrality_betweenness_work_limit_passes_large_tree(runner, tmp_path):
 def test_coevolve_betweenness_work_limit(runner, tmp_path, monkeypatch, limit, code):
     # the earlier snapshot is the path a-b-c-d, with no 2-core; the later one
     # closes the triangle a-b-c and hangs c-d-e-f off it, so k = 3, m = 3
-    monkeypatch.setattr(netpos.cli, "MAX_BETWEENNESS_WORK", limit)
+    monkeypatch.setattr(netpos.commands, "MAX_BETWEENNESS_WORK", limit)
     log = _write(tmp_path, "log.txt",
                  "a b 10\nb c 10\nc d 10\na c 40\nd e 40\ne f 40\n")
     base = str(tmp_path / "coe")
@@ -673,6 +674,41 @@ def test_help_lists_every_option(runner, command):
     assert listed == OPTION_NAMES[command] | {"--help"}
     if command is None:
         assert all(name in result.stdout for name in OPTION_NAMES if name)
+
+
+NETPOS_HELP = """\
+usage: netpos [--version] [--help] COMMAND ...
+
+Positional analysis of large graphs.
+
+positional arguments:
+  COMMAND
+  ARGS       The command's options and arguments.
+
+options:
+  --version  Show the version and exit.
+  --help     Show this message and exit.
+
+commands:
+  bench       Time the refinement over a (size, gamma, epsilon) grid.
+  centrality  Emit per-vertex centrality scores, one record per vertex.
+  coevolve    Analyze how same-position vertex pairs evolve between snapshots.
+  gen         Generate a random power-law graph (erased configuration model).
+  partition   Partition a graph into positions and write a partition file.
+  similarity  Score the positional overlap of two partitions of the same vertices.
+  snapshots   Build nested cumulative graph snapshots from a timestamped edge log.
+"""
+
+
+def test_help_lists_each_command_by_its_docstring(runner, monkeypatch):
+    # ``--help`` lists the command table without importing a command's
+    # module, so each summary must restate its function's docstring
+    for name, summary in netpos.cli._COMMANDS.items():
+        assert summary == netpos.cli._load(name).__doc__.splitlines()[0], name
+    monkeypatch.setenv("COLUMNS", "80")
+    result = runner.invoke(main, ["--help"])
+    assert result.exit_code == 0, result.output
+    assert result.stdout == NETPOS_HELP
 
 
 class _FlushRecorder(io.StringIO):

@@ -17,9 +17,9 @@ from helpers import CliRunner
 
 EXPORTS = {
     "textio": {"ParseError", "VertexLabelMap", "save_edge_list"},
-    "graphs": {"GeneratorConfig", "Graph", "SnapshotSpec", "TemporalEdgeLog",
-               "build_snapshots", "generate_power_law", "load_edge_list",
-               "load_temporal_edge_list", "reciprocal_projection"},
+    "graphs": {"GeneratorConfig", "Graph", "generate_power_law", "load_edge_list"},
+    "temporal": {"SnapshotSpec", "TemporalEdgeLog", "build_snapshots",
+                 "load_temporal_edge_list", "reciprocal_projection"},
     "partition": {"EngineConfig", "IterationLimitError", "Partition",
                   "RefinementStats", "SignatureCollisionError", "degree_partition",
                   "epsilon_spread", "equitable_oracle", "fast_eep",
@@ -95,34 +95,65 @@ def inputs(tmp_path_factory):
     return tmp
 
 
+# each command loads ``commands``, the run lifecycle, and ``commands.<name>``
 @pytest.mark.parametrize("args, netpos_modules, absent", [
     (["partition", "g.edges", "-e", "0", "-o", "out.part"],
-     {"graphs", "textio", "partition"}, {"logging", "csv"}),
+     {"commands.partition", "graphs", "textio", "partition"}, {"logging", "csv"}),
     (["partition", "g.edges", "-e", "0", "-o", "loud.part", "--progress-interval", "1"],
-     {"graphs", "textio", "partition"}, {"logging", "csv"}),
-    (["snapshots", "log", "--cutoffs", "20,50", "-o", "snap"], {"graphs", "textio"},
-     set()),
+     {"commands.partition", "graphs", "textio", "partition"}, {"logging", "csv"}),
+    (["snapshots", "log", "--cutoffs", "20,50", "-o", "snap"],
+     {"commands.snapshots", "graphs", "textio", "temporal"}, set()),
     # reads its partition files on the text I/O's block tokenizer
     (["similarity", "g0.part", "g2.part"],
-     {"graphs", "textio", "partition", "similarity"}, {"csv"}),
-    (["gen", "-n", "20", "--gamma", "2.5", "-o", "h.edges"], {"graphs", "textio"},
-     {"csv"}),
-    (["centrality", "g.edges", "-o", "c.csv"], {"graphs", "textio", "centrality"},
-     {"logging"}),
+     {"commands.similarity", "graphs", "textio", "partition", "similarity"}, {"csv"}),
+    (["gen", "-n", "20", "--gamma", "2.5", "-o", "h.edges"],
+     {"commands.gen", "graphs", "textio"}, {"csv"}),
+    (["centrality", "g.edges", "-o", "c.csv"],
+     {"commands.centrality", "graphs", "textio", "centrality"}, {"logging"}),
     (["coevolve", "log", "--cutoffs", "20,40,50", "--overlap", "-o", "ov"],
-     {"graphs", "textio", "partition", "similarity", "coevolution"}, {"logging"}),
+     {"commands.coevolve", "graphs", "textio", "temporal", "partition", "similarity",
+      "coevolution"}, {"logging"}),
     # generates its graphs, but ``graphs`` imports ``textio`` at module level
-    (["bench", "--sizes", "20", "-o", "b.csv"], {"graphs", "textio", "partition"},
-     {"logging"}),
+    (["bench", "--sizes", "20", "-o", "b.csv"],
+     {"commands.bench", "graphs", "textio", "partition"}, {"logging"}),
     (["--version"], set(), {"numpy", "logging", "csv"}),
 ], ids=["partition", "partition-progress", "snapshots", "similarity", "gen",
         "centrality", "coevolve-overlap", "bench", "version"])
 def test_command_loads_only_its_modules(inputs, args, netpos_modules, absent):
     loaded = _modules_after(inputs, _LOADED, *args)
     want = {"netpos", "netpos.cli"} | {f"netpos.{m}" for m in netpos_modules}
+    if netpos_modules:
+        want.add("netpos.commands")
     assert {m for m in loaded if m.split(".")[0] == "netpos"} == want
     # the records are plain classes: no command generates dataclass code
     assert not (absent | {"dataclasses", "click"}) & loaded
+
+
+_RUN_AS_MAIN = """\
+import atexit, runpy, sys
+atexit.register(lambda: print(" ".join(sorted(sys.modules))))
+sys.argv[0] = "netpos"
+runpy.run_module("netpos.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+@pytest.mark.parametrize("args, netpos_modules", [
+    (["partition", "g.edges", "-e", "0", "-o", "main.part"],
+     {"commands.partition", "graphs", "textio", "partition"}),
+    (["similarity", "g0.part", "g2.part"],
+     {"commands.similarity", "graphs", "textio", "partition", "similarity"}),
+    (["snapshots", "log", "--cutoffs", "20,50", "-o", "main-snap"],
+     {"commands.snapshots", "graphs", "textio", "temporal"}),
+    (["coevolve", "log", "--cutoffs", "20,40,50", "--overlap", "-o", "main-ov"],
+     {"commands.coevolve", "graphs", "textio", "temporal", "partition", "similarity",
+      "coevolution"}),
+], ids=["partition", "similarity", "snapshots", "coevolve-overlap"])
+def test_module_run_compiles_the_entry_module_once(inputs, args, netpos_modules):
+    # under ``python -m netpos.cli`` the entry module runs as ``__main__``: a
+    # module that imported ``netpos.cli`` would compile it a second time
+    loaded = _modules_after(inputs, _RUN_AS_MAIN, *args)
+    assert {m for m in loaded if m.split(".")[0] == "netpos"} == \
+        {"netpos", "netpos.commands"} | {f"netpos.{m}" for m in netpos_modules}
 
 
 _BARE_IMPORT = """\
@@ -138,15 +169,24 @@ def test_import_netpos_loads_no_submodule(tmp_path):
     assert {m for m in loaded if m.split(".")[0] == "netpos"} == {"netpos"}
 
 
+PACKAGE = Path(netpos.__file__).parent
+# the CLI: its entry point and ``netpos.commands``, the run lifecycle every
+# command shares and one module per command
+CLI_MODULES = [PACKAGE / "cli.py", *sorted((PACKAGE / "commands").glob("*.py"))]
+
+
 def test_no_module_imports_a_private_name_from_a_sibling():
-    # a helper two modules need belongs, public, to the module that owns it
+    # a helper two modules need belongs, public, to the module that owns it;
+    # the modules of a subpackage share its ``__init__``'s private helpers
     found = []
-    for path in sorted(Path(netpos.__file__).parent.glob("*.py")):
+    for path in sorted(PACKAGE.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.ImportFrom) and (node.level or (
-                    node.module or "").split(".")[0] == "netpos"):
-                found += [f"{path.name}: {alias.name}" for alias in node.names
-                          if alias.name.startswith("_")
+            if not isinstance(node, ast.ImportFrom) or (
+                    path.parent != PACKAGE and node.level == 1 and not node.module):
+                continue
+            if node.level or (node.module or "").split(".")[0] == "netpos":
+                found += [f"{path.relative_to(PACKAGE)}: {alias.name}"
+                          for alias in node.names if alias.name.startswith("_")
                           and not alias.name.endswith("__")]
     assert found == []
 
@@ -156,7 +196,7 @@ def test_imports_run_one_way_down_to_textio():
     # only the CLI, which loads each command's modules on use, imports a
     # sibling inside a function
     found = []
-    for path in sorted(Path(netpos.__file__).parent.glob("*.py")):
+    for path in sorted(PACKAGE.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         nested = {id(node) for scope in ast.walk(tree)
                   if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef))
@@ -168,29 +208,29 @@ def test_imports_run_one_way_down_to_textio():
                 modules = [alias.name for alias in node.names]
             else:
                 continue
-            inside = id(node) in nested and path.name != "cli.py"
+            inside = id(node) in nested and path not in CLI_MODULES
             if any(m.split(".")[0] == "netpos" for m in modules) and (
                     path.name == "textio.py" or inside):
-                found.append(f"{path.name}:{node.lineno}")
+                found.append(f"{path.relative_to(PACKAGE)}:{node.lineno}")
     assert found == []
 
 
 def test_cli_run_lifecycle_has_one_owner():
     # the clock, the memory reading and the manifest write live in the one
     # ``_manifest`` block every command runs in, and ``--manifest-out`` is
-    # declared once for all of them
-    cli = Path(netpos.__file__).parent / "cli.py"
-    tree = ast.parse(cli.read_text(encoding="utf-8"))
-    readers = set()
-    for scope in ast.walk(tree):
-        if isinstance(scope, ast.FunctionDef):
-            readers |= {scope.name for node in ast.walk(scope)
-                        if isinstance(node, ast.Attribute)
-                        and (node.attr, getattr(node.value, "id", None))
-                        in {("perf_counter", "time"), ("getrusage", "resource")}}
-    declared = [node.lineno for node in ast.walk(tree)
-                if isinstance(node, ast.Constant) and node.value == "--manifest-out"]
-    assert readers == {"_manifest"} and len(declared) == 1
+    # declared once for all of them, across every module of the CLI
+    readers, declared = set(), []
+    for path in CLI_MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for scope in ast.walk(tree):
+            if isinstance(scope, ast.FunctionDef):
+                readers |= {(path.name, scope.name) for node in ast.walk(scope)
+                            if isinstance(node, ast.Attribute)
+                            and (node.attr, getattr(node.value, "id", None))
+                            in {("perf_counter", "time"), ("getrusage", "resource")}}
+        declared += [node.lineno for node in ast.walk(tree)
+                     if isinstance(node, ast.Constant) and node.value == "--manifest-out"]
+    assert readers == {("__init__.py", "_manifest")} and len(declared) == 1
 
 
 # the refinement loop's helpers, by module; each runs once or more per iteration
@@ -209,7 +249,7 @@ WRAPPERS = {"diff", "delete", "append", "insert", "repeat", "searchsorted",
 def test_refinement_loop_calls_no_python_level_numpy_wrapper():
     found, seen = [], set()
     for module, helpers in LOOP_HELPERS.items():
-        tree = ast.parse((Path(netpos.__file__).parent / module).read_text(encoding="utf-8"))
+        tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
         for scope in ast.walk(tree):
             if isinstance(scope, ast.FunctionDef) and scope.name in helpers:
                 seen.add((module, scope.name))
